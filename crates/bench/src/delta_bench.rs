@@ -748,7 +748,7 @@ const BOUND_SHORT_LEN: usize = 50;
 /// outputs. The dirty outputs' maintained upper bounds can never
 /// displace the k-th head answer, so the refresh asymmetry is pure:
 /// the unbounded side re-materializes their relevant sets, the bounded
-/// side proves them dominated from the refolded `h`. Labels alternate
+/// side proves them dominated from the maintained `h`. Labels alternate
 /// so the cyclic pattern `A ⇄ B` matches every cycle.
 pub fn bounded_workload(nodes: usize) -> (DiGraph, Pattern) {
     let shorts = nodes.saturating_sub(BOUND_HEAD_LEN) / BOUND_SHORT_LEN;
@@ -812,7 +812,7 @@ fn replay_bounded(
     stream: &[GraphDelta],
 ) -> (f64, u64, DynamicMatcher) {
     let mut cfg = IncrementalConfig::new(k);
-    cfg.bounds.enabled = enabled;
+    cfg.bounds = enabled;
     if full {
         // Any dirty output overflows the plan: every batch re-derives
         // and re-ranks the whole cache — the full-materialization shape.
@@ -859,7 +859,7 @@ pub fn run_bounded_refresh(
             // serve bit-identical answers after every batch.
             let make = |enabled: bool, full: bool| {
                 let mut cfg = IncrementalConfig::new(k);
-                cfg.bounds.enabled = enabled;
+                cfg.bounds = enabled;
                 if full {
                     cfg.max_dirty_fraction = 0.0;
                 }
@@ -1042,7 +1042,7 @@ mod tests {
         assert_eq!(r.points.len(), 2);
         for p in &r.points {
             assert_eq!(p.answer_diffs, 0, "bound pruning must not change answers");
-            assert_eq!(p.bound_rebuilds, 0, "toggle stream must stay on the refold path");
+            assert_eq!(p.bound_rebuilds, 0, "toggle stream must never re-condense");
         }
         // Every churned short output is dominated by the head's k-th
         // answer: revival batches prune instead of materializing.

@@ -85,11 +85,6 @@ mod state;
 pub use matcher::{ApplyStats, DynamicMatcher, IncrementalConfig, IncrementalError};
 pub use registry::{AnswerChange, PatternId, PatternInfo, PatternRegistry, RegistryStats};
 
-// The maintained output-bound policy [`IncrementalConfig::bounds`] takes,
-// re-exported so serving-layer configs need no direct gpm-ranking
-// dependency.
-pub use gpm_ranking::{BoundPolicy, BoundStrategy};
-
 // The observability bundle [`PatternRegistry::set_telemetry`] /
 // [`DynamicMatcher::set_telemetry`] accept, re-exported so incremental
 // consumers need no direct gpm-telemetry dependency.

@@ -6,7 +6,7 @@ use gpm_core::result::{AnswerDiff, DivResult, TopKResult};
 use gpm_graph::dynamic::DynGraph;
 use gpm_graph::{DiGraph, GraphDelta, GraphError};
 use gpm_pattern::Pattern;
-use gpm_ranking::{BoundPolicy, ReachConfig};
+use gpm_ranking::ReachConfig;
 use gpm_telemetry::{names, Telemetry};
 
 use crate::state::{worst_churn, PatternState};
@@ -40,17 +40,18 @@ pub struct IncrementalConfig {
     /// honors; past the byte budget, dirty-set materialization degrades
     /// to per-source BFS instead of the condensation DP.
     pub reach: ReachConfig,
-    /// Policy of the maintained output-bound index riding the
-    /// incremental condensation: whether refresh planning may skip
-    /// materializing outputs whose upper bound cannot displace the k-th
-    /// answer, and when the per-batch refold gives up and recounts.
-    pub bounds: BoundPolicy,
+    /// Whether refresh planning may skip materializing outputs whose
+    /// upper bound (the popcount stored beside each maintained `Full(c)`)
+    /// cannot displace the k-th answer. Off = every dirty output is
+    /// materialized — the reference side of the *bounded ≡ unbounded*
+    /// suites.
+    pub bounds: bool,
 }
 
 impl IncrementalConfig {
     /// Defaults for a given `k` (`λ = 0.5`, rebuild past 20% edge churn or
     /// a 30% dirty sweep, drop the maintained condensation past 12.5% pair
-    /// churn, default reach-engine budget).
+    /// churn, default reach-engine budget, bound pruning on).
     pub fn new(k: usize) -> Self {
         IncrementalConfig {
             k,
@@ -59,7 +60,7 @@ impl IncrementalConfig {
             max_dirty_fraction: 0.3,
             max_cond_churn_fraction: 0.125,
             reach: ReachConfig::default(),
-            bounds: BoundPolicy::default(),
+            bounds: true,
         }
     }
 
@@ -126,13 +127,11 @@ pub struct ApplyStats {
     /// maintained upper bound proved they cannot displace the k-th
     /// answer.
     pub pruned_outputs: u64,
-    /// Batches whose maintained bound index was refolded incrementally
-    /// over the condensation's recomputed components.
-    pub bound_refolds: u64,
-    /// From-scratch rebuilds of the maintained bound index — churn-gate
-    /// recounts, condensation fallbacks/width migrations, and full
-    /// rebuilds while bounds were on. Attr-only and tombstone-only
-    /// batches must never increment this.
+    /// From-scratch rebuilds of the maintained bounds: re-condensations
+    /// of a live maintained state (probe/region fallbacks, width
+    /// migrations, whole-state rebuilds) while pruning was on — always
+    /// `≤ cond_rebuilds`. Attr-only and tombstone-only batches must never
+    /// increment this.
     pub bound_rebuilds: u64,
     /// Candidate pairs visited by the last backward dirtiness sweep.
     pub last_swept_pairs: usize,
@@ -140,11 +139,6 @@ pub struct ApplyStats {
     pub last_dirty_outputs: usize,
     /// Outputs the last batch's refresh plan pruned via bounds.
     pub last_pruned_outputs: usize,
-    /// Wall nanoseconds the last batch spent refolding the bound index
-    /// (0 when the batch refolded nothing).
-    pub last_bound_refold_ns: u64,
-    /// Bound-index rebuilds charged to the last batch.
-    pub last_bound_rebuilds: u64,
     /// Wall nanoseconds of the last served refresh, batch ingress to
     /// answer — what `/patterns` reports as the last refresh latency.
     pub last_refresh_ns: u64,
@@ -246,27 +240,12 @@ impl DynamicMatcher {
             state.refresh_ranking_traced(&self.graph, &applied, &root);
             Ok(state.serve_timed(t0))
         })();
-        if out.is_ok() {
-            self.record_bound_metrics();
+        let pruned = self.state.stats().last_pruned_outputs;
+        if out.is_ok() && pruned > 0 {
+            self.telemetry.metrics().counter(names::BOUNDS_PRUNED).add(pruned as u64);
         }
         self.telemetry.finish_batch(root, self.state.stats().applies);
         out
-    }
-
-    /// Folds the last batch's bound-index accounting into the attached
-    /// metrics (counters record even when telemetry is disabled).
-    fn record_bound_metrics(&self) {
-        let stats = self.state.stats();
-        let m = self.telemetry.metrics();
-        if stats.last_bound_refold_ns > 0 {
-            m.histogram(names::BOUNDS_REFOLD_SECONDS).record_ns(stats.last_bound_refold_ns);
-        }
-        if stats.last_pruned_outputs > 0 {
-            m.counter(names::BOUNDS_PRUNED).add(stats.last_pruned_outputs as u64);
-        }
-        if stats.last_bound_rebuilds > 0 {
-            m.counter(names::BOUNDS_REBUILDS).add(stats.last_bound_rebuilds);
-        }
     }
 
     /// The current top-k by relevance — identical to running
@@ -289,8 +268,8 @@ impl DynamicMatcher {
         self.state.diversified(&self.graph, lambda)
     }
 
-    /// The active bound-index mode: `"per-component"`, `"global"`, or
-    /// `"off"` (disabled, or the maintained reach state is down).
+    /// The active bound mode: `"per-component"`, or `"off"` (disabled,
+    /// or the maintained reach state is down).
     pub fn bound_mode(&self) -> &'static str {
         self.state.bound_mode()
     }

@@ -33,7 +33,7 @@ use gpm_core::result::{AnswerDiff, DivResult, TopKResult};
 use gpm_graph::dynamic::DynGraph;
 use gpm_graph::{BitSet, DiGraph, GraphDelta, Label};
 use gpm_pattern::Pattern;
-use gpm_telemetry::{names, Counter, Gauge, Histogram, Span, Telemetry};
+use gpm_telemetry::{names, Counter, Gauge, Span, Telemetry};
 use parking_lot::Mutex;
 
 use crate::matcher::{ApplyStats, IncrementalConfig, IncrementalError};
@@ -130,10 +130,6 @@ struct RegistryCounters {
     pool_busy_nanos: Gauge,
     pool_tasks: Gauge,
     bounds_pruned: Counter,
-    bounds_rebuilds: Counter,
-    /// Per-batch bound-refold latency samples (histograms honor the
-    /// enabled flag; the counters above always record).
-    bounds_refold: Histogram,
 }
 
 impl RegistryCounters {
@@ -153,8 +149,6 @@ impl RegistryCounters {
             pool_busy_nanos: m.gauge(names::POOL_BUSY_NANOS),
             pool_tasks: m.gauge(names::POOL_TASKS),
             bounds_pruned: m.counter(names::BOUNDS_PRUNED),
-            bounds_rebuilds: m.counter(names::BOUNDS_REBUILDS),
-            bounds_refold: m.histogram(names::BOUNDS_REFOLD_SECONDS),
         }
     }
 
@@ -174,9 +168,6 @@ impl RegistryCounters {
         next.pool_busy_nanos.set(self.pool_busy_nanos.get());
         next.pool_tasks.set(self.pool_tasks.get());
         next.bounds_pruned.add(self.bounds_pruned.get());
-        next.bounds_rebuilds.add(self.bounds_rebuilds.get());
-        // Histogram samples are not migrated — the refold histogram
-        // restarts with the new bundle, like every other histogram.
     }
 }
 
@@ -222,8 +213,7 @@ pub struct PatternInfo {
     /// How relevant-set preparation currently runs: `"maintained"`,
     /// `"readopt-pending"` or `"engine"`.
     pub reach_mode: &'static str,
-    /// The active maintained-bound mode: `"per-component"`, `"global"`
-    /// or `"off"`.
+    /// The active bound mode: `"per-component"` or `"off"`.
     pub bound_mode: &'static str,
     /// Per-pattern maintenance counters (includes
     /// [`ApplyStats::last_refresh_ns`], the last refresh latency, and the
@@ -503,24 +493,7 @@ impl PatternRegistry {
         let graph = &self.graph;
         let slots = &self.slots;
         let touched_ref = &touched;
-        let counters = &self.counters;
-        // Per-pattern bound-index accounting is final once the plan
-        // exists (refold in `maintain_reach`, pruning in `plan_refresh`),
-        // so each worker folds its pattern's `last_*` contribution into
-        // the shared cells right after planning. Counters are atomic —
-        // safe from any pool worker.
-        let note_bounds = |st: &PatternState| {
-            let s = st.stats();
-            if s.last_bound_refold_ns > 0 {
-                counters.bounds_refold.record_ns(s.last_bound_refold_ns);
-            }
-            if s.last_pruned_outputs > 0 {
-                counters.bounds_pruned.add(s.last_pruned_outputs as u64);
-            }
-            if s.last_bound_rebuilds > 0 {
-                counters.bounds_rebuilds.add(s.last_bound_rebuilds);
-            }
-        };
+        let bounds_pruned = &self.counters.bounds_pruned;
         let split_threshold = self.pool.as_ref().map(|_| INTRA_SPLIT_MIN_OUTPUTS);
         let fresh: Vec<Mutex<Option<(TopKResult, AnswerDiff)>>> =
             (0..n).map(|_| Mutex::new(None)).collect();
@@ -552,7 +525,8 @@ impl PatternRegistry {
                 st.refresh_untouched(graph);
                 return;
             };
-            note_bounds(&st);
+            // Counters are atomic — safe from any pool worker.
+            bounds_pruned.add(plan.pruned() as u64);
             if split_threshold.is_some_and(|min| plan.len() >= min) {
                 let prepared = st.prepare_sets_traced(graph, &plan, &refresh_span);
                 // Only park extractions a pool barrier can actually help

@@ -25,8 +25,8 @@ use gpm_graph::{
 use gpm_pattern::Pattern;
 use gpm_ranking::objective::{c_uo_with, Objective};
 use gpm_ranking::{
-    BoundState, CondPolicy, CondensationState, MaintainError, ReachEngine, ReachExtractor,
-    RelevanceCache, SetHandle,
+    CondPolicy, CondensationState, MaintainError, ReachEngine, ReachExtractor, RelevanceCache,
+    SetHandle,
 };
 use gpm_simulation::incremental::DynPair;
 use gpm_simulation::{DynMatchGraph, IncSimState, ReachView};
@@ -172,18 +172,16 @@ pub(crate) fn removed_label_map(g: &DynGraph, delta: &GraphDelta) -> HashMap<Nod
 
 /// The stateful half of the reach engine: the alive-pair view kept
 /// packed across batches plus the incrementally maintained condensation
-/// over it. Present only while the reach budget admits the retained
-/// `Full(c)` bitsets — dropped (never half-trusted) when it stops
-/// fitting, at which point [`PatternState::prepare_sets_traced`] falls
-/// back to the per-batch [`ReachEngine`] prepare.
+/// over it (whose component slots also hold the upper bounds `h` that
+/// [`PatternState::plan_refresh`] prunes against). Present only while
+/// the reach budget admits the retained `Full(c)` bitsets — dropped
+/// (never half-trusted) when it stops fitting, at which point
+/// [`PatternState::prepare_sets_traced`] falls back to the per-batch
+/// [`ReachEngine`] prepare.
 #[derive(Debug, Clone)]
 struct MaintainedReach {
     view: DynMatchGraph,
     cond: CondensationState,
-    /// Maintained upper bounds `h(uo, v)` derived from the condensation's
-    /// `Full` popcounts, refolded per batch over exactly the components
-    /// the condensation recomputed. `None` when bounds are disabled.
-    bounds: Option<BoundState>,
 }
 
 /// Materialized simulation + ranking state of one pattern, maintained
@@ -269,7 +267,7 @@ impl PatternState {
             maint_readopt: false,
             deferred: BTreeSet::new(),
         };
-        state.maintained = state.build_maintained(g);
+        state.rebuild_maintained(g, &Span::disabled());
         let plan = state.full_plan(g);
         state.materialize(g, &plan);
         state.sim.take_dirty();
@@ -363,16 +361,12 @@ impl PatternState {
         self.sim = IncSimState::new(g, &self.pattern).expect("pattern validated at construction");
         self.sim.take_dirty();
         self.stats.full_rebuilds += 1;
-        self.reset_batch_bound_stats();
+        self.stats.last_pruned_outputs = 0;
         let plan = self.full_plan(g);
-        if let Some(mr) = &self.maintained {
-            self.stats.cond_rebuilds += 1;
-            if mr.bounds.is_some() {
-                self.note_bound_rebuild();
-            }
+        if self.maintained.is_some() {
+            self.note_recondense();
         }
-        self.maintained = self.build_maintained(g);
-        self.maint_readopt = false;
+        self.rebuild_maintained(g, &Span::disabled());
         plan
     }
 
@@ -388,10 +382,10 @@ impl PatternState {
         let seeds = self.sim.take_dirty();
         debug_assert!(seeds.is_empty(), "untouched pattern has no flips");
         self.cache.ensure_width(g.node_count());
-        self.reset_batch_bound_stats();
         self.stats.incremental_applies += 1;
         self.stats.last_swept_pairs = 0;
         self.stats.last_dirty_outputs = 0;
+        self.stats.last_pruned_outputs = 0;
     }
 
     /// Post-batch ranking maintenance: plan + materialize in one go (the
@@ -425,11 +419,12 @@ impl PatternState {
     /// batch, before planning. Emits a `condense_incremental` child span
     /// and counts incremental applies vs. full re-condensation fallbacks.
     ///
-    /// Batch churn above [`COND_MAINT_MAX_CHURN_FRACTION`] of the alive
-    /// pairs (with an absolute floor of [`COND_MAINT_CHURN_FLOOR`] so
-    /// tiny graphs always maintain) rebuilds the packing and the
-    /// condensation from scratch instead — incremental maintenance only
-    /// pays off while the touched region is small.
+    /// Batch churn above [`IncrementalConfig::max_cond_churn_fraction`] of
+    /// the alive pairs (with an absolute floor of
+    /// [`COND_MAINT_CHURN_FLOOR`] so tiny graphs always maintain) drops
+    /// the maintained state for the per-batch engine instead —
+    /// incremental maintenance only pays off while the touched region is
+    /// small.
     pub(crate) fn maintain_reach(
         &mut self,
         g: &DynGraph,
@@ -438,7 +433,6 @@ impl PatternState {
     ) -> Vec<DynPair> {
         let flips = self.sim.take_dirty();
         self.cache.ensure_width(g.node_count());
-        self.reset_batch_bound_stats();
         let churn = flips.len() + applied.added_edges.len() + applied.removed_edges.len();
         let Some(mut mr) = self.maintained.take() else {
             // Re-adoption after a churn drop: once the stream is calm
@@ -451,8 +445,7 @@ impl PatternState {
                     let ci = span.child("condense_incremental");
                     ci.event("cond-churn-readopt");
                     self.stats.cond_rebuilds += 1;
-                    self.maintained = self.build_maintained(g);
-                    self.maint_readopt = false;
+                    self.rebuild_maintained(g, &ci);
                 }
             }
             return flips;
@@ -462,11 +455,8 @@ impl PatternState {
             // The cache migrated to a wider universe: the retained bitsets
             // are the wrong width, so the view/condensation restart there.
             ci.event("cond-width-rebuild");
-            self.stats.cond_rebuilds += 1;
-            if mr.bounds.is_some() {
-                self.note_bound_rebuild();
-            }
-            self.maintained = self.build_maintained(g);
+            self.note_recondense();
+            self.rebuild_maintained(g, &ci);
             return flips;
         }
         // Past a churn threshold the incremental dance — per-edge CSR
@@ -510,34 +500,7 @@ impl PatternState {
                         ms.recomputed_fulls
                     ));
                 }
-                if mr.cond.retained_bytes() > self.cfg.reach.budget_bytes {
-                    // Outgrew the budget: drop to the per-batch engine
-                    // (which makes its own budget decision every prepare).
-                    ci.event("cond-budget-drop");
-                    self.maintained = None;
-                    self.maint_readopt = false;
-                    return flips;
-                }
-                if let Some(bs) = mr.bounds.as_mut() {
-                    let br = span.child("bound_refold");
-                    let t0 = Instant::now();
-                    let r = bs.apply(&mr.cond, mr.view.alive_count(), &self.cfg.bounds);
-                    self.stats.last_bound_refold_ns =
-                        (t0.elapsed().as_nanos().min(u64::MAX as u128) as u64).max(1);
-                    self.stats.bound_refolds += 1;
-                    if r.rebuilt_all {
-                        self.note_bound_rebuild();
-                    }
-                    if br.is_enabled() {
-                        br.detail(format!(
-                            "refolded={} rebuilt_all={} mode={}",
-                            r.refolded,
-                            r.rebuilt_all,
-                            bs.mode_label()
-                        ));
-                    }
-                }
-                self.maintained = Some(mr);
+                self.install_maintained(mr, &ci);
             }
             Err(e) => {
                 // Past the policy thresholds a from-scratch condensation
@@ -548,30 +511,21 @@ impl PatternState {
                     MaintainError::ProbeOverflow => "cond-probe-fallback",
                     MaintainError::RegionOverflow => "cond-region-fallback",
                 });
-                self.stats.cond_rebuilds += 1;
+                self.note_recondense();
                 mr.cond = CondensationState::build(&mr.view, |p| mr.view.is_alive(p));
-                if let Some(bs) = mr.bounds.as_mut() {
-                    *bs = BoundState::build(&mr.cond, mr.view.alive_count(), &self.cfg.bounds);
-                    self.note_bound_rebuild();
-                }
-                self.maintained = Some(mr);
+                self.install_maintained(mr, &ci);
             }
         }
         flips
     }
 
-    /// Per-batch bound accounting reset — every refresh entry point
-    /// (maintained, rebuild, untouched) starts here so the registry can
-    /// read `last_*` fields as exactly this batch's contribution.
-    fn reset_batch_bound_stats(&mut self) {
-        self.stats.last_bound_refold_ns = 0;
-        self.stats.last_bound_rebuilds = 0;
-        self.stats.last_pruned_outputs = 0;
-    }
-
-    fn note_bound_rebuild(&mut self) {
-        self.stats.bound_rebuilds += 1;
-        self.stats.last_bound_rebuilds += 1;
+    /// Counts a from-scratch re-condensation of a live maintained state;
+    /// while pruning is on, the bounds stored in it were rebuilt with it.
+    fn note_recondense(&mut self) {
+        self.stats.cond_rebuilds += 1;
+        if self.cfg.bounds {
+            self.stats.bound_rebuilds += 1;
+        }
     }
 
     /// Derives the dirty seeds from the simulation flips and the changed
@@ -586,6 +540,7 @@ impl PatternState {
         applied: &AppliedDelta,
         flips: Vec<DynPair>,
     ) -> RefreshPlan {
+        self.stats.last_pruned_outputs = 0;
         // Seeds of the dirtiness sweep: every alive-flip (drained by
         // [`Self::maintain_reach`], which must run first), plus the source
         // pairs of every changed data edge (an edge between two alive pairs
@@ -687,18 +642,19 @@ impl PatternState {
             return RefreshPlan::default();
         }
 
-        // Bound-driven pruning, when the maintained index is live and
-        // width-aligned with the cache (the same filter prepare applies).
-        let bounds_live = self
+        // Bound-driven pruning, when the maintained condensation is live
+        // and width-aligned with the cache (the same filter prepare
+        // applies).
+        let Some(mr) = self
             .maintained
             .as_ref()
-            .is_some_and(|mr| mr.bounds.is_some() && mr.cond.width() == self.cache.width());
-        if !bounds_live {
-            // No usable bound index: flush — materialize everything,
-            // including any backlog deferred under a previous index.
+            .filter(|mr| self.cfg.bounds && mr.cond.width() == self.cache.width())
+        else {
+            // No usable bounds: flush — materialize everything, including
+            // any backlog deferred while bounds were available.
             self.deferred.clear();
             return RefreshPlan { outputs: candidates, pruned_outputs: 0 };
-        }
+        };
 
         // Seed the selector with surviving clean answers: their cached
         // relevances are exact, and materializing planned outputs can only
@@ -731,12 +687,10 @@ impl PatternState {
                 }
             }
         }
-        let mr = self.maintained.as_ref().expect("bounds_live");
-        let bs = mr.bounds.as_ref().expect("bounds_live");
         let mut outputs = Vec::with_capacity(candidates.len());
         let mut pruned = 0usize;
         for v in candidates {
-            let h = mr.view.compact_of(uo, v).and_then(|p| bs.h_for(&mr.cond, p));
+            let h = mr.view.compact_of(uo, v).and_then(|p| mr.cond.upper_bound(p));
             match h {
                 Some(h) if sel.dominates(h, v) => {
                     pruned += 1;
@@ -889,28 +843,35 @@ impl PatternState {
         }
     }
 
-    /// Builds the maintained reach state from scratch over the current
-    /// graph, or `None` when the reach budget can't hold it: if a single
+    /// Rebuilds the maintained reach state from scratch over the current
+    /// graph — unless the reach budget can't hold it: if a single
     /// universe-wide bitset doesn't fit, neither would any `Full(c)` (the
-    /// same early bail the per-batch engine takes), and a built state
-    /// whose retained bytes exceed the budget is discarded rather than
-    /// kept on credit.
-    fn build_maintained(&self, g: &DynGraph) -> Option<MaintainedReach> {
-        let budget = self.cfg.reach.budget_bytes;
-        if self.cache.width().div_ceil(64) * 8 > budget {
-            return None;
+    /// same early bail the per-batch engine takes).
+    fn rebuild_maintained(&mut self, g: &DynGraph, span: &Span) {
+        self.maintained = None;
+        self.maint_readopt = false;
+        if self.cache.width().div_ceil(64) * 8 > self.cfg.reach.budget_bytes {
+            return;
         }
         let view = DynMatchGraph::over_alive(g, &self.pattern, &self.sim, self.cache.width());
         let cond = CondensationState::build(&view, |p| view.is_alive(p));
-        if cond.retained_bytes() > budget {
-            return None;
+        self.install_maintained(MaintainedReach { view, cond }, span);
+    }
+
+    /// The one place a (re)built or freshly maintained condensation
+    /// becomes the state's: a condensation whose retained bytes exceed
+    /// the reach budget is discarded rather than kept on credit, leaving
+    /// the per-batch engine (which makes its own budget decision every
+    /// prepare). Clears the re-adopt flag either way: a too-big state
+    /// must not be rebuilt just to be re-measured and re-dropped.
+    fn install_maintained(&mut self, mr: MaintainedReach, span: &Span) {
+        self.maint_readopt = false;
+        if mr.cond.retained_bytes() > self.cfg.reach.budget_bytes {
+            span.event("cond-budget-drop");
+            self.maintained = None;
+        } else {
+            self.maintained = Some(mr);
         }
-        let bounds = self
-            .cfg
-            .bounds
-            .enabled
-            .then(|| BoundState::build(&cond, view.alive_count(), &self.cfg.bounds));
-        Some(MaintainedReach { view, cond, bounds })
     }
 
     /// Phase 1 of the shared reach engine over the current graph: builds
@@ -1124,12 +1085,7 @@ impl PatternState {
         }
         mr.cond
             .validate(&mr.view, |p| mr.view.is_alive(p))
-            .map_err(|msg| format!("maintained condensation diverged: {msg}"))?;
-        if let Some(bs) = &mr.bounds {
-            bs.validate(&mr.cond, mr.view.alive_count())
-                .map_err(|msg| format!("maintained bounds diverged: {msg}"))?;
-        }
-        Ok(())
+            .map_err(|msg| format!("maintained condensation diverged: {msg}"))
     }
 
     /// Panicking wrapper over [`Self::verify_maintained`] — test
@@ -1165,13 +1121,15 @@ impl PatternState {
         }
     }
 
-    /// The active bound mode: `"per-component"` / `"global"` while the
-    /// maintained bound index is alive, `"off"` otherwise (disabled by
-    /// config, or the maintained reach state itself is down).
+    /// The active bound mode: `"per-component"` while refresh planning
+    /// prunes against the maintained condensation's stored counts,
+    /// `"off"` otherwise (disabled by config, or the maintained reach
+    /// state itself is down).
     pub(crate) fn bound_mode(&self) -> &'static str {
-        match self.maintained.as_ref().and_then(|mr| mr.bounds.as_ref()) {
-            Some(bs) => bs.mode_label(),
-            None => "off",
+        if self.cfg.bounds && self.maintained.is_some() {
+            "per-component"
+        } else {
+            "off"
         }
     }
 
@@ -1215,7 +1173,7 @@ impl PatternState {
 pub(crate) struct RefreshPlan {
     /// Alive output matches to (re)derive, ascending.
     outputs: Vec<NodeId>,
-    /// Alive output matches the maintained bound index proved unable to
+    /// Alive output matches the maintained upper bounds proved unable to
     /// displace the k-th answer — parked in the deferred set instead of
     /// materialized. Already excluded from `outputs`.
     pruned_outputs: usize,
@@ -1227,7 +1185,7 @@ impl RefreshPlan {
         self.outputs.len()
     }
 
-    /// Outputs the bound index pruned from this plan.
+    /// Outputs the bounds pruned from this plan.
     pub(crate) fn pruned(&self) -> usize {
         self.pruned_outputs
     }

@@ -375,3 +375,63 @@ fn deregister_frees_maintained_component_bitsets() {
     let base = top_k_by_match(&reg.snapshot(), &q, &TopKConfig::new(8));
     assert_eq!(reg.top_k(id2).unwrap().matches, base.matches);
 }
+
+#[test]
+fn overflow_rebuild_respects_the_reach_budget() {
+    // A ring of 200 two-cycles (a_i ⇄ b_i, b_i → a_{i+1}) is one SCC —
+    // one retained `Full`. Removing the closing edge splits it into 200
+    // components at once: the region covers every pair, so maintenance
+    // falls back to a from-scratch condensation, which now holds 200
+    // `Full`s. A budget that admits a handful of bitsets must drop the
+    // maintained state there exactly as it does after an in-place batch,
+    // not keep it on credit.
+    let cycles = 200u32;
+    let labels: Vec<u32> = (0..2 * cycles).map(|i| i % 2).collect();
+    let mut edges = Vec::new();
+    for i in 0..cycles {
+        let (a, b) = (2 * i, 2 * i + 1);
+        edges.extend([(a, b), (b, a), (b, (a + 2) % (2 * cycles))]);
+    }
+    let g = graph_from_parts(&labels, &edges).unwrap();
+    let q = label_pattern(&[0, 1], &[(0, 1), (1, 0)], 0).unwrap();
+
+    let mut reg = PatternRegistry::with_threads(&g, 1);
+    let roomy = reg.register(q.clone(), forced(4)).unwrap();
+    let fulls = reg.maintained_weak_fulls(roomy).expect("default budget maintains");
+    assert_eq!(fulls.len(), 1, "the ring is one component");
+    let full_bytes = fulls[0].upgrade().expect("live").heap_bytes();
+
+    let mut tight_cfg = forced(4);
+    tight_cfg.reach.budget_bytes = 8 * full_bytes + 4096;
+    let tight = reg.register(q.clone(), tight_cfg).unwrap();
+    assert_eq!(reg.pattern_info(tight).unwrap().reach_mode, "maintained");
+
+    reg.apply(&GraphDelta::new().remove_edge(2 * cycles - 1, 0)).unwrap();
+    reg.check_maintained_all();
+    for id in [roomy, tight] {
+        let st = reg.stats_of(id).unwrap();
+        assert_eq!(st.full_rebuilds, 0, "forced incremental never rebuilds");
+        assert_eq!(st.cond_rebuilds, 1, "region overflow re-condensed");
+    }
+    assert_eq!(reg.pattern_info(roomy).unwrap().reach_mode, "maintained");
+    assert_eq!(
+        reg.pattern_info(tight).unwrap().reach_mode,
+        "engine",
+        "200 retained bitsets do not fit a budget of 8"
+    );
+    assert!(reg.maintained_weak_fulls(tight).is_none());
+
+    // The per-batch engine takes over with exact answers, now and on the
+    // next batch.
+    let base = top_k_by_match(&reg.snapshot(), &q, &TopKConfig::new(4));
+    assert_eq!(reg.top_k(tight).unwrap().matches, base.matches);
+    reg.apply(&GraphDelta::new().remove_edge(1, 2)).unwrap();
+    let base = top_k_by_match(&reg.snapshot(), &q, &TopKConfig::new(4));
+    assert_eq!(reg.top_k(tight).unwrap().matches, base.matches);
+    assert_eq!(reg.top_k(roomy).unwrap().matches, base.matches);
+    assert_eq!(
+        reg.pattern_info(tight).unwrap().reach_mode,
+        "engine",
+        "budget drops do not re-adopt"
+    );
+}

@@ -36,6 +36,15 @@
 //! PR 1 rebuild-threshold pattern. Correctness is pinned differentially:
 //! [`CondensationState::validate`] compares partition, triviality and
 //! every `Full(c)` against a from-scratch build.
+//!
+//! Beside each `Full(c)` the slot keeps its popcount — the paper's upper
+//! bound `v.h`, stored in the same per-node vector as the relevant set it
+//! bounds. A candidate pair's relevance is at most the popcount of its
+//! component's `Full` (exact for nontrivial components; a trivial
+//! component's `Full` additionally contains the member's own universe
+//! position, so the slack is ≤ 1). The count is written where `Full(c)`
+//! is built, so it can never be staler than the set, and
+//! [`CondensationState::upper_bound`] reads it in O(1).
 
 use std::collections::{BTreeSet, HashMap};
 use std::sync::Arc;
@@ -130,6 +139,8 @@ struct CompSlot {
     nontrivial: bool,
     /// `Full(c)` = member data nodes ∪ successors' `Full`.
     full: Arc<BitSet>,
+    /// `popcount(Full(c))`, written wherever `full` is.
+    full_count: u64,
 }
 
 /// Incrementally maintained condensation (components, DAG adjacency,
@@ -143,10 +154,6 @@ pub struct CondensationState {
     free: Vec<u32>,
     width: usize,
     live_pairs: usize,
-    /// Component ids whose `Full` the last `build`/`apply` recomputed —
-    /// exactly the components whose fold-derived bounds can have moved,
-    /// so a maintained bound index refolds only these.
-    last_refold: Vec<u32>,
 }
 
 impl CondensationState {
@@ -160,7 +167,6 @@ impl CondensationState {
             free: Vec::new(),
             width: view.universe_size(),
             live_pairs: 0,
-            last_refold: Vec::new(),
         };
         let region: Vec<u32> = (0..n as u32).filter(|&p| alive(p)).collect();
         st.live_pairs = region.len();
@@ -378,8 +384,16 @@ impl CondensationState {
         Ok(stats)
     }
 
+    /// Upper bound `h` on the relevance of alive pair `p` — the stored
+    /// popcount of its component's `Full` — or `None` when `p` is dead.
+    #[inline]
+    pub fn upper_bound(&self, p: u32) -> Option<u64> {
+        self.comp_of(p).map(|c| self.comps[c as usize].full_count)
+    }
+
     /// Differential check against a from-scratch build: same partition of
-    /// the same alive pairs, same triviality, same `Full` per component.
+    /// the same alive pairs, same triviality, same `Full` per component,
+    /// and every stored count equal to the fresh `Full`'s popcount.
     pub fn validate<V: ReachView>(
         &self,
         view: &V,
@@ -409,6 +423,10 @@ impl CondensationState {
             if *ms.full != *fs.full {
                 return Err(format!("pair {p}: Full mismatch"));
             }
+            let want = fs.full.count() as u64;
+            if ms.full_count != want {
+                return Err(format!("pair {p}: stored h {} != fresh {want}", ms.full_count));
+            }
             let msucc = self.succ_rep_set(mc);
             let fsucc = fresh.succ_rep_set(fc);
             if msucc != fsucc {
@@ -422,32 +440,6 @@ impl CondensationState {
     pub fn comp_of(&self, p: u32) -> Option<u32> {
         let c = self.comp_of[p as usize];
         (c != DEAD).then_some(c)
-    }
-
-    /// Component ids whose `Full` the last successful `build`/`apply`
-    /// recomputed — the exact refold set for a maintained bound index.
-    /// Retired ids may appear (a reused slot is refolded as its new
-    /// component); dead ids are simply stale entries a consumer skips.
-    pub fn last_refolded(&self) -> &[u32] {
-        &self.last_refold
-    }
-
-    /// Popcount of `Full(c)` for a live component — the count-fold a
-    /// per-component bound index maintains. `None` for dead slots.
-    pub fn full_count(&self, c: u32) -> Option<u64> {
-        let slot = self.comps.get(c as usize)?;
-        slot.live.then(|| slot.full.count() as u64)
-    }
-
-    /// Total component slots ever allocated (live + free) — sizes a
-    /// slot-indexed side table.
-    pub fn slot_count(&self) -> usize {
-        self.comps.len()
-    }
-
-    /// Ids of every live component.
-    pub fn live_components(&self) -> impl Iterator<Item = u32> + '_ {
-        self.comps.iter().enumerate().filter(|(_, s)| s.live).map(|(i, _)| i as u32)
     }
 
     // ------------------------------------------------------- internals
@@ -470,6 +462,7 @@ impl CondensationState {
             preds: BTreeSet::new(),
             nontrivial: false,
             full: Arc::new(BitSet::new(0)),
+            full_count: 0,
         };
         match self.free.pop() {
             Some(c) => {
@@ -510,6 +503,7 @@ impl CondensationState {
         slot.live = false;
         slot.members = Vec::new();
         slot.full = Arc::new(BitSet::new(0));
+        slot.full_count = 0;
         let succs = std::mem::take(&mut slot.succs);
         let preds = std::mem::take(&mut slot.preds);
         for s in succs {
@@ -586,9 +580,10 @@ impl CondensationState {
             for &p in &slot.members {
                 f.insert(view.universe_pos(p));
             }
-            self.comps[c as usize].full = Arc::new(f);
+            let slot = &mut self.comps[c as usize];
+            slot.full_count = f.count() as u64;
+            slot.full = Arc::new(f);
         }
-        self.last_refold = order;
     }
 
     /// Bounded condensation-DAG reachability from `from` towards `to`
@@ -939,6 +934,36 @@ mod tests {
         h.check();
         let st = &h.st;
         assert_eq!(st.component_count(), 1, "the whole chain merged");
+    }
+
+    /// `upper_bound` follows incremental maintenance: cutting off a
+    /// reachable cycle lowers every ancestor's stored count, and a stale
+    /// count is a `validate` failure.
+    #[test]
+    fn upper_bound_tracks_incremental_apply() {
+        // 0 → {1, 2} → 3, plus a 2-cycle {4, 5} hanging off 3.
+        let mut h = Harness::new(6, &[(0, 1), (0, 2), (1, 3), (2, 3), (3, 4), (4, 5), (5, 4)]);
+        h.check();
+        assert_eq!(h.st.upper_bound(0), Some(6), "Full(0) = self + 1,2,3,4,5 (trivial slack ≤ 1)");
+        assert_eq!(h.st.upper_bound(4), Some(2), "cycle member: Full is exactly the SCC");
+
+        let s = h.batch(&[Op::RemoveEdge(3, 4)]).expect("maintained");
+        assert!(s.recomputed_fulls >= 4, "source + ancestors recomputed, got {s:?}");
+        h.check();
+        assert_eq!(
+            h.st.upper_bound(0),
+            Some(4),
+            "cycle no longer reachable: Full(0) = {{0,1,2,3}}"
+        );
+
+        h.batch(&[Op::Kill(2)]).expect("maintained");
+        h.check();
+        assert_eq!(h.st.upper_bound(2), None, "dead pairs have no bound");
+
+        let c = h.st.comp_of(0).expect("alive");
+        h.st.comps[c as usize].full_count += 1;
+        let err = h.st.validate(&h.view, |p| h.alive[p as usize]).expect_err("stale h");
+        assert!(err.contains("stored h"), "{err}");
     }
 
     /// Probe and region limits trip the documented fallbacks.

@@ -20,15 +20,15 @@
 //! * **Bound indexes** ([`bounds`]): upper bounds `h(uo,v) ≥ δr(uo,v)` that
 //!   drive Proposition 3 early termination, in three tightness/cost
 //!   variants.
-//! * **Maintained bounds** ([`bound_state`]): the incremental counterpart
-//!   of [`bounds`] — per-component `h` popcounts kept alive across deltas
-//!   on top of [`cond_state`]'s refold set.
+//! * **Maintained condensation** ([`cond_state`]): the incremental
+//!   counterpart of [`reach_sets`] and [`bounds`] — component reach
+//!   bitsets `Full(c)` kept alive across deltas, each with its popcount
+//!   `h` beside it.
 //! * **Set-reachability core** ([`reach_sets`]): a shared
 //!   condensation-and-bitset dynamic program used by both relevant sets and
 //!   the tight bound index, with a memory budget and a parallel BFS
 //!   fallback.
 
-pub mod bound_state;
 pub mod bounds;
 pub mod cache;
 pub mod cond_state;
@@ -38,7 +38,6 @@ pub mod reach_sets;
 pub mod relevance;
 pub mod relevant_set;
 
-pub use bound_state::{BoundPolicy, BoundRefold, BoundState};
 pub use bounds::{output_upper_bounds, BoundConfig, BoundStrategy, OutputBounds};
 pub use cache::RelevanceCache;
 pub use cond_state::{CondPolicy, CondensationState, MaintainError, MaintainStats, SetHandle};

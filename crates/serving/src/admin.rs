@@ -208,7 +208,7 @@ fn pattern_json(info: &PatternInfo) -> String {
             "\"reach_mode\":\"{}\",\"bound_mode\":\"{}\",\"stats\":{{",
             "\"applies\":{},\"incremental_applies\":{},\"full_rebuilds\":{},",
             "\"full_rank_refreshes\":{},\"sets_recomputed\":{},\"cond_incremental\":{},",
-            "\"cond_rebuilds\":{},\"pruned_outputs\":{},\"bound_refolds\":{},",
+            "\"cond_rebuilds\":{},\"pruned_outputs\":{},",
             "\"bound_rebuilds\":{},\"last_pruned_outputs\":{},",
             "\"last_swept_pairs\":{},\"last_dirty_outputs\":{},",
             "\"last_refresh_ns\":{}}}}}"
@@ -228,7 +228,6 @@ fn pattern_json(info: &PatternInfo) -> String {
         s.cond_incremental,
         s.cond_rebuilds,
         s.pruned_outputs,
-        s.bound_refolds,
         s.bound_rebuilds,
         s.last_pruned_outputs,
         s.last_swept_pairs,

@@ -16,7 +16,7 @@ use std::collections::{HashMap, VecDeque};
 use gpm_core::result::{AnswerDiff, RankedMatch};
 use gpm_graph::{DiGraph, GraphDelta, GraphError};
 use gpm_incremental::{
-    BoundPolicy, IncrementalConfig, IncrementalError, PatternId, PatternRegistry, RegistryStats,
+    IncrementalConfig, IncrementalError, PatternId, PatternRegistry, RegistryStats,
 };
 use gpm_pattern::Pattern;
 use gpm_telemetry::{names, Counter, Gauge, Span, Telemetry, TelemetryConfig};
@@ -114,12 +114,6 @@ pub struct ServiceConfig {
     pub slo: SloConfig,
     /// Thresholds of the `/healthz` probes.
     pub health: HealthConfig,
-    /// Service-wide maintained output-bound policy. `None` (the default)
-    /// leaves each subscription's [`IncrementalConfig::bounds`] as the
-    /// caller passed it; `Some` overrides every registration — the
-    /// operator's one switch to force bounds on/off or pin a
-    /// [`BoundStrategy`](gpm_incremental::BoundStrategy) fleet-wide.
-    pub bounds: Option<BoundPolicy>,
 }
 
 impl Default for ServiceConfig {
@@ -131,7 +125,6 @@ impl Default for ServiceConfig {
             telemetry: TelemetryConfig::default(),
             slo: SloConfig::default(),
             health: HealthConfig::default(),
-            bounds: None,
         }
     }
 }
@@ -366,12 +359,9 @@ impl AnswerService {
     pub fn subscribe(
         &mut self,
         q: Pattern,
-        mut cfg: IncrementalConfig,
+        cfg: IncrementalConfig,
         mode: NotifyMode,
     ) -> Result<Subscription, ServingError> {
-        if let Some(bounds) = &self.cfg.bounds {
-            cfg.bounds = bounds.clone();
-        }
         let id = self.registry.register(q, cfg)?;
         let initial = self.registry.top_k(id).expect("just registered").matches;
         self.patterns.insert(
@@ -408,15 +398,12 @@ impl AnswerService {
     pub fn subscribe_with_baseline(
         &mut self,
         q: Pattern,
-        mut cfg: IncrementalConfig,
+        cfg: IncrementalConfig,
         mode: NotifyMode,
         baseline: VersionedAnswer,
     ) -> Result<Subscription, ServingError> {
         if baseline.seq > self.seq() {
             return Err(ServingError::OffsetInFuture { seq: baseline.seq, head: self.seq() });
-        }
-        if let Some(bounds) = &self.cfg.bounds {
-            cfg.bounds = bounds.clone();
         }
         let id = self.registry.register(q, cfg)?;
         let fresh = self.registry.top_k(id).expect("just registered").matches;

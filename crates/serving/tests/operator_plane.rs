@@ -138,7 +138,7 @@ fn live_service_scrapes_clean_over_tcp() {
     assert!(body.contains("\"reach_mode\":\"maintained\""), "{body}");
     assert!(body.contains("\"bound_mode\":\"per-component\""), "{body}");
     assert!(body.contains("\"pruned_outputs\":"), "{body}");
-    assert!(body.contains("\"bound_refolds\":"), "{body}");
+    assert!(body.contains("\"bound_rebuilds\":"), "{body}");
     assert!(body.contains("\"last_refresh_ns\":"), "{body}");
     let (status, one) = scrape(addr, "/patterns/0");
     assert_eq!(status, 200);

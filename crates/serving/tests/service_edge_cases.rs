@@ -407,27 +407,19 @@ fn service_save_log_appends_between_ingests() {
 }
 
 #[test]
-fn service_level_bound_policy_overrides_subscriptions() {
-    // `ServiceConfig::bounds` is the operator's fleet-wide switch: a
-    // `Some` policy overrides whatever each subscription's
-    // `IncrementalConfig` asked for, observable through the pattern
-    // introspection surface. Answers are unaffected either way (bounds
-    // are a pure pruning accelerator).
-    use gpm_incremental::BoundPolicy;
-
+fn bounds_off_subscription_reports_off_and_answers_agree() {
+    // Bound pruning is a per-subscription choice, observable through the
+    // pattern introspection surface. Answers are unaffected either way
+    // (bounds are a pure pruning accelerator).
     let (g, q) = fixture();
-    let cfg = ServiceConfig {
-        bounds: Some(BoundPolicy { enabled: false, ..BoundPolicy::default() }),
-        ..ServiceConfig::default()
-    };
-    let mut svc = AnswerService::new(&g, cfg);
-    // The subscription asks for bounds (the default) — the service-level
-    // override wins and the pattern reports the bound index as off.
-    let sub = svc.subscribe(q.clone(), IncrementalConfig::new(2), NotifyMode::Relevance).unwrap();
+    let mut unbounded = IncrementalConfig::new(2);
+    unbounded.bounds = false;
+    let mut svc = AnswerService::new(&g, ServiceConfig::default());
+    let sub = svc.subscribe(q.clone(), unbounded, NotifyMode::Relevance).unwrap();
     let info = svc.registry().pattern_info(sub.pattern()).unwrap();
     assert_eq!(info.bound_mode, "off");
 
-    // Default service config: the subscription's own policy stands.
+    // The default subscription prunes.
     let mut plain = AnswerService::new(&g, ServiceConfig::default());
     let sub2 = plain.subscribe(q, IncrementalConfig::new(2), NotifyMode::Relevance).unwrap();
     let info2 = plain.registry().pattern_info(sub2.pattern()).unwrap();

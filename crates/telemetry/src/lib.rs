@@ -74,7 +74,6 @@ pub mod names {
         "replay",
         "refresh",
         "condense_incremental",
-        "bound_refold",
         "plan",
         "prepare",
         "tarjan",
@@ -148,19 +147,10 @@ pub mod names {
     /// Invariant violations the auditor has detected (latches health).
     pub const AUDIT_VIOLATIONS: &str = "gpm_audit_violations_total";
 
-    // Maintained output bounds (ISSUE 10).
-    /// Histogram: wall time of re-folding the maintained bound index
-    /// over the components the condensation recomputed (one sample per
-    /// batch that refolded).
-    pub const BOUNDS_REFOLD_SECONDS: &str = "gpm_bounds_refold_seconds";
     /// Output matches whose relevant-set materialization was skipped
     /// because their maintained upper bound cannot displace the k-th
     /// answer.
     pub const BOUNDS_PRUNED: &str = "gpm_bounds_pruned_outputs_total";
-    /// From-scratch rebuilds of the maintained bound index (churn-gate
-    /// recounts, condensation fallbacks, width migrations). Attr-only
-    /// and tombstone-only batches must never increment this.
-    pub const BOUNDS_REBUILDS: &str = "gpm_bounds_rebuilds_total";
 
     /// `# HELP` text for a family base name — the catalog the text
     /// exposition renders from. Unknown names get a generic line so the
@@ -201,9 +191,7 @@ pub mod names {
             SLO_BURN_RATE => "Rolling-window error-budget burn rate, permille.",
             AUDIT_RUNS => "Completed sampled-auditor cycles.",
             AUDIT_VIOLATIONS => "Invariant violations the auditor detected.",
-            BOUNDS_REFOLD_SECONDS => "Wall time of maintained bound-index refolds.",
-            BOUNDS_PRUNED => "Output materializations skipped by the maintained bound index.",
-            BOUNDS_REBUILDS => "From-scratch rebuilds of the maintained bound index.",
+            BOUNDS_PRUNED => "Output materializations skipped by the maintained upper bounds.",
             _ if base.ends_with("_max_seconds") => {
                 "Exact maximum observed sample of the matching histogram, seconds."
             }
@@ -345,7 +333,6 @@ impl Telemetry {
         const HOT_ORDER: &[&str] = &[
             "refresh",
             "condense_incremental",
-            "bound_refold",
             "plan",
             "prepare",
             "extract",

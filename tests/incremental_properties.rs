@@ -338,16 +338,14 @@ proptest! {
             m.apply(&delta).unwrap();
         }
         prop_assert_eq!(m.stats().full_rebuilds, 0);
-        // The bound index never rebuilds on its own authority here:
-        // attribute flips leave the alive-pair trajectory flat or
-        // shrinking, so neither `Auto`'s grow-only hysteresis nor the
-        // churn gate may fire. The only permitted rebuilds are forced
-        // ones — a mass candidacy revival overflowing the condensation
-        // maintenance region restarts the condensation (and therefore
-        // the bounds folded over it) from scratch.
+        // The bounds never rebuild on their own authority: the only
+        // permitted rebuilds are forced ones — a mass candidacy revival
+        // overflowing the condensation maintenance region restarts the
+        // condensation (and therefore the counts stored in it) from
+        // scratch.
         prop_assert!(
             m.stats().bound_rebuilds <= m.stats().cond_rebuilds,
-            "bound index rebuilt without a condensation rebuild underneath it: {} > {}",
+            "bounds rebuilt without a condensation rebuild underneath them: {} > {}",
             m.stats().bound_rebuilds, m.stats().cond_rebuilds
         );
         let snap = m.snapshot();
@@ -366,15 +364,16 @@ proptest! {
         // bounds-disabled twin consuming the same mixed stream must
         // produce bit-identical top-k answers after every batch, while
         // the bounded side's maintained per-component `h` stays equal to
-        // a from-scratch refold (`check_maintained` folds
-        // `BoundState::validate` into the condensation oracle). Forced
-        // incremental, so no rebuild safety net hides a stale bound.
+        // a from-scratch count (`check_maintained` runs
+        // `CondensationState::validate`, which compares every stored
+        // count with the fresh `Full`'s popcount). Forced incremental, so
+        // no rebuild safety net hides a stale bound.
         let g = graph_from_parts(&labels, &edges).unwrap();
         let q = label_pattern(&plabels, &pedges, 0).unwrap();
         let bounded_cfg = forced(k);
-        prop_assert!(bounded_cfg.bounds.enabled, "bounds are on by default");
+        prop_assert!(bounded_cfg.bounds, "bounds are on by default");
         let mut plain_cfg = bounded_cfg.clone();
-        plain_cfg.bounds.enabled = false;
+        plain_cfg.bounds = false;
         let mut bm = DynamicMatcher::new(&g, q.clone(), bounded_cfg).unwrap();
         let mut pm = DynamicMatcher::new(&g, q, plain_cfg).unwrap();
         for raw in &batches {
