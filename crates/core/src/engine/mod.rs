@@ -5,20 +5,30 @@
 //!
 //! ## State
 //!
-//! The engine works on the **candidate product graph** (all pairs `(u,v)`
-//! with `v ∈ can(u)`, edges along pattern edges). Every pair carries the
-//! paper's vector `v.T = ⟨v.bf, v.R, v.l, v.h⟩`:
+//! The engine's only working set is the **output cone**: the candidate
+//! pairs `(u,v)`, `v ∈ can(u)`, reachable from an output pair `(uo, v)`
+//! along pattern edges ([`MatchGraph::over_output_cone`]). Nothing outside
+//! it can influence `Mu(Q,G,uo)` or any `δr(uo, ·)`, so it is built once
+//! and the bound index, the structural pass, SCC processing and every wave
+//! run on that one graph — work proportional to what can reach an answer,
+//! not to the candidate space. Relevant sets are bitsets over the cone's
+//! own universe ([`LocalUniverse`]: the data nodes of the cone pairs that
+//! have a predecessor — nothing else can enter a relevant set).
+//! Every cone pair carries the paper's vector `v.T = ⟨v.bf, v.R, v.l, v.h⟩`:
 //!
 //! * the boolean formula `v.bf` is represented by a three-valued
-//!   [`Status`] derived from per-edge child counters — `Matched` exactly
+//!   [`Status`] derived from per-edge child summaries — `Matched` exactly
 //!   when every pattern edge has a confirmed matching child (possibly
 //!   through a cycle inside a pattern SCC), `Refuted` when some edge can no
 //!   longer be satisfied;
 //! * `v.R` is the partial relevant set, a shared (`Rc`) bitset over the
-//!   candidate universe that grows monotonically as matches propagate;
+//!   cone universe that grows monotonically as matches propagate;
 //! * `v.l = |v.R|` is a sound lower bound of `δr` once the pair is matched;
-//! * `v.h` starts from the bound index (Section "bounds") and tightens to
-//!   `|v.R|` when the pair becomes *final* (its whole cone is decided).
+//! * `v.h` of an output pair starts from the bound index
+//!   ([`output_upper_bounds_on_cone`]: by default the count of distinct data
+//!   nodes strictly reachable from the pair in this same graph, the `v.h`
+//!   of Examples 7–8) and tightens to `|v.R|` when the pair becomes
+//!   *final* (its whole cone is decided).
 //!
 //! ## Waves
 //!
@@ -41,8 +51,8 @@ use std::rc::Rc;
 
 use gpm_graph::{BitSet, Condensation, DiGraph, NodeId};
 use gpm_pattern::{PNodeId, Pattern};
-use gpm_ranking::bounds::{output_upper_bounds, OutputBounds};
-use gpm_simulation::{CandidateSpace, MatchGraph};
+use gpm_ranking::bounds::output_upper_bounds_on_cone;
+use gpm_simulation::{compute_simulation, CandidateSpace, LocalUniverse, MatchGraph};
 
 use crate::config::{SelectionStrategy, TopKConfig};
 use crate::result::RunStats;
@@ -70,32 +80,29 @@ pub struct WaveOutcome {
 }
 
 pub struct Engine<'a> {
-    /// Kept for symmetry/diagnostics; matching state lives in `pg`/`space`.
-    #[allow(dead_code)]
-    pub(crate) g: &'a DiGraph,
     pub(crate) q: &'a Pattern,
     cfg: &'a TopKConfig,
     pub(crate) space: CandidateSpace,
+    /// The output cone; output pairs are `out_base..out_base + out_count`.
     pub(crate) pg: MatchGraph,
+    /// Relevant-set universe: the data nodes `pg`'s edges lead to.
+    pub(crate) universe: LocalUniverse,
 
     // Pattern structure.
     pub(crate) scc_of: Vec<u32>,
     scc_nontrivial: Vec<bool>,
     node_rank: Vec<u32>,
     max_rank: u32,
-    /// Pairs per nontrivial pattern SCC (cone-restricted).
+    /// Pairs per nontrivial pattern SCC.
     scc_pairs: Vec<Vec<u32>>,
     /// Local index of a pair within its pattern SCC's pair list
     /// (`u32::MAX` for pairs of trivial SCCs).
     scc_local: Vec<u32>,
-    /// Edge position of `(u, uc)` inside `q.successors(u)`.
-    // (computed on the fly via binary search — pattern degrees are tiny)
 
     // Pair state.
     pub(crate) status: Vec<Status>,
     pub(crate) finals: Vec<bool>,
     activated: Vec<bool>,
-    in_cone: Vec<bool>,
     pub(crate) r: Vec<Option<Rc<BitSet>>>,
     r_count: Vec<u32>,
 
@@ -106,13 +113,15 @@ pub struct Engine<'a> {
     h_cur: Vec<u64>,
     /// Candidate positions sorted by descending initial bound.
     h_order: Vec<u32>,
+    /// Confirmed output candidates, in confirmation order.
+    matched_out: Vec<u32>,
 
     // Dirty machinery.
     dirty: Vec<bool>,
     buckets: Vec<Vec<u32>>,
 
     // Leaves / exhaustion.
-    cone_rank0: Vec<u32>,
+    rank0: Vec<u32>,
     unactivated: usize,
     /// Output candidates whose whole cone is activated (values exact).
     pub(crate) cone_complete: Vec<bool>,
@@ -122,32 +131,50 @@ pub struct Engine<'a> {
     rng_state: u64,
     shuffled_leaves: Vec<u32>,
 
+    // Scratch reused across waves: a pair is visited in the current
+    // traversal iff `visit_stamp[p] == visit_epoch`.
+    visit_stamp: Vec<u32>,
+    visit_epoch: u32,
+    stack: Vec<u32>,
+    batch: Vec<u32>,
+
     pub(crate) stats: RunStats,
 }
 
 impl<'a> Engine<'a> {
-    /// Builds the engine: candidate space, product graph, bound index and
+    /// Builds the engine: candidate space, output cone, bound index and
     /// the initial structural-refutation wave. Returns `None` when some
     /// pattern node has no candidate (then `M(Q,G) = ∅`) or — for non-root
     /// output nodes — when a global simulation pre-check finds an unmatched
     /// pattern node (the extension discussed at the end of Section 4.1).
     pub fn new(g: &'a DiGraph, q: &'a Pattern, cfg: &'a TopKConfig) -> Option<Self> {
-        let space = CandidateSpace::compute(g, q);
-        if space.any_empty() {
-            return None;
-        }
-        // Non-root output: matches of uo depend only on uo's cone, but the
-        // paper's semantics empties Mu when *any* pattern node is
-        // unmatched; verify existence globally first.
-        if !q.output_is_root() {
-            let sim = gpm_simulation::compute_simulation(g, q);
+        let space = if q.output_is_root() {
+            CandidateSpace::compute(g, q)
+        } else {
+            // Non-root output: matches of uo depend only on uo's cone, but
+            // the paper's semantics empties Mu when *any* pattern node is
+            // unmatched; verify existence globally first and keep the
+            // candidates that simulation enumerated.
+            let sim = compute_simulation(g, q);
             if !sim.graph_matches() {
                 return None;
             }
+            sim.into_space()
+        };
+        if space.any_empty() {
+            return None;
         }
 
-        let bounds: OutputBounds = output_upper_bounds(g, q, &space, cfg.bounds, &cfg.bound_config);
-        let pg = MatchGraph::over_candidates(g, q, &space);
+        let pg = MatchGraph::over_output_cone(g, q, &space);
+        let universe = LocalUniverse::of(&pg);
+        let bounds = output_upper_bounds_on_cone(
+            g,
+            q,
+            &space,
+            (&pg, &universe),
+            cfg.bounds,
+            &cfg.bound_config,
+        );
 
         let qcond = Condensation::compute(q.topology());
         let scc_of: Vec<u32> = (0..q.node_count() as u32).map(|u| qcond.component_of(u)).collect();
@@ -158,15 +185,15 @@ impl<'a> Engine<'a> {
 
         let n = pg.len();
         let uo = q.output();
-        let out_base = pg.compact_of(space.pair_at(uo, 0)).expect("output pairs included");
+        let out_base = pg.compact_of(space.pair_at(uo, 0)).expect("output pairs root the cone");
         let out_count = space.candidate_count(uo);
 
         let mut eng = Engine {
-            g,
             q,
             cfg,
             space,
             pg,
+            universe,
             scc_of,
             scc_nontrivial,
             node_rank,
@@ -176,7 +203,6 @@ impl<'a> Engine<'a> {
             status: vec![Status::Unknown; n],
             finals: vec![false; n],
             activated: vec![false; n],
-            in_cone: vec![false; n],
             r: vec![None; n],
             r_count: vec![0; n],
             out_base,
@@ -184,63 +210,46 @@ impl<'a> Engine<'a> {
             h_init: bounds.as_slice().to_vec(),
             h_cur: bounds.as_slice().to_vec(),
             h_order: Vec::new(),
+            matched_out: Vec::new(),
             dirty: vec![false; n],
             buckets: vec![Vec::new(); max_rank as usize + 1],
-            cone_rank0: Vec::new(),
+            rank0: Vec::new(),
             unactivated: 0,
             cone_complete: vec![false; out_count],
             pending_complete: Vec::new(),
             selection_cursor: 0,
             rng_state: 0,
             shuffled_leaves: Vec::new(),
+            visit_stamp: vec![0; n],
+            visit_epoch: 0,
+            stack: Vec::new(),
+            batch: Vec::new(),
             stats: RunStats::default(),
         };
         eng.stats.output_candidates = out_count;
 
-        eng.compute_cone();
-        eng.collect_scc_pairs();
+        eng.index_pairs();
         eng.init_h_order();
         eng.initial_wave();
         eng.init_selection();
         Some(eng)
     }
 
-    /// Marks every pair reachable from an output pair (the pairs that can
-    /// influence `Mu`), and collects the cone's rank-0 pairs.
-    fn compute_cone(&mut self) {
-        let mut stack: Vec<u32> = Vec::new();
-        for i in 0..self.out_count {
-            let p = self.out_base + i as u32;
-            self.in_cone[p as usize] = true;
-            stack.push(p);
-        }
-        while let Some(p) = stack.pop() {
-            for &c in self.pg.successors(p) {
-                if !self.in_cone[c as usize] {
-                    self.in_cone[c as usize] = true;
-                    stack.push(c);
-                }
-            }
-        }
+    /// Collects the rank-0 pairs (the leaves waves activate) and the pair
+    /// list of every nontrivial pattern SCC, both in ascending pair order.
+    fn index_pairs(&mut self) {
         for p in 0..self.pg.len() as u32 {
-            if self.in_cone[p as usize] && self.node_rank[self.pg.pattern_node(p) as usize] == 0 {
-                self.cone_rank0.push(p);
+            let u = self.pg.pattern_node(p) as usize;
+            if self.node_rank[u] == 0 {
+                self.rank0.push(p);
+            }
+            let scc = self.scc_of[u] as usize;
+            if self.scc_nontrivial[scc] {
+                self.scc_local[p as usize] = self.scc_pairs[scc].len() as u32;
+                self.scc_pairs[scc].push(p);
             }
         }
-        self.unactivated = self.cone_rank0.len();
-    }
-
-    fn collect_scc_pairs(&mut self) {
-        for p in 0..self.pg.len() as u32 {
-            if !self.in_cone[p as usize] {
-                continue;
-            }
-            let scc = self.scc_of[self.pg.pattern_node(p) as usize];
-            if self.scc_nontrivial[scc as usize] {
-                self.scc_local[p as usize] = self.scc_pairs[scc as usize].len() as u32;
-                self.scc_pairs[scc as usize].push(p);
-            }
-        }
+        self.unactivated = self.rank0.len();
     }
 
     fn init_h_order(&mut self) {
@@ -251,24 +260,23 @@ impl<'a> Engine<'a> {
         self.h_order = order;
     }
 
-    /// Initial structural pass: recompute every cone pair once bottom-up so
+    /// Initial structural pass: recompute every pair once bottom-up so
     /// pairs with edges that have no candidate children are refuted before
     /// any activation (the paper's `can(u)` initialization).
     fn initial_wave(&mut self) {
-        for rank in 0..=self.max_rank {
-            for p in 0..self.pg.len() as u32 {
-                let u = self.pg.pattern_node(p);
-                if !self.in_cone[p as usize] || self.node_rank[u as usize] != rank {
-                    continue;
-                }
-                if self.scc_nontrivial[self.scc_of[u as usize] as usize] {
-                    continue; // SCC pairs cannot be structurally refuted here
-                }
-                if self.q.successors(u).is_empty() {
-                    continue; // leaves decide on activation
-                }
-                self.recompute_trivial(p);
+        // Pairs by rank, ascending within a rank: SCC pairs cannot be
+        // structurally refuted here and leaves decide on activation.
+        let mut by_rank: Vec<Vec<u32>> = vec![Vec::new(); self.max_rank as usize + 1];
+        for p in 0..self.pg.len() as u32 {
+            let u = self.pg.pattern_node(p);
+            if !self.scc_nontrivial[self.scc_of[u as usize] as usize]
+                && !self.q.successors(u).is_empty()
+            {
+                by_rank[self.node_rank[u as usize] as usize].push(p);
             }
+        }
+        for p in by_rank.into_iter().flatten() {
+            self.recompute_trivial(p);
         }
         self.drain_buckets(); // cascade refutations
     }
@@ -276,7 +284,7 @@ impl<'a> Engine<'a> {
     fn init_selection(&mut self) {
         if let SelectionStrategy::Random { seed } = self.cfg.strategy {
             self.rng_state = seed | 1;
-            self.shuffled_leaves = self.cone_rank0.clone();
+            self.shuffled_leaves = self.rank0.clone();
             // Fisher-Yates with a small xorshift; reproducible across runs.
             let n = self.shuffled_leaves.len();
             for i in (1..n).rev() {
@@ -328,12 +336,12 @@ impl<'a> Engine<'a> {
         self.r[(self.out_base + i as u32) as usize].as_deref()
     }
 
-    /// Universe size of relevant-set bitsets.
+    /// Universe size of relevant-set bitsets (the cone's data nodes).
     pub fn universe_size(&self) -> usize {
-        self.space.universe_size()
+        self.universe.size()
     }
 
-    /// The candidate space (for `Cuo`, universes, etc.).
+    /// The candidate space (for `Cuo`, candidate counts, etc.).
     pub fn space(&self) -> &CandidateSpace {
         &self.space
     }
@@ -343,16 +351,17 @@ impl<'a> Engine<'a> {
         self.unactivated == 0
     }
 
-    /// Confirmed output matches so far: `(candidate index, node, l)`.
+    /// Confirmed output matches so far, in confirmation order:
+    /// `(candidate index, node, l)`.
     pub fn matched_outputs(&self) -> impl Iterator<Item = (usize, NodeId, u64)> + '_ {
-        (0..self.out_count)
-            .filter(|&i| self.output_status(i) == Status::Matched)
-            .map(|i| (i, self.output_node(i), self.output_l(i)))
+        self.matched_out
+            .iter()
+            .map(|&i| (i as usize, self.output_node(i as usize), self.output_l(i as usize)))
     }
 
     /// Number of confirmed output matches.
     pub fn matched_count(&self) -> usize {
-        self.matched_outputs().count()
+        self.matched_out.len()
     }
 
     /// Run statistics so far.
@@ -390,16 +399,19 @@ impl<'a> Engine<'a> {
 
     /// Selects a batch, activates it and propagates. Returns what happened.
     pub fn wave(&mut self) -> WaveOutcome {
-        let batch = self.select_batch();
+        let mut batch = std::mem::take(&mut self.batch);
+        batch.clear();
+        self.select_batch(&mut batch);
         let activated = batch.len();
-        for p in batch {
+        for &p in &batch {
             self.activate(p);
         }
+        self.batch = batch;
         self.drain_buckets();
         // Cones fully activated by now have exact relevant sets: tighten
         // `h` to the exact `δr` (the paper's `v.h := |v.R|` refinement).
-        let pending = std::mem::take(&mut self.pending_complete);
-        for i in pending {
+        for k in 0..self.pending_complete.len() {
+            let i = self.pending_complete[k];
             self.cone_complete[i] = true;
             let p = self.out_base + i as u32;
             match self.status[p as usize] {
@@ -408,6 +420,7 @@ impl<'a> Engine<'a> {
                 Status::Unknown => {}
             }
         }
+        self.pending_complete.clear();
         self.stats.waves += 1;
         WaveOutcome { activated, exhausted: self.exhausted() }
     }
@@ -415,49 +428,61 @@ impl<'a> Engine<'a> {
     /// Activates every remaining leaf and propagates — used by the `Match`
     /// comparison path and as the drivers' fallback.
     pub fn exhaust(&mut self) {
-        while !self.exhausted() {
-            let leaves: Vec<u32> =
-                self.cone_rank0.iter().copied().filter(|&p| !self.activated[p as usize]).collect();
-            for p in leaves {
-                self.activate(p);
-            }
+        for k in 0..self.rank0.len() {
+            self.activate(self.rank0[k]);
         }
         self.drain_buckets();
         self.stats.waves += 1;
     }
 
+    /// Starts a traversal: afterwards no pair is [`Self::visit`]ed. (A run
+    /// makes at most one traversal per wave, far fewer than `u32::MAX`.)
+    pub(super) fn begin_traversal(&mut self) {
+        self.visit_epoch += 1;
+    }
+
+    /// Marks `p` visited in the current traversal; `false` if it already was.
+    pub(super) fn visit(&mut self, p: u32) -> bool {
+        let stamp = &mut self.visit_stamp[p as usize];
+        let fresh = *stamp != self.visit_epoch;
+        *stamp = self.visit_epoch;
+        fresh
+    }
+
     /// Activates all unactivated leaves in the cones of the given output
     /// candidates and propagates, making their `l` values exact δr.
     pub fn complete_cones(&mut self, candidate_indices: &[usize]) {
-        let mut batch: Vec<u32> = Vec::new();
-        let mut visited = vec![false; self.pg.len()];
+        let mut batch = std::mem::take(&mut self.batch);
+        let mut stack = std::mem::take(&mut self.stack);
+        batch.clear();
+        self.begin_traversal();
         for &i in candidate_indices {
             let root = self.out_base + i as u32;
-            let mut stack = vec![root];
-            visited[root as usize] = true;
+            self.visit(root);
+            stack.push(root);
             while let Some(p) = stack.pop() {
                 if self.node_rank[self.pg.pattern_node(p) as usize] == 0
                     && !self.activated[p as usize]
                 {
                     batch.push(p);
                 }
-                for &c in self.pg.successors(p) {
-                    if !visited[c as usize] && self.status[c as usize] != Status::Refuted {
-                        visited[c as usize] = true;
+                for k in 0..self.pg.successors(p).len() {
+                    let c = self.pg.successors(p)[k];
+                    if self.status[c as usize] != Status::Refuted && self.visit(c) {
                         stack.push(c);
                     }
                 }
             }
         }
         if !batch.is_empty() {
-            for p in batch {
-                if !self.activated[p as usize] {
-                    self.activate(p);
-                }
+            for &p in &batch {
+                self.activate(p);
             }
             self.drain_buckets();
             self.stats.waves += 1;
         }
+        self.batch = batch;
+        self.stack = stack;
     }
 
     // ----------------------------------------------------------- internals
@@ -485,8 +510,16 @@ impl<'a> Engine<'a> {
         }
     }
 
-    fn set_matched_leaf(&mut self, p: u32) {
+    /// Confirms `p` as a match (the one place a status becomes `Matched`).
+    pub(crate) fn confirm(&mut self, p: u32) {
         self.status[p as usize] = Status::Matched;
+        if let Some(i) = self.output_index_of(p) {
+            self.matched_out.push(i as u32);
+        }
+    }
+
+    fn set_matched_leaf(&mut self, p: u32) {
+        self.confirm(p);
         self.finals[p as usize] = true;
         if let Some(i) = self.output_index_of(p) {
             self.h_cur[i] = 0; // leaf output: δr = 0 exactly
@@ -500,7 +533,7 @@ impl<'a> Engine<'a> {
     }
 
     pub(crate) fn mark_dirty(&mut self, p: u32) {
-        if !self.dirty[p as usize] && self.in_cone[p as usize] {
+        if !self.dirty[p as usize] {
             self.dirty[p as usize] = true;
             let rank = self.node_rank[self.pg.pattern_node(p) as usize];
             self.buckets[rank as usize].push(p);
@@ -508,8 +541,8 @@ impl<'a> Engine<'a> {
     }
 
     pub(crate) fn mark_parents_dirty(&mut self, p: u32) {
-        let preds: Vec<u32> = self.pg.predecessors(p).to_vec();
-        for par in preds {
+        for k in 0..self.pg.predecessors(p).len() {
+            let par = self.pg.predecessors(p)[k];
             if !self.finals[par as usize] {
                 self.mark_dirty(par);
             }
@@ -518,12 +551,12 @@ impl<'a> Engine<'a> {
 
     fn drain_buckets(&mut self) {
         for rank in 0..=self.max_rank as usize {
-            let bucket = std::mem::take(&mut self.buckets[rank]);
+            let mut bucket = std::mem::take(&mut self.buckets[rank]);
             if bucket.is_empty() {
                 continue;
             }
             let mut sccs_to_run: Vec<u32> = Vec::new();
-            for p in bucket {
+            for &p in &bucket {
                 self.dirty[p as usize] = false;
                 let scc = self.scc_of[self.pg.pattern_node(p) as usize];
                 if self.scc_nontrivial[scc as usize] {
@@ -537,6 +570,11 @@ impl<'a> Engine<'a> {
             for scc in sccs_to_run {
                 self.process_scc(scc);
             }
+            // Propagation only dirties strictly higher ranks, so the
+            // emptied bucket can take its allocation back.
+            debug_assert!(self.buckets[rank].is_empty());
+            bucket.clear();
+            self.buckets[rank] = bucket;
         }
     }
 
@@ -551,25 +589,25 @@ impl<'a> Engine<'a> {
         let d = self.q.successors(u).len();
         debug_assert!(d > 0, "leaves are decided by activation only");
 
-        // Per-edge child summary.
-        let mut matched = vec![false; d];
-        let mut alive = vec![false; d];
-        let mut all_final = vec![true; d];
+        // Per-edge child summary, one bit per pattern edge of `u` (a
+        // pattern has at most 64 nodes, hence at most 64 edges per node).
+        let all_edges = u64::MAX >> (64 - d);
+        let (mut matched, mut alive, mut unsettled) = (0u64, 0u64, 0u64);
         for &c in self.pg.successors(p) {
-            let j = self.edge_index(u, self.pg.pattern_node(c));
+            let edge = 1u64 << self.edge_index(u, self.pg.pattern_node(c));
             match self.status[c as usize] {
-                Status::Matched => matched[j] = true,
+                Status::Matched => matched |= edge,
                 Status::Refuted => {}
-                Status::Unknown => alive[j] = true,
+                Status::Unknown => alive |= edge,
             }
             if !self.finals[c as usize] {
-                all_final[j] = false;
+                unsettled |= edge;
             }
         }
 
-        let any_dead = (0..d).any(|j| !matched[j] && !alive[j]);
-        let all_matched = (0..d).all(|j| matched[j]);
-        let children_final = (0..d).all(|j| all_final[j]);
+        let any_dead = (matched | alive) != all_edges;
+        let all_matched = matched == all_edges;
+        let children_final = unsettled == 0;
 
         let old_status = self.status[p as usize];
         let new_status = if any_dead {
@@ -584,10 +622,13 @@ impl<'a> Engine<'a> {
         };
 
         let mut changed = new_status != old_status;
-        self.status[p as usize] = new_status;
-
         if new_status == Status::Matched {
+            if changed {
+                self.confirm(p);
+            }
             changed |= self.union_matched_children_into_r(p);
+        } else {
+            self.status[p as usize] = new_status;
         }
 
         let new_final = match new_status {
@@ -608,29 +649,25 @@ impl<'a> Engine<'a> {
     /// Unions `R(c) ∪ {g(c)}` of every matched child into `R(p)`. Returns
     /// whether `R(p)` grew.
     pub(crate) fn union_matched_children_into_r(&mut self, p: u32) -> bool {
-        let m = self.space.universe_size();
         let mut grew = false;
         // Take ownership of the set (copy-on-write on sharing).
         let mut rp = match self.r[p as usize].take() {
             Some(rc) => rc,
-            None => Rc::new(BitSet::new(m)),
+            None => Rc::new(BitSet::new(self.universe.size())),
         };
-        {
-            let set = Rc::make_mut(&mut rp);
-            let children: Vec<u32> = self.pg.successors(p).to_vec();
-            for c in children {
-                if self.status[c as usize] != Status::Matched {
-                    continue;
-                }
-                let pos =
-                    self.space.universe_pos(self.pg.data_node(c)).expect("candidates in universe");
-                grew |= set.insert(pos as usize);
-                if let Some(rc) = &self.r[c as usize] {
-                    grew |= set.union_with(rc);
-                }
+        let set = Rc::make_mut(&mut rp);
+        for &c in self.pg.successors(p) {
+            if self.status[c as usize] != Status::Matched {
+                continue;
+            }
+            grew |= set.insert(self.universe.pos(c));
+            if let Some(rc) = &self.r[c as usize] {
+                grew |= set.union_with(rc);
             }
         }
-        self.r_count[p as usize] = rp.count() as u32;
+        if grew {
+            self.r_count[p as usize] = set.count() as u32;
+        }
         self.r[p as usize] = Some(rp);
         grew
     }

@@ -31,10 +31,11 @@ use super::{Engine, Status};
 
 impl Engine<'_> {
     pub(super) fn process_scc(&mut self, scc: u32) {
-        let pairs: Vec<u32> = self.scc_pairs[scc as usize].clone();
-        if pairs.is_empty() {
+        if self.scc_pairs[scc as usize].is_empty() {
             return;
         }
+        // Borrowed for the call: nothing below touches `scc_pairs`.
+        let pairs = std::mem::take(&mut self.scc_pairs[scc as usize]);
         self.stats.propagation_updates += pairs.len() as u64;
         let leaf_scc = {
             let u = self.pg.pattern_node(pairs[0]);
@@ -49,28 +50,27 @@ impl Engine<'_> {
                 continue;
             }
             let u = self.pg.pattern_node(p);
-            let d = self.q.successors(u).len();
-            let mut matched = vec![false; d];
-            let mut alive = vec![false; d];
+            let all_edges = u64::MAX >> (64 - self.q.successors(u).len());
+            let (mut matched, mut alive) = (0u64, 0u64);
             let mut all_final = true;
             for &c in self.pg.successors(p) {
-                let j = self.edge_index(u, self.pg.pattern_node(c));
+                let edge = 1u64 << self.edge_index(u, self.pg.pattern_node(c));
                 match self.status[c as usize] {
-                    Status::Matched => matched[j] = true,
+                    Status::Matched => matched |= edge,
                     Status::Refuted => {}
-                    Status::Unknown => alive[j] = true,
+                    Status::Unknown => alive |= edge,
                 }
                 if !self.finals[c as usize] {
                     all_final = false;
                 }
             }
-            let any_dead = (0..d).any(|j| !matched[j] && !alive[j]);
-            if any_dead || (all_final && !(0..d).all(|j| matched[j])) {
+            let any_dead = (matched | alive) != all_edges;
+            if any_dead || (all_final && matched != all_edges) {
                 self.status[p as usize] = Status::Refuted;
                 self.finals[p as usize] = true;
                 changed.push(p);
-            } else if (0..d).all(|j| matched[j]) {
-                self.status[p as usize] = Status::Matched;
+            } else if matched == all_edges {
+                self.confirm(p);
                 changed.push(p);
             }
         }
@@ -103,14 +103,26 @@ impl Engine<'_> {
         for p in changed {
             self.after_pair_change(p);
             // Only parents outside this SCC: internal effects are settled.
-            let preds: Vec<u32> = self.pg.predecessors(p).to_vec();
-            for par in preds {
+            for k in 0..self.pg.predecessors(p).len() {
+                let par = self.pg.predecessors(p)[k];
                 let pu = self.pg.pattern_node(par);
                 if self.scc_of[pu as usize] != scc && !self.finals[par as usize] {
                     self.mark_dirty(par);
                 }
             }
         }
+        self.scc_pairs[scc as usize] = pairs;
+    }
+
+    /// Bitmask over the pattern edges of `u` (bit `j` = `j`-th successor)
+    /// whose target satisfies `pred`.
+    fn edge_mask(&self, u: u32, pred: impl Fn(u32) -> bool) -> u64 {
+        self.q
+            .successors(u)
+            .iter()
+            .enumerate()
+            .filter(|&(_, &uc)| pred(uc))
+            .fold(0u64, |mask, (j, _)| mask | 1u64 << j)
     }
 
     /// Greatest-fixpoint promotion. Returns newly matched pairs.
@@ -128,23 +140,16 @@ impl Engine<'_> {
                 continue;
             }
             let u = self.pg.pattern_node(p);
-            let succs = self.q.successors(u);
-            max_deg = max_deg.max(succs.len());
-            // Check external edges.
-            let d = succs.len();
-            let mut ext_matched = vec![true; d];
-            for (j, &uc) in succs.iter().enumerate() {
-                if self.scc_of[uc as usize] != scc {
-                    ext_matched[j] = false;
-                }
-            }
+            max_deg = max_deg.max(self.q.successors(u).len());
+            // Every external edge needs a confirmed matching child.
+            let mut unmatched_ext = self.edge_mask(u, |uc| self.scc_of[uc as usize] != scc);
             for &c in self.pg.successors(p) {
                 let uc = self.pg.pattern_node(c);
                 if self.scc_of[uc as usize] != scc && self.status[c as usize] == Status::Matched {
-                    ext_matched[self.edge_index(u, uc)] = true;
+                    unmatched_ext &= !(1u64 << self.edge_index(u, uc));
                 }
             }
-            if ext_matched.iter().all(|&b| b) {
+            if unmatched_ext == 0 {
                 cand_mark[self.scc_local[p as usize] as usize] = true;
                 cand.push(p);
             }
@@ -176,36 +181,30 @@ impl Engine<'_> {
         }
 
         // Remove unsupported candidates until stable.
-        let internal_edges = |eng: &Engine<'_>, u: u32| -> Vec<usize> {
-            eng.q
-                .successors(u)
-                .iter()
-                .enumerate()
-                .filter(|(_, &uc)| eng.scc_of[uc as usize] == scc)
-                .map(|(j, _)| j)
-                .collect()
-        };
         let mut worklist: Vec<u32> = Vec::new();
         for &p in &cand {
             let u = self.pg.pattern_node(p);
             let lp = self.scc_local[p as usize] as usize;
-            if internal_edges(self, u).iter().any(|&j| support[lp * stride + j] == 0) {
+            let mut internal = self.edge_mask(u, |uc| self.scc_of[uc as usize] == scc);
+            let mut unsupported = false;
+            while internal != 0 {
+                let j = internal.trailing_zeros() as usize;
+                internal &= internal - 1;
+                unsupported |= support[lp * stride + j] == 0;
+            }
+            if unsupported {
                 cand_mark[lp] = false;
                 worklist.push(p);
             }
         }
         while let Some(p) = worklist.pop() {
             let pu = self.pg.pattern_node(p);
-            let preds: Vec<u32> = self.pg.predecessors(p).to_vec();
-            for par in preds {
+            for &par in self.pg.predecessors(p) {
                 let paru = self.pg.pattern_node(par);
                 if self.scc_of[paru as usize] != scc {
                     continue;
                 }
                 let lpar = self.scc_local[par as usize] as usize;
-                if lpar == u32::MAX as usize {
-                    continue; // same pattern SCC but outside the output cone
-                }
                 if !cand_mark[lpar] {
                     continue;
                 }
@@ -223,7 +222,7 @@ impl Engine<'_> {
         let mut promoted = Vec::new();
         for &p in &cand {
             if cand_mark[self.scc_local[p as usize] as usize] {
-                self.status[p as usize] = Status::Matched;
+                self.confirm(p);
                 promoted.push(p);
             }
         }
@@ -238,15 +237,17 @@ impl Engine<'_> {
         if matched.is_empty() {
             return Vec::new();
         }
-        let mut local_of = std::collections::HashMap::with_capacity(matched.len());
+        // Position in `matched` by position in `pairs`.
+        let mut local_of = vec![u32::MAX; pairs.len()];
         for (i, &p) in matched.iter().enumerate() {
-            local_of.insert(p, i as u32);
+            local_of[self.scc_local[p as usize] as usize] = i as u32;
         }
         let mut edges: Vec<(u32, u32)> = Vec::new();
         for (i, &p) in matched.iter().enumerate() {
             for &c in self.pg.successors(p) {
                 if self.scc_of[self.pg.pattern_node(c) as usize] == scc {
-                    if let Some(&lc) = local_of.get(&c) {
+                    let lc = local_of[self.scc_local[c as usize] as usize];
+                    if lc != u32::MAX {
                         edges.push((i as u32, lc));
                     }
                 }
@@ -255,26 +256,27 @@ impl Engine<'_> {
         let csr = Csr::from_edges(matched.len(), &edges);
         let cond = Condensation::compute(&csr);
 
-        let m = self.space.universe_size();
+        let m = self.universe.size();
         let nc = cond.component_count();
-        let mut full: Vec<Option<Rc<BitSet>>> = vec![None; nc];
+        // The shared `R` of each finished component.
+        let mut shared: Vec<Option<Rc<BitSet>>> = vec![None; nc];
         let mut comp_final = vec![true; nc];
         let mut grew: Vec<u32> = Vec::new();
 
         for comp in cond.reverse_topological() {
             let mut set = BitSet::new(m);
+            // Internal children in lower components contribute
+            // `R ∪ {their node}`; a cycle's `R` already holds its nodes.
             for &sc in cond.comp_successors(comp) {
-                set.union_with(full[sc as usize].as_ref().expect("succ first"));
+                set.union_with(shared[sc as usize].as_ref().expect("succ first"));
+                if !cond.is_nontrivial(sc) {
+                    set.insert(self.universe.pos(matched[cond.members(sc)[0] as usize]));
+                }
                 comp_final[comp as usize] &= comp_final[sc as usize];
             }
-            // External matched children + member bits of lower comps are in
-            // `full`; add external contributions per member.
             for &lm in cond.members(comp) {
                 let p = matched[lm as usize];
-                // External matched children contribute R(c) ∪ {g(c)}; and
-                // internal children in *lower comps* contribute their data
-                // node (their R is inside full[sc], their g-bit added when
-                // their comp was built).
+                // External matched children contribute R(c) ∪ {g(c)}.
                 for &c in self.pg.successors(p) {
                     match self.status[c as usize] {
                         Status::Matched => {}
@@ -293,36 +295,22 @@ impl Engine<'_> {
                     if !self.finals[c as usize] {
                         comp_final[comp as usize] = false;
                     }
-                    let pos = self
-                        .space
-                        .universe_pos(self.pg.data_node(c))
-                        .expect("candidate in universe");
-                    set.insert(pos as usize);
+                    set.insert(self.universe.pos(c));
                     if let Some(rc) = &self.r[c as usize] {
                         set.union_with(rc);
                     }
                 }
             }
-            let nontrivial = cond.is_nontrivial(comp);
-            let result: Rc<BitSet> = if nontrivial {
+            if cond.is_nontrivial(comp) {
                 // Cycle members reach each other and themselves.
                 for &lm in cond.members(comp) {
-                    let p = matched[lm as usize];
-                    let pos = self
-                        .space
-                        .universe_pos(self.pg.data_node(p))
-                        .expect("candidate in universe");
-                    set.insert(pos as usize);
+                    set.insert(self.universe.pos(matched[lm as usize]));
                 }
-                Rc::new(set)
-            } else {
-                Rc::new(set)
-            };
-            // Assign to members; `full` additionally records member g-bits
-            // for trivial comps (a parent of this pair includes its node).
+            }
+            let result = Rc::new(set);
+            let count = result.count() as u32;
             for &lm in cond.members(comp) {
                 let p = matched[lm as usize];
-                let count = result.count() as u32;
                 if count != self.r_count[p as usize] {
                     self.r_count[p as usize] = count;
                     grew.push(p);
@@ -342,17 +330,7 @@ impl Engine<'_> {
                     }
                 }
             }
-            let full_set = if nontrivial {
-                Rc::clone(&result)
-            } else {
-                let mut f = (*result).clone();
-                let p = matched[cond.members(comp)[0] as usize];
-                let pos =
-                    self.space.universe_pos(self.pg.data_node(p)).expect("candidate in universe");
-                f.insert(pos as usize);
-                Rc::new(f)
-            };
-            full[comp as usize] = Some(full_set);
+            shared[comp as usize] = Some(result);
         }
         grew
     }

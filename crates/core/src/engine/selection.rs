@@ -15,48 +15,50 @@ use super::{Engine, Status};
 use crate::config::SelectionStrategy;
 
 impl Engine<'_> {
-    pub(super) fn select_batch(&mut self) -> Vec<u32> {
+    /// Fills `batch` (empty on entry) with the leaves the next wave
+    /// activates.
+    pub(super) fn select_batch(&mut self, batch: &mut Vec<u32>) {
         match self.cfg.strategy {
-            SelectionStrategy::Optimized => self.select_optimized(),
-            SelectionStrategy::Random { .. } => self.select_random(),
+            SelectionStrategy::Optimized => self.select_optimized(batch),
+            SelectionStrategy::Random { .. } => self.select_random(batch),
         }
     }
 
-    fn select_optimized(&mut self) -> Vec<u32> {
+    fn select_optimized(&mut self, batch: &mut Vec<u32>) {
         // First output candidate by descending initial bound whose cone
         // still has unvisited leaves. Activating a whole cone makes that
         // candidate's relevant set exact after propagation, so the wave
-        // driver can tighten `h` to `l` for it (see `note_cone_complete`).
-        let order = self.h_order.clone();
-        let mut visited = vec![false; self.pg.len()];
-        while self.selection_cursor < order.len() {
-            let i = order[self.selection_cursor] as usize;
+        // driver can tighten `h` to `l` for it (see `pending_complete`).
+        // One traversal per call: cones skipped as already activated stay
+        // visited for the ones tried after them.
+        self.begin_traversal();
+        while self.selection_cursor < self.h_order.len() {
+            let i = self.h_order[self.selection_cursor] as usize;
             if self.output_status(i) == Status::Refuted || self.cone_complete[i] {
                 self.selection_cursor += 1;
                 continue;
             }
-            let batch = self.cone_unactivated_leaves(self.out_base + i as u32, &mut visited);
+            self.cone_unactivated_leaves(self.out_base + i as u32, batch);
             // Whether freshly activated (this wave completes it) or already
             // fully activated by earlier overlapping cones: after the next
             // propagation this candidate's values are exact.
             self.pending_complete.push(i);
             self.selection_cursor += 1;
             if !batch.is_empty() {
-                return batch;
+                return;
             }
         }
         // Every candidate cone-complete: sweep the remainder so exhaustion
         // is reachable.
-        self.remaining_leaf_chunk()
+        self.remaining_leaf_chunk(batch);
     }
 
-    fn cone_unactivated_leaves(&self, root: u32, visited: &mut [bool]) -> Vec<u32> {
-        let mut batch = Vec::new();
-        let mut stack = vec![root];
-        if visited[root as usize] {
-            return batch;
+    fn cone_unactivated_leaves(&mut self, root: u32, batch: &mut Vec<u32>) {
+        if !self.visit(root) {
+            return;
         }
-        visited[root as usize] = true;
+        let mut stack = std::mem::take(&mut self.stack);
+        stack.push(root);
         while let Some(p) = stack.pop() {
             if self.status[p as usize] == Status::Refuted {
                 continue;
@@ -68,37 +70,35 @@ impl Engine<'_> {
             if self.finals[p as usize] {
                 continue; // final ⇒ every leaf below is activated
             }
-            for &c in self.pg.successors(p) {
-                if !visited[c as usize] {
-                    visited[c as usize] = true;
+            for k in 0..self.pg.successors(p).len() {
+                let c = self.pg.successors(p)[k];
+                if self.visit(c) {
                     stack.push(c);
                 }
             }
         }
-        batch
+        self.stack = stack;
     }
 
-    fn select_random(&mut self) -> Vec<u32> {
-        let total = self.cone_rank0.len();
-        let target = (total / self.cfg.random_batch_divisor.max(1)).max(64);
-        let mut batch = Vec::with_capacity(target.min(self.unactivated));
+    fn leaf_chunk_target(&self) -> usize {
+        (self.rank0.len() / self.cfg.random_batch_divisor.max(1)).max(64)
+    }
+
+    fn select_random(&mut self, batch: &mut Vec<u32>) {
+        let target = self.leaf_chunk_target();
         while batch.len() < target && self.selection_cursor < self.shuffled_leaves.len() {
             let p = self.shuffled_leaves[self.selection_cursor];
             self.selection_cursor += 1;
-            if !self.activated_pair(p) {
+            if !self.activated[p as usize] {
                 batch.push(p);
             }
         }
-        batch
     }
 
-    fn remaining_leaf_chunk(&mut self) -> Vec<u32> {
-        let total = self.cone_rank0.len();
-        let target = (total / self.cfg.random_batch_divisor.max(1)).max(64);
-        self.cone_rank0.iter().copied().filter(|&p| !self.activated_pair(p)).take(target).collect()
-    }
-
-    pub(super) fn activated_pair(&self, p: u32) -> bool {
-        self.activated[p as usize]
+    fn remaining_leaf_chunk(&mut self, batch: &mut Vec<u32>) {
+        let target = self.leaf_chunk_target();
+        batch.extend(
+            self.rank0.iter().copied().filter(|&p| !self.activated[p as usize]).take(target),
+        );
     }
 }

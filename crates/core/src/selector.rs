@@ -75,6 +75,11 @@ impl BoundedSelector {
         true
     }
 
+    /// Empties the selection, keeping `k` and the allocation.
+    pub fn clear(&mut self) {
+        self.entries.clear();
+    }
+
     pub fn len(&self) -> usize {
         self.entries.len()
     }

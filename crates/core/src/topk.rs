@@ -38,8 +38,15 @@ pub fn top_k(g: &DiGraph, q: &Pattern, cfg: &TopKConfig) -> TopKResult {
         return empty_result(t0);
     };
 
+    let mut sel = BoundedSelector::new(cfg.k);
     loop {
-        let sel = current_selection(&eng, cfg.k);
+        // The wave's confirmed matches folded into the selector: full ⇒ a
+        // termination candidate, and on exhaustion its ids are the final
+        // best-first top-(≤ k).
+        sel.clear();
+        for (i, v, l) in eng.matched_outputs() {
+            sel.offer(i, v, l);
+        }
         if sel.is_full() {
             let selection = sel.ids();
             if sel.terminated(eng.best_rest_bound(&selection)) {
@@ -71,17 +78,6 @@ pub fn top_k_dag(g: &DiGraph, q: &Pattern, cfg: &TopKConfig) -> TopKResult {
 /// (and trivially also DAGs).
 pub fn top_k_cyclic(g: &DiGraph, q: &Pattern, cfg: &TopKConfig) -> TopKResult {
     top_k(g, q, cfg)
-}
-
-/// The wave's confirmed matches folded into a [`BoundedSelector`]: full
-/// ⇒ a termination candidate, and on exhaustion its ids are the final
-/// best-first top-(≤ k).
-fn current_selection(eng: &Engine<'_>, k: usize) -> BoundedSelector {
-    let mut sel = BoundedSelector::new(k);
-    for (i, v, l) in eng.matched_outputs() {
-        sel.offer(i, v, l);
-    }
-    sel
 }
 
 fn finish(mut eng: Engine<'_>, selection: Vec<usize>, t0: Instant) -> TopKResult {

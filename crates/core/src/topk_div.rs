@@ -272,6 +272,18 @@ mod tests {
     }
 
     #[test]
+    fn k_zero_selects_nothing() {
+        // The greedy reads its target size from `Objective`, which used to
+        // clamp k to 1: `top_k_diversified` answered k = 0 with one match.
+        let (g, q) = fixture();
+        let cfg = DivConfig::new(0, 0.5);
+        for r in [top_k_diversified(&g, &q, &cfg), optimal_diversified(&g, &q, &cfg)] {
+            assert!(r.matches.is_empty(), "k = 0 answered {:?}", r.nodes());
+            assert_eq!(r.f_value, 0.0);
+        }
+    }
+
+    #[test]
     fn empty_when_no_match() {
         let g = graph_from_parts(&[0], &[]).unwrap();
         let q = label_pattern(&[0, 1], &[(0, 1)], 0).unwrap();

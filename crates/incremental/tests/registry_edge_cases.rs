@@ -44,6 +44,28 @@ fn empty_registry_still_advances_the_graph() {
 }
 
 #[test]
+fn k_zero_diversified_answers_are_empty() {
+    // `greedy_diversified` reads its target size from `Objective`, which
+    // used to clamp k to 1: a k = 0 state answered with one match.
+    let g = graph_from_parts(&[0, 0, 1, 1], &[(0, 2), (1, 3)]).unwrap();
+    let q = label_pattern(&[0, 1], &[(0, 1)], 0).unwrap();
+
+    let mut m = DynamicMatcher::new(&g, q.clone(), IncrementalConfig::new(0)).unwrap();
+    assert!(m.top_k_diversified().matches.is_empty());
+    m.apply(&GraphDelta::new().add_edge(0, 3)).unwrap();
+    let div = m.diversified(1.0);
+    assert!(div.matches.is_empty(), "k = 0 answered {:?}", div.nodes());
+    assert_eq!(div.f_value, 0.0);
+    assert_eq!(div.stats.total_matches, Some(2), "the match set is still known");
+
+    let mut reg = PatternRegistry::new(&g);
+    let id = reg.register(q, IncrementalConfig::new(0)).unwrap();
+    reg.apply(&GraphDelta::new().add_edge(0, 3)).unwrap();
+    assert!(reg.top_k_diversified(id).unwrap().matches.is_empty());
+    assert!(reg.top_k(id).unwrap().matches.is_empty());
+}
+
+#[test]
 fn duplicate_registrations_are_independent() {
     let g = graph_from_parts(&[0, 1, 1], &[(0, 1), (0, 2)]).unwrap();
     let q = label_pattern(&[0, 1], &[(0, 1)], 0).unwrap();

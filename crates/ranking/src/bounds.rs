@@ -16,13 +16,15 @@
 //!   per reachable query node, capped per class and by the global bound.
 //! * [`BoundStrategy::ProductReach`] — exact strict-reachability counts in
 //!   the candidate product graph; reproduces the `v.h` values of Examples
-//!   7–8 (3/2/1/0 and 6/7/4). Tightest, costs one set-reachability pass.
+//!   7–8 (3/2/1/0 and 6/7/4). Tightest, costs one count-only
+//!   set-reachability pass over the output cone (the pairs reachable from
+//!   an output pair — strict reach from an output pair never leaves it).
 //! * [`BoundStrategy::Auto`] — `ProductReach` when the product graph is
 //!   small enough, else `DescLabelCount`.
 
 use gpm_graph::{Condensation, DiGraph, NodeId};
 use gpm_pattern::Pattern;
-use gpm_simulation::{CandidateSpace, MatchGraph};
+use gpm_simulation::{CandidateSpace, LocalUniverse, MatchGraph};
 
 use crate::reach_sets::{strict_reach_counts, ReachConfig};
 
@@ -96,33 +98,54 @@ pub fn output_upper_bounds(
     strategy: BoundStrategy,
     cfg: &BoundConfig,
 ) -> OutputBounds {
-    let n_out = space.candidate_count(q.output());
-    match strategy {
+    bounds_impl(g, q, space, None, strategy, cfg)
+}
+
+/// [`output_upper_bounds`] for a caller that already holds the output cone
+/// ([`MatchGraph::over_output_cone`]) and its [`LocalUniverse`] — the
+/// propagation engine, which runs its waves on the same graph.
+/// `ProductReach` reads them instead of building its own; the values are
+/// identical either way.
+pub fn output_upper_bounds_on_cone(
+    g: &DiGraph,
+    q: &Pattern,
+    space: &CandidateSpace,
+    cone: (&MatchGraph, &LocalUniverse),
+    strategy: BoundStrategy,
+    cfg: &BoundConfig,
+) -> OutputBounds {
+    bounds_impl(g, q, space, Some(cone), strategy, cfg)
+}
+
+fn bounds_impl(
+    g: &DiGraph,
+    q: &Pattern,
+    space: &CandidateSpace,
+    cone: Option<(&MatchGraph, &LocalUniverse)>,
+    strategy: BoundStrategy,
+    cfg: &BoundConfig,
+) -> OutputBounds {
+    let used = match strategy {
+        BoundStrategy::Auto if space.pair_count() <= cfg.auto_pair_limit => {
+            BoundStrategy::ProductReach
+        }
+        BoundStrategy::Auto => BoundStrategy::DescLabelCount,
+        fixed => fixed,
+    };
+    let h = match used {
         BoundStrategy::Global => {
-            let b = global_bound(q, space);
-            OutputBounds { h: vec![b; n_out], used: BoundStrategy::Global }
+            vec![global_bound(q, space); space.candidate_count(q.output())]
         }
-        BoundStrategy::DescLabelCount => {
-            OutputBounds { h: desc_count_bounds(g, q, space), used: BoundStrategy::DescLabelCount }
-        }
-        BoundStrategy::ProductReach => OutputBounds {
-            h: product_reach_bounds(g, q, space, &cfg.reach),
-            used: BoundStrategy::ProductReach,
-        },
-        BoundStrategy::Auto => {
-            if space.pair_count() <= cfg.auto_pair_limit {
-                OutputBounds {
-                    h: product_reach_bounds(g, q, space, &cfg.reach),
-                    used: BoundStrategy::ProductReach,
-                }
-            } else {
-                OutputBounds {
-                    h: desc_count_bounds(g, q, space),
-                    used: BoundStrategy::DescLabelCount,
-                }
+        BoundStrategy::DescLabelCount => desc_count_bounds(g, q, space),
+        BoundStrategy::ProductReach | BoundStrategy::Auto => match cone {
+            Some((pg, universe)) => product_reach_bounds(q, space, pg, universe, &cfg.reach),
+            None => {
+                let pg = MatchGraph::over_output_cone(g, q, space);
+                product_reach_bounds(q, space, &pg, &LocalUniverse::of(&pg), &cfg.reach)
             }
-        }
-    }
+        },
+    };
+    OutputBounds { h, used }
 }
 
 /// Bitmask of query nodes strictly reachable from `uo` in `Q`.
@@ -211,19 +234,21 @@ fn desc_count_bounds(g: &DiGraph, q: &Pattern, space: &CandidateSpace) -> Vec<u6
         .collect()
 }
 
-/// Exact strict-reachability count in the candidate product graph.
+/// Exact strict-reachability counts of the output pairs. Strict reach from
+/// an output pair never leaves the output cone, so counting over `cone`
+/// (and its narrower universe) gives the candidate-product-graph values.
 fn product_reach_bounds(
-    g: &DiGraph,
     q: &Pattern,
     space: &CandidateSpace,
+    cone: &MatchGraph,
+    universe: &LocalUniverse,
     reach: &ReachConfig,
 ) -> Vec<u64> {
-    let pg = MatchGraph::over_candidates(g, q, space);
     let uo = q.output();
     let sources: Vec<u32> = (0..space.candidate_count(uo))
-        .map(|i| pg.compact_of(space.pair_at(uo, i)).expect("all candidate pairs included"))
+        .map(|i| cone.compact_of(space.pair_at(uo, i)).expect("output pairs root the cone"))
         .collect();
-    strict_reach_counts(&pg, space, &sources, reach)
+    strict_reach_counts(cone.local_view(universe), sources, reach)
 }
 
 #[cfg(test)]

@@ -38,7 +38,9 @@ pub mod reach_sets;
 pub mod relevance;
 pub mod relevant_set;
 
-pub use bounds::{output_upper_bounds, BoundConfig, BoundStrategy, OutputBounds};
+pub use bounds::{
+    output_upper_bounds, output_upper_bounds_on_cone, BoundConfig, BoundStrategy, OutputBounds,
+};
 pub use cache::RelevanceCache;
 pub use cond_state::{CondPolicy, CondensationState, MaintainError, MaintainStats, SetHandle};
 pub use distance::{DistanceFn, JaccardDistance, MatchInfo, NeighborhoodDiversity};

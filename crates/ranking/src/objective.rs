@@ -55,7 +55,9 @@ pub struct Objective {
 impl Objective {
     /// Builds an objective, clamping `λ` into `[0,1]` and guarding `Cuo`.
     pub fn new(lambda: f64, k: usize, c_uo_val: u64) -> Self {
-        Objective { lambda: lambda.clamp(0.0, 1.0), k: k.max(1), c_uo: c_uo_val.max(1) }
+        // `k` is kept as given: `k = 0` must select nothing (every greedy
+        // reads its target size from here), and no formula divides by it.
+        Objective { lambda: lambda.clamp(0.0, 1.0), k, c_uo: c_uo_val.max(1) }
     }
 
     /// Convenience constructor computing `Cuo` from the pattern.

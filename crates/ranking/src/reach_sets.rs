@@ -23,6 +23,8 @@
 //!    callers can fan a large dirty set out across worker threads
 //!    (per-worker source ranges, deterministic merge by index) — the
 //!    condensation and the component bitsets are shared, never repeated.
+//!    A caller that only needs sizes (the bound index) reads
+//!    [`ReachEngine::counts`] instead and copies nothing.
 //!
 //! If the estimated peak memory exceeds the budget, the engine degrades
 //! to per-source BFS over the pair graph — the same `O(|V|(|V|+|E|))`
@@ -30,7 +32,7 @@
 //! behind the **same** extraction interface, so callers parallelize both
 //! modes identically.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
 use gpm_graph::{BitSet, Condensation};
 use gpm_simulation::{CandidateSpace, MatchGraph, ReachView};
@@ -171,9 +173,12 @@ impl<V: ReachView> ReachEngine<V> {
         }
 
         let mut full: Vec<Option<BitSet>> = (0..nc).map(|_| None).collect();
-        // Strict sets of trivial source components (succ-union, member
-        // excluded), keyed by component.
-        let mut trivial_out: HashMap<u32, BitSet> = HashMap::new();
+        // Retained output sets and, per source component, which one it
+        // reads. Childless trivial source components (strict set = ∅)
+        // share one empty set and never enter the DP.
+        let mut sets: Vec<BitSet> = Vec::new();
+        let mut set_of_comp = vec![u32::MAX; nc];
+        let mut empty_set: Option<u32> = None;
 
         // Component ids ascend in reverse topological order: successors
         // first. Retention rule: a component's Full stays alive while a
@@ -182,6 +187,19 @@ impl<V: ReachView> ReachEngine<V> {
         for c in cond.reverse_topological() {
             if !needed[c as usize] {
                 continue;
+            }
+            let nontrivial = cond.is_nontrivial(c);
+            let trivial_source = has_sources[c as usize] && !nontrivial;
+            let read_by_pred = pending_preds[c as usize] > 0;
+            let childless = cond.comp_successors(c).is_empty();
+            if trivial_source && childless {
+                set_of_comp[c as usize] = *empty_set.get_or_insert_with(|| {
+                    sets.push(BitSet::new(m));
+                    (sets.len() - 1) as u32
+                });
+                if !read_by_pred {
+                    continue;
+                }
             }
             // Union of successors' Full.
             let mut succ_union = BitSet::new(m);
@@ -195,39 +213,37 @@ impl<V: ReachView> ReachEngine<V> {
                     full[sc as usize] = None;
                 }
             }
-            let nontrivial = cond.is_nontrivial(c);
-            if !nontrivial && has_sources[c as usize] {
+            if trivial_source && !childless {
                 // Trivial component: strict reachability excludes the pair
-                // itself — retain the successor union before members join.
-                trivial_out.insert(c, succ_union.clone());
+                // itself — retain the successor union before members join
+                // (handed over, not copied, when nothing reads Full(c)).
+                set_of_comp[c as usize] = sets.len() as u32;
+                if !read_by_pred {
+                    sets.push(succ_union);
+                    continue;
+                }
+                sets.push(succ_union.clone());
             }
             // Full(c) = member data nodes ∪ successor union.
             let mut f = succ_union;
             for &pair in cond.members(c) {
                 f.insert(view.universe_pos(pair));
             }
-            if pending_preds[c as usize] > 0 || (has_sources[c as usize] && nontrivial) {
+            if read_by_pred || (has_sources[c as usize] && nontrivial) {
                 full[c as usize] = Some(f);
             }
         }
 
         // Per-source extraction table: one retained set per distinct
         // source component, shared by all its sources.
-        let mut sets: Vec<BitSet> = Vec::new();
-        let mut set_of_comp: HashMap<u32, u32> = HashMap::new();
         let mut of_source: Vec<u32> = Vec::with_capacity(sources.len());
         for &s in &sources {
-            let c = cond.component_of(s);
-            let idx = *set_of_comp.entry(c).or_insert_with(|| {
-                let set = if cond.is_nontrivial(c) {
-                    full[c as usize].take().expect("retained for extraction")
-                } else {
-                    trivial_out.remove(&c).expect("retained for extraction")
-                };
-                sets.push(set);
-                (sets.len() - 1) as u32
-            });
-            of_source.push(idx);
+            let c = cond.component_of(s) as usize;
+            if set_of_comp[c] == u32::MAX {
+                sets.push(full[c].take().expect("retained for extraction"));
+                set_of_comp[c] = (sets.len() - 1) as u32;
+            }
+            of_source.push(set_of_comp[c]);
         }
         if bitsets_span.is_enabled() {
             bitsets_span.detail(format!(
@@ -277,6 +293,19 @@ impl<V: ReachView> ReachEngine<V> {
             Mode::Bfs => self.view.node_count(),
         };
         ReachExtractor { engine: self, visited: BitSet::new(scratch_bits), queue: VecDeque::new() }
+    }
+
+    /// Count-only phase 2: `|strict-reach set|` of every source. In DP
+    /// mode no set is cloned out and sources sharing a component share one
+    /// popcount; BFS mode extracts (honoring `threads`) and counts.
+    pub fn counts(&self, threads: usize) -> Vec<u64> {
+        match &self.mode {
+            Mode::Dp { sets, of_source } => {
+                let per_set: Vec<u64> = sets.iter().map(|s| s.count() as u64).collect();
+                of_source.iter().map(|&i| per_set[i as usize]).collect()
+            }
+            Mode::Bfs => self.extract_all(threads).iter().map(|s| s.count() as u64).collect(),
+        }
     }
 
     /// Extracts every source, honoring `threads` in BFS mode (DP
@@ -372,14 +401,14 @@ pub fn strict_reach_sets(
     engine.extract_all(cfg.threads)
 }
 
-/// Count-only variant (used by the bound index, which never stores the sets).
-pub fn strict_reach_counts(
-    mg: &MatchGraph,
-    space: &CandidateSpace,
-    sources: &[u32],
+/// Count-only variant over any view (the bound index never stores the
+/// sets): one `prepare`, then [`ReachEngine::counts`].
+pub fn strict_reach_counts<V: ReachView>(
+    view: V,
+    sources: Vec<u32>,
     cfg: &ReachConfig,
 ) -> Vec<u64> {
-    strict_reach_sets(mg, space, sources, cfg).iter().map(|s| s.count() as u64).collect()
+    ReachEngine::prepare(view, sources, cfg).counts(cfg.threads)
 }
 
 #[cfg(test)]
@@ -468,7 +497,11 @@ mod tests {
         let sets = strict_reach_sets(&mg, sim.space(), &[leaf, root], &ReachConfig::default());
         assert!(sets[0].is_empty());
         assert_eq!(sets[1].count(), 1);
-        let counts = strict_reach_counts(&mg, sim.space(), &[leaf, root], &ReachConfig::default());
+        let counts = strict_reach_counts(
+            mg.reach_view(sim.space()),
+            vec![leaf, root],
+            &ReachConfig::default(),
+        );
         assert_eq!(counts, vec![0, 1]);
     }
 

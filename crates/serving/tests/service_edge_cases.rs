@@ -239,6 +239,19 @@ fn answer_history_retention_is_bounded() {
 }
 
 #[test]
+fn k_zero_diversified_subscription_stays_empty() {
+    let (g, q) = fixture();
+    let mut svc = AnswerService::new(&g, ServiceConfig::default());
+    let sub = svc.subscribe(q, IncrementalConfig::new(0), NotifyMode::Diversified).unwrap();
+    let bootstrap = sub.try_recv().expect("bootstrap answer");
+    assert!(bootstrap.topk.is_empty(), "k = 0 answered {:?}", bootstrap.topk_nodes());
+    // A delta that moves every δr cannot change an empty answer.
+    svc.ingest(&GraphDelta::new().add_edge(1, 3)).unwrap();
+    assert!(sub.try_recv().is_none(), "no material change, no update");
+    assert!(svc.current(sub.pattern()).unwrap().matches.is_empty());
+}
+
+#[test]
 fn unsubscribe_closes_queues_and_releases_patterns() {
     let (g, q) = fixture();
     let mut svc = AnswerService::new(&g, ServiceConfig::default());

@@ -11,7 +11,11 @@
 //! Over **all candidate pairs** (the product graph) the same construction
 //! yields the tight upper bounds `v.h` of Examples 7–8: the number of
 //! distinct data nodes in candidate pairs strictly reachable from `(u,v)`
-//! bounds `δr(u,v)` from above, because matches are candidates.
+//! bounds `δr(u,v)` from above, because matches are candidates. Only the
+//! **output cone** of the product graph — the pairs reachable from an
+//! output pair — can influence an answer, so that is what the
+//! early-termination engine and the bound index build
+//! ([`MatchGraph::over_output_cone`], with its own [`LocalUniverse`]).
 
 use gpm_graph::csr::Csr;
 use gpm_graph::scc::Successors;
@@ -35,7 +39,9 @@ use crate::relation::SimRelation;
 pub trait ReachView: Successors + Sync {
     /// Width of the universe the projections index into.
     fn universe_size(&self) -> usize;
-    /// Universe position of compact pair `c`'s data node.
+    /// Universe position of compact pair `c`'s data node. Only asked for
+    /// pairs that have a predecessor: a strict-reachability set holds
+    /// nothing else.
     fn universe_pos(&self, c: u32) -> usize;
 }
 
@@ -62,25 +68,37 @@ pub struct MatchGraph {
 
 pub const NOT_INCLUDED: u32 = u32::MAX;
 
-impl MatchGraph {
-    /// Builds the match graph over the **alive pairs** of a simulation.
-    pub fn over_matches(g: &DiGraph, q: &Pattern, sim: &SimRelation) -> Self {
-        Self::build(g, q, sim.space(), &mut |p| sim.pair_alive(p))
+/// Calls `f` with the full pair id of every product-graph child of
+/// `(u, v)`: `(u', w)` with `(u,u') ∈ Ep`, `(v,w) ∈ E`, `w ∈ can(u')`.
+fn for_each_child(
+    g: &DiGraph,
+    q: &Pattern,
+    space: &CandidateSpace,
+    u: PNodeId,
+    v: NodeId,
+    mut f: impl FnMut(PairId),
+) {
+    for &uc in q.successors(u) {
+        for &w in g.successors(v) {
+            if space.is_candidate(uc, w) {
+                f(space.pair_id(uc, w).expect("candidate must have a pair id"));
+            }
+        }
     }
+}
 
-    /// Builds the product graph over **all candidate pairs**.
-    pub fn over_candidates(g: &DiGraph, q: &Pattern, space: &CandidateSpace) -> Self {
-        Self::build(g, q, space, &mut |_| true)
-    }
+/// The node half of a [`MatchGraph`] under construction: the included
+/// pairs numbered densely in `(pattern node, candidate)` order.
+struct PairNumbering {
+    full_to_compact: Vec<u32>,
+    compact_to_full: Vec<PairId>,
+    pnode: Vec<PNodeId>,
+    gnode: Vec<NodeId>,
+}
 
-    fn build(
-        g: &DiGraph,
-        q: &Pattern,
-        space: &CandidateSpace,
-        include: &mut dyn FnMut(PairId) -> bool,
-    ) -> Self {
-        let total = space.pair_count();
-        let mut full_to_compact = vec![NOT_INCLUDED; total];
+impl PairNumbering {
+    fn new(q: &Pattern, space: &CandidateSpace, mut include: impl FnMut(PairId) -> bool) -> Self {
+        let mut full_to_compact = vec![NOT_INCLUDED; space.pair_count()];
         let mut compact_to_full = Vec::new();
         let mut pnode = Vec::new();
         let mut gnode = Vec::new();
@@ -95,28 +113,91 @@ impl MatchGraph {
                 }
             }
         }
+        PairNumbering { full_to_compact, compact_to_full, pnode, gnode }
+    }
 
-        let mut edges: Vec<(u32, u32)> = Vec::new();
-        for (c, &p) in compact_to_full.iter().enumerate() {
-            let (u, v) = (pnode[c], gnode[c]);
-            debug_assert_eq!(space.pair_info(p), (u, v));
-            for &uc in q.successors(u) {
-                for &w in g.successors(v) {
-                    if !space.is_candidate(uc, w) {
-                        continue;
-                    }
-                    let pw = space.pair_id(uc, w).expect("candidate must have a pair id");
-                    let cw = full_to_compact[pw as usize];
-                    if cw != NOT_INCLUDED {
-                        edges.push((c as u32, cw));
-                    }
-                }
-            }
-        }
-        let n = compact_to_full.len();
-        let fwd = Csr::from_edges(n, &edges);
+    fn assemble(self, edges: &[(u32, u32)]) -> MatchGraph {
+        let n = self.compact_to_full.len();
+        let fwd = Csr::from_edges(n, edges);
         let rev = fwd.reversed(n);
-        MatchGraph { full_to_compact, compact_to_full, pnode, gnode, fwd, rev }
+        MatchGraph {
+            full_to_compact: self.full_to_compact,
+            compact_to_full: self.compact_to_full,
+            pnode: self.pnode,
+            gnode: self.gnode,
+            fwd,
+            rev,
+        }
+    }
+}
+
+impl MatchGraph {
+    /// Builds the match graph over the **alive pairs** of a simulation.
+    pub fn over_matches(g: &DiGraph, q: &Pattern, sim: &SimRelation) -> Self {
+        Self::build(g, q, sim.space(), &mut |p| sim.pair_alive(p))
+    }
+
+    /// Builds the product graph over **all candidate pairs**.
+    pub fn over_candidates(g: &DiGraph, q: &Pattern, space: &CandidateSpace) -> Self {
+        Self::build(g, q, space, &mut |_| true)
+    }
+
+    /// Builds the **output cone**: the product graph restricted to the
+    /// candidate pairs reachable from an output pair `(uo, v)`,
+    /// `v ∈ can(uo)` — the only pairs that can influence `Mu(Q,G,uo)` or
+    /// any `δr(uo, ·)`. It is the subgraph of [`Self::over_candidates`]
+    /// induced by those pairs: compact ids ascend in `(pattern node,
+    /// candidate)` order exactly as there, so relative pair order and
+    /// successor lists are preserved, and the output pairs stay
+    /// contiguous. Costs one traversal of the cone, never of the whole
+    /// candidate space.
+    pub fn over_output_cone(g: &DiGraph, q: &Pattern, space: &CandidateSpace) -> Self {
+        let uo = q.output();
+        let mut in_cone = vec![false; space.pair_count()];
+        let mut stack: Vec<PairId> =
+            (0..space.candidate_count(uo)).map(|i| space.pair_at(uo, i)).collect();
+        for &p in &stack {
+            in_cone[p as usize] = true;
+        }
+        // Every cone pair is expanded exactly once, so this is the cone's
+        // edge list — in full pair ids until the cone is numbered.
+        let mut edges: Vec<(u32, u32)> = Vec::new();
+        while let Some(p) = stack.pop() {
+            let (u, v) = space.pair_info(p);
+            for_each_child(g, q, space, u, v, |pw| {
+                if !in_cone[pw as usize] {
+                    in_cone[pw as usize] = true;
+                    stack.push(pw);
+                }
+                edges.push((p, pw));
+            });
+        }
+        let nodes = PairNumbering::new(q, space, |p| in_cone[p as usize]);
+        for e in &mut edges {
+            *e = (nodes.full_to_compact[e.0 as usize], nodes.full_to_compact[e.1 as usize]);
+        }
+        nodes.assemble(&edges)
+    }
+
+    fn build(
+        g: &DiGraph,
+        q: &Pattern,
+        space: &CandidateSpace,
+        include: &mut dyn FnMut(PairId) -> bool,
+    ) -> Self {
+        let nodes = PairNumbering::new(q, space, include);
+        let mut edges: Vec<(u32, u32)> = Vec::new();
+        for (c, &p) in nodes.compact_to_full.iter().enumerate() {
+            let (u, v) = (nodes.pnode[c], nodes.gnode[c]);
+            debug_assert_eq!(space.pair_info(p), (u, v));
+            for_each_child(g, q, space, u, v, |pw| {
+                let cw = nodes.full_to_compact[pw as usize];
+                if cw != NOT_INCLUDED {
+                    edges.push((c as u32, cw));
+                }
+            });
+        }
+        nodes.assemble(&edges)
     }
 
     /// Number of included pairs.
@@ -184,6 +265,14 @@ impl MatchGraph {
     pub fn reach_view<'a>(&'a self, space: &'a CandidateSpace) -> SpaceView<'a> {
         SpaceView { mg: self, space }
     }
+
+    /// This graph as a [`ReachView`] projecting onto its own
+    /// [`LocalUniverse`] (`universe` must be [`LocalUniverse::of`] this
+    /// graph).
+    pub fn local_view<'a>(&'a self, universe: &'a LocalUniverse) -> LocalView<'a> {
+        debug_assert_eq!(universe.pos.len(), self.len());
+        LocalView { mg: self, universe }
+    }
 }
 
 /// The static [`ReachView`]: a [`MatchGraph`] projected onto its
@@ -210,6 +299,82 @@ impl ReachView for SpaceView<'_> {
     fn universe_pos(&self, c: u32) -> usize {
         self.space.universe_pos(self.mg.data_node(c)).expect("candidate nodes are in the universe")
             as usize
+    }
+}
+
+/// A graph-local universe: the distinct data nodes of the pairs of one
+/// [`MatchGraph`] that have a predecessor — the only nodes a
+/// strict-reachability set over that graph can contain — numbered
+/// densely. Bitsets over it are as wide as the graph has reachable data
+/// nodes — for an output cone a fraction of the [`CandidateSpace`]
+/// universe — so unions, popcounts and Jaccard distances scan
+/// proportionally fewer words.
+#[derive(Debug, Clone)]
+pub struct LocalUniverse {
+    /// Universe position of each compact pair's data node
+    /// ([`NOT_INCLUDED`] for pairs nothing reaches).
+    pos: Vec<u32>,
+    size: usize,
+}
+
+impl LocalUniverse {
+    /// Numbers the data nodes of `mg`'s reachable pairs in ascending
+    /// node-id order.
+    pub fn of(mg: &MatchGraph) -> Self {
+        let reachable = |c: &u32| !mg.predecessors(*c).is_empty();
+        let mut nodes: Vec<NodeId> =
+            (0..mg.len() as u32).filter(reachable).map(|c| mg.data_node(c)).collect();
+        nodes.sort_unstable();
+        nodes.dedup();
+        let pos = (0..mg.len() as u32)
+            .map(|c| {
+                if reachable(&c) {
+                    nodes.binary_search(&mg.data_node(c)).expect("collected above") as u32
+                } else {
+                    NOT_INCLUDED
+                }
+            })
+            .collect();
+        LocalUniverse { pos, size: nodes.len() }
+    }
+
+    /// Number of distinct reachable data nodes.
+    #[inline]
+    pub fn size(&self) -> usize {
+        self.size
+    }
+
+    /// Universe position of compact pair `c`'s data node; `c` must have a
+    /// predecessor.
+    #[inline]
+    pub fn pos(&self, c: u32) -> usize {
+        debug_assert_ne!(self.pos[c as usize], NOT_INCLUDED, "pair {c} is not reachable");
+        self.pos[c as usize] as usize
+    }
+}
+
+/// A [`MatchGraph`] projected onto its own [`LocalUniverse`].
+#[derive(Debug, Clone, Copy)]
+pub struct LocalView<'a> {
+    mg: &'a MatchGraph,
+    universe: &'a LocalUniverse,
+}
+
+impl Successors for LocalView<'_> {
+    fn node_count(&self) -> usize {
+        self.mg.len()
+    }
+    fn successors_of(&self, v: NodeId) -> &[NodeId] {
+        self.mg.successors(v)
+    }
+}
+
+impl ReachView for LocalView<'_> {
+    fn universe_size(&self) -> usize {
+        self.universe.size()
+    }
+    fn universe_pos(&self, c: u32) -> usize {
+        self.universe.pos(c)
     }
 }
 
@@ -277,5 +442,79 @@ mod tests {
         let cond = gpm_graph::Condensation::compute(&mg);
         assert_eq!(cond.component_count(), 1, "the two pairs form one SCC");
         assert!(cond.is_nontrivial(0));
+    }
+
+    /// The cone is the subgraph of the candidate product graph reachable
+    /// from the output pairs: same pairs in the same relative order, same
+    /// adjacency — over random graphs and DAG / cyclic / non-root shapes.
+    #[test]
+    fn output_cone_is_the_reachable_product_subgraph() {
+        use rand::rngs::StdRng;
+        use rand::{RngExt, SeedableRng};
+        let patterns = [
+            label_pattern(&[0, 1, 2, 3], &[(0, 1), (0, 2), (1, 3), (2, 3)], 0).unwrap(),
+            label_pattern(&[0, 1, 2], &[(0, 1), (1, 2), (2, 1)], 0).unwrap(),
+            label_pattern(&[0, 1, 2], &[(0, 1), (1, 0), (1, 2)], 1).unwrap(),
+            label_pattern(&[0, 1, 2], &[(0, 1), (1, 2)], 1).unwrap(),
+        ];
+        let mut rng = StdRng::seed_from_u64(5);
+        for trial in 0..30 {
+            let n = rng.random_range(5..50u32);
+            let labels: Vec<u32> = (0..n).map(|_| rng.random_range(0..4u32)).collect();
+            let mut edges: Vec<(u32, u32)> = (0..rng.random_range(n..n * 4))
+                .map(|_| (rng.random_range(0..n), rng.random_range(0..n)))
+                .collect();
+            edges.sort_unstable();
+            edges.dedup();
+            let g = graph_from_parts(&labels, &edges).unwrap();
+            for (pi, q) in patterns.iter().enumerate() {
+                let space = CandidateSpace::compute(&g, q);
+                let full = MatchGraph::over_candidates(&g, q, &space);
+                let cone = MatchGraph::over_output_cone(&g, q, &space);
+
+                let mut reachable = vec![false; full.len()];
+                let mut stack: Vec<u32> = full.pairs_of_pattern_node(q.output()).collect();
+                for &c in &stack {
+                    reachable[c as usize] = true;
+                }
+                while let Some(c) = stack.pop() {
+                    for &w in full.successors(c) {
+                        if !std::mem::replace(&mut reachable[w as usize], true) {
+                            stack.push(w);
+                        }
+                    }
+                }
+                let kept: Vec<u32> =
+                    (0..full.len() as u32).filter(|&c| reachable[c as usize]).collect();
+                let ctx = format!("trial {trial} pattern {pi}");
+                assert_eq!(cone.len(), kept.len(), "{ctx}");
+                // `kept` ascends, so position in it is the expected cone id.
+                let in_cone = |cs: &[u32]| -> Vec<u32> {
+                    cs.iter().filter_map(|c| kept.binary_search(c).ok().map(|i| i as u32)).collect()
+                };
+                for (i, &c) in kept.iter().enumerate() {
+                    let i = i as u32;
+                    assert_eq!(cone.full_of(i), full.full_of(c), "{ctx}");
+                    assert_eq!(cone.compact_of(full.full_of(c)), Some(i), "{ctx}");
+                    assert_eq!(cone.pattern_node(i), full.pattern_node(c), "{ctx}");
+                    assert_eq!(cone.data_node(i), full.data_node(c), "{ctx}");
+                    assert_eq!(cone.successors(i), in_cone(full.successors(c)), "{ctx}");
+                    assert_eq!(cone.predecessors(i), in_cone(full.predecessors(c)), "{ctx}");
+                }
+                for c in (0..full.len() as u32).filter(|&c| !reachable[c as usize]) {
+                    assert_eq!(cone.compact_of(full.full_of(c)), None, "{ctx}");
+                }
+
+                // The local universe numbers exactly the nodes some pair
+                // reaches, identically for pairs sharing a data node.
+                let uni = LocalUniverse::of(&cone);
+                let mut seen = std::collections::BTreeMap::new();
+                for i in (0..cone.len() as u32).filter(|&i| !cone.predecessors(i).is_empty()) {
+                    assert!(uni.pos(i) < uni.size(), "{ctx}");
+                    assert_eq!(*seen.entry(cone.data_node(i)).or_insert(uni.pos(i)), uni.pos(i));
+                }
+                assert_eq!(seen.len(), uni.size(), "{ctx}");
+            }
+        }
     }
 }

@@ -31,6 +31,12 @@ impl SimRelation {
         &self.space
     }
 
+    /// Gives up the relation, keeping the candidate space it was computed
+    /// over (for callers that needed the simulation only as a check).
+    pub fn into_space(self) -> CandidateSpace {
+        self.space
+    }
+
     /// `true` iff `G` matches `Q` (every pattern node has a match). When
     /// `false`, the paper defines `M(Q,G) = ∅` and `Mu(Q,G,uo) = ∅`.
     pub fn graph_matches(&self) -> bool {
