@@ -1,91 +1,11 @@
-//! Multi-pattern serving benchmark: one [`PatternRegistry`] vs N
-//! independent [`DynamicMatcher`]s over the same update stream.
-//!
-//! The registry's amortization claim is that serving N patterns over one
-//! graph shares the per-batch work — one graph mutation instead of N, a
-//! label index that prunes the per-pattern replay fan-out, and a thread
-//! pool over the independent ranking refreshes. This bench replays the
-//! same generated stream through both serving architectures for growing N
-//! and records mean per-batch latencies, plus the shared-index hit rate.
-//! Results are printed as a table and written to `BENCH_registry.json` so
-//! the perf trajectory accumulates across PRs.
+//! The multi-pattern input generators — the pieces of the retired
+//! registry bench the `benchmark/` package still imports (its
+//! `stream_relevance` / `stream_diversified` workloads; `input_digest`
+//! pins the bytes).
 
-use std::time::Instant;
-
-use gpm_datagen::update_stream::{update_stream, UpdateStreamConfig};
-use gpm_graph::{DiGraph, GraphDelta};
-use gpm_incremental::{DynamicMatcher, IncrementalConfig, PatternRegistry};
+use gpm_graph::DiGraph;
 use gpm_pattern::builder::label_pattern;
 use gpm_pattern::Pattern;
-use serde::{Serialize, Value};
-
-use crate::table::Table;
-
-/// One measured point of the N-sweep.
-#[derive(Debug, Clone)]
-pub struct RegistryPoint {
-    /// Registered patterns.
-    pub patterns: usize,
-    /// Mean `PatternRegistry::apply` latency (ms/batch, all patterns).
-    pub registry_ms: f64,
-    /// Mean latency of N independent `DynamicMatcher::apply` calls
-    /// (ms/batch, summed over the N matchers).
-    pub independent_ms: f64,
-    /// Fraction of the (mutation × pattern) fan-out the shared label
-    /// index pruned.
-    pub shared_index_hit_rate: f64,
-}
-
-impl RegistryPoint {
-    /// `independent / registry` — above 1.0 the shared layer pays off.
-    pub fn speedup(&self) -> f64 {
-        if self.registry_ms <= 0.0 {
-            return f64::INFINITY;
-        }
-        self.independent_ms / self.registry_ms
-    }
-}
-
-impl Serialize for RegistryPoint {
-    fn to_value(&self) -> Value {
-        Value::Object(vec![
-            ("patterns".into(), self.patterns.to_value()),
-            ("registry_ms_per_batch".into(), self.registry_ms.to_value()),
-            ("independent_ms_per_batch".into(), self.independent_ms.to_value()),
-            ("speedup".into(), self.speedup().to_value()),
-            ("shared_index_hit_rate".into(), self.shared_index_hit_rate.to_value()),
-        ])
-    }
-}
-
-/// The whole experiment record written to `BENCH_registry.json`.
-#[derive(Debug, Clone)]
-pub struct RegistryBenchResult {
-    /// `|V|`, `|E|` of the base graph.
-    pub nodes: usize,
-    pub edges: usize,
-    /// Ops per batch and batches replayed.
-    pub batch_size: usize,
-    pub batches: usize,
-    /// Maintenance-pool size the registry ran with.
-    pub threads: usize,
-    /// The N-sweep.
-    pub points: Vec<RegistryPoint>,
-}
-
-impl Serialize for RegistryBenchResult {
-    fn to_value(&self) -> Value {
-        Value::Object(vec![
-            ("bench".into(), "registry_multi_pattern".to_value()),
-            ("nodes".into(), self.nodes.to_value()),
-            ("edges".into(), self.edges.to_value()),
-            ("batch_size".into(), self.batch_size.to_value()),
-            ("batches".into(), self.batches.to_value()),
-            ("threads".into(), self.threads.to_value()),
-            ("points".into(), self.points.to_value()),
-        ])
-    }
-}
 
 /// The paper-style cyclic synthetic base graph the stream mutates.
 pub fn registry_graph(nodes: usize, seed: u64) -> DiGraph {
@@ -115,115 +35,4 @@ pub fn registry_patterns(n: usize, labels: u32, seed: u64) -> Vec<Pattern> {
             label_pattern(&plabels, &pedges, 0).expect("valid chain pattern")
         })
         .collect()
-}
-
-/// Runs the N-sweep: the same stream through a shared registry and
-/// through N private matchers, cross-checking that both serve identical
-/// answers at the end of every sweep point.
-pub fn run(
-    g: &DiGraph,
-    pool: &[Pattern],
-    k: usize,
-    pattern_counts: &[usize],
-    batches: usize,
-    batch_size: usize,
-    threads: usize,
-) -> RegistryBenchResult {
-    let stream: Vec<GraphDelta> =
-        update_stream(g, &UpdateStreamConfig::new(batches, batch_size, 0x5EAC7));
-
-    let mut points = Vec::new();
-    for &n in pattern_counts {
-        let n = n.min(pool.len());
-
-        // Shared path: one registry, one graph, one apply per batch.
-        let mut reg = PatternRegistry::with_threads(g, threads);
-        let ids: Vec<_> = pool[..n]
-            .iter()
-            .map(|q| reg.register(q.clone(), IncrementalConfig::new(k)).expect("label-only"))
-            .collect();
-        let t0 = Instant::now();
-        for delta in &stream {
-            reg.apply(delta).expect("stream is valid");
-        }
-        let registry_ms = t0.elapsed().as_secs_f64() * 1e3 / batches as f64;
-        let hit_rate = reg.stats().shared_index_hit_rate();
-
-        // Independent path: N matchers, each with a private graph mirror,
-        // each applying every batch — what a server would run without the
-        // registry layer.
-        let mut matchers: Vec<DynamicMatcher> = pool[..n]
-            .iter()
-            .map(|q| {
-                DynamicMatcher::new(g, q.clone(), IncrementalConfig::new(k)).expect("label-only")
-            })
-            .collect();
-        let t0 = Instant::now();
-        for delta in &stream {
-            for m in matchers.iter_mut() {
-                m.apply(delta).expect("stream is valid");
-            }
-        }
-        let independent_ms = t0.elapsed().as_secs_f64() * 1e3 / batches as f64;
-
-        // Cross-check: both serving architectures agree on every answer.
-        for (id, m) in ids.iter().zip(&matchers) {
-            let shared = reg.top_k(*id).expect("registered");
-            assert_eq!(shared.nodes(), m.top_k().nodes(), "architectures diverged at N = {n}");
-        }
-
-        points.push(RegistryPoint {
-            patterns: n,
-            registry_ms,
-            independent_ms,
-            shared_index_hit_rate: hit_rate,
-        });
-    }
-    RegistryBenchResult {
-        nodes: g.node_count(),
-        edges: g.edge_count(),
-        batch_size,
-        batches,
-        threads,
-        points,
-    }
-}
-
-/// Renders the sweep as a printable table.
-pub fn as_table(r: &RegistryBenchResult) -> Table {
-    let mut t = Table::new(
-        "registry_multi_pattern",
-        format!(
-            "shared registry vs N independent matchers, |V|={} |E|={} |Δ|={} threads={}",
-            r.nodes, r.edges, r.batch_size, r.threads
-        ),
-        "N",
-        &["registry ms", "indep ms", "speedup", "index hits"],
-    );
-    for p in &r.points {
-        t.push(
-            p.patterns.to_string(),
-            vec![p.registry_ms, p.independent_ms, p.speedup(), p.shared_index_hit_rate],
-        );
-    }
-    t
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn tiny_sweep_runs_and_serializes() {
-        let g = registry_graph(400, 11);
-        let pool = registry_patterns(4, 15, 11);
-        let r = run(&g, &pool, 5, &[1, 4], 3, 10, 2);
-        assert_eq!(r.points.len(), 2);
-        assert!(r.points[1].shared_index_hit_rate > 0.0, "pruning happened");
-        let json = serde_json::to_string_pretty(&r).unwrap();
-        assert!(json.contains("registry_multi_pattern"));
-        assert!(json.contains("\"patterns\": 4"));
-        let rendered = as_table(&r).render();
-        assert!(rendered.contains("registry_multi_pattern"));
-    }
 }

@@ -51,6 +51,106 @@ impl Successors for Csr {
     }
 }
 
+/// The repo's one Tarjan: iterative (deep graphs do not overflow the call
+/// stack), parameterised by a root list and a node filter, over scratch
+/// that survives between runs.
+///
+/// The scratch is vector-indexed and **epoch-stamped**: DFS indices keep
+/// counting up across runs, so "visited in this run" is `index[v] ≥` the
+/// run's first index and nothing is cleared between runs. A run therefore
+/// costs O(nodes + edges it visits) — a maintained condensation re-running
+/// Tarjan inside a small region pays for the region, not for the graph —
+/// plus an O(n) grow the first time a graph of `n` nodes is seen.
+#[derive(Debug, Clone, Default)]
+pub struct TarjanScratch {
+    /// DFS index per node; `0` = never visited, `< base` = a previous run.
+    index: Vec<u32>,
+    lowlink: Vec<u32>,
+    /// All `false` between runs (every visited node is popped with its SCC).
+    on_stack: Vec<bool>,
+    stack: Vec<u32>,
+    /// DFS frames: (node, next successor position).
+    frames: Vec<(u32, usize)>,
+    /// Last DFS index handed out, by any run.
+    last: u32,
+}
+
+impl TarjanScratch {
+    /// Runs Tarjan over the subgraph of `g` induced by `keep`, starting a
+    /// DFS from each not-yet-visited root in order, and hands every SCC to
+    /// `emit` in emission order — a **reverse topological order** of the
+    /// induced condensation. Members arrive in stack order (the SCC's DFS
+    /// root first). Every root must satisfy `keep`.
+    pub fn run<G: Successors>(
+        &mut self,
+        g: &G,
+        roots: impl IntoIterator<Item = u32>,
+        keep: impl Fn(u32) -> bool,
+        mut emit: impl FnMut(&[u32]),
+    ) {
+        let n = g.node_count();
+        if self.index.len() < n {
+            self.index.resize(n, 0);
+            self.lowlink.resize(n, 0);
+            self.on_stack.resize(n, false);
+        }
+        // A run hands out at most `n` indices; restart the epochs before
+        // they could wrap.
+        if self.last as usize + n >= u32::MAX as usize {
+            self.index.fill(0);
+            self.last = 0;
+        }
+        let base = self.last + 1;
+        for root in roots {
+            if self.index[root as usize] >= base {
+                continue;
+            }
+            self.enter(root);
+            while let Some(&mut (v, ref mut si)) = self.frames.last_mut() {
+                let succs = g.successors_of(v);
+                if *si < succs.len() {
+                    let w = succs[*si];
+                    *si += 1;
+                    if !keep(w) {
+                        continue;
+                    }
+                    if self.index[w as usize] < base {
+                        self.enter(w);
+                    } else if self.on_stack[w as usize] {
+                        self.lowlink[v as usize] =
+                            self.lowlink[v as usize].min(self.index[w as usize]);
+                    }
+                } else {
+                    self.frames.pop();
+                    if let Some(&(p, _)) = self.frames.last() {
+                        self.lowlink[p as usize] =
+                            self.lowlink[p as usize].min(self.lowlink[v as usize]);
+                    }
+                    if self.lowlink[v as usize] == self.index[v as usize] {
+                        // v is the root of an SCC: everything above it on
+                        // the stack is its component.
+                        let at = self.stack.iter().rposition(|&w| w == v).expect("root on stack");
+                        for &w in &self.stack[at..] {
+                            self.on_stack[w as usize] = false;
+                        }
+                        emit(&self.stack[at..]);
+                        self.stack.truncate(at);
+                    }
+                }
+            }
+        }
+    }
+
+    fn enter(&mut self, v: u32) {
+        self.last += 1;
+        self.index[v as usize] = self.last;
+        self.lowlink[v as usize] = self.last;
+        self.stack.push(v);
+        self.on_stack[v as usize] = true;
+        self.frames.push((v, 0));
+    }
+}
+
 /// Maps each node to its strongly connected component.
 ///
 /// Component ids are assigned in Tarjan emission order, which is a **reverse
@@ -64,68 +164,23 @@ pub struct SccIndex {
 }
 
 impl SccIndex {
-    /// Runs iterative Tarjan over `g`.
+    /// Runs iterative Tarjan over all of `g` — the all-roots, no-filter
+    /// call of [`TarjanScratch::run`].
     pub fn compute(g: &impl Successors) -> Self {
         let n = g.node_count();
-        const UNVISITED: u32 = u32::MAX;
-        let mut index = vec![UNVISITED; n];
-        let mut lowlink = vec![0u32; n];
-        let mut on_stack = vec![false; n];
-        let mut comp_of = vec![UNVISITED; n];
-        let mut stack: Vec<u32> = Vec::new();
-        let mut next_index = 0u32;
+        let mut comp_of = vec![0u32; n];
         let mut comp_count = 0u32;
-
-        // DFS frames: (node, next successor position).
-        let mut frames: Vec<(u32, usize)> = Vec::new();
-
-        for root in 0..n as u32 {
-            if index[root as usize] != UNVISITED {
-                continue;
-            }
-            frames.push((root, 0));
-            index[root as usize] = next_index;
-            lowlink[root as usize] = next_index;
-            next_index += 1;
-            stack.push(root);
-            on_stack[root as usize] = true;
-
-            while let Some(&mut (v, ref mut si)) = frames.last_mut() {
-                let succs = g.successors_of(v);
-                if *si < succs.len() {
-                    let w = succs[*si];
-                    *si += 1;
-                    if index[w as usize] == UNVISITED {
-                        index[w as usize] = next_index;
-                        lowlink[w as usize] = next_index;
-                        next_index += 1;
-                        stack.push(w);
-                        on_stack[w as usize] = true;
-                        frames.push((w, 0));
-                    } else if on_stack[w as usize] {
-                        lowlink[v as usize] = lowlink[v as usize].min(index[w as usize]);
-                    }
-                } else {
-                    frames.pop();
-                    if let Some(&mut (p, _)) = frames.last_mut() {
-                        lowlink[p as usize] = lowlink[p as usize].min(lowlink[v as usize]);
-                    }
-                    if lowlink[v as usize] == index[v as usize] {
-                        // v is the root of an SCC: pop it off.
-                        loop {
-                            let w = stack.pop().expect("tarjan stack underflow");
-                            on_stack[w as usize] = false;
-                            comp_of[w as usize] = comp_count;
-                            if w == v {
-                                break;
-                            }
-                        }
-                        comp_count += 1;
-                    }
+        TarjanScratch::default().run(
+            g,
+            0..n as u32,
+            |_| true,
+            |scc| {
+                for &w in scc {
+                    comp_of[w as usize] = comp_count;
                 }
-            }
-        }
-
+                comp_count += 1;
+            },
+        );
         SccIndex { comp_of, comp_count: comp_count as usize }
     }
 
@@ -358,6 +413,32 @@ mod tests {
         assert_eq!(c.comp_successors(c01), &[c23]);
         assert_eq!(c.comp_successors(c23), &[c4]);
         assert_eq!(c.comp_successors(c4), &[] as &[u32]);
+    }
+
+    /// Root list + node filter, on scratch a previous run already used:
+    /// only the induced subgraph is condensed, in reverse topological
+    /// order, and stale indices from the earlier run are not "visited".
+    #[test]
+    fn filtered_run_on_reused_scratch() {
+        let g = fixture();
+        let mut scratch = TarjanScratch::default();
+        let mut all = Vec::new();
+        scratch.run(&g, 0..5, |_| true, |scc| all.push(scc.to_vec()));
+        assert_eq!(all.len(), 3);
+
+        // Without node 3 the 2⇄3 cycle is gone and 4 is unreachable.
+        let mut sccs: Vec<Vec<u32>> = Vec::new();
+        scratch.run(
+            &g,
+            [2, 0],
+            |v| v != 3,
+            |scc| {
+                let mut scc = scc.to_vec();
+                scc.sort_unstable();
+                sccs.push(scc);
+            },
+        );
+        assert_eq!(sccs, vec![vec![2], vec![0, 1]], "roots in order, successors first");
     }
 
     #[test]

@@ -1,15 +1,13 @@
 //! [`DynamicMatcher`]: materialized top-k matching under graph deltas.
 
-use std::time::Instant;
-
 use gpm_core::result::{AnswerDiff, DivResult, TopKResult};
 use gpm_graph::dynamic::DynGraph;
 use gpm_graph::{DiGraph, GraphDelta, GraphError};
 use gpm_pattern::Pattern;
 use gpm_ranking::ReachConfig;
-use gpm_telemetry::{names, Telemetry};
+use gpm_telemetry::{names, Span, Telemetry};
 
-use crate::state::{worst_churn, PatternState};
+use crate::state::{worst_churn, Batch, PatternState};
 
 /// Configuration of a [`DynamicMatcher`] (and of each pattern registered
 /// in a [`PatternRegistry`](crate::PatternRegistry)).
@@ -31,14 +29,16 @@ pub struct IncrementalConfig {
     /// When one batch's pair churn (alive flips + effective edge changes)
     /// exceeds this fraction of the alive pairs, the maintained
     /// condensation is dropped for the per-batch reach-engine pipeline
-    /// (and re-adopted on the next calm batch): in-place SCC maintenance
-    /// only pays off while the touched region is small. An absolute floor
-    /// keeps small graphs maintaining regardless.
+    /// (and re-adopted on the first batch back under the same gate):
+    /// in-place SCC maintenance only pays off while the touched region is
+    /// small. An absolute floor keeps small graphs maintaining regardless.
     pub max_cond_churn_fraction: f64,
-    /// Memory / thread policy of the shared reach engine when deriving
-    /// relevant sets — the same [`ReachConfig`] the static pipeline
-    /// honors; past the byte budget, dirty-set materialization degrades
-    /// to per-source BFS instead of the condensation DP.
+    /// Memory policy of the shared reach engine when deriving relevant
+    /// sets — the same [`ReachConfig`] the static pipeline honors; past
+    /// the byte budget, dirty-set materialization degrades to per-source
+    /// BFS instead of the condensation DP. A refresh runs on the thread
+    /// that makes it (one registry pool worker per pattern), so
+    /// `reach.threads` only matters to the static pipeline.
     pub reach: ReachConfig,
     /// Whether refresh planning may skip materializing outputs whose
     /// upper bound (the popcount stored beside each maintained `Full(c)`)
@@ -167,8 +167,10 @@ impl DynamicMatcher {
     }
 
     /// Attaches a shared [`Telemetry`] bundle; each subsequent apply
-    /// records one batch trace (`apply` root with `plan`/`prepare`/
-    /// `extract` children) and the corresponding phase histograms.
+    /// records one batch trace (`apply` root with a `replay` child and a
+    /// `refresh` child holding `condense_incremental`/`plan`/`prepare`/
+    /// `extract` — the tree a one-pattern registry records) and the
+    /// corresponding phase histograms.
     pub fn set_telemetry(&mut self, telemetry: Telemetry) {
         self.telemetry = telemetry;
     }
@@ -213,39 +215,51 @@ impl DynamicMatcher {
         &mut self,
         delta: &GraphDelta,
     ) -> Result<(TopKResult, AnswerDiff), IncrementalError> {
-        let t0 = Instant::now();
         let root = self.telemetry.root_span("apply");
-
-        let out = (|| {
-            let churn = worst_churn(&self.graph, delta);
-            if self.state.needs_rebuild(churn, self.graph.edge_count()) {
-                // Whole-state rebuild: apply the batch graph-only, then
-                // refine from scratch and refill the cache.
-                root.event("churn-rebuild");
-                self.graph.apply(delta)?;
-                self.state.note_apply(); // rejected batches are not applies
-                let plan = self.state.rebuild(&self.graph);
-                self.state.materialize(&self.graph, &plan);
-                return Ok(self.state.serve_timed(t0));
-            }
-
-            // Incremental path: replay each effective mutation through the
-            // simulation state in lockstep with the graph.
-            let state = &mut self.state;
-            let applied = {
-                let _replay = root.child("replay");
-                self.graph.apply_with(delta, |g, eff| state.replay(g, eff))?
-            };
-            state.note_apply(); // rejected batches are not applies
-            state.refresh_ranking_traced(&self.graph, &applied, &root);
-            Ok(state.serve_timed(t0))
-        })();
+        let out = self.apply_traced(delta, &root);
         let pruned = self.state.stats().last_pruned_outputs;
         if out.is_ok() && pruned > 0 {
             self.telemetry.metrics().counter(names::BOUNDS_PRUNED).add(pruned as u64);
         }
         self.telemetry.finish_batch(root, self.state.stats().applies);
         out
+    }
+
+    /// The matcher's whole batch sequence: decide rebuild-vs-replay, apply
+    /// the batch to the graph (replaying **every** effective mutation
+    /// through the simulation — no shared-index filter, which is what
+    /// keeps a matcher an independent reference for the registry), then
+    /// the one [`PatternState::refresh`] call. A batch without a single
+    /// effective mutation leaves the pattern untouched, as it would in a
+    /// registry. A rejected batch is not an apply: the graph and the state
+    /// are unchanged.
+    fn apply_traced(
+        &mut self,
+        delta: &GraphDelta,
+        root: &Span,
+    ) -> Result<(TopKResult, AnswerDiff), IncrementalError> {
+        let churn = worst_churn(&self.graph, delta);
+        let rebuild = self.state.needs_rebuild(churn, self.graph.edge_count());
+        let state = &mut self.state;
+        let applied = {
+            let _replay = root.child("replay");
+            self.graph.apply_with(delta, |g, eff| {
+                if !rebuild {
+                    state.replay(g, eff);
+                }
+            })?
+        };
+        let batch = if rebuild {
+            Batch::Rebuilt
+        } else if applied.effects.is_empty() {
+            Batch::Untouched
+        } else {
+            Batch::Replayed(&applied)
+        };
+        let refresh_span = root.child("refresh");
+        Ok(state
+            .refresh(&self.graph, batch, &refresh_span)
+            .unwrap_or_else(|| (state.top_k(), AnswerDiff::default())))
     }
 
     /// The current top-k by relevance — identical to running

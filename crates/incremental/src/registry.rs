@@ -19,11 +19,13 @@
 //!   predicates mention — the *shared-index hit rate* in
 //!   [`RegistryStats`] reports how much that saves;
 //! * **parallel ranking maintenance**: after the (inherently sequential)
-//!   lockstep replay, per-pattern dirtiness sweeps and relevant-set
-//!   refreshes are independent, so they are dispatched across a small
-//!   thread pool and merged back in registration order — answers are
-//!   deterministic regardless of interleaving because no worker touches
-//!   another pattern's state.
+//!   lockstep replay, per-pattern refreshes are independent, so whole
+//!   patterns are dispatched across a small thread pool and merged back
+//!   in registration order — answers are deterministic regardless of
+//!   interleaving because no worker touches another pattern's state.
+//!   One pattern's refresh is one
+//!   [`PatternState::refresh`](crate::state::PatternState) call on one
+//!   worker; it is never split further.
 //!
 //! Answers are **bit-identical** to N independent matchers and to the
 //! static pipeline on a snapshot (property-tested by
@@ -31,14 +33,14 @@
 
 use gpm_core::result::{AnswerDiff, DivResult, TopKResult};
 use gpm_graph::dynamic::DynGraph;
-use gpm_graph::{BitSet, DiGraph, GraphDelta, Label};
+use gpm_graph::{DiGraph, GraphDelta, Label};
 use gpm_pattern::Pattern;
 use gpm_telemetry::{names, Counter, Gauge, Span, Telemetry};
 use parking_lot::Mutex;
 
 use crate::matcher::{ApplyStats, IncrementalConfig, IncrementalError};
 use crate::pool::WorkerPool;
-use crate::state::{removed_label_map, worst_churn, PatternState, PreparedSets, RefreshPlan};
+use crate::state::{removed_label_map, worst_churn, Batch, PatternState};
 
 /// Stable handle of a registered pattern. Ids are never reused, so a
 /// handle kept across a deregistration simply stops resolving.
@@ -75,20 +77,12 @@ pub struct RegistryStats {
     /// Patterns the last batch rebuilt wholesale (per-pattern churn
     /// threshold exceeded).
     pub last_rebuilds: usize,
-    /// Phase-2b split **decisions**: refreshes of a single pattern whose
-    /// prepared extraction was chunked across the pool. Deterministic for
-    /// a given workload — counted when the decision is taken, not when a
-    /// second worker happens to be observed (that scheduling-dependent
-    /// count is [`Self::observed_multi_worker_refreshes`]).
+    /// Always 0: one pattern's refresh is no longer split across the pool
+    /// and no metric stands behind this field. It stays only because the
+    /// frozen `benchmark/` package reads it for its
+    /// `incremental.intra_pattern_splits` metric; the next `benchmark` PR
+    /// removes both.
     pub intra_pattern_splits: u64,
-    /// Chunked refreshes whose chunks were *observed* on ≥ 2 distinct
-    /// pool workers — the stronger, scheduling-dependent proof that a
-    /// split actually ran multi-threaded. On an idle pool one worker may
-    /// legally claim every chunk, so this can lag the decision counter.
-    pub observed_multi_worker_refreshes: u64,
-    /// Patterns the last batch chunked across the pool (whether or not
-    /// ≥ 2 workers ended up claiming chunks).
-    pub last_intra_splits: usize,
 }
 
 impl RegistryStats {
@@ -122,11 +116,8 @@ struct RegistryCounters {
     deregistrations: Counter,
     ops_replayed: Counter,
     ops_skipped: Counter,
-    intra_splits: Counter,
-    multi_worker: Counter,
     last_touched: Gauge,
     last_rebuilds: Gauge,
-    last_intra_splits: Gauge,
     pool_busy_nanos: Gauge,
     pool_tasks: Gauge,
     bounds_pruned: Counter,
@@ -141,11 +132,8 @@ impl RegistryCounters {
             deregistrations: m.counter(names::REGISTRY_DEREGISTRATIONS),
             ops_replayed: m.counter(names::REGISTRY_OPS_REPLAYED),
             ops_skipped: m.counter(names::REGISTRY_OPS_SKIPPED),
-            intra_splits: m.counter(names::REGISTRY_INTRA_SPLITS),
-            multi_worker: m.counter(names::REGISTRY_MULTI_WORKER),
             last_touched: m.gauge(names::REGISTRY_LAST_TOUCHED),
             last_rebuilds: m.gauge(names::REGISTRY_LAST_REBUILDS),
-            last_intra_splits: m.gauge(names::REGISTRY_LAST_INTRA_SPLITS),
             pool_busy_nanos: m.gauge(names::POOL_BUSY_NANOS),
             pool_tasks: m.gauge(names::POOL_TASKS),
             bounds_pruned: m.counter(names::BOUNDS_PRUNED),
@@ -160,11 +148,8 @@ impl RegistryCounters {
         next.deregistrations.add(self.deregistrations.get());
         next.ops_replayed.add(self.ops_replayed.get());
         next.ops_skipped.add(self.ops_skipped.get());
-        next.intra_splits.add(self.intra_splits.get());
-        next.multi_worker.add(self.multi_worker.get());
         next.last_touched.set(self.last_touched.get());
         next.last_rebuilds.set(self.last_rebuilds.get());
-        next.last_intra_splits.set(self.last_intra_splits.get());
         next.pool_busy_nanos.set(self.pool_busy_nanos.get());
         next.pool_tasks.set(self.pool_tasks.get());
         next.bounds_pruned.add(self.bounds_pruned.get());
@@ -215,53 +200,15 @@ pub struct PatternInfo {
     pub reach_mode: &'static str,
     /// The active bound mode: `"per-component"` or `"off"`.
     pub bound_mode: &'static str,
+    /// Heap bytes the pattern's maintained condensation retains in
+    /// `Full(c)` bitsets — the figure
+    /// [`ReachConfig::budget_bytes`](gpm_ranking::ReachConfig) is
+    /// enforced against; 0 while `reach_mode` is not `"maintained"`.
+    pub maintained_bytes: usize,
     /// Per-pattern maintenance counters (includes
     /// [`ApplyStats::last_refresh_ns`], the last refresh latency, and the
     /// bound-pruning tallies).
     pub stats: ApplyStats,
-}
-
-/// Dirty-set size past which a single pattern's relevant-set extraction
-/// is split across the pool (phase 2b) instead of running inline on the
-/// worker that claimed the pattern. Below it, the chunking barrier costs
-/// more than the parallelism wins.
-const INTRA_SPLIT_MIN_OUTPUTS: usize = 16;
-
-/// Runs phase-2 extraction of one prepared pattern across the pool in
-/// per-worker output ranges, returning the sets in output order plus the
-/// number of **distinct** workers that claimed a chunk (the observable
-/// proof the refresh really ran on more than one thread). Each chunk
-/// opens an `extract` span on `span`, so the trace records which worker
-/// thread ran which chunk.
-fn extract_chunked(
-    pool: &WorkerPool,
-    prepared: &PreparedSets,
-    span: &Span,
-) -> (Vec<BitSet>, usize) {
-    type ChunkResult = Mutex<Option<(Vec<BitSet>, std::thread::ThreadId)>>;
-    let n = prepared.len();
-    let chunk = n.div_ceil(pool.workers()).max(1);
-    let chunks = n.div_ceil(chunk);
-    let results: Vec<ChunkResult> = (0..chunks).map(|_| Mutex::new(None)).collect();
-    pool.run(chunks, &|ci| {
-        let lo = ci * chunk;
-        let hi = (lo + chunk).min(n);
-        let chunk_span = span.child("extract");
-        if chunk_span.is_enabled() {
-            chunk_span.detail(format!("chunk={ci} outputs={}", hi - lo));
-        }
-        let mut ex = prepared.extractor();
-        let sets: Vec<BitSet> = (lo..hi).map(|j| ex.extract(j)).collect();
-        *results[ci].lock() = Some((sets, std::thread::current().id()));
-    });
-    let mut sets = Vec::with_capacity(n);
-    let mut workers = std::collections::HashSet::new();
-    for r in results {
-        let (chunk_sets, tid) = r.into_inner().expect("every chunk ran");
-        sets.extend(chunk_sets);
-        workers.insert(tid);
-    }
-    (sets, workers.len())
 }
 
 /// Many patterns served over one dynamic graph. See the module docs.
@@ -354,9 +301,7 @@ impl PatternRegistry {
             ops_skipped: c.ops_skipped.get(),
             last_patterns_touched: c.last_touched.get().max(0) as usize,
             last_rebuilds: c.last_rebuilds.get().max(0) as usize,
-            intra_pattern_splits: c.intra_splits.get(),
-            observed_multi_worker_refreshes: c.multi_worker.get(),
-            last_intra_splits: c.last_intra_splits.get().max(0) as usize,
+            intra_pattern_splits: 0,
         }
     }
 
@@ -429,9 +374,9 @@ impl PatternRegistry {
     }
 
     /// As [`Self::apply`] under a caller-owned trace: every phase of the
-    /// batch (`replay`, per-pattern `refresh` with `plan`/`prepare`/
-    /// `extract` children, per-chunk phase-2b `extract`s) lands as
-    /// children of `parent`. The serving layer passes its ingest root so
+    /// batch (`replay`, per-pattern `refresh` with `condense_incremental`/
+    /// `plan`/`prepare`/`extract` children) lands as children of
+    /// `parent`. The serving layer passes its ingest root so
     /// one batch yields one tree; standalone callers can pass
     /// [`Span::disabled`] (or just call [`Self::apply`]).
     pub fn apply_traced(
@@ -477,121 +422,46 @@ impl PatternRegistry {
             (applied, rebuild)
         };
 
-        // Phase 2a (parallel across patterns): per-pattern ranking
+        // Phase 2 (parallel across patterns): per-pattern ranking
         // maintenance is independent given the final graph. The
         // persistent pool's workers claim whole slots by index; since no
         // slot is shared, the per-pattern result is identical under any
         // interleaving, and answers are merged in registration order
-        // below. Patterns the index proved the whole batch irrelevant to
-        // skip the seed scan entirely. A pattern whose dirty set is small
-        // finishes here (plan + materialize + serve under one lock); one
-        // whose dirty set crosses [`INTRA_SPLIT_MIN_OUTPUTS`] only runs
-        // phase 1 of the reach engine (view + condensation) and parks the
-        // prepared extraction for phase 2b — so N small patterns keep
-        // their cross-pattern parallelism, and a giant one stops
-        // monopolizing a single worker.
+        // below. Each pattern is one `PatternState::refresh` call under
+        // its slot lock; patterns the index proved the whole batch
+        // irrelevant to skip the seed scan and report nothing.
         let graph = &self.graph;
         let slots = &self.slots;
-        let touched_ref = &touched;
         let bounds_pruned = &self.counters.bounds_pruned;
-        let split_threshold = self.pool.as_ref().map(|_| INTRA_SPLIT_MIN_OUTPUTS);
         let fresh: Vec<Mutex<Option<(TopKResult, AnswerDiff)>>> =
-            (0..n).map(|_| Mutex::new(None)).collect();
-        let pending: Vec<Mutex<Option<(RefreshPlan, PreparedSets)>>> =
             (0..n).map(|_| Mutex::new(None)).collect();
         let refresh = |i: usize| {
             let refresh_span = parent.child("refresh");
             if refresh_span.is_enabled() {
                 refresh_span.detail(format!("pattern={}", slots[i].id));
             }
-            let mut st = slots[i].state.lock();
-            st.note_apply();
-            let plan = if rebuild[i] {
-                let plan_span = refresh_span.child("plan");
-                plan_span.event("churn-rebuild");
-                st.rebuild(graph)
-            } else if touched_ref[i] {
-                // Fold the batch into the maintained condensation first
-                // (`condense_incremental` child span), then plan off the
-                // flips it drained.
-                let flips = st.maintain_reach(graph, &applied, &refresh_span);
-                let plan_span = refresh_span.child("plan");
-                let plan = st.plan_refresh(graph, &applied, flips);
-                if plan_span.is_enabled() {
-                    plan_span.detail(format!("outputs={} pruned={}", plan.len(), plan.pruned()));
-                }
-                plan
+            let batch = if rebuild[i] {
+                Batch::Rebuilt
+            } else if touched[i] {
+                Batch::Replayed(&applied)
             } else {
-                st.refresh_untouched(graph);
-                return;
+                Batch::Untouched
             };
-            // Counters are atomic — safe from any pool worker.
-            bounds_pruned.add(plan.pruned() as u64);
-            if split_threshold.is_some_and(|min| plan.len() >= min) {
-                let prepared = st.prepare_sets_traced(graph, &plan, &refresh_span);
-                // Only park extractions a pool barrier can actually help
-                // with: per-source BFS (the budget fallback) is always
-                // real work, while DP extraction is bitset memcpys —
-                // worth splitting only at real volume.
-                if prepared.split_worthwhile() {
-                    refresh_span.event("intra-pattern-split");
-                    *pending[i].lock() = Some((plan, prepared));
-                    return;
-                }
-                let ex_span = refresh_span.child("extract");
-                if ex_span.is_enabled() {
-                    ex_span.detail(format!("outputs={}", prepared.len()));
-                }
-                let mut ex = prepared.extractor();
-                let sets = (0..prepared.len()).map(|j| ex.extract(j)).collect();
-                drop(ex);
-                drop(ex_span);
-                st.apply_sets(&plan, sets);
-                *fresh[i].lock() = Some(st.serve());
-                return;
+            let mut st = slots[i].state.lock();
+            if let Some(answer) = st.refresh(graph, batch, &refresh_span) {
+                // Counters are atomic — safe from any pool worker.
+                bounds_pruned.add(st.stats().last_pruned_outputs as u64);
+                *fresh[i].lock() = Some(answer);
             }
-            st.materialize_seq_traced(graph, &plan, &refresh_span);
-            *fresh[i].lock() = Some(st.serve());
         };
         match &self.pool {
             Some(pool) if n >= 2 => pool.run(n, &refresh),
             _ => (0..n).for_each(refresh),
         }
 
-        // Phase 2b (parallel within a pattern): each parked extraction is
-        // chunked into per-worker output ranges and fanned across the
-        // pool; the condensation and its component bitsets are shared
-        // read-only, and the merge back into the cache is by index —
-        // deterministic regardless of which worker produced which chunk.
-        // `pending` is only ever populated when a pool exists (the
-        // split_threshold gate above).
-        let mut last_intra_splits = 0i64;
-        if let Some(pool) = &self.pool {
-            for i in 0..n {
-                let Some((plan, prepared)) = pending[i].lock().take() else { continue };
-                last_intra_splits += 1;
-                // The split *decision* is counted here, deterministically —
-                // a parked extraction IS a split, whether or not the pool's
-                // scheduling let a second worker claim a chunk.
-                self.counters.intra_splits.inc();
-                let split_span = parent.child("refresh");
-                if split_span.is_enabled() {
-                    split_span.detail(format!("pattern={} phase=2b", slots[i].id));
-                }
-                let (sets, workers) = extract_chunked(pool, &prepared, &split_span);
-                if workers >= 2 {
-                    self.counters.multi_worker.inc();
-                }
-                let mut st = slots[i].state.lock();
-                st.apply_sets(&plan, sets);
-                *fresh[i].lock() = Some(st.serve());
-            }
-        }
-
         self.counters.batches.inc();
         self.counters.ops_replayed.add(replayed);
         self.counters.ops_skipped.add(skipped);
-        self.counters.last_intra_splits.set(last_intra_splits);
         self.counters.last_rebuilds.set(rebuild.iter().filter(|&&r| r).count() as i64);
         self.counters
             .last_touched
@@ -685,6 +555,7 @@ impl PatternRegistry {
             lambda: st.cfg().lambda,
             reach_mode: st.reach_mode(),
             bound_mode: st.bound_mode(),
+            maintained_bytes: st.maintained_bytes(),
             stats: st.stats().clone(),
         })
     }
@@ -729,13 +600,5 @@ impl PatternRegistry {
         for s in &self.slots {
             s.state.lock().check_maintained(&self.graph);
         }
-    }
-
-    /// Weak handles on one pattern's maintained `Full(c)` bitsets (`None`
-    /// for unknown ids or budget-disabled maintained mode) — the
-    /// deregister leak audit upgrades these after the slot is dropped.
-    #[doc(hidden)]
-    pub fn maintained_weak_fulls(&self, id: PatternId) -> Option<Vec<std::sync::Weak<BitSet>>> {
-        self.with_slot(id, |st| st.maintained_weak_fulls())?
     }
 }

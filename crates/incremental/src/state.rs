@@ -11,6 +11,14 @@
 //! cannot touch this pattern: a pattern only reacts to nodes whose label
 //! it names, to edges whose endpoint-label pair matches one of its own
 //! edges, and to attribute mutations on keys its predicates mention.
+//!
+//! [`PatternState::refresh`] is the **one place a batch becomes an
+//! answer**: both owners decide rebuild-vs-replay with
+//! [`PatternState::needs_rebuild`], replay (or not), and then make exactly
+//! one `refresh` call per pattern per batch. It runs on the calling
+//! thread; the registry's parallelism is across patterns, never inside
+//! one: a dirty output's relevant set is a copy of a retained `Full(c)`,
+//! so there is no per-output traversal worth fanning out.
 
 use std::collections::{BTreeSet, HashMap, HashSet};
 use std::time::Instant;
@@ -24,10 +32,7 @@ use gpm_graph::{
 };
 use gpm_pattern::Pattern;
 use gpm_ranking::objective::{c_uo_with, Objective};
-use gpm_ranking::{
-    CondPolicy, CondensationState, MaintainError, ReachEngine, ReachExtractor, RelevanceCache,
-    SetHandle,
-};
+use gpm_ranking::{CondPolicy, CondensationState, MaintainError, ReachEngine, RelevanceCache};
 use gpm_simulation::incremental::DynPair;
 use gpm_simulation::{DynMatchGraph, IncSimState, ReachView};
 use gpm_telemetry::Span;
@@ -35,17 +40,20 @@ use gpm_telemetry::Span;
 use crate::matcher::{ApplyStats, IncrementalConfig, IncrementalError};
 
 /// Below this absolute churn the maintained-condensation churn gate
-/// ([`IncrementalConfig::max_cond_churn_fraction`], default 12.5% — the
-/// `dirty_region` sweep shows in-place maintenance winning clearly at 2%
-/// dirty and losing by 25%, so the crossover is pinned conservatively
-/// between them) never fires: on small graphs the incremental paths are
-/// always cheap enough, and they should stay exercised.
+/// ([`PatternState::cond_churn_high`]) never fires.
 const COND_MAINT_CHURN_FLOOR: usize = 512;
 
-/// `true` when a batch's churn is past the maintained-condensation gate
-/// relative to `alive` pairs.
-fn churn_high(churn: usize, alive: usize, max_fraction: f64) -> bool {
-    churn > COND_MAINT_CHURN_FLOOR && churn as f64 > alive as f64 * max_fraction
+/// What a batch did to one pattern before its [`PatternState::refresh`].
+pub(crate) enum Batch<'a> {
+    /// Churn past [`PatternState::needs_rebuild`]: nothing was replayed,
+    /// the state re-derives itself from the post-batch graph.
+    Rebuilt,
+    /// The batch's effective mutations were replayed through the
+    /// simulation; the graph is in the post-batch state they describe.
+    Replayed(&'a AppliedDelta),
+    /// The shared index proved the whole batch irrelevant to the pattern:
+    /// nothing was replayed and its answer cannot have moved.
+    Untouched,
 }
 
 /// Effective edge churn of `delta` against the current `g`, judged
@@ -176,7 +184,7 @@ pub(crate) fn removed_label_map(g: &DynGraph, delta: &GraphDelta) -> HashMap<Nod
 /// [`PatternState::plan_refresh`] prunes against). Present only while
 /// the reach budget admits the retained `Full(c)` bitsets — dropped
 /// (never half-trusted) when it stops fitting, at which point
-/// [`PatternState::prepare_sets_traced`] falls back to the per-batch
+/// [`PatternState::materialize`] falls back to the per-batch
 /// [`ReachEngine`] prepare.
 #[derive(Debug, Clone)]
 struct MaintainedReach {
@@ -215,7 +223,7 @@ pub(crate) struct PatternState {
     /// other key cannot change any candidacy, hence is a provable no-op
     /// for this pattern.
     attr_keys: BTreeSet<String>,
-    /// The ranked answer last surfaced through [`Self::serve_timed`] — the
+    /// The ranked answer last surfaced through [`Self::serve`] — the
     /// baseline the next answer is diffed against, so consumers (the
     /// registry's change sets, the serving layer's subscriptions) learn
     /// *what moved*, not just the fresh list.
@@ -268,8 +276,8 @@ impl PatternState {
             deferred: BTreeSet::new(),
         };
         state.rebuild_maintained(g, &Span::disabled());
-        let plan = state.full_plan(g);
-        state.materialize(g, &plan);
+        let outputs = state.full_plan(g);
+        state.materialize(g, &outputs, &Span::disabled());
         state.sim.take_dirty();
         state.served = state.top_k().matches;
         Ok(state)
@@ -288,11 +296,6 @@ impl PatternState {
     /// Maintenance counters.
     pub(crate) fn stats(&self) -> &ApplyStats {
         &self.stats
-    }
-
-    /// Counts one applied batch (rejected batches are not applies).
-    pub(crate) fn note_apply(&mut self) {
-        self.stats.applies += 1;
     }
 
     /// `true` when a batch of `churn` effective edge changes against a
@@ -354,20 +357,71 @@ impl PatternState {
         }
     }
 
+    /// Turns one applied batch into this pattern's fresh answer plus its
+    /// diff against the previously served one — the single sequence
+    /// `DynamicMatcher` and the registry both run, once per pattern per
+    /// batch, after deciding [`Self::needs_rebuild`] and replaying (or
+    /// not): count the apply, then rebuild | fold the batch into the
+    /// maintained reach state and plan | note the batch passed by;
+    /// materialize the planned relevant sets; rank and diff. `g` must be
+    /// in the post-batch state. Returns `None` for [`Batch::Untouched`]:
+    /// the answer provably did not move, so it is neither re-ranked nor
+    /// reported.
+    ///
+    /// `condense_incremental`, `plan`, `prepare` and `extract` children
+    /// land on `span` (pass [`Span::disabled`] for an untraced refresh);
+    /// the batch's bound-pruned count is
+    /// [`ApplyStats::last_pruned_outputs`].
+    pub(crate) fn refresh(
+        &mut self,
+        g: &DynGraph,
+        batch: Batch<'_>,
+        span: &Span,
+    ) -> Option<(TopKResult, AnswerDiff)> {
+        let t0 = Instant::now();
+        self.stats.applies += 1;
+        let outputs = match batch {
+            Batch::Rebuilt => {
+                let plan_span = span.child("plan");
+                plan_span.event("churn-rebuild");
+                self.rebuild(g)
+            }
+            Batch::Replayed(applied) => {
+                let flips = self.maintain_reach(g, applied, span);
+                let plan_span = span.child("plan");
+                let outputs = self.plan_refresh(g, applied, flips);
+                if plan_span.is_enabled() {
+                    plan_span.detail(format!(
+                        "outputs={} pruned={}",
+                        outputs.len(),
+                        self.stats.last_pruned_outputs
+                    ));
+                }
+                outputs
+            }
+            Batch::Untouched => {
+                self.refresh_untouched(g);
+                return None;
+            }
+        };
+        self.materialize(g, &outputs, span);
+        Some(self.serve(t0))
+    }
+
     /// Discards the materialized simulation and re-derives it from the
     /// current contents of `g` (the past-the-churn-threshold fallback),
-    /// returning the full-cache [`RefreshPlan`] the caller materializes.
-    pub(crate) fn rebuild(&mut self, g: &DynGraph) -> RefreshPlan {
+    /// returning every structural output match for materialization.
+    fn rebuild(&mut self, g: &DynGraph) -> Vec<NodeId> {
         self.sim = IncSimState::new(g, &self.pattern).expect("pattern validated at construction");
         self.sim.take_dirty();
         self.stats.full_rebuilds += 1;
         self.stats.last_pruned_outputs = 0;
-        let plan = self.full_plan(g);
+        let outputs = self.full_plan(g);
         if self.maintained.is_some() {
             self.note_recondense();
         }
         self.rebuild_maintained(g, &Span::disabled());
-        plan
+        outputs
     }
 
     /// Post-batch bookkeeping for a pattern the shared index proved the
@@ -375,10 +429,9 @@ impl PatternState {
     /// flipped and — because a seedable changed edge needs a pattern edge
     /// with its exact endpoint-label pair, and a candidacy-changing attr
     /// flip needs a mentioned key (the same tests [`Self::wants`] applies)
-    /// — the edge scan of [`Self::refresh_ranking`] could not yield a
-    /// seed either. Only the width guard and the per-batch counters
-    /// remain.
-    pub(crate) fn refresh_untouched(&mut self, g: &DynGraph) {
+    /// — the edge scan of [`Self::plan_refresh`] could not yield a seed
+    /// either. Only the width guard and the per-batch counters remain.
+    fn refresh_untouched(&mut self, g: &DynGraph) {
         let seeds = self.sim.take_dirty();
         debug_assert!(seeds.is_empty(), "untouched pattern has no flips");
         self.cache.ensure_width(g.node_count());
@@ -388,30 +441,6 @@ impl PatternState {
         self.stats.last_pruned_outputs = 0;
     }
 
-    /// Post-batch ranking maintenance: plan + materialize in one go (the
-    /// sequential path — `DynamicMatcher`, or registry patterns whose
-    /// dirty set is too small to split across the pool). `g` must already
-    /// be in the post-batch state described by `applied`; `plan`,
-    /// `prepare` and `extract` children land on `span` (pass
-    /// [`Span::disabled`] for an untraced refresh).
-    pub(crate) fn refresh_ranking_traced(
-        &mut self,
-        g: &DynGraph,
-        applied: &AppliedDelta,
-        span: &Span,
-    ) {
-        let flips = self.maintain_reach(g, applied, span);
-        let plan = {
-            let plan_span = span.child("plan");
-            let plan = self.plan_refresh(g, applied, flips);
-            if plan_span.is_enabled() {
-                plan_span.detail(format!("outputs={} pruned={}", plan.len(), plan.pruned()));
-            }
-            plan
-        };
-        self.materialize_threads(g, &plan, self.cfg.reach.threads, span);
-    }
-
     /// Folds the batch into the maintained reach state (pair view +
     /// condensation), **draining the simulation's flips** — which it
     /// returns for [`Self::plan_refresh`] to seed from, so the two
@@ -419,13 +448,11 @@ impl PatternState {
     /// batch, before planning. Emits a `condense_incremental` child span
     /// and counts incremental applies vs. full re-condensation fallbacks.
     ///
-    /// Batch churn above [`IncrementalConfig::max_cond_churn_fraction`] of
-    /// the alive pairs (with an absolute floor of
-    /// [`COND_MAINT_CHURN_FLOOR`] so tiny graphs always maintain) drops
-    /// the maintained state for the per-batch engine instead —
-    /// incremental maintenance only pays off while the touched region is
-    /// small.
-    pub(crate) fn maintain_reach(
+    /// Batch churn past [`Self::cond_churn_high`] drops the maintained
+    /// state for the per-batch engine instead — incremental maintenance
+    /// only pays off while the touched region is small — and the first
+    /// batch back under the same gate re-adopts it.
+    fn maintain_reach(
         &mut self,
         g: &DynGraph,
         applied: &AppliedDelta,
@@ -439,14 +466,11 @@ impl PatternState {
             // again one from-scratch build restores the maintained state,
             // paid back over the cheap batches that follow. A build the
             // budget rejects clears the flag so it is not retried.
-            if self.maint_readopt {
-                let alive: usize = self.pattern.nodes().map(|u| self.sim.candidate_count(u)).sum();
-                if !churn_high(churn, alive, self.cfg.max_cond_churn_fraction) {
-                    let ci = span.child("condense_incremental");
-                    ci.event("cond-churn-readopt");
-                    self.stats.cond_rebuilds += 1;
-                    self.rebuild_maintained(g, &ci);
-                }
+            if self.maint_readopt && !self.cond_churn_high(churn) {
+                let ci = span.child("condense_incremental");
+                ci.event("cond-churn-readopt");
+                self.stats.cond_rebuilds += 1;
+                self.rebuild_maintained(g, &ci);
             }
             return flips;
         };
@@ -459,17 +483,12 @@ impl PatternState {
             self.rebuild_maintained(g, &ci);
             return flips;
         }
-        // Past a churn threshold the incremental dance — per-edge CSR
+        // Past the churn gate the incremental dance — per-edge CSR
         // surgery in the view plus the bounded-region re-condensation —
-        // costs more than the per-batch engine pipeline (the dirty_region
-        // sweep crosses between 2% and 25% dirty). The PR 1
-        // rebuild-threshold pattern, one layer down: drop the maintained
-        // state and let `prepare_sets` run the from-scratch engine
-        // prepare, which only materializes the planned sources. The
-        // absolute floor keeps small graphs (and the adversarial unit
-        // streams) on the incremental path, where maintenance is always
-        // cheap enough.
-        if churn_high(churn, mr.view.alive_count(), self.cfg.max_cond_churn_fraction) {
+        // costs more than the per-batch engine pipeline: drop the
+        // maintained state and let `materialize` run the from-scratch
+        // engine prepare, which only materializes the planned sources.
+        if self.cond_churn_high(churn) {
             ci.event("cond-churn-drop");
             self.stats.cond_rebuilds += 1;
             self.maintained = None;
@@ -519,6 +538,21 @@ impl PatternState {
         flips
     }
 
+    /// `true` when a batch's pair churn (alive flips + effective edge
+    /// changes) is past the maintained-condensation gate: above the
+    /// absolute floor — small graphs (and the adversarial unit streams)
+    /// always maintain, which is cheap there and keeps the path exercised
+    /// — and above [`IncrementalConfig::max_cond_churn_fraction`] of the
+    /// post-batch simulation's alive pairs (default 12.5 %: the
+    /// dirty-region classes have in-place maintenance winning clearly at
+    /// 2 % dirty and losing by 25 %). The drop and the re-adopt decision
+    /// both ask this, so one churn level cannot drop the state and
+    /// re-adopt it on alternate batches.
+    fn cond_churn_high(&self, churn: usize) -> bool {
+        churn > COND_MAINT_CHURN_FLOOR
+            && churn as f64 > self.sim.alive_pairs() as f64 * self.cfg.max_cond_churn_fraction
+    }
+
     /// Counts a from-scratch re-condensation of a live maintained state;
     /// while pruning is on, the bounds stored in it were rebuilt with it.
     fn note_recondense(&mut self) {
@@ -530,16 +564,18 @@ impl PatternState {
 
     /// Derives the dirty seeds from the simulation flips and the changed
     /// data edges, sweeps backward to the affected output matches, and
-    /// returns the [`RefreshPlan`] naming the relevant sets to re-derive
-    /// (or, past the dirtiness threshold, all of them). Output matches
-    /// that died are dropped from the cache here; the plan holds only
-    /// alive ones.
-    pub(crate) fn plan_refresh(
+    /// returns the alive output matches whose relevant sets to re-derive,
+    /// ascending (past the dirtiness threshold, all of them). Output
+    /// matches that died are dropped from the cache here; ones the
+    /// maintained upper bounds prove unable to displace the k-th answer
+    /// are parked in the deferred set and counted in
+    /// [`ApplyStats::last_pruned_outputs`] instead.
+    fn plan_refresh(
         &mut self,
         g: &DynGraph,
         applied: &AppliedDelta,
         flips: Vec<DynPair>,
-    ) -> RefreshPlan {
+    ) -> Vec<NodeId> {
         self.stats.last_pruned_outputs = 0;
         // Seeds of the dirtiness sweep: every alive-flip (drained by
         // [`Self::maintain_reach`], which must run first), plus the source
@@ -570,7 +606,7 @@ impl PatternState {
             self.stats.incremental_applies += 1;
             self.stats.last_swept_pairs = 0;
             self.stats.last_dirty_outputs = 0;
-            return RefreshPlan::default();
+            return Vec::new();
         }
 
         // Backward sweep: every valid candidate pair that can reach a seed
@@ -580,8 +616,11 @@ impl PatternState {
         let uo = self.pattern.output();
         let total_pairs: usize = self.pattern.nodes().map(|u| self.sim.candidate_count(u)).sum();
         let sweep_cap = (self.cfg.max_dirty_fraction * total_pairs.max(1) as f64).ceil() as usize;
-        let mut visited: HashSet<DynPair> = seeds.iter().copied().collect();
-        let mut queue: Vec<DynPair> = visited.iter().copied().collect();
+        // Queued in seed order, not hash order: where an overflowing sweep
+        // stops — hence `last_swept_pairs` — must not vary run to run.
+        let mut visited: HashSet<DynPair> = HashSet::with_capacity(seeds.len());
+        let mut queue: Vec<DynPair> = seeds;
+        queue.retain(|&p| visited.insert(p));
         let mut overflow = false;
         let mut cursor = 0;
         while cursor < queue.len() {
@@ -639,11 +678,11 @@ impl PatternState {
         candidates.sort_unstable();
         self.stats.incremental_applies += 1;
         if candidates.is_empty() {
-            return RefreshPlan::default();
+            return candidates;
         }
 
         // Bound-driven pruning, when the maintained condensation is live
-        // and width-aligned with the cache (the same filter prepare
+        // and width-aligned with the cache (the same filter materialize
         // applies).
         let Some(mr) = self
             .maintained
@@ -653,7 +692,7 @@ impl PatternState {
             // No usable bounds: flush — materialize everything, including
             // any backlog deferred while bounds were available.
             self.deferred.clear();
-            return RefreshPlan { outputs: candidates, pruned_outputs: 0 };
+            return candidates;
         };
 
         // Seed the selector with surviving clean answers: their cached
@@ -705,7 +744,7 @@ impl PatternState {
         }
         self.stats.last_pruned_outputs = pruned;
         self.stats.pruned_outputs += pruned as u64;
-        RefreshPlan { outputs, pruned_outputs: pruned }
+        outputs
     }
 
     /// The current top-k by relevance.
@@ -713,16 +752,11 @@ impl PatternState {
         self.top_k_timed(Instant::now())
     }
 
-    /// As [`Self::serve_timed`] measured from now.
-    pub(crate) fn serve(&mut self) -> (TopKResult, AnswerDiff) {
-        self.serve_timed(Instant::now())
-    }
-
     /// Serves the current answer together with its diff against the
     /// previously served one, advancing the served baseline. The diff is
     /// empty exactly when the answer did not materially change (same
     /// `(node, δr)` sequence) — the signal push consumers key on.
-    pub(crate) fn serve_timed(&mut self, t0: Instant) -> (TopKResult, AnswerDiff) {
+    fn serve(&mut self, t0: Instant) -> (TopKResult, AnswerDiff) {
         let top = self.top_k_timed(t0);
         self.stats.last_refresh_ns = top.stats.elapsed.as_nanos().min(u64::MAX as u128) as u64;
         let diff = AnswerDiff::between(&self.served, &top.matches);
@@ -732,9 +766,9 @@ impl PatternState {
         (top, diff)
     }
 
-    /// As [`Self::top_k`] with timing measured from `t0` (so `apply`
-    /// latencies include the maintenance work).
-    pub(crate) fn top_k_timed(&self, t0: Instant) -> TopKResult {
+    /// As [`Self::top_k`] with timing measured from `t0` (so a refresh's
+    /// latency includes the maintenance work).
+    fn top_k_timed(&self, t0: Instant) -> TopKResult {
         let q = &self.pattern;
         // Under the paper's emptiness rule Mu(Q,G,uo) = ∅ even though the
         // cache stays structurally maintained — report stats the way the
@@ -777,13 +811,9 @@ impl PatternState {
     /// **full** cache (the diversified objective scores pairwise
     /// distances over all matches, so bounds on relevance alone cannot
     /// prune for it honestly).
-    pub(crate) fn ensure_complete(&mut self, g: &DynGraph) {
-        if self.deferred.is_empty() {
-            return;
-        }
+    fn ensure_complete(&mut self, g: &DynGraph) {
         let outputs: Vec<NodeId> = std::mem::take(&mut self.deferred).into_iter().collect();
-        let plan = RefreshPlan { outputs, pruned_outputs: 0 };
-        self.materialize(g, &plan);
+        self.materialize(g, &outputs, &Span::disabled());
     }
 
     /// The current diversified top-k with an explicit `λ`. Takes the
@@ -834,13 +864,10 @@ impl PatternState {
 
     /// Resets the cache and plans a re-derivation of **every** structural
     /// output match (fresh registration, churn rebuild, sweep overflow).
-    fn full_plan(&mut self, g: &DynGraph) -> RefreshPlan {
+    fn full_plan(&mut self, g: &DynGraph) -> Vec<NodeId> {
         self.cache = RelevanceCache::new(g.node_count());
         self.deferred.clear();
-        RefreshPlan {
-            outputs: self.sim.structural_matches_of(self.pattern.output()),
-            pruned_outputs: 0,
-        }
+        self.sim.structural_matches_of(self.pattern.output())
     }
 
     /// Rebuilds the maintained reach state from scratch over the current
@@ -874,113 +901,68 @@ impl PatternState {
         }
     }
 
-    /// Phase 1 of the shared reach engine over the current graph: builds
-    /// the alive-pair view **once** and condenses it — the work every
-    /// planned output amortizes, however many there are. Extraction
-    /// (phase 2) is read-only, so the returned value can be fanned out
-    /// across worker threads. Opens a `prepare` child span on `span`
-    /// (whose `tarjan`/`bitsets` sub-phases and budget-fallback events
-    /// the reach engine fills in) so per-batch traces show where DP
-    /// preparation time goes.
-    pub(crate) fn prepare_sets_traced(
-        &self,
-        g: &DynGraph,
-        plan: &RefreshPlan,
-        span: &Span,
-    ) -> PreparedSets {
-        let prep = span.child("prepare");
+    /// Derives and caches the relevant set of every output in `outputs`
+    /// (alive output matches, ascending) — the one materialization path,
+    /// on the calling thread. `prepare` is phase 1 of the reach
+    /// computation: with a live, width-aligned maintained condensation it
+    /// happened already, spread over every batch since the state was
+    /// built, and is just resolving the planned outputs' pair slots —
+    /// O(plan), not O(view); otherwise the per-batch [`ReachEngine`]
+    /// packs the alive-pair view and condenses it (its `tarjan` /
+    /// `bitsets` sub-phases and budget-fallback events land under the
+    /// `prepare` span). `extract` copies each output's strict-reach set
+    /// out (or, past the reach budget, BFSes it). The width filter covers
+    /// a sweep-overflow `full_plan` re-padding the cache after this
+    /// batch's width check already ran: one engine-path batch, and the
+    /// next `maintain_reach` rebuilds.
+    fn materialize(&mut self, g: &DynGraph, outputs: &[NodeId], span: &Span) {
+        if outputs.is_empty() {
+            return;
+        }
         let q = &self.pattern;
         let uo = q.output();
-        // Maintained mode: phase 1 already happened, spread over every
-        // batch since the state was built — prepare is just refcounting
-        // the planned outputs' component handles, O(plan), not O(view).
-        // The width filter covers a sweep-overflow `full_plan` re-padding
-        // the cache after this batch's width check already ran: one
-        // engine-path batch, and the next `maintain_reach` rebuilds.
-        if let Some(mr) =
-            self.maintained.as_ref().filter(|mr| mr.cond.width() == self.cache.width())
-        {
-            let handles: Vec<SetHandle> = plan
-                .outputs
-                .iter()
-                .map(|&v| {
-                    let c = mr.view.compact_of(uo, v).expect("planned outputs are alive");
-                    mr.cond.handle_for(c)
-                })
-                .collect();
-            if prep.is_enabled() {
-                prep.detail(format!("sources={} dp=true maintained=true", plan.len()));
+        let maintained =
+            self.maintained.as_ref().filter(|mr| mr.cond.width() == self.cache.width());
+        let prep = span.child("prepare");
+        let extract_span = || {
+            let ex = span.child("extract");
+            if ex.is_enabled() {
+                ex.detail(format!("outputs={}", outputs.len()));
             }
-            return PreparedSets::Maintained { handles, width: mr.cond.width() };
-        }
-        let view = DynMatchGraph::over_alive(g, q, &self.sim, self.cache.width());
-        let sources: Vec<u32> = plan
-            .outputs
-            .iter()
-            .map(|&v| view.compact_of(uo, v).expect("planned outputs are alive"))
-            .collect();
-        let engine = ReachEngine::prepare_traced(view, sources, &self.cfg.reach, &prep);
-        if prep.is_enabled() {
-            prep.detail(format!("sources={} dp={}", plan.len(), engine.used_dp()));
-        }
-        PreparedSets::Engine { engine: Box::new(engine) }
-    }
-
-    /// Stores the extracted relevant sets under the plan's outputs — the
-    /// deterministic merge step (`sets[i]` belongs to `plan.outputs[i]`,
-    /// whatever thread produced it).
-    pub(crate) fn apply_sets(&mut self, plan: &RefreshPlan, sets: Vec<BitSet>) {
-        debug_assert_eq!(plan.outputs.len(), sets.len());
-        for (&v, set) in plan.outputs.iter().zip(sets) {
+            ex
+        };
+        let compact = |view: &DynMatchGraph| -> Vec<u32> {
+            outputs
+                .iter()
+                .map(|&v| view.compact_of(uo, v).expect("planned outputs are alive"))
+                .collect()
+        };
+        let sets: Vec<BitSet> = match maintained {
+            Some(mr) => {
+                let sources = compact(&mr.view);
+                if prep.is_enabled() {
+                    prep.detail(format!("sources={} dp=true maintained=true", outputs.len()));
+                }
+                drop(prep);
+                let _ex = extract_span();
+                sources.iter().map(|&c| mr.cond.strict_reach(c)).collect()
+            }
+            None => {
+                let view = DynMatchGraph::over_alive(g, q, &self.sim, self.cache.width());
+                let sources = compact(&view);
+                let engine = ReachEngine::prepare_traced(view, sources, &self.cfg.reach, &prep);
+                if prep.is_enabled() {
+                    prep.detail(format!("sources={} dp={}", outputs.len(), engine.used_dp()));
+                }
+                drop(prep);
+                let _ex = extract_span();
+                engine.extract_all(1)
+            }
+        };
+        for (&v, set) in outputs.iter().zip(sets) {
             self.cache.upsert_bits(v, set);
             self.stats.sets_recomputed += 1;
         }
-    }
-
-    /// Materializes a plan with the configured fallback parallelism:
-    /// prepare once, extract every output (scoped threads in BFS-fallback
-    /// mode per `reach.threads`), merge. For standalone owners
-    /// (`DynamicMatcher`, registration) — registry pool workers call
-    /// [`Self::materialize_seq`] instead.
-    pub(crate) fn materialize(&mut self, g: &DynGraph, plan: &RefreshPlan) {
-        self.materialize_threads(g, plan, self.cfg.reach.threads, &Span::disabled());
-    }
-
-    /// As [`Self::materialize`] pinned to the calling thread — the form a
-    /// registry pool worker uses, where spawning scoped threads would
-    /// reintroduce the per-batch thread churn the persistent pool exists
-    /// to avoid (big dirty sets go through the pool split instead).
-    /// `prepare` + `extract` children land on `span`.
-    pub(crate) fn materialize_seq_traced(&mut self, g: &DynGraph, plan: &RefreshPlan, span: &Span) {
-        self.materialize_threads(g, plan, 1, span);
-    }
-
-    fn materialize_threads(
-        &mut self,
-        g: &DynGraph,
-        plan: &RefreshPlan,
-        threads: usize,
-        span: &Span,
-    ) {
-        if plan.outputs.is_empty() {
-            return;
-        }
-        let prepared = self.prepare_sets_traced(g, plan, span);
-        let sets = {
-            let ex = span.child("extract");
-            if ex.is_enabled() {
-                ex.detail(format!("outputs={}", plan.len()));
-            }
-            match &prepared {
-                PreparedSets::Engine { engine } => engine.extract_all(threads),
-                // Handle resolution is a bitset clone (or a short union)
-                // per output — memcpy-bound, no point spawning threads.
-                PreparedSets::Maintained { handles, width } => {
-                    handles.iter().map(|h| h.resolve(*width)).collect()
-                }
-            }
-        };
-        self.apply_sets(plan, sets);
     }
 
     /// Relevant set of output match `v` by forward BFS over the alive
@@ -1107,6 +1089,13 @@ impl PatternState {
         self.verify_maintained(g)
     }
 
+    /// Heap bytes the maintained condensation retains in `Full(c)`
+    /// bitsets — the figure the reach budget is enforced against; 0 while
+    /// the per-batch engine serves the pattern.
+    pub(crate) fn maintained_bytes(&self) -> usize {
+        self.maintained.as_ref().map_or(0, |mr| mr.cond.retained_bytes())
+    }
+
     /// How relevant-set preparation currently runs: `"maintained"` while
     /// the incremental condensation is alive, `"readopt-pending"` when the
     /// churn gate dropped it and the next calm batch will rebuild it, and
@@ -1155,120 +1144,6 @@ impl PatternState {
         let delta = mr.view.apply_pair_delta(g, &self.pattern, &self.sim, &[], &[], &[(v, w)]);
         !delta.is_empty()
     }
-
-    /// Weak handles on the maintained condensation's retained `Full(c)`
-    /// bitsets — the leak audit upgrades them after a `deregister` to
-    /// prove nothing but parked extraction handles keeps them alive.
-    #[doc(hidden)]
-    pub(crate) fn maintained_weak_fulls(&self) -> Option<Vec<std::sync::Weak<BitSet>>> {
-        self.maintained.as_ref().map(|mr| mr.cond.weak_fulls())
-    }
-}
-
-/// Which output matches a batch left needing fresh relevant sets —
-/// produced by [`PatternState::plan_refresh`] / [`PatternState::rebuild`],
-/// consumed by [`PatternState::materialize`] (sequential) or the
-/// registry's intra-pattern split (parallel extraction).
-#[derive(Debug, Default)]
-pub(crate) struct RefreshPlan {
-    /// Alive output matches to (re)derive, ascending.
-    outputs: Vec<NodeId>,
-    /// Alive output matches the maintained upper bounds proved unable to
-    /// displace the k-th answer — parked in the deferred set instead of
-    /// materialized. Already excluded from `outputs`.
-    pruned_outputs: usize,
-}
-
-impl RefreshPlan {
-    /// Number of sets to materialize.
-    pub(crate) fn len(&self) -> usize {
-        self.outputs.len()
-    }
-
-    /// Outputs the bounds pruned from this plan.
-    pub(crate) fn pruned(&self) -> usize {
-        self.pruned_outputs
-    }
-}
-
-/// A reach computation ready for extraction. Two provenances: a
-/// per-batch [`ReachEngine`] phase 1 (the alive-pair view plus the
-/// condensation DP's retained bitsets, or the BFS-fallback decision), or
-/// refcounted [`SetHandle`]s snapshotted off the maintained condensation
-/// — the handles stay valid however the state mutates afterwards, so a
-/// parked `PreparedSets` can cross into registry phase 2b (or outlive a
-/// `deregister`) holding only its own bitsets alive. Extraction is
-/// `&self` and thread-safe either way.
-pub(crate) enum PreparedSets {
-    Engine { engine: Box<ReachEngine<DynMatchGraph>> },
-    Maintained { handles: Vec<SetHandle>, width: usize },
-}
-
-impl PreparedSets {
-    /// Number of planned outputs.
-    pub(crate) fn len(&self) -> usize {
-        match self {
-            PreparedSets::Engine { engine } => engine.len(),
-            PreparedSets::Maintained { handles, .. } => handles.len(),
-        }
-    }
-
-    /// A per-thread extraction handle over this prepared computation
-    /// (shares the retained sets read-only; owns any BFS scratch).
-    pub(crate) fn extractor(&self) -> SetsExtractor<'_> {
-        match self {
-            PreparedSets::Engine { engine } => SetsExtractor::Engine(engine.extractor()),
-            PreparedSets::Maintained { handles, width } => {
-                SetsExtractor::Maintained { handles, width: *width }
-            }
-        }
-    }
-
-    /// `true` when fanning this extraction across pool workers can pay:
-    /// per-source BFS (the budget fallback) is always a real traversal
-    /// per output, while DP extraction — engine-prepared or maintained —
-    /// is a bitset clone per output, worth a pool barrier only at real
-    /// memcpy volume.
-    pub(crate) fn split_worthwhile(&self) -> bool {
-        /// Total bytes of DP extraction below which the barrier costs
-        /// more than parallel memcpy saves.
-        const MIN_DP_SPLIT_BYTES: usize = 4 << 20;
-        let (n, universe) = match self {
-            PreparedSets::Engine { engine } => {
-                if !engine.used_dp() {
-                    return true;
-                }
-                (engine.len(), engine.universe_size())
-            }
-            PreparedSets::Maintained { handles, width } => (handles.len(), *width),
-        };
-        n.saturating_mul(universe.div_ceil(8)) >= MIN_DP_SPLIT_BYTES
-    }
-
-    /// `true` when the condensation DP ran (vs. the budget-forced BFS).
-    #[cfg(test)]
-    pub(crate) fn used_dp(&self) -> bool {
-        match self {
-            PreparedSets::Engine { engine } => engine.used_dp(),
-            PreparedSets::Maintained { .. } => true,
-        }
-    }
-}
-
-/// Extraction handle over a [`PreparedSets`], one per worker thread.
-pub(crate) enum SetsExtractor<'a> {
-    Engine(ReachExtractor<'a, DynMatchGraph>),
-    Maintained { handles: &'a [SetHandle], width: usize },
-}
-
-impl SetsExtractor<'_> {
-    /// The strict-reach set of planned output `i`, as an owned bitset.
-    pub(crate) fn extract(&mut self, i: usize) -> BitSet {
-        match self {
-            SetsExtractor::Engine(ex) => ex.extract(i),
-            SetsExtractor::Maintained { handles, width } => handles[i].resolve(*width),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -1303,8 +1178,7 @@ mod tests {
             assert_eq!(dp, bfs, "relevant set of output match {v}");
         }
         if st.sim().graph_matches(st.pattern()) {
-            let truth =
-                expect.iter().map(|&v| (v, st.relevant_set_bfs(g, v).len() as u64));
+            let truth = expect.iter().map(|&v| (v, st.relevant_set_bfs(g, v).len() as u64));
             let want = rank_top_k(truth, st.cfg().k);
             assert_eq!(st.top_k().matches, want, "bound pruning changed the answer");
         }
@@ -1470,35 +1344,54 @@ mod tests {
     }
 
     /// The budget fallback really flips the engine mode when driven
-    /// through the dynamic view (not just through the static adapter).
+    /// through the dynamic view (not just through the static adapter):
+    /// a starved state never adopts a maintained condensation, its traced
+    /// refresh bails to per-source BFS before any Tarjan pass, and it
+    /// caches exactly the sets the maintained DP derives.
     #[test]
     fn zero_budget_forces_bfs_extraction_through_dynamic_view() {
+        use gpm_telemetry::Telemetry;
         let g = graph_from_parts(&[0, 1, 2, 0, 0], &[(0, 1), (1, 2), (3, 1), (4, 1)]).unwrap();
         let q = label_pattern(&[0, 1, 2], &[(0, 1), (1, 2)], 0).unwrap();
 
         let mut starved = IncrementalConfig::new(3);
         starved.reach = ReachConfig { budget_bytes: 0, threads: 1 };
-        let dyn_g = DynGraph::from_digraph(&g);
-        let dp = PatternState::new(&dyn_g, q.clone(), IncrementalConfig::new(3)).unwrap();
-        let bfs = PatternState::new(&dyn_g, q, starved).unwrap();
+        let mut dyn_g = DynGraph::from_digraph(&g);
+        let mut dp = PatternState::new(&dyn_g, q.clone(), IncrementalConfig::new(3)).unwrap();
+        let mut bfs = PatternState::new(&dyn_g, q, starved).unwrap();
+        assert_eq!(dp.reach_mode(), "maintained");
+        assert_eq!(bfs.reach_mode(), "engine");
+        assert_eq!(bfs.maintained_bytes(), 0);
 
-        let plan = RefreshPlan { outputs: dp.sim().structural_matches_of(0), pruned_outputs: 0 };
-        assert_eq!(plan.len(), 3);
-        let dp_prepared = dp.prepare_sets_traced(&dyn_g, &plan, &Span::disabled());
-        let bfs_prepared = bfs.prepare_sets_traced(&dyn_g, &plan, &Span::disabled());
-        assert!(dp_prepared.used_dp());
-        assert!(!bfs_prepared.used_dp(), "zero budget must force BFS extraction");
-        let mut dp_ex = dp_prepared.extractor();
-        let mut bfs_ex = bfs_prepared.extractor();
-        for i in 0..plan.len() {
-            assert_eq!(dp_ex.extract(i), bfs_ex.extract(i), "source {i}");
+        // A second C under node 1 dirties all three roots: both states
+        // re-derive every relevant set, each under its own trace.
+        let delta = GraphDelta::new().add_node(2).add_edge(1, 5);
+        let applied = dyn_g
+            .apply_with(&delta, |g, eff| {
+                dp.replay(g, eff);
+                bfs.replay(g, eff);
+            })
+            .unwrap();
+        let t = Telemetry::on();
+        let mut traces = Vec::new();
+        for (seq, st) in [&mut dp, &mut bfs].into_iter().enumerate() {
+            let root = t.root_span("apply");
+            st.refresh(&dyn_g, Batch::Replayed(&applied), &root).expect("touched patterns answer");
+            traces.push(t.finish_batch(root, seq as u64).expect("enabled"));
         }
-        // And the two states converged on identical cached sets: every
-        // root reaches {1, 2} whichever engine mode derived it.
+        let prepare = |i: usize| traces[i].spans_named("prepare").next().expect("prepare span");
+        assert!(prepare(0).detail.contains("maintained=true"), "{}", prepare(0).detail);
+        assert!(prepare(1).detail.contains("dp=false"), "{}", prepare(1).detail);
+        assert!(prepare(1).events.iter().any(|(_, e)| e == "budget-bail-early"));
+        assert_eq!(traces[1].spans_named("tarjan").count(), 0, "early bail skips Tarjan");
+
+        // And the two states converged on identical cached sets.
+        assert_eq!(dp.stats().sets_recomputed, bfs.stats().sets_recomputed);
         assert_eq!(dp.cache().matches(), bfs.cache().matches());
         for v in dp.cache().matches() {
             assert_eq!(dp.cache().set_of(v), bfs.cache().set_of(v));
-            assert_eq!(dp.cache().relevance_of(v), Some(2));
+            assert_eq!(dp.cache().relevance_of(v), Some(3));
         }
+        assert_eq!(dp.top_k().matches, bfs.top_k().matches);
     }
 }

@@ -1,14 +1,17 @@
 //! Equivalence: a `DynamicMatcher` maintained across random delta streams
 //! must answer exactly like the static pipeline on the final graph —
-//! matches, relevances, and diversified `F`-values alike.
+//! matches, relevances, and diversified `F`-values alike — and exactly
+//! like a `PatternRegistry` of one pattern, batch by batch: the two own
+//! no refresh logic of their own, only the decision what to replay.
 
 use gpm_core::config::{DivConfig, TopKConfig};
 use gpm_core::{top_k_by_match, top_k_cyclic, top_k_diversified};
 use gpm_graph::builder::graph_from_parts;
 use gpm_graph::{DiGraph, GraphDelta};
-use gpm_incremental::{DynamicMatcher, IncrementalConfig};
+use gpm_incremental::{ApplyStats, DynamicMatcher, IncrementalConfig, PatternRegistry, Telemetry};
 use gpm_pattern::builder::label_pattern;
 use gpm_pattern::Pattern;
+use gpm_pattern::{PatternBuilder, Predicate};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
@@ -138,6 +141,109 @@ fn delete_only_streams_agree_with_from_scratch() {
 #[test]
 fn mixed_streams_agree_with_from_scratch() {
     run_stream(StreamKind::Mixed, 0xC0FFEE, 40, 10);
+}
+
+/// `q` with every node predicate `Label(l)` rewritten as the one-disjunct
+/// `Or([Label(l)])`: the same candidates, matches and answers, but no
+/// node implies a label any more, so the registry's shared index cannot
+/// prove any structural op irrelevant and dispatches them all — as a
+/// matcher always does.
+fn undispatchable(q: &Pattern) -> Pattern {
+    let mut b = PatternBuilder::new();
+    for u in q.nodes() {
+        b.node(format!("u{u}"), Predicate::Or(vec![q.predicate(u).clone()]));
+    }
+    for (u, v) in q.edges() {
+        b.edge(u, v).unwrap();
+    }
+    b.output(q.output()).unwrap();
+    b.build().unwrap()
+}
+
+/// `ApplyStats` with the one wall-clock field zeroed, as a comparable
+/// string.
+fn counters(stats: &ApplyStats) -> String {
+    let mut stats = stats.clone();
+    stats.last_refresh_ns = 0;
+    format!("{stats:?}")
+}
+
+/// Span names below the root of the newest recorded trace, sorted.
+fn child_spans(t: &Telemetry) -> Vec<&'static str> {
+    let trace = t.recorder().recent().last().cloned().expect("every batch is traced");
+    assert_eq!(trace.spans[0].name, "apply");
+    let mut names: Vec<_> = trace.spans[1..].iter().map(|s| s.name).collect();
+    names.sort_unstable();
+    names
+}
+
+/// Matcher ≡ registry of one, after every batch of the streams above.
+///
+/// With the shared index out of the picture (`undispatchable`) the two
+/// are the same computation: equal answers, equal diffs, equal
+/// `ApplyStats`, and a traced apply of each records the same multiset of
+/// spans under its root — the refresh sequence exists once. With the
+/// index active (the plain label pattern) the registry may skip a batch
+/// the matcher replayed; then the matcher must report an empty diff, and
+/// the answers must still agree.
+fn matcher_equals_registry_of_one(kind: StreamKind, seed: u64, trials: usize, steps: usize) {
+    let mut rng = StdRng::seed_from_u64(seed);
+    for trial in 0..trials {
+        let n = rng.random_range(4..18usize);
+        let g = random_graph(&mut rng, n, 3, 2);
+        let q = loop {
+            let q = random_pattern(&mut rng, 3);
+            if q.node_count() >= 2 {
+                break q;
+            }
+        };
+        let k = rng.random_range(1..5usize);
+        // Randomized rebuild threshold: both sides must take the churn
+        // rebuild on the same batches.
+        let mut cfg = IncrementalConfig::new(k);
+        cfg.max_delta_fraction = [0.0, 0.05, 0.2, f64::INFINITY][rng.random_range(0..4usize)];
+
+        let mut m = DynamicMatcher::new(&g, undispatchable(&q), cfg.clone()).unwrap();
+        m.set_telemetry(Telemetry::on());
+        let mut reg = PatternRegistry::with_threads(&g, 1);
+        reg.set_telemetry(Telemetry::on());
+        let id = reg.register(undispatchable(&q), cfg.clone()).unwrap();
+        let mut indexed = PatternRegistry::with_threads(&g, 1);
+        let indexed_id = indexed.register(q, cfg).unwrap();
+
+        for step in 0..steps {
+            let ctx = format!("trial {trial} step {step}");
+            let delta = random_delta(&mut rng, m.graph(), kind);
+            let (top, diff) = m.apply_diffed(&delta).unwrap();
+
+            // A registry reports a pattern it replayed nothing into by
+            // omission; the matcher serves the standing answer, unmoved.
+            let agrees = |r: &mut PatternRegistry, rid, what: &str| {
+                match r.apply(&delta).unwrap().as_slice() {
+                    [] => assert!(diff.is_empty(), "{what} skipped a batch that moved: {ctx}"),
+                    [change] => {
+                        assert_eq!(change.top.matches, top.matches, "{what} answer: {ctx}");
+                        assert_eq!(change.diff, diff, "{what} diff: {ctx}");
+                    }
+                    more => panic!("one pattern, {} changes", more.len()),
+                }
+                assert_eq!(r.top_k(rid).unwrap().matches, top.matches, "{what} top-k: {ctx}");
+            };
+            agrees(&mut indexed, indexed_id, "indexed registry");
+            agrees(&mut reg, id, "registry");
+            assert_eq!(counters(&reg.stats_of(id).unwrap()), counters(m.stats()), "stats: {ctx}");
+            assert_eq!(child_spans(reg.telemetry()), child_spans(m.telemetry()), "spans: {ctx}");
+            m.check_maintained();
+            reg.check_maintained_all();
+        }
+    }
+}
+
+#[test]
+fn matcher_equals_registry_of_one_on_every_stream_kind() {
+    matcher_equals_registry_of_one(StreamKind::InsertOnly, 0xA11CE, 30, 8);
+    matcher_equals_registry_of_one(StreamKind::DeleteOnly, 0xB0B, 30, 8);
+    matcher_equals_registry_of_one(StreamKind::Mixed, 0xC0FFEE, 40, 10);
 }
 
 #[test]

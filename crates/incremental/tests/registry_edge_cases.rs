@@ -9,7 +9,7 @@ use gpm_core::top_k_by_match;
 use gpm_datagen::update_stream::{update_stream, UpdateStreamConfig};
 use gpm_graph::builder::graph_from_parts;
 use gpm_graph::GraphDelta;
-use gpm_incremental::{DynamicMatcher, IncrementalConfig, PatternRegistry};
+use gpm_incremental::{ApplyStats, DynamicMatcher, IncrementalConfig, PatternRegistry};
 use gpm_pattern::builder::label_pattern;
 
 /// Forced-incremental config: thresholds maxed so no rebuild safety net
@@ -265,25 +265,23 @@ fn invalid_delta_leaves_every_pattern_intact() {
     assert_eq!(reg.stats_of(id).unwrap().applies, 0);
 }
 
-/// A single giant pattern's refresh is split across pool workers: one
-/// changed edge dirties every output at once, the registry *decides* to
-/// chunk the extraction into per-worker output ranges
-/// (`intra_pattern_splits` — deterministic, counted at the decision),
-/// ≥ 2 distinct workers are then *observed* claiming chunks
-/// (`observed_multi_worker_refreshes` — scheduling-dependent), and the
-/// answer stays bit-identical to a static recompute — the merge is by
-/// output index, never by thread arrival order.
-///
-/// The workload makes per-chunk extraction genuinely heavy (a cyclic
-/// pattern over one big data cycle, reach budget forced to the BFS
-/// fallback) so the pool's dynamic chunk claiming reliably overlaps;
-/// the apply is retried a few times to keep the *observation* robust on
-/// a loaded machine (the *decision* needs no retries).
+/// `ApplyStats` with the one wall-clock field zeroed, as a comparable
+/// string.
+fn counters(stats: &ApplyStats) -> String {
+    let mut stats = stats.clone();
+    stats.last_refresh_ns = 0;
+    format!("{stats:?}")
+}
+
+/// One giant refresh — a changed edge dirties all 750 outputs of a
+/// 1500-node cycle at once, each a real BFS because the reach budget is
+/// zero — is one `PatternState::refresh` call on one worker whatever the
+/// pool size: registries at 1 and 4 threads serve identical answers with
+/// identical counters, both equal to a static recompute. (A second
+/// registration makes the 4-thread registry actually dispatch through its
+/// pool.)
 #[test]
-fn giant_pattern_refresh_splits_across_workers() {
-    // One 1500-node cycle alternating labels a/b: with the cyclic pattern
-    // A ⇄ B every pair is alive and every relevant set is the whole
-    // cycle, so each of the 750 outputs costs a real BFS to re-derive.
+fn giant_pattern_refresh_is_identical_at_one_and_four_threads() {
     let n = 1500u32;
     let labels: Vec<u32> = (0..n).map(|i| i % 2).collect();
     let edges: Vec<(u32, u32)> = (0..n).map(|i| (i, (i + 1) % n)).collect();
@@ -292,110 +290,89 @@ fn giant_pattern_refresh_splits_across_workers() {
 
     let mut cfg = forced(8);
     cfg.reach = gpm_ranking::ReachConfig { budget_bytes: 0, threads: 1 };
-    let mut reg = PatternRegistry::with_threads(&g, 4);
-    assert_eq!(reg.threads(), 4);
-    let id = reg.register(q.clone(), cfg).unwrap();
+    let mut regs = [PatternRegistry::with_threads(&g, 1), PatternRegistry::with_threads(&g, 4)];
+    assert_eq!(regs[1].threads(), 4);
+    let ids: Vec<_> = regs
+        .iter_mut()
+        .map(|reg| {
+            let id = reg.register(q.clone(), cfg.clone()).unwrap();
+            reg.register(q.clone(), forced(3)).unwrap();
+            id
+        })
+        .collect();
 
     // Toggling one cycle edge kills everything, then revives everything:
     // the revival batch leaves all 750 outputs dirty and alive.
-    let mut revivals = 0u64;
-    for _round in 0..6 {
-        reg.apply(&GraphDelta::new().remove_edge(0, 1)).unwrap();
-        reg.apply(&GraphDelta::new().add_edge(0, 1)).unwrap();
-        revivals += 1;
-        assert_eq!(reg.stats().last_rebuilds, 0, "forced incremental never rebuilds");
-        assert_eq!(reg.stats().last_intra_splits, 1, "revival chunked across the pool");
-        // The split *decision* is deterministic: exactly one per revival.
-        assert_eq!(reg.stats().intra_pattern_splits, revivals);
-        if reg.stats().observed_multi_worker_refreshes >= 1 {
-            break;
+    for _round in 0..3 {
+        for delta in [GraphDelta::new().remove_edge(0, 1), GraphDelta::new().add_edge(0, 1)] {
+            let changes: Vec<_> = regs.iter_mut().map(|reg| reg.apply(&delta).unwrap()).collect();
+            assert_eq!(changes[0].len(), 2);
+            assert_eq!(changes[1].len(), 2);
+            for (a, b) in changes[0].iter().zip(&changes[1]) {
+                assert_eq!(a.top.matches, b.top.matches);
+                assert_eq!(a.diff, b.diff);
+            }
+        }
+        for reg in &regs {
+            assert_eq!(reg.stats().last_rebuilds, 0, "forced incremental never rebuilds");
+            assert_eq!(reg.stats().intra_pattern_splits, 0, "nothing is split any more");
         }
     }
-    assert!(
-        reg.stats().observed_multi_worker_refreshes >= 1,
-        "≥ 2 distinct workers must have claimed chunks: {:?}",
-        reg.stats()
-    );
-
-    let top = reg.top_k(id).unwrap();
-    let base = top_k_by_match(&reg.snapshot(), &q, &TopKConfig::new(8));
-    assert_eq!(top.matches, base.matches, "relevances survive the parallel merge");
-
-    // Single-threaded registries never split (and never claim to).
-    let mut seq = PatternRegistry::with_threads(&g, 1);
-    seq.register(q, forced(8)).unwrap();
-    seq.apply(&GraphDelta::new().remove_edge(0, 1)).unwrap();
-    seq.apply(&GraphDelta::new().add_edge(0, 1)).unwrap();
-    assert_eq!(seq.stats().intra_pattern_splits, 0);
-    assert_eq!(seq.stats().last_intra_splits, 0);
-    assert_eq!(seq.stats().observed_multi_worker_refreshes, 0);
+    let base = top_k_by_match(&regs[0].snapshot(), &q, &TopKConfig::new(8));
+    for (reg, &id) in regs.iter().zip(&ids) {
+        assert_eq!(reg.top_k(id).unwrap().matches, base.matches);
+        assert_eq!(reg.pattern_info(id).unwrap().reach_mode, "engine", "zero budget");
+    }
+    let stats: Vec<_> = regs.iter().zip(&ids).map(|(r, &id)| r.stats_of(id).unwrap()).collect();
+    assert_eq!(counters(&stats[0]), counters(&stats[1]));
+    assert_eq!(stats[0].sets_recomputed, 750 * 4, "registration + one full revival per round");
 }
 
+/// Kill / revive / deregister mid-stream with the maintained condensation
+/// on: the oracle holds after every batch, a tombstoned component gives
+/// its `Full(c)` back at once (not at the next rebuild), and the registry
+/// keeps serving exactly after the slot is gone.
 #[test]
-fn deregister_frees_maintained_component_bitsets() {
-    // The leak audit for the maintained condensation's refcounted
-    // `Full(c)` bitsets. A cycle large enough that the revival batch
-    // parks a `PreparedSets::Maintained` for registry phase 2b (the
-    // parked handles clone the component Arcs), then the pattern is
-    // deregistered mid-stream. Nothing — not the parked extraction, not
-    // the answer cache, not the serving merge — may keep a component
-    // bitset alive past the path that owned it.
+fn deregister_mid_stream_keeps_the_registry_exact() {
     let n = 9000u32;
     let labels: Vec<u32> = (0..n).map(|i| i % 2).collect();
     let edges: Vec<(u32, u32)> = (0..n).map(|i| (i, (i + 1) % n)).collect();
     let g = graph_from_parts(&labels, &edges).unwrap();
     let q = label_pattern(&[0, 1], &[(0, 1), (1, 0)], 0).unwrap();
+    let exact = |reg: &PatternRegistry, id| {
+        reg.check_maintained_all();
+        let base = top_k_by_match(&reg.snapshot(), &q, &TopKConfig::new(8));
+        assert_eq!(reg.top_k(id).unwrap().matches, base.matches);
+    };
 
-    // Default reach budget: the condensation DP (and with it maintained
-    // mode) stays on — `budget_bytes: 0` would force the BFS fallback
-    // and leave nothing to audit.
     let mut reg = PatternRegistry::with_threads(&g, 4);
     let id = reg.register(q.clone(), forced(8)).unwrap();
-    let before_kill =
-        reg.maintained_weak_fulls(id).expect("maintained mode is on after registration");
-    assert!(
-        before_kill.iter().all(|w| w.upgrade().is_some()),
-        "live components hold their bitsets"
-    );
+    let one_full = reg.pattern_info(id).unwrap().maintained_bytes;
+    assert!(one_full >= n as usize / 8, "the cycle is one component holding one Full");
+    exact(&reg, id);
 
-    // Breaking the cycle kills every alive pair: the components are
-    // tombstoned and must drop their bitsets *eagerly*, not at the next
-    // rebuild — the pre-kill weak handles go dead while the pattern is
-    // still registered.
+    // Breaking the cycle kills every alive pair.
     reg.apply(&GraphDelta::new().remove_edge(0, 1)).unwrap();
-    assert!(
-        before_kill.iter().all(|w| w.upgrade().is_none()),
-        "tombstoned components freed their bitsets eagerly"
-    );
+    exact(&reg, id);
+    let info = reg.pattern_info(id).unwrap();
+    assert_eq!(info.reach_mode, "maintained");
+    assert_eq!(info.maintained_bytes, 0, "tombstoned components freed their bitsets eagerly");
 
-    // Revival dirties every output at once: big enough that the prepared
-    // maintained extraction is parked for phase 2b.
+    // Revival dirties every output at once.
     reg.apply(&GraphDelta::new().add_edge(0, 1)).unwrap();
     assert_eq!(reg.stats().last_rebuilds, 0, "forced incremental never rebuilds");
-    assert_eq!(reg.stats().last_intra_splits, 1, "revival parked a phase-2b extraction");
-    let top = reg.top_k(id).unwrap();
-    let base = top_k_by_match(&reg.snapshot(), &q, &TopKConfig::new(8));
-    assert_eq!(top.matches, base.matches, "answers exact through the parked extraction");
+    exact(&reg, id);
+    assert_eq!(reg.pattern_info(id).unwrap().maintained_bytes, one_full);
 
-    let weak = reg.maintained_weak_fulls(id).expect("maintained mode survived the toggle");
-    assert!(!weak.is_empty(), "the revived cycle retains at least one component bitset");
-    assert!(weak.iter().all(|w| w.upgrade().is_some()), "still alive while registered");
-
-    // Mid-stream deregister: the slot drop must be the last strong
-    // reference — every component bitset frees immediately.
     assert!(reg.deregister(id));
-    assert!(
-        weak.iter().all(|w| w.upgrade().is_none()),
-        "deregister leaked a maintained component bitset"
-    );
+    assert!(reg.pattern_info(id).is_none());
 
     // The registry itself keeps serving: the graph advances and a fresh
     // registration over the same shape answers exactly.
     reg.apply(&GraphDelta::new().remove_edge(0, 1)).unwrap();
     reg.apply(&GraphDelta::new().add_edge(0, 1)).unwrap();
     let id2 = reg.register(q.clone(), forced(8)).unwrap();
-    let base = top_k_by_match(&reg.snapshot(), &q, &TopKConfig::new(8));
-    assert_eq!(reg.top_k(id2).unwrap().matches, base.matches);
+    exact(&reg, id2);
 }
 
 #[test]
@@ -419,9 +396,9 @@ fn overflow_rebuild_respects_the_reach_budget() {
 
     let mut reg = PatternRegistry::with_threads(&g, 1);
     let roomy = reg.register(q.clone(), forced(4)).unwrap();
-    let fulls = reg.maintained_weak_fulls(roomy).expect("default budget maintains");
-    assert_eq!(fulls.len(), 1, "the ring is one component");
-    let full_bytes = fulls[0].upgrade().expect("live").heap_bytes();
+    // The ring is one component: the retained bytes are one `Full`.
+    let full_bytes = reg.pattern_info(roomy).unwrap().maintained_bytes;
+    assert!(full_bytes > 0, "default budget maintains");
 
     let mut tight_cfg = forced(4);
     tight_cfg.reach.budget_bytes = 8 * full_bytes + 4096;
@@ -441,7 +418,8 @@ fn overflow_rebuild_respects_the_reach_budget() {
         "engine",
         "200 retained bitsets do not fit a budget of 8"
     );
-    assert!(reg.maintained_weak_fulls(tight).is_none());
+    assert_eq!(reg.pattern_info(tight).unwrap().maintained_bytes, 0);
+    assert_eq!(reg.pattern_info(roomy).unwrap().maintained_bytes, 200 * full_bytes);
 
     // The per-batch engine takes over with exact answers, now and on the
     // next batch.
@@ -456,4 +434,74 @@ fn overflow_rebuild_respects_the_reach_budget() {
         "engine",
         "budget drops do not re-adopt"
     );
+}
+
+/// The churn gate drops the maintained condensation and re-adopts it
+/// against the **same** denominator. It used to drop past 12.5 % of the
+/// alive pairs but re-adopt under 12.5 % of the *candidate* pairs, so on
+/// a pattern with few matches among many candidates one churn level
+/// dropped the state on every kill batch and rebuilt it from scratch on
+/// every revive batch (8 `cond_rebuilds` in 8 batches, `reach_mode`
+/// flipping each time).
+///
+/// A → B → C over 4 000 A / 4 000 B / 400 C nodes with 400 matching
+/// chains: 1 200 alive pairs among 8 400 candidates. 6 000 A → A edges
+/// keep `max_delta_fraction` quiet; each batch toggles 200 B → C edges —
+/// pair churn 600, above the 512 floor, above 12.5 % of 1 200 and below
+/// 12.5 % of 8 400.
+#[test]
+fn sustained_churn_stays_dropped_until_a_calm_batch_readopts() {
+    let (na, nb, nc) = (4000u32, 4000u32, 400u32);
+    let mut labels = vec![0u32; na as usize];
+    labels.extend(vec![1u32; nb as usize]);
+    labels.extend(vec![2u32; nc as usize]);
+    let (a, b, c) = (|i: u32| i, |i: u32| na + i, |i: u32| na + nb + i);
+    let mut edges = Vec::new();
+    for i in 0..nc {
+        edges.extend([(a(i), b(i)), (b(i), c(i))]);
+    }
+    for i in 0..6000u32 {
+        edges.push((a(i % na), a((i * 7 + 1 + i / na) % na)));
+    }
+    let g = graph_from_parts(&labels, &edges).unwrap();
+    let q = label_pattern(&[0, 1, 2], &[(0, 1), (1, 2)], 0).unwrap();
+
+    let mut reg = PatternRegistry::with_threads(&g, 1);
+    let id = reg.register(q.clone(), IncrementalConfig::new(5)).unwrap();
+    assert_eq!(reg.pattern_info(id).unwrap().reach_mode, "maintained");
+    let exact = |reg: &PatternRegistry| {
+        reg.check_maintained_all();
+        let base = top_k_by_match(&reg.snapshot(), &q, &TopKConfig::new(5));
+        assert_eq!(reg.top_k(id).unwrap().matches, base.matches);
+    };
+
+    for batch in 0..8 {
+        let mut delta = GraphDelta::new();
+        for i in 0..200 {
+            delta = if batch % 2 == 0 {
+                delta.remove_edge(b(i), c(i))
+            } else {
+                delta.add_edge(b(i), c(i))
+            };
+        }
+        reg.apply(&delta).unwrap();
+        exact(&reg);
+        let info = reg.pattern_info(id).unwrap();
+        assert_eq!(info.reach_mode, "readopt-pending", "batch {batch}: same churn, same verdict");
+        assert_eq!(info.stats.cond_rebuilds, 1, "batch {batch}: the one drop, no re-adopt");
+        assert_eq!(info.stats.full_rebuilds, 0);
+        assert_eq!(info.stats.full_rank_refreshes, 0);
+    }
+
+    // The first genuinely calm batch re-adopts, once; later calm batches
+    // maintain in place.
+    reg.apply(&GraphDelta::new().remove_edge(b(300), c(300))).unwrap();
+    exact(&reg);
+    let info = reg.pattern_info(id).unwrap();
+    assert_eq!(info.reach_mode, "maintained");
+    assert_eq!(info.stats.cond_rebuilds, 2);
+    reg.apply(&GraphDelta::new().add_edge(b(300), c(300))).unwrap();
+    exact(&reg);
+    let info = reg.pattern_info(id).unwrap();
+    assert_eq!((info.stats.cond_rebuilds, info.stats.cond_incremental), (2, 1));
 }

@@ -23,12 +23,12 @@
 //!   Probes run sequentially over the batch so interacting multi-edge
 //!   cycles are caught by the latest edge's probe.
 //! * **Dirty `Full(c)` bitsets propagate only to ancestors.** Each live
-//!   component holds `Full(c)` (member data nodes ∪ successors' `Full`)
-//!   behind an [`Arc`] — extraction hands out refcounted snapshots, and
-//!   replacing a set frees the old one as soon as the last parked reader
-//!   drops it. After restructuring, only the changed components and
-//!   their condensation-DAG ancestors (walked over exact predecessor
-//!   sets) are recomputed, successors-first.
+//!   component owns `Full(c)` (member data nodes ∪ successors' `Full`);
+//!   extraction ([`CondensationState::strict_reach`]) copies out an owned
+//!   set, so nothing outside the state ever aliases one. After
+//!   restructuring, only the changed components and their
+//!   condensation-DAG ancestors (walked over exact predecessor sets) are
+//!   recomputed, successors-first.
 //!
 //! When a batch's affected region outgrows [`CondPolicy`]'s thresholds
 //! the state reports [`MaintainError`] and the caller falls back to a
@@ -47,9 +47,8 @@
 //! [`CondensationState::upper_bound`] reads it in O(1).
 
 use std::collections::{BTreeSet, HashMap};
-use std::sync::Arc;
 
-use gpm_graph::scc::Successors;
+use gpm_graph::scc::TarjanScratch;
 use gpm_graph::BitSet;
 use gpm_simulation::{PairDelta, ReachView};
 
@@ -95,34 +94,6 @@ pub struct MaintainStats {
     pub restructured_comps: usize,
 }
 
-/// A reference-counted extraction handle: the strict-reach set of a
-/// source pair, resolvable to an owned bitset without holding the state.
-#[derive(Debug, Clone)]
-pub enum SetHandle {
-    /// Nontrivial source component: its own `Full(c)` (the cycle makes
-    /// every member reachable from every member via ≥ 1 edge).
-    Full(Arc<BitSet>),
-    /// Trivial source component: union of the successors' `Full`s — the
-    /// strictness of "via at least one edge".
-    Union(Vec<Arc<BitSet>>),
-}
-
-impl SetHandle {
-    /// Materializes the handle as an owned bitset of `width` bits.
-    pub fn resolve(&self, width: usize) -> BitSet {
-        match self {
-            SetHandle::Full(a) => (**a).clone(),
-            SetHandle::Union(parts) => {
-                let mut b = BitSet::new(width);
-                for a in parts {
-                    b.union_with(a);
-                }
-                b
-            }
-        }
-    }
-}
-
 #[derive(Debug, Clone)]
 struct CompSlot {
     live: bool,
@@ -138,7 +109,7 @@ struct CompSlot {
     /// Size > 1, or a single member with a self-loop.
     nontrivial: bool,
     /// `Full(c)` = member data nodes ∪ successors' `Full`.
-    full: Arc<BitSet>,
+    full: BitSet,
     /// `popcount(Full(c))`, written wherever `full` is.
     full_count: u64,
 }
@@ -154,6 +125,8 @@ pub struct CondensationState {
     free: Vec<u32>,
     width: usize,
     live_pairs: usize,
+    /// Tarjan scratch, kept so a region re-run costs O(region).
+    tarjan: TarjanScratch,
 }
 
 impl CondensationState {
@@ -167,11 +140,11 @@ impl CondensationState {
             free: Vec::new(),
             width: view.universe_size(),
             live_pairs: 0,
+            tarjan: TarjanScratch::default(),
         };
         let region: Vec<u32> = (0..n as u32).filter(|&p| alive(p)).collect();
         st.live_pairs = region.len();
-        let sccs = tarjan_region(view, &region, &alive);
-        for scc in sccs {
+        for scc in region_sccs(&mut st.tarjan, view, &region, &alive) {
             st.install_component(view, scc);
         }
         let all: BTreeSet<u32> = (0..st.comps.len() as u32).collect();
@@ -197,33 +170,29 @@ impl CondensationState {
         self.comps.iter().filter(|c| c.live).count()
     }
 
-    /// Heap bytes held by the live components' `Full` bitsets — budget
-    /// gating and the leak audit read this.
+    /// Heap bytes held by the live components' `Full` bitsets — what the
+    /// reach budget is enforced against and `PatternInfo::maintained_bytes`
+    /// reports.
     pub fn retained_bytes(&self) -> usize {
         self.comps.iter().filter(|c| c.live).map(|c| c.full.heap_bytes()).sum()
     }
 
-    /// Weak references to every live component's `Full` bitset — the leak
-    /// audit downgrades these, drops the state, and asserts nothing but
-    /// still-parked [`SetHandle`]s can keep a bitset alive.
-    pub fn weak_fulls(&self) -> Vec<std::sync::Weak<BitSet>> {
-        self.comps.iter().filter(|c| c.live).map(|c| Arc::downgrade(&c.full)).collect()
-    }
-
-    /// The strict-reach extraction handle of alive pair `p`: a refcounted
-    /// snapshot that stays valid (and keeps only its own bitsets alive)
-    /// however the state changes afterwards.
-    pub fn handle_for(&self, p: u32) -> SetHandle {
+    /// The strict-reach set of alive pair `p` (data nodes of pairs
+    /// reachable via ≥ 1 edge), as an owned bitset: a nontrivial
+    /// component's own `Full(c)` (the cycle makes every member reachable
+    /// from every member), a trivial one's union of successor `Full`s.
+    pub fn strict_reach(&self, p: u32) -> BitSet {
         let c = self.comp_of[p as usize];
         debug_assert_ne!(c, DEAD, "extraction from a dead pair");
         let slot = &self.comps[c as usize];
         if slot.nontrivial {
-            SetHandle::Full(Arc::clone(&slot.full))
-        } else {
-            SetHandle::Union(
-                slot.succs.iter().map(|&s| Arc::clone(&self.comps[s as usize].full)).collect(),
-            )
+            return slot.full.clone();
         }
+        let mut set = BitSet::new(self.width);
+        for &s in &slot.succs {
+            set.union_with(&self.comps[s as usize].full);
+        }
+        set
     }
 
     /// Folds one batch's pair-level delta into the maintained
@@ -343,7 +312,7 @@ impl CondensationState {
                 .collect();
             region.sort_unstable();
             let comp_of = &self.comp_of;
-            let sccs = tarjan_region(view, &region, |p| {
+            let sccs = region_sccs(&mut self.tarjan, view, &region, |p| {
                 let c = comp_of[p as usize];
                 c != DEAD && restructure.contains(&c)
             });
@@ -420,7 +389,7 @@ impl CondensationState {
             if ms.nontrivial != fs.nontrivial {
                 return Err(format!("pair {p}: nontrivial {} != {}", ms.nontrivial, fs.nontrivial));
             }
-            if *ms.full != *fs.full {
+            if ms.full != fs.full {
                 return Err(format!("pair {p}: Full mismatch"));
             }
             let want = fs.full.count() as u64;
@@ -461,7 +430,7 @@ impl CondensationState {
             succs: Vec::new(),
             preds: BTreeSet::new(),
             nontrivial: false,
-            full: Arc::new(BitSet::new(0)),
+            full: BitSet::new(0),
             full_count: 0,
         };
         match self.free.pop() {
@@ -495,14 +464,13 @@ impl CondensationState {
 
     /// Retires component `c`: unregisters it from its successors'
     /// predecessor sets and marks every predecessor for successor-list
-    /// and `Full` recomputation (they lost a descendant id). Dropping the
-    /// slot's `Arc` frees `Full(c)` as soon as no parked extraction holds
-    /// a snapshot — the refcounted eager-freeing path.
+    /// and `Full` recomputation (they lost a descendant id). `Full(c)` is
+    /// freed here, not at the next rebuild.
     fn retire(&mut self, c: u32, succ_fix: &mut BTreeSet<u32>, full_dirty: &mut BTreeSet<u32>) {
         let slot = &mut self.comps[c as usize];
         slot.live = false;
         slot.members = Vec::new();
-        slot.full = Arc::new(BitSet::new(0));
+        slot.full = BitSet::new(0);
         slot.full_count = 0;
         let succs = std::mem::take(&mut slot.succs);
         let preds = std::mem::take(&mut slot.preds);
@@ -582,7 +550,7 @@ impl CondensationState {
             }
             let slot = &mut self.comps[c as usize];
             slot.full_count = f.count() as u64;
-            slot.full = Arc::new(f);
+            slot.full = f;
         }
     }
 
@@ -642,84 +610,28 @@ enum Probe {
     Cycle(BTreeSet<u32>),
 }
 
-/// Iterative Tarjan over the subgraph induced by `in_region`, visiting
-/// `roots` in order. Returns SCCs (members sorted) in emission order —
-/// reverse topological within the region.
-fn tarjan_region<V: Successors>(
+/// SCCs (members sorted) of the subgraph of `view` induced by `in_region`,
+/// from `roots` in order, in emission order — reverse topological within
+/// the region.
+fn region_sccs<V: ReachView>(
+    tarjan: &mut TarjanScratch,
     view: &V,
     roots: &[u32],
     in_region: impl Fn(u32) -> bool,
 ) -> Vec<Vec<u32>> {
-    let mut next = 0u32;
-    let mut index: HashMap<u32, u32> = HashMap::new();
-    let mut low: HashMap<u32, u32> = HashMap::new();
-    let mut on_stack: BTreeSet<u32> = BTreeSet::new();
-    let mut stack: Vec<u32> = Vec::new();
-    let mut frames: Vec<(u32, usize)> = Vec::new();
     let mut out: Vec<Vec<u32>> = Vec::new();
-
-    for &root in roots {
-        if index.contains_key(&root) {
-            continue;
-        }
-        index.insert(root, next);
-        low.insert(root, next);
-        next += 1;
-        stack.push(root);
-        on_stack.insert(root);
-        frames.push((root, 0));
-        while let Some(&(v, i)) = frames.last() {
-            let succs = view.successors_of(v);
-            if i < succs.len() {
-                frames.last_mut().expect("nonempty").1 += 1;
-                let w = succs[i];
-                if !in_region(w) {
-                    continue;
-                }
-                match index.get(&w).copied() {
-                    None => {
-                        index.insert(w, next);
-                        low.insert(w, next);
-                        next += 1;
-                        stack.push(w);
-                        on_stack.insert(w);
-                        frames.push((w, 0));
-                    }
-                    Some(wi) => {
-                        if on_stack.contains(&w) {
-                            let lv = low[&v].min(wi);
-                            low.insert(v, lv);
-                        }
-                    }
-                }
-            } else {
-                frames.pop();
-                if let Some(&(p, _)) = frames.last() {
-                    let lp = low[&p].min(low[&v]);
-                    low.insert(p, lp);
-                }
-                if low[&v] == index[&v] {
-                    let mut scc = Vec::new();
-                    loop {
-                        let w = stack.pop().expect("tarjan stack holds the SCC");
-                        on_stack.remove(&w);
-                        scc.push(w);
-                        if w == v {
-                            break;
-                        }
-                    }
-                    scc.sort_unstable();
-                    out.push(scc);
-                }
-            }
-        }
-    }
+    tarjan.run(view, roots.iter().copied(), in_region, |scc| {
+        let mut scc = scc.to_vec();
+        scc.sort_unstable();
+        out.push(scc);
+    });
     out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gpm_graph::scc::Successors;
 
     /// Toy mutable pair graph implementing [`ReachView`] with identity
     /// universe projection.
@@ -771,7 +683,7 @@ mod tests {
         st.validate(view, |p| alive[p as usize]).expect("maintained ≡ from-scratch");
         for p in 0..view.adj.len() as u32 {
             if alive[p as usize] {
-                let got = st.handle_for(p).resolve(view.width);
+                let got = st.strict_reach(p);
                 let want = strict_reach_bfs(view, alive, p);
                 assert_eq!(got, want, "strict reach of pair {p}");
             }
@@ -912,7 +824,7 @@ mod tests {
         let mut h = Harness::new(4, &[(0, 1), (1, 2), (2, 3)]);
         h.batch(&[Op::Kill(3)]).expect("maintained");
         h.check();
-        assert!(!h.st.handle_for(0).resolve(4).contains(3), "ancestors shed the dead node");
+        assert!(!h.st.strict_reach(0).contains(3), "ancestors shed the dead node");
         h.batch(&[Op::Revive(3), Op::AddEdge(2, 3), Op::AddEdge(3, 1)]).expect("maintained");
         h.check();
     }

@@ -42,9 +42,9 @@ pub use bounds::{
     output_upper_bounds, output_upper_bounds_on_cone, BoundConfig, BoundStrategy, OutputBounds,
 };
 pub use cache::RelevanceCache;
-pub use cond_state::{CondPolicy, CondensationState, MaintainError, MaintainStats, SetHandle};
+pub use cond_state::{CondPolicy, CondensationState, MaintainError, MaintainStats};
 pub use distance::{DistanceFn, JaccardDistance, MatchInfo, NeighborhoodDiversity};
 pub use objective::{c_uo, Objective};
-pub use reach_sets::{ReachConfig, ReachEngine, ReachExtractor};
+pub use reach_sets::{ReachConfig, ReachEngine};
 pub use relevance::{RelevanceCtx, RelevanceFn, RelevantSetSize};
 pub use relevant_set::{relevant_set_of_pair, RelevantSets};

@@ -18,19 +18,17 @@
 //!    A source pair in a *nontrivial* component (on a cycle) reads
 //!    `R = Full(c)`; in a trivial one, the union of successor `Full`s —
 //!    the strictness of "via ≥ 1 edge".
-//! 2. **extract** ([`ReachEngine::extract`]) — clone out the retained set
-//!    of any one source. Extraction is read-only and thread-safe, so
-//!    callers can fan a large dirty set out across worker threads
-//!    (per-worker source ranges, deterministic merge by index) — the
-//!    condensation and the component bitsets are shared, never repeated.
-//!    A caller that only needs sizes (the bound index) reads
-//!    [`ReachEngine::counts`] instead and copies nothing.
+//! 2. **extract** ([`ReachEngine::extract_all`]) — clone out the retained
+//!    set of each source. Extraction is read-only; the condensation and
+//!    the component bitsets are shared, never repeated. A caller that
+//!    only needs sizes (the bound index) reads [`ReachEngine::counts`]
+//!    instead and copies nothing.
 //!
 //! If the estimated peak memory exceeds the budget, the engine degrades
 //! to per-source BFS over the pair graph — the same `O(|V|(|V|+|E|))`
 //! worst case the paper quotes with a bounded memory footprint —
-//! behind the **same** extraction interface, so callers parallelize both
-//! modes identically.
+//! behind the **same** extraction interface; `extract_all` spreads the
+//! per-source traversals over [`ReachConfig::threads`] scoped threads.
 
 use std::collections::VecDeque;
 
@@ -45,9 +43,7 @@ pub struct ReachConfig {
     /// computation falls back to per-source BFS.
     pub budget_bytes: usize,
     /// Threads for batch extraction in BFS-fallback mode (0 = available
-    /// parallelism). DP extraction stays sequential here; callers that
-    /// want parallel DP extraction drive [`ReachEngine::extract`] from
-    /// their own workers.
+    /// parallelism). DP extraction is bitset copies and stays sequential.
     pub threads: usize,
 }
 
@@ -254,40 +250,17 @@ impl<V: ReachView> ReachEngine<V> {
         ReachEngine { view, sources, m, mode: Mode::Dp { sets, of_source } }
     }
 
-    /// Number of sources.
-    pub fn len(&self) -> usize {
-        self.sources.len()
-    }
-
-    /// `true` when there is no source.
-    pub fn is_empty(&self) -> bool {
-        self.sources.is_empty()
-    }
-
     /// `true` when the condensation DP ran; `false` when the memory budget
     /// forced BFS extraction.
     pub fn used_dp(&self) -> bool {
         matches!(self.mode, Mode::Dp { .. })
     }
 
-    /// Universe width of the extracted bitsets.
-    pub fn universe_size(&self) -> usize {
-        self.m
-    }
-
-    /// Phase 2, one-shot: the strict-reachability set of source `i` as a
-    /// fresh bitset. For extracting many sources from one thread, make a
-    /// [`Self::extractor`] instead — it reuses BFS scratch across calls.
-    pub fn extract(&self, i: usize) -> BitSet {
-        self.extractor().extract(i)
-    }
-
     /// A per-thread extraction handle carrying reusable scratch (visited
-    /// bitset + queue for the BFS-fallback mode; nothing in DP mode).
-    /// Make one per worker/chunk and pull many sources through it — the
-    /// fallback runs exactly when memory is tight, so it must not churn
-    /// an `O(pairs)`-bit allocation per source.
-    pub fn extractor(&self) -> ReachExtractor<'_, V> {
+    /// bitset + queue for the BFS-fallback mode; nothing in DP mode) —
+    /// the fallback runs exactly when memory is tight, so it must not
+    /// churn an `O(pairs)`-bit allocation per source.
+    fn extractor(&self) -> ReachExtractor<'_, V> {
         let scratch_bits = match self.mode {
             Mode::Dp { .. } => 0,
             Mode::Bfs => self.view.node_count(),
@@ -347,7 +320,7 @@ impl<V: ReachView> ReachEngine<V> {
 /// A per-thread phase-2 handle over a prepared [`ReachEngine`]: shares
 /// the engine's retained sets read-only and owns the BFS scratch, so
 /// extracting a whole chunk of sources costs one scratch allocation.
-pub struct ReachExtractor<'a, V> {
+struct ReachExtractor<'a, V> {
     engine: &'a ReachEngine<V>,
     visited: BitSet,
     queue: VecDeque<u32>,
@@ -356,7 +329,7 @@ pub struct ReachExtractor<'a, V> {
 impl<V: ReachView> ReachExtractor<'_, V> {
     /// The strict-reachability set of source `i` as a fresh bitset over
     /// the view's universe.
-    pub fn extract(&mut self, i: usize) -> BitSet {
+    fn extract(&mut self, i: usize) -> BitSet {
         match &self.engine.mode {
             Mode::Dp { sets, of_source } => sets[of_source[i] as usize].clone(),
             Mode::Bfs => self.bfs_from(self.engine.sources[i]),
@@ -440,9 +413,10 @@ mod tests {
         }
     }
 
-    /// The two-phase engine reports its mode and extracts per source.
+    /// The two-phase engine reports its mode; both modes extract the same
+    /// set per source.
     #[test]
-    fn engine_modes_and_indexed_extraction() {
+    fn engine_modes_agree_on_every_source() {
         let g =
             graph_from_parts(&[0, 1, 2, 1, 0], &[(0, 1), (1, 2), (0, 3), (3, 2), (4, 3)]).unwrap();
         let q = label_pattern(&[0, 1, 2], &[(0, 1), (1, 2)], 0).unwrap();
@@ -455,18 +429,16 @@ mod tests {
             &ReachConfig::default(),
         );
         assert!(dp.used_dp());
-        assert_eq!(dp.len(), sources.len());
         let bfs = ReachEngine::prepare(
             mg.reach_view(sim.space()),
             sources.clone(),
             &ReachConfig { budget_bytes: 0, threads: 1 },
         );
         assert!(!bfs.used_dp());
-        for i in 0..sources.len() {
-            assert_eq!(dp.extract(i), bfs.extract(i), "source {i}");
-        }
-        // Out-of-order / repeated extraction is legal (read-only phase 2).
-        assert_eq!(dp.extract(0), dp.extract(0));
+        assert_eq!(dp.extract_all(1).len(), sources.len());
+        assert_eq!(dp.extract_all(1), bfs.extract_all(1));
+        // Repeated extraction is legal (read-only phase 2).
+        assert_eq!(bfs.extract_all(1), bfs.extract_all(2));
     }
 
     /// On a cycle, a pair reaches itself (strictness via nonempty path).
@@ -551,9 +523,7 @@ mod tests {
         let trace = t.finish_batch(root, 1).expect("enabled");
         assert!(trace.spans[0].events.iter().any(|(_, e)| e == "budget-bail-early"));
         assert_eq!(trace.spans_named("tarjan").count(), 0, "early bail skips Tarjan");
-        for i in 0..sources.len() {
-            assert_eq!(dp.extract(i), bfs.extract(i), "tracing never changes answers");
-        }
+        assert_eq!(dp.extract_all(1), bfs.extract_all(1), "tracing never changes answers");
     }
 
     /// Shared-node diamond: distinct pairs with the same data node must not

@@ -205,7 +205,8 @@ fn pattern_json(info: &PatternInfo) -> String {
     format!(
         concat!(
             "{{\"id\":\"{}\",\"nodes\":{},\"edges\":{},\"k\":{},\"lambda\":{},",
-            "\"reach_mode\":\"{}\",\"bound_mode\":\"{}\",\"stats\":{{",
+            "\"reach_mode\":\"{}\",\"bound_mode\":\"{}\",\"maintained_bytes\":{},",
+            "\"stats\":{{",
             "\"applies\":{},\"incremental_applies\":{},\"full_rebuilds\":{},",
             "\"full_rank_refreshes\":{},\"sets_recomputed\":{},\"cond_incremental\":{},",
             "\"cond_rebuilds\":{},\"pruned_outputs\":{},",
@@ -220,6 +221,7 @@ fn pattern_json(info: &PatternInfo) -> String {
         info.lambda,
         info.reach_mode,
         info.bound_mode,
+        info.maintained_bytes,
         s.applies,
         s.incremental_applies,
         s.full_rebuilds,

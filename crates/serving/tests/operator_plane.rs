@@ -137,6 +137,7 @@ fn live_service_scrapes_clean_over_tcp() {
     assert!(body.contains("\"id\":\"pattern#0\""), "{body}");
     assert!(body.contains("\"reach_mode\":\"maintained\""), "{body}");
     assert!(body.contains("\"bound_mode\":\"per-component\""), "{body}");
+    assert!(body.contains("\"maintained_bytes\":"), "{body}");
     assert!(body.contains("\"pruned_outputs\":"), "{body}");
     assert!(body.contains("\"bound_rebuilds\":"), "{body}");
     assert!(body.contains("\"last_refresh_ns\":"), "{body}");

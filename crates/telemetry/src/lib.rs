@@ -63,11 +63,10 @@ pub mod names {
 
     /// Span names the instrumented stack opens, root to leaf: batch
     /// ingest; registry delta apply (with its lockstep `replay` child);
-    /// per-pattern phase-2a refresh; incremental condensation
-    /// maintenance (`condense_incremental`, replacing `prepare` on
-    /// maintained batches) vs. plan/DP-prepare (with `tarjan` +
-    /// `bitsets` children) vs. extract (per chunk under phase-2b
-    /// splits); subscription fan-out; log persistence.
+    /// per-pattern refresh; incremental condensation maintenance
+    /// (`condense_incremental`), plan, prepare (with `tarjan` +
+    /// `bitsets` children when the per-batch engine runs) and extract;
+    /// subscription fan-out; log persistence.
     pub const PHASES: &[&str] = &[
         "ingest",
         "apply",
@@ -89,14 +88,8 @@ pub mod names {
     pub const REGISTRY_DEREGISTRATIONS: &str = "gpm_registry_deregistrations_total";
     pub const REGISTRY_OPS_REPLAYED: &str = "gpm_registry_ops_replayed_total";
     pub const REGISTRY_OPS_SKIPPED: &str = "gpm_registry_ops_skipped_total";
-    /// Phase-2b split *decisions* (deterministic; see ISSUE 6 satellite).
-    pub const REGISTRY_INTRA_SPLITS: &str = "gpm_registry_intra_pattern_splits_total";
-    /// Refreshes *observed* on ≥2 distinct worker threads (scheduling-
-    /// dependent; kept separate from the decision counter on purpose).
-    pub const REGISTRY_MULTI_WORKER: &str = "gpm_registry_observed_multi_worker_refreshes_total";
     pub const REGISTRY_LAST_TOUCHED: &str = "gpm_registry_last_patterns_touched";
     pub const REGISTRY_LAST_REBUILDS: &str = "gpm_registry_last_rebuilds";
-    pub const REGISTRY_LAST_INTRA_SPLITS: &str = "gpm_registry_last_intra_splits";
 
     // Worker-pool occupancy (copied from the pool's own atomics once per
     // batch — gauges because they are point-in-time running totals).
@@ -165,11 +158,8 @@ pub mod names {
             REGISTRY_DEREGISTRATIONS => "Patterns deregistered.",
             REGISTRY_OPS_REPLAYED => "Effective ops replayed into per-pattern state.",
             REGISTRY_OPS_SKIPPED => "Effective ops skipped by the shared interest index.",
-            REGISTRY_INTRA_SPLITS => "Phase-2b intra-pattern split decisions.",
-            REGISTRY_MULTI_WORKER => "Refreshes observed on >=2 distinct worker threads.",
             REGISTRY_LAST_TOUCHED => "Patterns touched by the last batch.",
             REGISTRY_LAST_REBUILDS => "Patterns rebuilt by the last batch.",
-            REGISTRY_LAST_INTRA_SPLITS => "Intra-pattern splits in the last batch.",
             POOL_BUSY_NANOS => "Cumulative busy nanoseconds across pool workers.",
             POOL_TASKS => "Tasks completed by the worker pool.",
             POOL_QUEUE_DEPTH => "Worker-pool items pending at snapshot time.",
@@ -234,7 +224,8 @@ pub struct TelemetryConfig {
     /// slow threshold — a slow batch is never invisible, sampled or
     /// not. `1` (the default) traces every batch; `0` is normalized to
     /// `1`. Production guidance: 16 keeps full tracing under the 2%
-    /// overhead target on microbatch floods (see `BENCH_serving.json`).
+    /// overhead target on microbatch floods (the benchmark's
+    /// `telemetry.overhead_pct` prices full tracing on each workload).
     pub trace_sample: u32,
 }
 
