@@ -32,12 +32,6 @@ pub struct TopKConfig {
     pub bound_config: BoundConfig,
     /// Set-reachability policy for the `Match` baseline / score finalization.
     pub reach: ReachConfig,
-    /// Complete the winners' cones after termination so reported `δr` values
-    /// are exact (the returned *set* is correct either way).
-    pub exact_scores: bool,
-    /// Random strategy: activate `ceil(total_leaves / divisor)` leaves per
-    /// wave (min 64).
-    pub random_batch_divisor: usize,
 }
 
 impl TopKConfig {
@@ -48,13 +42,10 @@ impl TopKConfig {
             strategy: SelectionStrategy::Optimized,
             // Adaptive: the tight `ProductReach` index while the candidate
             // product graph fits the budget (it is what makes Prop. 3 fire
-            // early — see the `bounds_ablation` bench), the paper's cheap
-            // descendant-count index beyond it.
+            // early), the paper's cheap descendant-count index beyond it.
             bounds: BoundStrategy::Auto,
             bound_config: BoundConfig::default(),
             reach: ReachConfig::default(),
-            exact_scores: true,
-            random_batch_divisor: 32,
         }
     }
 
@@ -91,7 +82,6 @@ mod tests {
         let c = TopKConfig::new(10);
         assert_eq!(c.k, 10);
         assert_eq!(c.strategy, SelectionStrategy::Optimized);
-        assert!(c.exact_scores);
         let n = c.clone().nopt(7);
         assert_eq!(n.strategy, SelectionStrategy::Random { seed: 7 });
         let d = DivConfig::new(5, 0.5);

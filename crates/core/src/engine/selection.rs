@@ -80,8 +80,9 @@ impl Engine<'_> {
         self.stack = stack;
     }
 
+    /// Random strategy: a 32nd of the leaves per wave, at least 64.
     fn leaf_chunk_target(&self) -> usize {
-        (self.rank0.len() / self.cfg.random_batch_divisor.max(1)).max(64)
+        (self.rank0.len() / 32).max(64)
     }
 
     fn select_random(&mut self, batch: &mut Vec<u32>) {

@@ -9,7 +9,8 @@ use gpm_graph::NodeId;
 pub struct RankedMatch {
     /// The matched data node.
     pub node: NodeId,
-    /// Its relevance `δr(uo, node)` (exact when `exact_scores` is on).
+    /// Its relevance `δr(uo, node)` — exact: the winners' cones are
+    /// completed after termination.
     pub relevance: u64,
 }
 

@@ -52,9 +52,7 @@ pub fn top_k(g: &DiGraph, q: &Pattern, cfg: &TopKConfig) -> TopKResult {
             if sel.terminated(eng.best_rest_bound(&selection)) {
                 eng.stats_mut().early_terminated = true;
                 eng.stats_mut().inspected_matches = eng.matched_count();
-                if cfg.exact_scores {
-                    eng.complete_cones(&selection);
-                }
+                eng.complete_cones(&selection);
                 return finish(eng, selection, t0);
             }
         }

@@ -86,9 +86,7 @@ fn run(g: &DiGraph, q: &Pattern, cfg: &DivConfig, offer_batch: OfferBatch) -> Di
         eng.wave();
     }
 
-    if cfg.topk.exact_scores {
-        eng.complete_cones(&s);
-    }
+    eng.complete_cones(&s);
 
     // Exact F(S) on completed sets.
     let rels: Vec<f64> = s.iter().map(|&i| eng.output_l(i) as f64).collect();

@@ -160,8 +160,9 @@ pub enum EffectiveOp {
     EdgeAdded(NodeId, NodeId),
     /// An edge disappeared.
     EdgeRemoved(NodeId, NodeId),
-    /// A node was tombstoned (after its incident edges were removed).
-    NodeRemoved(NodeId),
+    /// A node with this id and label was tombstoned (after its incident
+    /// edges were removed; the slot no longer holds the label).
+    NodeRemoved(NodeId, Label),
     /// An attribute of a live node changed to `value` (insert or
     /// overwrite — same-value sets are filtered out as no-ops).
     AttrSet {

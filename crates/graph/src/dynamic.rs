@@ -280,7 +280,7 @@ impl DynGraph {
                     self.labels[v as usize] = TOMBSTONE_LABEL;
                     self.attrs[v as usize] = Attributes::new();
                     out.removed_nodes.push(v);
-                    emit!(self, EffectiveOp::NodeRemoved(v));
+                    emit!(self, EffectiveOp::NodeRemoved(v, label));
                 }
                 DeltaOp::SetAttr { node, ref key, ref value } => {
                     // Tombstoned / never-added targets: recorded no-op

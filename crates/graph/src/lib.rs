@@ -13,8 +13,9 @@
 //! * [`scc`] — iterative Tarjan strongly-connected components, the
 //!   condensation DAG `G_SCC` and the topological ranks `r(v)` used by the
 //!   paper's top-k algorithms (Section 4);
-//! * [`BitSet`] — a fixed-width bitset used for relevant-set algebra
-//!   (`R(u,v)` unions, intersections and Jaccard distances);
+//! * [`BitSet`] — a word-packed bitset used for relevant-set algebra
+//!   (`R(u,v)` unions, intersections and Jaccard distances; operands of
+//!   unequal capacity zero-extend);
 //! * [`reach`] — BFS/DFS utilities and hop distances (used by the
 //!   distance-based diversity function of Section 3.4);
 //! * [`io`] — a line-oriented text format and a compact binary snapshot

@@ -120,16 +120,16 @@ pub struct ApplyStats {
     /// region re-Tarjan / DAG probe, not a from-scratch condensation).
     pub cond_incremental: u64,
     /// Full re-condensations of the maintained reach state — policy
-    /// fallbacks (probe/region overflow), width migrations and churn
-    /// rebuilds. Zero when the budget keeps maintained mode off.
+    /// fallbacks (probe/region overflow) and churn rebuilds. Zero when
+    /// the budget keeps maintained mode off.
     pub cond_rebuilds: u64,
     /// Output materializations skipped across all batches because the
     /// maintained upper bound proved they cannot displace the k-th
     /// answer.
     pub pruned_outputs: u64,
     /// From-scratch rebuilds of the maintained bounds: re-condensations
-    /// of a live maintained state (probe/region fallbacks, width
-    /// migrations, whole-state rebuilds) while pruning was on — always
+    /// of a live maintained state (probe/region fallbacks, whole-state
+    /// rebuilds) while pruning was on — always
     /// `≤ cond_rebuilds`. Attr-only and tombstone-only batches must never
     /// increment this.
     pub bound_rebuilds: u64,

@@ -40,7 +40,7 @@ use parking_lot::Mutex;
 
 use crate::matcher::{ApplyStats, IncrementalConfig, IncrementalError};
 use crate::pool::WorkerPool;
-use crate::state::{removed_label_map, worst_churn, Batch, PatternState};
+use crate::state::{worst_churn, Batch, PatternState};
 
 /// Stable handle of a registered pattern. Ids are never reused, so a
 /// handle kept across a deregistration simply stops resolving.
@@ -386,7 +386,6 @@ impl PatternRegistry {
     ) -> Result<Vec<AnswerChange>, IncrementalError> {
         let churn = worst_churn(&self.graph, delta);
         let edges = self.graph.edge_count();
-        let removed_labels = removed_label_map(&self.graph, delta);
         let n = self.slots.len();
 
         // Phase 1 (sequential): mutate the shared graph ONCE, replaying
@@ -407,7 +406,7 @@ impl PatternRegistry {
                     if rebuild[i] {
                         continue;
                     }
-                    if st.wants(g, eff, &removed_labels) {
+                    if st.wants(g, eff) {
                         st.replay(g, eff);
                         touched[i] = true;
                         replayed += 1;

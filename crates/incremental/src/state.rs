@@ -20,21 +20,19 @@
 //! one: a dirty output's relevant set is a copy of a retained `Full(c)`,
 //! so there is no per-output traversal worth fanning out.
 
-use std::collections::{BTreeSet, HashMap, HashSet};
+use std::collections::{BTreeSet, HashSet};
 use std::time::Instant;
 
 use gpm_core::result::{rank_top_k, AnswerDiff, DivResult, RankedMatch, RunStats, TopKResult};
 use gpm_core::topk_div::greedy_diversified;
 use gpm_core::BoundedSelector;
 use gpm_graph::dynamic::DynGraph;
-use gpm_graph::{
-    AppliedDelta, BitSet, DeltaOp, EffectiveOp, GraphDelta, Label, NodeId, TOMBSTONE_LABEL,
-};
+use gpm_graph::{AppliedDelta, BitSet, DeltaOp, EffectiveOp, GraphDelta, Label, NodeId};
 use gpm_pattern::Pattern;
 use gpm_ranking::objective::{c_uo_with, Objective};
 use gpm_ranking::{CondPolicy, CondensationState, MaintainError, ReachEngine, RelevanceCache};
 use gpm_simulation::incremental::DynPair;
-use gpm_simulation::{DynMatchGraph, IncSimState, ReachView};
+use gpm_simulation::{DynMatchGraph, IncSimState};
 use gpm_telemetry::Span;
 
 use crate::matcher::{ApplyStats, IncrementalConfig, IncrementalError};
@@ -148,36 +146,6 @@ pub(crate) fn worst_churn(g: &DynGraph, delta: &GraphDelta) -> usize {
     churn
 }
 
-/// Pre-batch labels of the nodes `delta` removes, keyed by node id. By the
-/// time the `NodeRemoved` effective op reaches a hook the slot is already
-/// tombstoned, so interest filtering needs the label captured up front —
-/// including for nodes the same batch adds (their ids are simulated).
-pub(crate) fn removed_label_map(g: &DynGraph, delta: &GraphDelta) -> HashMap<NodeId, Label> {
-    let mut next = g.node_count() as NodeId;
-    let mut added: HashMap<NodeId, Label> = HashMap::new();
-    let mut out = HashMap::new();
-    for op in &delta.ops {
-        match *op {
-            DeltaOp::AddNode(label) => {
-                added.insert(next, label);
-                next += 1;
-            }
-            DeltaOp::RemoveNode(v) => {
-                let label = added.get(&v).copied().unwrap_or_else(|| {
-                    if (v as usize) < g.node_count() {
-                        g.label(v)
-                    } else {
-                        TOMBSTONE_LABEL // out of range: the batch will be rejected
-                    }
-                });
-                out.insert(v, label);
-            }
-            _ => {}
-        }
-    }
-    out
-}
-
 /// The stateful half of the reach engine: the alive-pair view kept
 /// packed across batches plus the incrementally maintained condensation
 /// over it (whose component slots also hold the upper bounds `h` that
@@ -185,7 +153,9 @@ pub(crate) fn removed_label_map(g: &DynGraph, delta: &GraphDelta) -> HashMap<Nod
 /// the reach budget admits the retained `Full(c)` bitsets — dropped
 /// (never half-trusted) when it stops fitting, at which point
 /// [`PatternState::materialize`] falls back to the per-batch
-/// [`ReachEngine`] prepare.
+/// [`ReachEngine`] prepare. Growth of the node-id space is not an event
+/// here: the view's universe follows the graph, a `Full(c)` takes the new
+/// width when it is next rebuilt, and older ones zero-extend.
 #[derive(Debug, Clone)]
 struct MaintainedReach {
     view: DynMatchGraph,
@@ -262,7 +232,7 @@ impl PatternState {
             pattern.predicate(u).collect_attr_keys(&mut attr_keys);
         }
         let mut state = PatternState {
-            cache: RelevanceCache::new(g.node_count()),
+            cache: RelevanceCache::default(),
             pattern,
             cfg,
             sim,
@@ -276,7 +246,7 @@ impl PatternState {
             deferred: BTreeSet::new(),
         };
         state.rebuild_maintained(g, &Span::disabled());
-        let outputs = state.full_plan(g);
+        let outputs = state.full_plan();
         state.materialize(g, &outputs, &Span::disabled());
         state.sim.take_dirty();
         state.served = state.top_k().matches;
@@ -316,14 +286,9 @@ impl PatternState {
     /// candidacy (candidacy is a pure function of `(label, attrs)`).
     /// Patterns with label-free predicates degrade gracefully: their label
     /// filters report interested for every structural op.
-    pub(crate) fn wants(
-        &self,
-        g: &DynGraph,
-        eff: &EffectiveOp,
-        removed_labels: &HashMap<NodeId, Label>,
-    ) -> bool {
+    pub(crate) fn wants(&self, g: &DynGraph, eff: &EffectiveOp) -> bool {
         match *eff {
-            EffectiveOp::NodeAdded(_, label) => {
+            EffectiveOp::NodeAdded(_, label) | EffectiveOp::NodeRemoved(_, label) => {
                 self.node_labels.as_ref().is_none_or(|set| set.contains(&label))
             }
             EffectiveOp::EdgeAdded(s, t) | EffectiveOp::EdgeRemoved(s, t) => {
@@ -333,10 +298,6 @@ impl PatternState {
                     .as_ref()
                     .is_none_or(|set| set.contains(&(g.label(s), g.label(t))))
             }
-            EffectiveOp::NodeRemoved(v) => match removed_labels.get(&v) {
-                Some(label) => self.node_labels.as_ref().is_none_or(|set| set.contains(label)),
-                None => true, // unknown pre-batch label: dispatch conservatively
-            },
             EffectiveOp::AttrSet { ref key, .. } | EffectiveOp::AttrUnset { ref key, .. } => {
                 self.attr_keys.contains(&**key)
             }
@@ -351,7 +312,7 @@ impl PatternState {
             EffectiveOp::NodeAdded(v, _) => self.sim.on_node_added(g, q, v),
             EffectiveOp::EdgeAdded(s, t) => self.sim.on_edge_inserted(g, q, s, t),
             EffectiveOp::EdgeRemoved(s, t) => self.sim.on_edge_removed(g, q, s, t),
-            EffectiveOp::NodeRemoved(v) => self.sim.on_node_removed(q, v),
+            EffectiveOp::NodeRemoved(v, _) => self.sim.on_node_removed(q, v),
             EffectiveOp::AttrSet { node, ref key, .. }
             | EffectiveOp::AttrUnset { node, ref key } => self.sim.on_attr_changed(g, q, node, key),
         }
@@ -400,7 +361,7 @@ impl PatternState {
                 outputs
             }
             Batch::Untouched => {
-                self.refresh_untouched(g);
+                self.refresh_untouched();
                 return None;
             }
         };
@@ -416,7 +377,7 @@ impl PatternState {
         self.sim.take_dirty();
         self.stats.full_rebuilds += 1;
         self.stats.last_pruned_outputs = 0;
-        let outputs = self.full_plan(g);
+        let outputs = self.full_plan();
         if self.maintained.is_some() {
             self.note_recondense();
         }
@@ -430,11 +391,11 @@ impl PatternState {
     /// with its exact endpoint-label pair, and a candidacy-changing attr
     /// flip needs a mentioned key (the same tests [`Self::wants`] applies)
     /// — the edge scan of [`Self::plan_refresh`] could not yield a seed
-    /// either. Only the width guard and the per-batch counters remain.
-    fn refresh_untouched(&mut self, g: &DynGraph) {
+    /// either. Only the per-batch counters remain: nodes the batch
+    /// appended cost this pattern nothing.
+    fn refresh_untouched(&mut self) {
         let seeds = self.sim.take_dirty();
         debug_assert!(seeds.is_empty(), "untouched pattern has no flips");
-        self.cache.ensure_width(g.node_count());
         self.stats.incremental_applies += 1;
         self.stats.last_swept_pairs = 0;
         self.stats.last_dirty_outputs = 0;
@@ -459,7 +420,6 @@ impl PatternState {
         span: &Span,
     ) -> Vec<DynPair> {
         let flips = self.sim.take_dirty();
-        self.cache.ensure_width(g.node_count());
         let churn = flips.len() + applied.added_edges.len() + applied.removed_edges.len();
         let Some(mut mr) = self.maintained.take() else {
             // Re-adoption after a churn drop: once the stream is calm
@@ -475,14 +435,6 @@ impl PatternState {
             return flips;
         };
         let ci = span.child("condense_incremental");
-        if mr.view.universe_size() != self.cache.width() {
-            // The cache migrated to a wider universe: the retained bitsets
-            // are the wrong width, so the view/condensation restart there.
-            ci.event("cond-width-rebuild");
-            self.note_recondense();
-            self.rebuild_maintained(g, &ci);
-            return flips;
-        }
         // Past the churn gate the incremental dance — per-edge CSR
         // surgery in the view plus the bounded-region re-condensation —
         // costs more than the per-batch engine pipeline: drop the
@@ -600,8 +552,6 @@ impl PatternState {
                 }
             }
         }
-        self.cache.ensure_width(g.node_count());
-
         if seeds.is_empty() {
             self.stats.incremental_applies += 1;
             self.stats.last_swept_pairs = 0;
@@ -644,7 +594,7 @@ impl PatternState {
             // The affected region is most of the graph: rebuild the whole
             // cache (simulation stays incremental — it already converged).
             self.stats.full_rank_refreshes += 1;
-            return self.full_plan(g);
+            return self.full_plan();
         }
 
         // Partial refresh: only the affected output matches need work.
@@ -681,14 +631,8 @@ impl PatternState {
             return candidates;
         }
 
-        // Bound-driven pruning, when the maintained condensation is live
-        // and width-aligned with the cache (the same filter materialize
-        // applies).
-        let Some(mr) = self
-            .maintained
-            .as_ref()
-            .filter(|mr| self.cfg.bounds && mr.cond.width() == self.cache.width())
-        else {
+        // Bound-driven pruning, when the maintained condensation is live.
+        let Some(mr) = self.maintained.as_ref().filter(|_| self.cfg.bounds) else {
             // No usable bounds: flush — materialize everything, including
             // any backlog deferred while bounds were available.
             self.deferred.clear();
@@ -864,8 +808,8 @@ impl PatternState {
 
     /// Resets the cache and plans a re-derivation of **every** structural
     /// output match (fresh registration, churn rebuild, sweep overflow).
-    fn full_plan(&mut self, g: &DynGraph) -> Vec<NodeId> {
-        self.cache = RelevanceCache::new(g.node_count());
+    fn full_plan(&mut self) -> Vec<NodeId> {
+        self.cache = RelevanceCache::default();
         self.deferred.clear();
         self.sim.structural_matches_of(self.pattern.output())
     }
@@ -877,10 +821,10 @@ impl PatternState {
     fn rebuild_maintained(&mut self, g: &DynGraph, span: &Span) {
         self.maintained = None;
         self.maint_readopt = false;
-        if self.cache.width().div_ceil(64) * 8 > self.cfg.reach.budget_bytes {
+        if g.node_count().div_ceil(64) * 8 > self.cfg.reach.budget_bytes {
             return;
         }
-        let view = DynMatchGraph::over_alive(g, &self.pattern, &self.sim, self.cache.width());
+        let view = DynMatchGraph::over_alive(g, &self.pattern, &self.sim);
         let cond = CondensationState::build(&view, |p| view.is_alive(p));
         self.install_maintained(MaintainedReach { view, cond }, span);
     }
@@ -904,25 +848,22 @@ impl PatternState {
     /// Derives and caches the relevant set of every output in `outputs`
     /// (alive output matches, ascending) — the one materialization path,
     /// on the calling thread. `prepare` is phase 1 of the reach
-    /// computation: with a live, width-aligned maintained condensation it
-    /// happened already, spread over every batch since the state was
-    /// built, and is just resolving the planned outputs' pair slots —
-    /// O(plan), not O(view); otherwise the per-batch [`ReachEngine`]
+    /// computation: with a live maintained condensation it happened
+    /// already, spread over every batch since the state was built, and is
+    /// just resolving the planned outputs' pair slots — O(plan), not
+    /// O(view); otherwise the per-batch [`ReachEngine`]
     /// packs the alive-pair view and condenses it (its `tarjan` /
     /// `bitsets` sub-phases and budget-fallback events land under the
     /// `prepare` span). `extract` copies each output's strict-reach set
-    /// out (or, past the reach budget, BFSes it). The width filter covers
-    /// a sweep-overflow `full_plan` re-padding the cache after this
-    /// batch's width check already ran: one engine-path batch, and the
-    /// next `maintain_reach` rebuilds.
+    /// out (or, past the reach budget, BFSes it). Either way a set is as
+    /// wide as the graph is now; the cache keeps it beside narrower ones
+    /// from before the graph grew.
     fn materialize(&mut self, g: &DynGraph, outputs: &[NodeId], span: &Span) {
         if outputs.is_empty() {
             return;
         }
         let q = &self.pattern;
         let uo = q.output();
-        let maintained =
-            self.maintained.as_ref().filter(|mr| mr.cond.width() == self.cache.width());
         let prep = span.child("prepare");
         let extract_span = || {
             let ex = span.child("extract");
@@ -937,7 +878,7 @@ impl PatternState {
                 .map(|&v| view.compact_of(uo, v).expect("planned outputs are alive"))
                 .collect()
         };
-        let sets: Vec<BitSet> = match maintained {
+        let sets: Vec<BitSet> = match &self.maintained {
             Some(mr) => {
                 let sources = compact(&mr.view);
                 if prep.is_enabled() {
@@ -948,7 +889,7 @@ impl PatternState {
                 sources.iter().map(|&c| mr.cond.strict_reach(c)).collect()
             }
             None => {
-                let view = DynMatchGraph::over_alive(g, q, &self.sim, self.cache.width());
+                let view = DynMatchGraph::over_alive(g, q, &self.sim);
                 let sources = compact(&view);
                 let engine = ReachEngine::prepare_traced(view, sources, &self.cfg.reach, &prep);
                 if prep.is_enabled() {
@@ -960,7 +901,7 @@ impl PatternState {
             }
         };
         for (&v, set) in outputs.iter().zip(sets) {
-            self.cache.upsert_bits(v, set);
+            self.cache.upsert(v, set);
             self.stats.sets_recomputed += 1;
         }
     }
@@ -1028,7 +969,7 @@ impl PatternState {
     /// through health instead of crashing the service.
     pub(crate) fn verify_maintained(&self, g: &DynGraph) -> Result<(), String> {
         let Some(mr) = &self.maintained else { return Ok(()) };
-        let fresh = DynMatchGraph::over_alive(g, &self.pattern, &self.sim, mr.view.universe_size());
+        let fresh = DynMatchGraph::over_alive(g, &self.pattern, &self.sim);
         if mr.view.alive_count() != fresh.len() {
             return Err(format!(
                 "maintained view: alive pair count {} != fresh {}",

@@ -505,3 +505,133 @@ fn sustained_churn_stays_dropped_until_a_calm_batch_readopts() {
     let info = reg.pattern_info(id).unwrap();
     assert_eq!((info.stats.cond_rebuilds, info.stats.cond_incremental), (2, 1));
 }
+
+/// A → B and C → D over one graph whose id space grows by 800 nodes:
+/// per batch 45 of a label neither pattern names and 5 fresh B nodes
+/// wired under existing A matches, each growth batch followed by a small
+/// edge batch. Growth is not an event for a pattern: neither one — the
+/// one whose matches the new nodes join, nor the one every growth batch
+/// passes by untouched — ever re-condenses, and both serve exactly
+/// throughout.
+#[test]
+fn node_growth_never_recondenses_any_pattern() {
+    let quads = 10u32;
+    let labels: Vec<u32> = (0..4 * quads).map(|i| i % 4).collect();
+    let (a, b, c, d) = (|i: u32| 4 * i, |i: u32| 4 * i + 1, |i: u32| 4 * i + 2, |i: u32| 4 * i + 3);
+    let mut edges = Vec::new();
+    for i in 0..quads {
+        edges.extend([(a(i), b(i)), (c(i), d(i)), (c(i), d((i + 1) % quads))]);
+    }
+    let g = graph_from_parts(&labels, &edges).unwrap();
+    let q_ab = label_pattern(&[0, 1], &[(0, 1)], 0).unwrap();
+    let q_cd = label_pattern(&[2, 3], &[(0, 1)], 0).unwrap();
+
+    let mut reg = PatternRegistry::with_threads(&g, 1);
+    let ids = [
+        reg.register(q_ab.clone(), forced(3)).unwrap(),
+        reg.register(q_cd.clone(), forced(3)).unwrap(),
+    ];
+    let exact = |reg: &PatternRegistry, ctx: &str| {
+        reg.check_maintained_all();
+        let snap = reg.snapshot();
+        for (id, q) in ids.iter().zip([&q_ab, &q_cd]) {
+            let base = top_k_by_match(&snap, q, &TopKConfig::new(3));
+            assert_eq!(reg.top_k(*id).unwrap().matches, base.matches, "{ctx}");
+            assert_eq!(reg.pattern_info(*id).unwrap().reach_mode, "maintained", "{ctx}");
+        }
+    };
+    exact(&reg, "registration");
+
+    for round in 0..16u32 {
+        let mut grow = GraphDelta::new();
+        let first = reg.graph().node_count() as u32;
+        for j in 0..50u32 {
+            if j % 10 == 0 {
+                // A fresh B under one old A: that A's relevance moves.
+                grow = grow.add_node(1).add_edge(a((round + j / 10) % 4), first + j);
+            } else {
+                grow = grow.add_node(9);
+            }
+        }
+        reg.apply(&grow).unwrap();
+        exact(&reg, &format!("growth batch {round}"));
+
+        let i = round % quads;
+        let small = if round % 2 == 0 {
+            GraphDelta::new().remove_edge(a(i), b(i)).remove_edge(c(i), d(i))
+        } else {
+            GraphDelta::new().add_edge(a(i - 1), b(i - 1)).add_edge(c(i - 1), d(i - 1))
+        };
+        reg.apply(&small).unwrap();
+        exact(&reg, &format!("edge batch {round}"));
+    }
+    assert!(reg.graph().node_count() >= 40 + 3 * 256);
+    for id in ids {
+        let st = reg.stats_of(id).unwrap();
+        assert_eq!((st.cond_rebuilds, st.bound_rebuilds), (0, 0), "growth re-condensed {id:?}");
+        assert_eq!((st.full_rebuilds, st.full_rank_refreshes), (0, 0));
+    }
+}
+
+/// A sweep overflow on a graph that grew since registration rebuilds the
+/// whole cache — from the maintained condensation, which stays in step:
+/// the overflowing batch's `prepare` resolves slots in the maintained
+/// view, and the batch after it maintains in place.
+#[test]
+fn sweep_overflow_after_growth_keeps_the_maintained_condensation() {
+    use gpm_telemetry::Telemetry;
+    let g = graph_from_parts(&[0, 1, 0, 1, 0, 1], &[(0, 1), (2, 3), (4, 5), (0, 3)]).unwrap();
+    let q = label_pattern(&[0, 1], &[(0, 1)], 0).unwrap();
+    let mut cfg = forced(2);
+    cfg.max_dirty_fraction = 0.0;
+    let mut reg = PatternRegistry::with_threads(&g, 1);
+    let id = reg.register(q.clone(), cfg).unwrap();
+
+    let mut grow = GraphDelta::new();
+    for _ in 0..300 {
+        grow = grow.add_node(9);
+    }
+    reg.apply(&grow).unwrap();
+
+    let t = Telemetry::on();
+    let root = t.root_span("apply");
+    reg.apply_traced(&GraphDelta::new().add_edge(2, 5), &root).unwrap();
+    let trace = t.finish_batch(root, 1).expect("enabled");
+    let st = reg.stats_of(id).unwrap();
+    assert_eq!(st.full_rank_refreshes, 1, "a zero dirty fraction overflows every sweep");
+    let prepare = trace.spans_named("prepare").next().expect("the full plan materializes");
+    assert!(prepare.detail.contains("maintained=true"), "{}", prepare.detail);
+
+    reg.apply(&GraphDelta::new().remove_edge(0, 3)).unwrap();
+    reg.check_maintained_all();
+    let info = reg.pattern_info(id).unwrap();
+    assert_eq!(info.reach_mode, "maintained");
+    assert_eq!((info.stats.cond_rebuilds, info.stats.bound_rebuilds), (0, 0));
+    let base = top_k_by_match(&reg.snapshot(), &q, &TopKConfig::new(2));
+    assert_eq!(reg.top_k(id).unwrap().matches, base.matches);
+}
+
+/// A `NodeRemoved` effect carries the label it removed, so the shared
+/// index judges a removal like an addition: a node of a label the pattern
+/// never names is added and removed inside one batch without the pattern
+/// replaying either op, while removing a node it does name replays the
+/// stripped edge and the tombstone.
+#[test]
+fn node_removal_dispatches_on_the_removed_label() {
+    let g = graph_from_parts(&[0, 1, 1], &[(0, 1), (0, 2)]).unwrap();
+    let q = label_pattern(&[0, 1], &[(0, 1)], 0).unwrap();
+    let mut reg = PatternRegistry::new(&g);
+    let id = reg.register(q.clone(), forced(2)).unwrap();
+
+    let touched = reg.apply(&GraphDelta::new().add_node(7).remove_node(3)).unwrap();
+    assert!(touched.is_empty(), "label 7 is none of the pattern's business");
+    assert_eq!((reg.stats().ops_replayed, reg.stats().ops_skipped), (0, 2));
+    assert!(reg.graph().is_removed(3));
+
+    let touched = reg.apply(&GraphDelta::new().remove_node(2)).unwrap();
+    assert_eq!(touched.len(), 1);
+    assert_eq!((reg.stats().ops_replayed, reg.stats().ops_skipped), (2, 2));
+    assert_eq!(reg.top_k(id).unwrap().matches[0].relevance, 1);
+    let base = top_k_by_match(&reg.snapshot(), &q, &TopKConfig::new(2));
+    assert_eq!(reg.top_k(id).unwrap().matches, base.matches);
+}

@@ -6,6 +6,9 @@
 //! over **data-node ids** rather than a per-query compact universe, because
 //! node ids are stable across updates while universes are not — and the
 //! maintenance layer invalidates and recomputes only the dirty entries.
+//! Each set keeps the capacity it was built with: sets cached before and
+//! after the graph grew differ in width, and every comparison zero-extends
+//! the narrower one (see [`gpm_graph::BitSet`]).
 //!
 //! Relevance and Jaccard distance values are identical to the
 //! universe-encoded ones (both encodings are bijective on the same sets),
@@ -22,8 +25,7 @@ use gpm_graph::{BitSet, NodeId};
 #[derive(Debug, Clone)]
 struct CachedSet {
     bits: BitSet,
-    /// `bits.count()`, computed once at [`RelevanceCache::upsert`]. Width
-    /// migrations preserve membership, so the count never goes stale.
+    /// `bits.count()`, computed once at [`RelevanceCache::upsert`].
     delta_r: u64,
 }
 
@@ -32,60 +34,12 @@ struct CachedSet {
 #[derive(Debug, Clone, Default)]
 pub struct RelevanceCache {
     sets: BTreeMap<NodeId, CachedSet>,
-    /// Bit width of the stored sets (≥ graph node count; grows by
-    /// headroom-rounding so node additions rarely force a migration).
-    width: usize,
-}
-
-/// Round a width up with headroom so repeated node additions amortize.
-fn padded(width: usize) -> usize {
-    (width + 256).next_multiple_of(256)
 }
 
 impl RelevanceCache {
-    /// Empty cache sized for a graph of `node_count` nodes.
-    pub fn new(node_count: usize) -> Self {
-        RelevanceCache { sets: BTreeMap::new(), width: padded(node_count) }
-    }
-
-    /// Current bit width.
-    pub fn width(&self) -> usize {
-        self.width
-    }
-
-    /// Ensures sets can hold bit `node_count - 1`, migrating every stored
-    /// set when the width grows (rare: widths are padded).
-    pub fn ensure_width(&mut self, node_count: usize) {
-        if node_count <= self.width {
-            return;
-        }
-        let new_width = padded(node_count);
-        for entry in self.sets.values_mut() {
-            let mut bigger = BitSet::new(new_width);
-            for b in entry.bits.iter() {
-                bigger.insert(b);
-            }
-            entry.bits = bigger;
-        }
-        self.width = new_width;
-    }
-
     /// Inserts or replaces the relevant set of `v`, recording its popcount.
-    pub fn upsert(&mut self, v: NodeId, bits: impl IntoIterator<Item = usize>) {
-        let bits = BitSet::from_iter(self.width, bits);
-        let delta_r = bits.count() as u64;
-        self.sets.insert(v, CachedSet { bits, delta_r });
-    }
-
-    /// Inserts or replaces the relevant set of `v` from an already-built
-    /// bitset — the zero-copy path the shared reach engine feeds (its DP
-    /// emits node-id bitsets at exactly this cache's width, so no
-    /// round-trip through a sorted id list is needed). A set built at a
-    /// stale width is migrated bit by bit instead of stored.
-    pub fn upsert_bits(&mut self, v: NodeId, bits: BitSet) {
-        if bits.capacity() != self.width {
-            return self.upsert(v, &bits);
-        }
+    /// The reach DP emits node-id bitsets, so they are stored as built.
+    pub fn upsert(&mut self, v: NodeId, bits: BitSet) {
         let delta_r = bits.count() as u64;
         self.sets.insert(v, CachedSet { bits, delta_r });
     }
@@ -93,11 +47,6 @@ impl RelevanceCache {
     /// Drops the entry of `v` (the match disappeared).
     pub fn remove(&mut self, v: NodeId) -> bool {
         self.sets.remove(&v).is_some()
-    }
-
-    /// Drops every entry, keeping the width.
-    pub fn clear(&mut self) {
-        self.sets.clear();
     }
 
     /// `true` iff `v` has a cached set.
@@ -138,7 +87,7 @@ impl RelevanceCache {
 
     /// `(node, δr)` for every cached match, ascending by node id. Reads the
     /// popcounts stored at `upsert`, so a query is `O(matches)` instead of
-    /// `O(matches · width/64)`.
+    /// `O(matches · |V|/64)`.
     pub fn relevances(&self) -> impl Iterator<Item = (NodeId, u64)> + '_ {
         self.sets.iter().map(|(&v, s)| (v, s.delta_r))
     }
@@ -148,11 +97,15 @@ impl RelevanceCache {
 mod tests {
     use super::*;
 
+    fn set(bits: &[usize]) -> BitSet {
+        BitSet::from_iter(10, bits.iter().copied())
+    }
+
     #[test]
     fn upsert_query_remove() {
-        let mut c = RelevanceCache::new(10);
-        c.upsert(3, [1usize, 2, 5]);
-        c.upsert(7, [2usize, 5, 6, 9]);
+        let mut c = RelevanceCache::default();
+        c.upsert(3, set(&[1, 2, 5]));
+        c.upsert(7, set(&[2, 5, 6, 9]));
         assert_eq!(c.relevance_of(3), Some(3));
         assert_eq!(c.relevance_of(7), Some(4));
         assert_eq!(c.matches(), vec![3, 7]);
@@ -167,42 +120,33 @@ mod tests {
     #[test]
     fn stored_popcount_tracks_set_lifecycle() {
         // The stored δr must agree with a fresh popcount of the stored bits
-        // after every mutation: upsert, overwrite, remove, width migration.
-        let mut c = RelevanceCache::new(8);
+        // after every mutation: upsert, overwrite, remove.
+        let mut c = RelevanceCache::default();
         let check = |c: &RelevanceCache| {
             for (v, r) in c.relevances() {
                 assert_eq!(Some(r), c.set_of(v).map(|s| s.count() as u64), "match {v}");
                 assert_eq!(c.relevance_of(v), Some(r));
             }
         };
-        c.upsert(0, [1usize, 2, 3]);
-        c.upsert(5, [0usize, 7]);
+        c.upsert(0, set(&[1, 2, 3]));
+        c.upsert(5, set(&[0, 7]));
         check(&c);
-        c.upsert(0, [4usize]); // overwrite shrinks δr 3 → 1
+        c.upsert(0, set(&[4])); // overwrite shrinks δr 3 → 1
         assert_eq!(c.relevance_of(0), Some(1));
         check(&c);
-        let w = c.width();
-        c.ensure_width(w + 1); // migration must carry the counts over
-        assert_eq!(c.relevance_of(0), Some(1));
-        assert_eq!(c.relevance_of(5), Some(2));
-        check(&c);
-        c.upsert(9, [w + 100]); // a bit only representable post-growth
-        assert_eq!(c.relevance_of(9), Some(1));
         assert!(c.remove(5));
         assert_eq!(c.relevance_of(5), None);
         check(&c);
     }
 
+    /// Sets cached before and after the graph grew keep their own widths;
+    /// distance zero-extends the narrower one.
     #[test]
-    fn width_growth_preserves_sets() {
-        let mut c = RelevanceCache::new(4);
-        c.upsert(0, [1usize, 3]);
-        let w0 = c.width();
-        c.ensure_width(w0 + 1); // force an actual migration
-        assert!(c.width() > w0);
-        c.upsert(1, [w0]);
-        assert_eq!(c.relevance_of(0), Some(2));
-        assert_eq!(c.set_of(0).unwrap().iter().collect::<Vec<_>>(), vec![1, 3]);
-        assert_eq!(c.relevance_of(1), Some(1));
+    fn distance_across_widths() {
+        let mut c = RelevanceCache::default();
+        c.upsert(0, set(&[1, 3]));
+        c.upsert(1, BitSet::from_iter(300, [3, 299]));
+        assert_eq!(c.distance(0, 1), Some(1.0 - 1.0 / 3.0));
+        assert_eq!(c.distance(1, 0), c.distance(0, 1));
     }
 }

@@ -28,7 +28,10 @@
 //!   set, so nothing outside the state ever aliases one. After
 //!   restructuring, only the changed components and their
 //!   condensation-DAG ancestors (walked over exact predecessor sets) are
-//!   recomputed, successors-first.
+//!   recomputed, successors-first. A recomputed `Full(c)` spans the
+//!   view's universe at that moment; the state itself has no width, so a
+//!   universe that grows between batches leaves every clean `Full`
+//!   alone and unions zero-extend the older, narrower ones.
 //!
 //! When a batch's affected region outgrows [`CondPolicy`]'s thresholds
 //! the state reports [`MaintainError`] and the caller falls back to a
@@ -123,7 +126,6 @@ pub struct CondensationState {
     comp_of: Vec<u32>,
     comps: Vec<CompSlot>,
     free: Vec<u32>,
-    width: usize,
     live_pairs: usize,
     /// Tarjan scratch, kept so a region re-run costs O(region).
     tarjan: TarjanScratch,
@@ -138,7 +140,6 @@ impl CondensationState {
             comp_of: vec![DEAD; n],
             comps: Vec::new(),
             free: Vec::new(),
-            width: view.universe_size(),
             live_pairs: 0,
             tarjan: TarjanScratch::default(),
         };
@@ -153,11 +154,6 @@ impl CondensationState {
         }
         st.recompute_fulls(view, &all);
         st
-    }
-
-    /// Universe width of the maintained bitsets.
-    pub fn width(&self) -> usize {
-        self.width
     }
 
     /// Alive pairs currently partitioned.
@@ -180,7 +176,8 @@ impl CondensationState {
     /// The strict-reach set of alive pair `p` (data nodes of pairs
     /// reachable via ≥ 1 edge), as an owned bitset: a nontrivial
     /// component's own `Full(c)` (the cycle makes every member reachable
-    /// from every member), a trivial one's union of successor `Full`s.
+    /// from every member), a trivial one's union of successor `Full`s — as
+    /// wide as its own `Full`, which is rebuilt whenever a successor's is.
     pub fn strict_reach(&self, p: u32) -> BitSet {
         let c = self.comp_of[p as usize];
         debug_assert_ne!(c, DEAD, "extraction from a dead pair");
@@ -188,7 +185,7 @@ impl CondensationState {
         if slot.nontrivial {
             return slot.full.clone();
         }
-        let mut set = BitSet::new(self.width);
+        let mut set = BitSet::new(slot.full.capacity());
         for &s in &slot.succs {
             set.union_with(&self.comps[s as usize].full);
         }
@@ -513,7 +510,8 @@ impl CondensationState {
 
     /// Recomputes `Full(c)` for every component in `dirty`,
     /// successors-first (DFS postorder over the dirty sub-DAG); clean
-    /// successors contribute their stored `Full` untouched.
+    /// successors contribute their stored `Full` untouched — never wider
+    /// than the rebuilt one, since the view's universe only grows.
     fn recompute_fulls<V: ReachView>(&mut self, view: &V, dirty: &BTreeSet<u32>) {
         let mut order: Vec<u32> = Vec::with_capacity(dirty.len());
         let mut state: HashMap<u32, u8> = HashMap::new(); // 1 = open, 2 = done
@@ -541,7 +539,7 @@ impl CondensationState {
         }
         for &c in &order {
             let slot = &self.comps[c as usize];
-            let mut f = BitSet::new(self.width);
+            let mut f = BitSet::new(view.universe_size());
             for &s in &slot.succs {
                 f.union_with(&self.comps[s as usize].full);
             }

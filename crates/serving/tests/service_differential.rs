@@ -24,11 +24,12 @@ use gpm_core::result::{AnswerDiff, RankedMatch};
 use gpm_core::{top_k_by_match, top_k_diversified};
 use gpm_datagen::update_stream::{attr_key, update_stream, UpdateStreamConfig};
 use gpm_graph::builder::graph_from_parts;
-use gpm_graph::{AttrValue, Attributes, DiGraph, GraphBuilder};
+use gpm_graph::{AttrValue, Attributes, DiGraph, GraphBuilder, GraphDelta};
 use gpm_incremental::IncrementalConfig;
 use gpm_pattern::builder::label_pattern;
 use gpm_pattern::{CmpOp, Pattern, PatternBuilder, Predicate};
 use gpm_serving::{AnswerService, NotifyMode, ServiceConfig, Subscription};
+use gpm_telemetry::names;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
@@ -156,12 +157,12 @@ fn subscribe_all(
     svc: &mut AnswerService,
     patterns: &[(Pattern, usize, f64)],
     snap: &DiGraph,
+    cfg: fn(usize) -> IncrementalConfig,
 ) -> Vec<Tracked> {
     let mut tracked = Vec::new();
     for (i, (q, k, lambda)) in patterns.iter().enumerate() {
         let mode = if i % 2 == 0 { NotifyMode::Relevance } else { NotifyMode::Diversified };
-        let sub =
-            svc.subscribe(q.clone(), IncrementalConfig::new(*k).lambda(*lambda), mode).unwrap();
+        let sub = svc.subscribe(q.clone(), cfg(*k).lambda(*lambda), mode).unwrap();
         let mut t =
             Tracked { q: q.clone(), k: *k, lambda: *lambda, sub, prev: Vec::new(), version: 0 };
         // The bootstrap update carries the consistent initial answer.
@@ -195,10 +196,47 @@ fn stream_cfg(
     }
 }
 
+/// Every threshold maxed: no wholesale rebuild re-derives the cached
+/// sets together, so the ones a batch leaves clean keep the width they
+/// were built at.
+fn forced(k: usize) -> IncrementalConfig {
+    let mut cfg = IncrementalConfig::new(k);
+    cfg.max_delta_fraction = f64::INFINITY;
+    cfg.max_dirty_fraction = f64::INFINITY;
+    cfg.max_cond_churn_fraction = f64::INFINITY;
+    cfg
+}
+
+/// `delta` plus `grow` appended nodes of random labels, every eighth one
+/// wired under a random node of the base graph (ids `0..n0`) so it joins
+/// relevant sets. `next` is the id the graph hands out next.
+fn with_growth(
+    rng: &mut StdRng,
+    delta: &GraphDelta,
+    grow: usize,
+    n0: u32,
+    next: &mut u32,
+) -> GraphDelta {
+    let mut delta = delta.clone();
+    for j in 0..grow {
+        delta = delta.add_node(rng.random_range(0..LABELS));
+        if j % 8 == 0 {
+            delta = delta.add_edge(rng.random_range(0..n0), *next);
+        }
+        *next += 1;
+    }
+    delta
+}
+
 /// The core trial: generated graph + patterns + stream, push checked
-/// against pull after every batch.
-fn run_trials(spec: (f64, f64, f64), seed: u64, trials: usize) {
+/// against pull after every batch. `grow > 0` appends that many nodes to
+/// every batch (the stream itself must then add none: its ids assume it
+/// is the only writer) under [`forced`] maintenance, so a diversified
+/// answer compares sets cached before a growth step with sets cached
+/// after it.
+fn run_trials(spec: (f64, f64, f64), grow: usize, seed: u64, trials: usize) {
     let (insert_fraction, node_churn, attr_churn) = spec;
+    assert!(grow == 0 || node_churn == 0.0, "growth owns the new node ids");
     let mut rng = StdRng::seed_from_u64(seed);
     for trial in 0..trials {
         let n = rng.random_range(8..26usize);
@@ -209,7 +247,8 @@ fn run_trials(spec: (f64, f64, f64), seed: u64, trials: usize) {
                 (random_pattern(&mut rng), rng.random_range(1..5usize), rng.random_range(0.0..1.0))
             })
             .collect();
-        let mut tracked = subscribe_all(&mut svc, &patterns, &g);
+        let cfg_of = if grow > 0 { forced } else { IncrementalConfig::new };
+        let mut tracked = subscribe_all(&mut svc, &patterns, &g, cfg_of);
 
         let cfg = stream_cfg(
             &mut rng,
@@ -218,13 +257,34 @@ fn run_trials(spec: (f64, f64, f64), seed: u64, trials: usize) {
             attr_churn,
             seed ^ (trial as u64) << 9,
         );
+        let mut next = n as u32;
         for delta in update_stream(&g, &cfg).iter() {
-            let report = svc.ingest(delta).unwrap();
+            let delta = with_growth(&mut rng, delta, grow, n as u32, &mut next);
+            let report = svc.ingest(&delta).unwrap();
             let snap = svc.registry().snapshot();
             for (i, t) in tracked.iter_mut().enumerate() {
                 let ctx = format!("trial {trial} seq {} pattern {i}", report.seq);
                 t.check_step(&snap, report.seq, &ctx);
             }
+        }
+        if grow > 0 {
+            // Nothing re-derived the cache wholesale, and every
+            // re-condensation is one a policy fallback explains — growth
+            // of the id space is not a reason.
+            let stats: Vec<_> =
+                tracked.iter().map(|t| svc.registry().stats_of(t.sub.pattern()).unwrap()).collect();
+            assert!(stats.iter().all(|s| s.full_rebuilds + s.full_rank_refreshes == 0));
+            let events = |name| {
+                svc.telemetry()
+                    .metrics()
+                    .counter_with(names::EVENTS_TOTAL, &[("event", name)])
+                    .get()
+            };
+            assert_eq!(
+                stats.iter().map(|s| s.cond_rebuilds).sum::<u64>(),
+                events("cond-probe-fallback") + events("cond-region-fallback"),
+                "trial {trial}: a re-condensation no fallback accounts for"
+            );
         }
         // Suppression really happened somewhere across the run (the
         // service is not just forwarding every touch).
@@ -236,31 +296,40 @@ fn run_trials(spec: (f64, f64, f64), seed: u64, trials: usize) {
 
 #[test]
 fn mixed_streams_push_equals_pull() {
-    run_trials((0.55, 0.15, 0.0), 0x5E4_0001, 10);
+    run_trials((0.55, 0.15, 0.0), 0, 0x5E4_0001, 10);
 }
 
 #[test]
 fn attr_mixed_streams_push_equals_pull() {
-    run_trials((0.55, 0.15, 0.45), 0x5E4_0002, 10);
+    run_trials((0.55, 0.15, 0.45), 0, 0x5E4_0002, 10);
 }
 
 #[test]
 fn attr_only_streams_push_equals_pull() {
-    run_trials((0.55, 0.0, 1.0), 0x5E4_0003, 8);
+    run_trials((0.55, 0.0, 1.0), 0, 0x5E4_0003, 8);
 }
 
 #[test]
 fn delete_only_streams_push_equals_pull() {
-    run_trials((0.0, 0.15, 0.0), 0x5E4_0004, 8);
+    run_trials((0.0, 0.15, 0.0), 0, 0x5E4_0004, 8);
+}
+
+/// Attribute churn and edge churn while every batch appends 130 nodes:
+/// the id space passes 512 within four batches, and diversified answers
+/// keep equalling the static recompute, ties included.
+#[test]
+fn growing_attr_streams_push_equals_pull() {
+    run_trials((0.55, 0.0, 0.45), 130, 0x5E4_0005, 8);
 }
 
 /// Stress variant for the nightly CI job.
 #[test]
 #[ignore = "stress variant — run explicitly or via the nightly CI job"]
 fn stress_push_equals_pull() {
-    run_trials((0.55, 0.15, 0.0), 0x5E4_5001, 50);
-    run_trials((0.55, 0.15, 0.45), 0x5E4_5002, 50);
-    run_trials((0.0, 0.2, 0.3), 0x5E4_5003, 30);
+    run_trials((0.55, 0.15, 0.0), 0, 0x5E4_5001, 50);
+    run_trials((0.55, 0.15, 0.45), 0, 0x5E4_5002, 50);
+    run_trials((0.0, 0.2, 0.3), 0, 0x5E4_5003, 30);
+    run_trials((0.55, 0.0, 0.45), 130, 0x5E4_5004, 30);
 }
 
 /// As [`subscribe_all`], but anchoring each subscription to the live
@@ -316,7 +385,7 @@ fn late_join_replays_from_midstream_offset() {
                 (random_pattern(&mut rng), rng.random_range(1..4usize), rng.random_range(0.0..1.0))
             })
             .collect();
-        let mut tracked = subscribe_all(&mut svc, &patterns, &g);
+        let mut tracked = subscribe_all(&mut svc, &patterns, &g, IncrementalConfig::new);
 
         let cfg = stream_cfg(&mut rng, 0.55, 0.15, 0.3, 0xA11 + trial);
         let stream = update_stream(&g, &cfg);

@@ -24,7 +24,9 @@
 //! compact universe): node ids are stable across updates while universes
 //! are not, and the relevance cache's bitsets are keyed by node id — so
 //! the DP's output bitsets can be stored in the cache directly, no
-//! re-encoding.
+//! re-encoding. The universe is the graph's node count as of the last
+//! batch folded in: a set built over the view is exactly as wide as the
+//! graph is then, and readers zero-extend older, narrower ones.
 
 use std::collections::{BTreeSet, HashMap};
 
@@ -84,18 +86,17 @@ pub struct DynMatchGraph {
     inn: Vec<Vec<u32>>,
     alive: Vec<bool>,
     edges: usize,
-    /// Universe width (≥ the graph's node count; callers size it to the
-    /// relevance cache's bit width so DP outputs drop straight in).
-    width: usize,
+    /// The graph's node count when the view was built or last folded a
+    /// batch in — the universe every node id in the view fits.
+    nodes: usize,
 }
 
 impl DynMatchGraph {
     /// Builds the view over the **alive pairs** of `sim` against the
     /// current contents of `g`. Compact ids are assigned pattern node by
     /// pattern node, data nodes ascending — deterministic regardless of
-    /// the simulation's internal slot order. `width` is the universe the
-    /// projection indexes into and must exceed every live node id.
-    pub fn over_alive(g: &DynGraph, q: &Pattern, sim: &IncSimState, width: usize) -> Self {
+    /// the simulation's internal slot order.
+    pub fn over_alive(g: &DynGraph, q: &Pattern, sim: &IncSimState) -> Self {
         let np = q.node_count();
         let mut pnode = Vec::new();
         let mut gnode = Vec::new();
@@ -128,8 +129,8 @@ impl DynMatchGraph {
         for adj in out.iter_mut().chain(inn.iter_mut()) {
             adj.sort_unstable();
         }
-        debug_assert!(width >= g.node_count(), "universe must cover every node id");
-        DynMatchGraph { pnode, gnode, index, out, inn, alive: vec![true; n], edges, width }
+        let nodes = g.node_count();
+        DynMatchGraph { pnode, gnode, index, out, inn, alive: vec![true; n], edges, nodes }
     }
 
     /// Folds one applied batch into the view: `flips` are the simulation's
@@ -147,6 +148,7 @@ impl DynMatchGraph {
         removed_edges: &[(NodeId, NodeId)],
     ) -> PairDelta {
         let mut delta = PairDelta::default();
+        self.nodes = g.node_count();
 
         // Classify flips against the view's current alive flags (a pair
         // can flip twice in one batch — only the net change matters), in
@@ -374,7 +376,7 @@ impl Successors for DynMatchGraph {
 
 impl ReachView for DynMatchGraph {
     fn universe_size(&self) -> usize {
-        self.width
+        self.nodes
     }
     fn universe_pos(&self, c: u32) -> usize {
         self.gnode[c as usize] as usize
@@ -402,7 +404,7 @@ mod tests {
 
         let dg = DynGraph::from_digraph(&g0);
         let inc = IncSimState::new(&dg, &q).unwrap();
-        let view = DynMatchGraph::over_alive(&dg, &q, &inc, g0.node_count());
+        let view = DynMatchGraph::over_alive(&dg, &q, &inc);
 
         assert_eq!(view.len(), mg.len());
         assert_eq!(view.alive_count(), mg.len());
@@ -432,10 +434,10 @@ mod tests {
         let q = label_pattern(&[0, 1], &[(0, 1)], 0).unwrap();
         let dg = DynGraph::from_digraph(&g0);
         let inc = IncSimState::new(&dg, &q).unwrap();
-        let view = DynMatchGraph::over_alive(&dg, &q, &inc, 64);
+        let view = DynMatchGraph::over_alive(&dg, &q, &inc);
         // (A,0), (B,1), (B,2): all structurally alive (B is a leaf).
         assert_eq!(view.len(), 3);
-        assert_eq!(view.universe_size(), 64);
+        assert_eq!(view.universe_size(), 3);
         for c in 0..view.len() as u32 {
             assert_eq!(view.universe_pos(c), view.data_node(c) as usize);
         }
@@ -450,7 +452,8 @@ mod tests {
         q: &Pattern,
         sim: &IncSimState,
     ) {
-        let fresh = DynMatchGraph::over_alive(g, q, sim, view.width);
+        let fresh = DynMatchGraph::over_alive(g, q, sim);
+        assert_eq!(view.universe_size(), g.node_count(), "universe follows the graph");
         assert_eq!(view.alive_count(), fresh.len(), "alive pair count");
         assert_eq!(view.edge_count(), fresh.edge_count(), "pair edge count");
         for fc in 0..fresh.len() as u32 {
@@ -495,7 +498,7 @@ mod tests {
         let mut dg = DynGraph::from_digraph(&g0);
         let mut sim = IncSimState::new(&dg, &q).unwrap();
         sim.take_dirty();
-        let mut view = DynMatchGraph::over_alive(&dg, &q, &sim, 64);
+        let mut view = DynMatchGraph::over_alive(&dg, &q, &sim);
         let slots_before = view.len();
 
         let batches: Vec<GraphDelta> = vec![
@@ -512,7 +515,7 @@ mod tests {
                         EffectiveOp::NodeAdded(v, _) => sim.on_node_added(g, &q, v),
                         EffectiveOp::EdgeAdded(s, t) => sim.on_edge_inserted(g, &q, s, t),
                         EffectiveOp::EdgeRemoved(s, t) => sim.on_edge_removed(g, &q, s, t),
-                        EffectiveOp::NodeRemoved(v) => sim.on_node_removed(&q, v),
+                        EffectiveOp::NodeRemoved(v, _) => sim.on_node_removed(&q, v),
                         EffectiveOp::AttrSet { node, ref key, .. }
                         | EffectiveOp::AttrUnset { node, ref key } => {
                             sim.on_attr_changed(g, &q, node, key)

@@ -671,7 +671,7 @@ mod tests {
             EffectiveOp::NodeAdded(v, _) => state.on_node_added(g, q, *v),
             EffectiveOp::EdgeAdded(s, t) => state.on_edge_inserted(g, q, *s, *t),
             EffectiveOp::EdgeRemoved(s, t) => state.on_edge_removed(g, q, *s, *t),
-            EffectiveOp::NodeRemoved(v) => state.on_node_removed(q, *v),
+            EffectiveOp::NodeRemoved(v, _) => state.on_node_removed(q, *v),
             EffectiveOp::AttrSet { node, key, .. } | EffectiveOp::AttrUnset { node, key } => {
                 state.on_attr_changed(g, q, *node, key)
             }
