@@ -1,10 +1,15 @@
 //! Results and run instrumentation.
 
+use std::cmp::Ordering;
 use std::time::Duration;
 
 use gpm_graph::NodeId;
 
-/// One ranked output match.
+use crate::selector::BoundedSelector;
+
+/// One ranked output match. Its `Ord` **is** the answer order every topKP
+/// algorithm reports in — descending relevance, ties by ascending node id
+/// — spelled here and nowhere else: `a < b` means `a` ranks before `b`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RankedMatch {
     /// The matched data node.
@@ -12,6 +17,18 @@ pub struct RankedMatch {
     /// Its relevance `δr(uo, node)` — exact: the winners' cones are
     /// completed after termination.
     pub relevance: u64,
+}
+
+impl Ord for RankedMatch {
+    fn cmp(&self, other: &Self) -> Ordering {
+        other.relevance.cmp(&self.relevance).then(self.node.cmp(&other.node))
+    }
+}
+
+impl PartialOrd for RankedMatch {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
 }
 
 /// Instrumentation of a run — the quantities Section 6 measures.
@@ -48,17 +65,17 @@ impl RunStats {
     }
 }
 
-/// Ranks `(node, δr)` entries the way every topKP algorithm reports them —
-/// descending relevance, ties by ascending node id — and keeps the best
-/// `k`. The re-entrant entry point for maintained states (the incremental
-/// `DynamicMatcher` re-ranks from its relevance cache through this), kept
-/// next to [`TopKResult`] so the orderings can never drift apart.
+/// The best `k` of `(node, δr)` entries in the answer order
+/// ([`RankedMatch`]'s `Ord`), folded through a [`BoundedSelector`] so only
+/// `k` entries are ever held. The re-entrant entry point for maintained
+/// states (the incremental `DynamicMatcher` re-ranks from its relevance
+/// cache through this on every refresh).
 pub fn rank_top_k(rel: impl IntoIterator<Item = (NodeId, u64)>, k: usize) -> Vec<RankedMatch> {
-    let mut ranked: Vec<RankedMatch> =
-        rel.into_iter().map(|(node, relevance)| RankedMatch { node, relevance }).collect();
-    ranked.sort_by(|a, b| b.relevance.cmp(&a.relevance).then(a.node.cmp(&b.node)));
-    ranked.truncate(k);
-    ranked
+    let mut sel = BoundedSelector::new(k);
+    for (node, relevance) in rel {
+        sel.offer(0, node, relevance);
+    }
+    sel.entries().iter().map(|e| e.rank).collect()
 }
 
 /// The difference between two ranked answers — what a streaming

@@ -3,9 +3,8 @@
 //!
 //! The static drivers ([`crate::topk`], [`crate::topk_dh`]) and the
 //! dynamic refresh planner (gpm-incremental) all ask the same two
-//! questions about a running top-k selection ordered by
-//! `(relevance desc, node asc)` — the exact order
-//! [`crate::result::rank_top_k`] ranks by:
+//! questions about a running top-k selection in the answer order
+//! ([`RankedMatch`]'s `Ord`: relevance descending, node ascending):
 //!
 //! * **termination** — is the k-th confirmed lower bound ≥ the best
 //!   upper bound outside the selection? ([`prop3_holds`])
@@ -19,6 +18,8 @@
 
 use gpm_graph::NodeId;
 
+use crate::result::RankedMatch;
+
 /// Proposition 3: a full selection of confirmed matches is final when
 /// its minimum confirmed lower bound dominates the best upper bound
 /// outside it (`l(s) ≤ δr(s)` and `δr(r) ≤ h(r)` give
@@ -29,21 +30,12 @@ pub fn prop3_holds(min_l: u64, best_rest: u64) -> bool {
 }
 
 /// One selection entry: a caller-supplied id (candidate index, node id,
-/// …), the output data node, and its confirmed relevance (lower bound).
+/// …) and the output data node with its confirmed relevance (lower
+/// bound).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SelEntry {
     pub id: usize,
-    pub node: NodeId,
-    pub relevance: u64,
-}
-
-impl SelEntry {
-    /// `true` when `self` ranks strictly before `(relevance, node)` in
-    /// the global `(relevance desc, node asc)` order.
-    #[inline]
-    fn before(&self, relevance: u64, node: NodeId) -> bool {
-        self.relevance > relevance || (self.relevance == relevance && self.node < node)
-    }
+    pub rank: RankedMatch,
 }
 
 /// A running top-k selection under the global answer order, usable
@@ -52,7 +44,7 @@ impl SelEntry {
 #[derive(Debug, Clone)]
 pub struct BoundedSelector {
     k: usize,
-    /// Best-first by `(relevance desc, node asc)`, length ≤ k.
+    /// Best-first in the answer order, length ≤ k.
     entries: Vec<SelEntry>,
 }
 
@@ -63,14 +55,14 @@ impl BoundedSelector {
 
     /// Offers a confirmed match; returns whether it entered the top k.
     pub fn offer(&mut self, id: usize, node: NodeId, relevance: u64) -> bool {
-        if self.k == 0 {
+        // One comparison rejects what a full selection dominates — the
+        // common case when folding a whole cache through `rank_top_k`.
+        if self.k == 0 || self.dominates(relevance, node) {
             return false;
         }
-        let pos = self.entries.partition_point(|e| e.before(relevance, node));
-        if pos >= self.k {
-            return false;
-        }
-        self.entries.insert(pos, SelEntry { id, node, relevance });
+        let rank = RankedMatch { node, relevance };
+        let pos = self.entries.partition_point(|e| e.rank < rank);
+        self.entries.insert(pos, SelEntry { id, rank });
         self.entries.truncate(self.k);
         true
     }
@@ -101,7 +93,7 @@ impl BoundedSelector {
 
     /// Minimum confirmed relevance in the selection.
     pub fn min_relevance(&self) -> Option<u64> {
-        self.kth().map(|e| e.relevance)
+        self.kth().map(|e| e.rank.relevance)
     }
 
     /// Caller ids, best-first.
@@ -123,7 +115,7 @@ impl BoundedSelector {
             return false;
         }
         match self.kth() {
-            Some(e) => e.before(h, node),
+            Some(e) => e.rank < RankedMatch { node, relevance: h },
             None => false, // k == 0: never claim domination
         }
     }

@@ -83,7 +83,7 @@ fn finish(mut eng: Engine<'_>, selection: Vec<usize>, t0: Instant) -> TopKResult
         .iter()
         .map(|&i| RankedMatch { node: eng.output_node(i), relevance: eng.output_l(i) })
         .collect();
-    matches.sort_by(|a, b| b.relevance.cmp(&a.relevance).then(a.node.cmp(&b.node)));
+    matches.sort();
     eng.stats_mut().elapsed = t0.elapsed();
     TopKResult { matches, stats: eng.stats().clone() }
 }

@@ -95,7 +95,7 @@ fn run(g: &DiGraph, q: &Pattern, cfg: &DivConfig, offer_batch: OfferBatch) -> Di
         .iter()
         .map(|&i| RankedMatch { node: eng.output_node(i), relevance: eng.output_l(i) })
         .collect();
-    matches.sort_by(|a, b| b.relevance.cmp(&a.relevance).then(a.node.cmp(&b.node)));
+    matches.sort();
     eng.stats_mut().elapsed = t0.elapsed();
     DivResult { matches, f_value, stats: eng.stats().clone() }
 }

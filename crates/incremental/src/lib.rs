@@ -22,10 +22,13 @@
 //!   [`gpm_core::greedy_diversified`], so results are **identical** to a
 //!   from-scratch run on the updated graph (property-tested).
 //!
-//! Past a configurable dirtiness threshold incremental stops paying off
-//! and [`DynamicMatcher`] falls back to a full recompute of the affected
-//! layer — per layer: a huge delta rebuilds the simulation state, a dirty
-//! ranking sweep rebuilds only the relevant sets.
+//! A batch is always replayed through the simulation — its cost is linear
+//! in the batch's effective mutations, whatever their number. Only the
+//! ranking layers have fallbacks: a dirtiness sweep past
+//! [`IncrementalConfig::max_dirty_fraction`] re-derives every relevant
+//! set, and pair churn past
+//! [`IncrementalConfig::max_cond_churn_fraction`] drops the maintained
+//! condensation for the per-batch reach engine until the stream calms.
 //!
 //! ```
 //! use gpm_graph::{builder::graph_from_parts, GraphDelta};

@@ -7,7 +7,7 @@ use gpm_pattern::Pattern;
 use gpm_ranking::ReachConfig;
 use gpm_telemetry::{names, Span, Telemetry};
 
-use crate::state::{worst_churn, Batch, PatternState};
+use crate::state::{Batch, PatternState};
 
 /// Configuration of a [`DynamicMatcher`] (and of each pattern registered
 /// in a [`PatternRegistry`](crate::PatternRegistry)).
@@ -17,11 +17,6 @@ pub struct IncrementalConfig {
     pub k: usize,
     /// Trade-off `λ` used by [`DynamicMatcher::top_k_diversified`].
     pub lambda: f64,
-    /// When one batch's effective edge churn exceeds this fraction of the
-    /// graph's edges, the whole materialized state is rebuilt from scratch
-    /// instead of replayed (replaying a rewrite-the-world delta costs more
-    /// than refinement).
-    pub max_delta_fraction: f64,
     /// When the backward dirtiness sweep touches more than this fraction
     /// of the candidate pairs, the relevant-set cache is rebuilt wholesale
     /// instead of entry by entry.
@@ -49,14 +44,13 @@ pub struct IncrementalConfig {
 }
 
 impl IncrementalConfig {
-    /// Defaults for a given `k` (`λ = 0.5`, rebuild past 20% edge churn or
-    /// a 30% dirty sweep, drop the maintained condensation past 12.5% pair
-    /// churn, default reach-engine budget, bound pruning on).
+    /// Defaults for a given `k` (`λ = 0.5`, re-derive every relevant set
+    /// past a 30% dirty sweep, drop the maintained condensation past 12.5%
+    /// pair churn, default reach-engine budget, bound pruning on).
     pub fn new(k: usize) -> Self {
         IncrementalConfig {
             k,
             lambda: 0.5,
-            max_delta_fraction: 0.2,
             max_dirty_fraction: 0.3,
             max_cond_churn_fraction: 0.125,
             reach: ReachConfig::default(),
@@ -109,7 +103,11 @@ pub struct ApplyStats {
     pub applies: u64,
     /// Batches handled fully incrementally.
     pub incremental_applies: u64,
-    /// Batches that rebuilt simulation + ranking from scratch.
+    /// Always 0: a batch is always replayed, and nothing re-creates the
+    /// simulation after registration. It stays only because the frozen
+    /// `benchmark/` package reads it (`benchmark/src/workloads/stream.rs`)
+    /// for its `incremental.full_rebuilds` metric; the next `benchmark`
+    /// PR removes both.
     pub full_rebuilds: u64,
     /// Batches that kept the simulation incremental but rebuilt every
     /// relevant set.
@@ -120,18 +118,17 @@ pub struct ApplyStats {
     /// region re-Tarjan / DAG probe, not a from-scratch condensation).
     pub cond_incremental: u64,
     /// Full re-condensations of the maintained reach state — policy
-    /// fallbacks (probe/region overflow) and churn rebuilds. Zero when
-    /// the budget keeps maintained mode off.
+    /// fallbacks (probe/region overflow), churn drops and re-adoptions.
+    /// Zero when the budget keeps maintained mode off.
     pub cond_rebuilds: u64,
     /// Output materializations skipped across all batches because the
     /// maintained upper bound proved they cannot displace the k-th
     /// answer.
     pub pruned_outputs: u64,
     /// From-scratch rebuilds of the maintained bounds: re-condensations
-    /// of a live maintained state (probe/region fallbacks, whole-state
-    /// rebuilds) while pruning was on — always
-    /// `≤ cond_rebuilds`. Attr-only and tombstone-only batches must never
-    /// increment this.
+    /// of a live maintained state (probe/region fallbacks) while pruning
+    /// was on — always `≤ cond_rebuilds`. Attr-only and tombstone-only
+    /// batches must never increment this.
     pub bound_rebuilds: u64,
     /// Candidate pairs visited by the last backward dirtiness sweep.
     pub last_swept_pairs: usize,
@@ -225,11 +222,11 @@ impl DynamicMatcher {
         out
     }
 
-    /// The matcher's whole batch sequence: decide rebuild-vs-replay, apply
-    /// the batch to the graph (replaying **every** effective mutation
-    /// through the simulation — no shared-index filter, which is what
-    /// keeps a matcher an independent reference for the registry), then
-    /// the one [`PatternState::refresh`] call. A batch without a single
+    /// The matcher's whole batch sequence: apply the batch to the graph
+    /// (replaying **every** effective mutation through the simulation —
+    /// no shared-index filter, which is what keeps a matcher an
+    /// independent reference for the registry), then the one
+    /// [`PatternState::refresh`] call. A batch without a single
     /// effective mutation leaves the pattern untouched, as it would in a
     /// registry. A rejected batch is not an apply: the graph and the state
     /// are unchanged.
@@ -238,24 +235,13 @@ impl DynamicMatcher {
         delta: &GraphDelta,
         root: &Span,
     ) -> Result<(TopKResult, AnswerDiff), IncrementalError> {
-        let churn = worst_churn(&self.graph, delta);
-        let rebuild = self.state.needs_rebuild(churn, self.graph.edge_count());
         let state = &mut self.state;
         let applied = {
             let _replay = root.child("replay");
-            self.graph.apply_with(delta, |g, eff| {
-                if !rebuild {
-                    state.replay(g, eff);
-                }
-            })?
+            self.graph.apply_with(delta, |g, eff| state.replay(g, eff))?
         };
-        let batch = if rebuild {
-            Batch::Rebuilt
-        } else if applied.effects.is_empty() {
-            Batch::Untouched
-        } else {
-            Batch::Replayed(&applied)
-        };
+        let batch =
+            if applied.effects.is_empty() { Batch::Untouched } else { Batch::Replayed(&applied) };
         let refresh_span = root.child("refresh");
         Ok(state
             .refresh(&self.graph, batch, &refresh_span)

@@ -40,7 +40,7 @@ use parking_lot::Mutex;
 
 use crate::matcher::{ApplyStats, IncrementalConfig, IncrementalError};
 use crate::pool::WorkerPool;
-use crate::state::{worst_churn, Batch, PatternState};
+use crate::state::{Batch, PatternState};
 
 /// Stable handle of a registered pattern. Ids are never reused, so a
 /// handle kept across a deregistration simply stops resolving.
@@ -72,11 +72,8 @@ pub struct RegistryStats {
     /// label index proved them irrelevant to it.
     pub ops_skipped: u64,
     /// Patterns whose state the last batch actually touched (replayed at
-    /// least one mutation into, or rebuilt).
+    /// least one mutation into).
     pub last_patterns_touched: usize,
-    /// Patterns the last batch rebuilt wholesale (per-pattern churn
-    /// threshold exceeded).
-    pub last_rebuilds: usize,
     /// Always 0: one pattern's refresh is no longer split across the pool
     /// and no metric stands behind this field. It stays only because the
     /// frozen `benchmark/` package reads it for its
@@ -117,7 +114,6 @@ struct RegistryCounters {
     ops_replayed: Counter,
     ops_skipped: Counter,
     last_touched: Gauge,
-    last_rebuilds: Gauge,
     pool_busy_nanos: Gauge,
     pool_tasks: Gauge,
     bounds_pruned: Counter,
@@ -133,7 +129,6 @@ impl RegistryCounters {
             ops_replayed: m.counter(names::REGISTRY_OPS_REPLAYED),
             ops_skipped: m.counter(names::REGISTRY_OPS_SKIPPED),
             last_touched: m.gauge(names::REGISTRY_LAST_TOUCHED),
-            last_rebuilds: m.gauge(names::REGISTRY_LAST_REBUILDS),
             pool_busy_nanos: m.gauge(names::POOL_BUSY_NANOS),
             pool_tasks: m.gauge(names::POOL_TASKS),
             bounds_pruned: m.counter(names::BOUNDS_PRUNED),
@@ -149,7 +144,6 @@ impl RegistryCounters {
         next.ops_replayed.add(self.ops_replayed.get());
         next.ops_skipped.add(self.ops_skipped.get());
         next.last_touched.set(self.last_touched.get());
-        next.last_rebuilds.set(self.last_rebuilds.get());
         next.pool_busy_nanos.set(self.pool_busy_nanos.get());
         next.pool_tasks.set(self.pool_tasks.get());
         next.bounds_pruned.add(self.bounds_pruned.get());
@@ -300,7 +294,6 @@ impl PatternRegistry {
             ops_replayed: c.ops_replayed.get(),
             ops_skipped: c.ops_skipped.get(),
             last_patterns_touched: c.last_touched.get().max(0) as usize,
-            last_rebuilds: c.last_rebuilds.get().max(0) as usize,
             intra_pattern_splits: 0,
         }
     }
@@ -355,8 +348,8 @@ impl PatternRegistry {
     /// Applies one update batch to the shared graph and fans it out to
     /// every registered pattern, returning an [`AnswerChange`] — fresh
     /// answer **plus the change set** against the previously served one —
-    /// for each pattern the batch **touched** (replayed into or rebuilt),
-    /// in registration order. An untouched pattern's answer provably did
+    /// for each pattern the batch **touched** (replayed into), in
+    /// registration order. An untouched pattern's answer provably did
     /// not change — the shared index only skips mutations that are no-ops
     /// for it — so omitting it both tells subscribers whose answers moved
     /// and avoids re-ranking N cached match sets per batch; a touched
@@ -384,28 +377,20 @@ impl PatternRegistry {
         delta: &GraphDelta,
         parent: &Span,
     ) -> Result<Vec<AnswerChange>, IncrementalError> {
-        let churn = worst_churn(&self.graph, delta);
-        let edges = self.graph.edge_count();
         let n = self.slots.len();
 
         // Phase 1 (sequential): mutate the shared graph ONCE, replaying
         // each effective mutation through the interested patterns in
         // lockstep — the hook observes exactly the intermediate graph
-        // states a private DynamicMatcher replay would. Patterns whose
-        // churn threshold the batch exceeds skip the replay entirely and
-        // rebuild from the final graph in phase 2.
+        // states a private DynamicMatcher replay would.
         let mut replayed = 0u64;
         let mut skipped = 0u64;
         let mut touched = vec![false; n];
-        let (applied, rebuild) = {
+        let applied = {
             let replay_span = parent.child("replay");
             let mut guards: Vec<_> = self.slots.iter().map(|s| s.state.lock()).collect();
-            let rebuild: Vec<bool> = guards.iter().map(|g| g.needs_rebuild(churn, edges)).collect();
             let applied = self.graph.apply_with(delta, |g, eff| {
                 for (i, st) in guards.iter_mut().enumerate() {
-                    if rebuild[i] {
-                        continue;
-                    }
                     if st.wants(g, eff) {
                         st.replay(g, eff);
                         touched[i] = true;
@@ -418,7 +403,7 @@ impl PatternRegistry {
             if replay_span.is_enabled() {
                 replay_span.detail(format!("replayed={replayed} skipped={skipped}"));
             }
-            (applied, rebuild)
+            applied
         };
 
         // Phase 2 (parallel across patterns): per-pattern ranking
@@ -439,13 +424,7 @@ impl PatternRegistry {
             if refresh_span.is_enabled() {
                 refresh_span.detail(format!("pattern={}", slots[i].id));
             }
-            let batch = if rebuild[i] {
-                Batch::Rebuilt
-            } else if touched[i] {
-                Batch::Replayed(&applied)
-            } else {
-                Batch::Untouched
-            };
+            let batch = if touched[i] { Batch::Replayed(&applied) } else { Batch::Untouched };
             let mut st = slots[i].state.lock();
             if let Some(answer) = st.refresh(graph, batch, &refresh_span) {
                 // Counters are atomic — safe from any pool worker.
@@ -461,10 +440,7 @@ impl PatternRegistry {
         self.counters.batches.inc();
         self.counters.ops_replayed.add(replayed);
         self.counters.ops_skipped.add(skipped);
-        self.counters.last_rebuilds.set(rebuild.iter().filter(|&&r| r).count() as i64);
-        self.counters
-            .last_touched
-            .set(touched.iter().zip(&rebuild).filter(|&(&t, &r)| t || r).count() as i64);
+        self.counters.last_touched.set(touched.iter().filter(|&&t| t).count() as i64);
         if let Some(pool) = &self.pool {
             self.counters.pool_busy_nanos.set(pool.busy_nanos().min(i64::MAX as u64) as i64);
             self.counters.pool_tasks.set(pool.tasks_run().min(i64::MAX as u64) as i64);

@@ -13,9 +13,9 @@
 //! edges, and to attribute mutations on keys its predicates mention.
 //!
 //! [`PatternState::refresh`] is the **one place a batch becomes an
-//! answer**: both owners decide rebuild-vs-replay with
-//! [`PatternState::needs_rebuild`], replay (or not), and then make exactly
-//! one `refresh` call per pattern per batch. It runs on the calling
+//! answer**: both owners apply the batch to the graph once, replaying
+//! each effective mutation as it lands, and then make exactly one
+//! `refresh` call per pattern per batch. It runs on the calling
 //! thread; the registry's parallelism is across patterns, never inside
 //! one: a dirty output's relevant set is a copy of a retained `Full(c)`,
 //! so there is no per-output traversal worth fanning out.
@@ -27,7 +27,7 @@ use gpm_core::result::{rank_top_k, AnswerDiff, DivResult, RankedMatch, RunStats,
 use gpm_core::topk_div::greedy_diversified;
 use gpm_core::BoundedSelector;
 use gpm_graph::dynamic::DynGraph;
-use gpm_graph::{AppliedDelta, BitSet, DeltaOp, EffectiveOp, GraphDelta, Label, NodeId};
+use gpm_graph::{AppliedDelta, BitSet, EffectiveOp, Label, NodeId};
 use gpm_pattern::Pattern;
 use gpm_ranking::objective::{c_uo_with, Objective};
 use gpm_ranking::{CondPolicy, CondensationState, MaintainError, ReachEngine, RelevanceCache};
@@ -43,107 +43,12 @@ const COND_MAINT_CHURN_FLOOR: usize = 512;
 
 /// What a batch did to one pattern before its [`PatternState::refresh`].
 pub(crate) enum Batch<'a> {
-    /// Churn past [`PatternState::needs_rebuild`]: nothing was replayed,
-    /// the state re-derives itself from the post-batch graph.
-    Rebuilt,
     /// The batch's effective mutations were replayed through the
     /// simulation; the graph is in the post-batch state they describe.
     Replayed(&'a AppliedDelta),
     /// The shared index proved the whole batch irrelevant to the pattern:
     /// nothing was replayed and its answer cannot have moved.
     Untouched,
-}
-
-/// Effective edge churn of `delta` against the current `g`, judged
-/// before touching anything: the number of `EdgeAdded`/`EdgeRemoved`
-/// effective ops the batch will emit, plus one per effective node
-/// add/tombstone (a `RemoveNode` counts its stripped edges, floor one).
-/// Attribute ops change **no** adjacency and count zero — an attr-only
-/// batch must never trip the edge-churn rebuild threshold (the
-/// dirtiness-sweep cap still bounds its ranking cost).
-///
-/// Computed from an **effective-op mirror** of [`DynGraph::apply_with`]'s
-/// semantics, without mutating the graph: the in-batch edge state is
-/// `(pre-batch ∖ removed) ∪ added`, and in-batch tombstones strip their
-/// incident edges into `removed`. The old degree-sum heuristic counted
-/// self-loops and already-removed edges twice (a `RemoveNode` saw
-/// pre-batch degrees) while missing in-batch `AddEdge`s a later
-/// `RemoveNode` drops — borderline batches landed on the wrong side of
-/// the rebuild threshold. Ops an invalid batch would be rejected for
-/// (out-of-range ids) contribute nothing; such a batch never reaches the
-/// rebuild decision anyway.
-pub(crate) fn worst_churn(g: &DynGraph, delta: &GraphDelta) -> usize {
-    let n0 = g.node_count() as NodeId;
-    let mut next = n0;
-    let mut dead: HashSet<NodeId> = HashSet::new();
-    let mut added: HashSet<(NodeId, NodeId)> = HashSet::new();
-    let mut removed: HashSet<(NodeId, NodeId)> = HashSet::new();
-    let alive = |v: NodeId, next: NodeId, dead: &HashSet<NodeId>| {
-        v < next && !dead.contains(&v) && (v >= n0 || !g.is_removed(v))
-    };
-    // Pre-batch tombstones hold no edges, and in-batch deaths push their
-    // strips into `removed` — so edge existence needs no endpoint checks
-    // beyond these sets.
-    let has_now = |s: NodeId, t: NodeId, added: &HashSet<_>, removed: &HashSet<_>| {
-        added.contains(&(s, t))
-            || (!removed.contains(&(s, t)) && s < n0 && t < n0 && g.has_edge(s, t))
-    };
-    let mut churn = 0usize;
-    for op in &delta.ops {
-        match *op {
-            DeltaOp::AddNode(_) => {
-                next += 1;
-                churn += 1;
-            }
-            DeltaOp::AddEdge(s, t) => {
-                if alive(s, next, &dead)
-                    && alive(t, next, &dead)
-                    && !has_now(s, t, &added, &removed)
-                {
-                    removed.remove(&(s, t));
-                    added.insert((s, t));
-                    churn += 1;
-                }
-            }
-            DeltaOp::RemoveEdge(s, t) => {
-                if s < next && t < next && has_now(s, t, &added, &removed) {
-                    added.remove(&(s, t));
-                    removed.insert((s, t));
-                    churn += 1;
-                }
-            }
-            DeltaOp::RemoveNode(v) => {
-                if !alive(v, next, &dead) {
-                    continue;
-                }
-                // Each incident in-batch-live edge strips exactly once —
-                // a self-loop appears in both adjacency lists but is one
-                // edge, hence the set.
-                let mut incident: BTreeSet<(NodeId, NodeId)> = BTreeSet::new();
-                if v < n0 {
-                    for t in g.successors(v) {
-                        if !removed.contains(&(v, t)) {
-                            incident.insert((v, t));
-                        }
-                    }
-                    for s in g.predecessors(v) {
-                        if !removed.contains(&(s, v)) {
-                            incident.insert((s, v));
-                        }
-                    }
-                }
-                incident.extend(added.iter().copied().filter(|&(s, t)| s == v || t == v));
-                for &e in &incident {
-                    added.remove(&e);
-                    removed.insert(e);
-                }
-                churn += incident.len().max(1);
-                dead.insert(v);
-            }
-            DeltaOp::SetAttr { .. } | DeltaOp::UnsetAttr { .. } => {}
-        }
-    }
-    churn
 }
 
 /// The stateful half of the reach engine: the alive-pair view kept
@@ -268,14 +173,6 @@ impl PatternState {
         &self.stats
     }
 
-    /// `true` when a batch of `churn` effective edge changes against a
-    /// graph of `edge_count` edges should rebuild this pattern's state
-    /// wholesale instead of replaying — the single definition of the
-    /// rebuild policy, shared by `DynamicMatcher` and the registry.
-    pub(crate) fn needs_rebuild(&self, churn: usize, edge_count: usize) -> bool {
-        churn as f64 > self.cfg.max_delta_fraction * (edge_count.max(1) as f64)
-    }
-
     /// `true` when `eff` can possibly affect this pattern's simulation —
     /// the shared-index test the registry uses to skip replays. Skipping a
     /// mutation this returns `false` for is a provable no-op: candidates
@@ -321,13 +218,12 @@ impl PatternState {
     /// Turns one applied batch into this pattern's fresh answer plus its
     /// diff against the previously served one — the single sequence
     /// `DynamicMatcher` and the registry both run, once per pattern per
-    /// batch, after deciding [`Self::needs_rebuild`] and replaying (or
-    /// not): count the apply, then rebuild | fold the batch into the
-    /// maintained reach state and plan | note the batch passed by;
-    /// materialize the planned relevant sets; rank and diff. `g` must be
-    /// in the post-batch state. Returns `None` for [`Batch::Untouched`]:
-    /// the answer provably did not move, so it is neither re-ranked nor
-    /// reported.
+    /// batch, after replaying it: count the apply, then fold the batch
+    /// into the maintained reach state and plan | note the batch passed
+    /// by; materialize the planned relevant sets; rank and diff. `g` must
+    /// be in the post-batch state. Returns `None` for
+    /// [`Batch::Untouched`]: the answer provably did not move, so it is
+    /// neither re-ranked nor reported.
     ///
     /// `condense_incremental`, `plan`, `prepare` and `extract` children
     /// land on `span` (pass [`Span::disabled`] for an untraced refresh);
@@ -341,48 +237,23 @@ impl PatternState {
     ) -> Option<(TopKResult, AnswerDiff)> {
         let t0 = Instant::now();
         self.stats.applies += 1;
-        let outputs = match batch {
-            Batch::Rebuilt => {
-                let plan_span = span.child("plan");
-                plan_span.event("churn-rebuild");
-                self.rebuild(g)
-            }
-            Batch::Replayed(applied) => {
-                let flips = self.maintain_reach(g, applied, span);
-                let plan_span = span.child("plan");
-                let outputs = self.plan_refresh(g, applied, flips);
-                if plan_span.is_enabled() {
-                    plan_span.detail(format!(
-                        "outputs={} pruned={}",
-                        outputs.len(),
-                        self.stats.last_pruned_outputs
-                    ));
-                }
-                outputs
-            }
-            Batch::Untouched => {
-                self.refresh_untouched();
-                return None;
-            }
+        let Batch::Replayed(applied) = batch else {
+            self.refresh_untouched();
+            return None;
         };
+        let flips = self.maintain_reach(g, applied, span);
+        let plan_span = span.child("plan");
+        let outputs = self.plan_refresh(g, applied, flips);
+        if plan_span.is_enabled() {
+            plan_span.detail(format!(
+                "outputs={} pruned={}",
+                outputs.len(),
+                self.stats.last_pruned_outputs
+            ));
+        }
+        drop(plan_span);
         self.materialize(g, &outputs, span);
         Some(self.serve(t0))
-    }
-
-    /// Discards the materialized simulation and re-derives it from the
-    /// current contents of `g` (the past-the-churn-threshold fallback),
-    /// returning every structural output match for materialization.
-    fn rebuild(&mut self, g: &DynGraph) -> Vec<NodeId> {
-        self.sim = IncSimState::new(g, &self.pattern).expect("pattern validated at construction");
-        self.sim.take_dirty();
-        self.stats.full_rebuilds += 1;
-        self.stats.last_pruned_outputs = 0;
-        let outputs = self.full_plan();
-        if self.maintained.is_some() {
-            self.note_recondense();
-        }
-        self.rebuild_maintained(g, &Span::disabled());
-        outputs
     }
 
     /// Post-batch bookkeeping for a pattern the shared index proved the
@@ -475,14 +346,15 @@ impl PatternState {
             }
             Err(e) => {
                 // Past the policy thresholds a from-scratch condensation
-                // is cheaper than the bounded-region dance — the PR 1
-                // rebuild-threshold pattern, one layer down. The view is
-                // already post-batch; only the condensation restarts.
+                // is cheaper than the bounded-region dance. The view is
+                // already post-batch; only the condensation restarts —
+                // and, while pruning is on, the bounds stored in it.
                 ci.event(match e {
                     MaintainError::ProbeOverflow => "cond-probe-fallback",
                     MaintainError::RegionOverflow => "cond-region-fallback",
                 });
-                self.note_recondense();
+                self.stats.cond_rebuilds += 1;
+                self.stats.bound_rebuilds += u64::from(self.cfg.bounds);
                 mr.cond = CondensationState::build(&mr.view, |p| mr.view.is_alive(p));
                 self.install_maintained(mr, &ci);
             }
@@ -503,15 +375,6 @@ impl PatternState {
     fn cond_churn_high(&self, churn: usize) -> bool {
         churn > COND_MAINT_CHURN_FLOOR
             && churn as f64 > self.sim.alive_pairs() as f64 * self.cfg.max_cond_churn_fraction
-    }
-
-    /// Counts a from-scratch re-condensation of a live maintained state;
-    /// while pruning is on, the bounds stored in it were rebuilt with it.
-    fn note_recondense(&mut self) {
-        self.stats.cond_rebuilds += 1;
-        if self.cfg.bounds {
-            self.stats.bound_rebuilds += 1;
-        }
     }
 
     /// Derives the dirty seeds from the simulation flips and the changed
@@ -807,7 +670,7 @@ impl PatternState {
     // ---------------------------------------------------------- internals
 
     /// Resets the cache and plans a re-derivation of **every** structural
-    /// output match (fresh registration, churn rebuild, sweep overflow).
+    /// output match (fresh registration, sweep overflow).
     fn full_plan(&mut self) -> Vec<NodeId> {
         self.cache = RelevanceCache::default();
         self.deferred.clear();
@@ -855,9 +718,10 @@ impl PatternState {
     /// packs the alive-pair view and condenses it (its `tarjan` /
     /// `bitsets` sub-phases and budget-fallback events land under the
     /// `prepare` span). `extract` copies each output's strict-reach set
-    /// out (or, past the reach budget, BFSes it). Either way a set is as
-    /// wide as the graph is now; the cache keeps it beside narrower ones
-    /// from before the graph grew.
+    /// out (or, past the reach budget, BFSes it) and stores it — the span
+    /// stays open across the cache inserts, which popcount every set.
+    /// Either way a set is as wide as the graph is now; the cache keeps it
+    /// beside narrower ones from before the graph grew.
     fn materialize(&mut self, g: &DynGraph, outputs: &[NodeId], span: &Span) {
         if outputs.is_empty() {
             return;
@@ -878,6 +742,7 @@ impl PatternState {
                 .map(|&v| view.compact_of(uo, v).expect("planned outputs are alive"))
                 .collect()
         };
+        let _extract;
         let sets: Vec<BitSet> = match &self.maintained {
             Some(mr) => {
                 let sources = compact(&mr.view);
@@ -885,7 +750,7 @@ impl PatternState {
                     prep.detail(format!("sources={} dp=true maintained=true", outputs.len()));
                 }
                 drop(prep);
-                let _ex = extract_span();
+                _extract = extract_span();
                 sources.iter().map(|&c| mr.cond.strict_reach(c)).collect()
             }
             None => {
@@ -896,7 +761,7 @@ impl PatternState {
                     prep.detail(format!("sources={} dp={}", outputs.len(), engine.used_dp()));
                 }
                 drop(prep);
-                let _ex = extract_span();
+                _extract = extract_span();
                 engine.extract_all(1)
             }
         };
@@ -1092,7 +957,7 @@ mod tests {
     use super::*;
     use crate::DynamicMatcher;
     use gpm_graph::builder::graph_from_parts;
-    use gpm_graph::DiGraph;
+    use gpm_graph::{DiGraph, GraphDelta};
     use gpm_pattern::builder::label_pattern;
     use gpm_ranking::ReachConfig;
     use proptest::prelude::*;
@@ -1192,51 +1057,6 @@ mod tests {
             run_stream(&g, q, IncrementalConfig::new(4), &batches);
         }
 
-        // The churn estimate is exact: it equals the per-op effective
-        // churn (edge effects, node adds, tombstones floored at one)
-        // observed by actually applying the batch op by op.
-        #[test]
-        fn worst_churn_counts_effective_ops(
-            (labels, edges) in (4usize..14).prop_flat_map(|n| (
-                proptest::collection::vec(0u32..3, n),
-                proptest::collection::vec((0u32..n as u32, 0u32..n as u32), 0..n * 2),
-            )),
-            batches in proptest::collection::vec(
-                proptest::collection::vec((0u8..8, 0u32..64, 0u32..64), 1..6), 1..5),
-        ) {
-            let g = graph_from_parts(&labels, &edges).unwrap();
-            let mut dg = DynGraph::from_digraph(&g);
-            for raw in &batches {
-                let delta = decode(&dg, raw);
-                let churn = worst_churn(&dg, &delta);
-                let mut expect = 0usize;
-                for op in &delta.ops {
-                    let single = match *op {
-                        DeltaOp::AddNode(l) => GraphDelta::new().add_node(l),
-                        DeltaOp::AddEdge(s, t) => GraphDelta::new().add_edge(s, t),
-                        DeltaOp::RemoveEdge(s, t) => GraphDelta::new().remove_edge(s, t),
-                        DeltaOp::RemoveNode(v) => GraphDelta::new().remove_node(v),
-                        DeltaOp::SetAttr { node, ref key, ref value } => {
-                            GraphDelta::new().set_attr(node, key.clone(), value.clone())
-                        }
-                        DeltaOp::UnsetAttr { node, ref key } => {
-                            GraphDelta::new().unset_attr(node, key.clone())
-                        }
-                    };
-                    let applied = dg.apply(&single).expect("decoded deltas are valid");
-                    expect += match *op {
-                        DeltaOp::AddNode(_) => 1,
-                        DeltaOp::RemoveNode(_) if !applied.removed_nodes.is_empty() => {
-                            applied.removed_edges.len().max(1)
-                        }
-                        DeltaOp::RemoveNode(_) => 0,
-                        _ => applied.added_edges.len() + applied.removed_edges.len(),
-                    };
-                }
-                prop_assert_eq!(churn, expect, "churn of {:?}", delta);
-            }
-        }
-
         // The same property with the reach budget forced to zero: every
         // materialization takes the BFS-fallback path through the dynamic
         // view, and the answers must not move.
@@ -1257,31 +1077,6 @@ mod tests {
             let b = run_stream(&g, q, IncrementalConfig::new(4), &batches);
             prop_assert_eq!(a.top_k().nodes(), b.top_k().nodes());
         }
-    }
-
-    /// Regression for the degree-sum churn heuristic this mirror
-    /// replaced: removing a self-loop and then its node counted the loop
-    /// three times (once for the `RemoveEdge`, twice more via the stale
-    /// successor + predecessor degrees of the `RemoveNode`), pushing this
-    /// borderline batch over the 20% rebuild threshold of a 10-edge graph.
-    /// Effectively it is one edge removal plus one bare tombstone.
-    #[test]
-    fn borderline_self_loop_batch_stays_incremental() {
-        let labels = [0, 1, 2, 0, 1, 2, 0, 1, 2, 0];
-        let edges =
-            [(0, 1), (1, 2), (3, 4), (4, 5), (6, 7), (7, 8), (0, 4), (3, 7), (6, 1), (9, 9)];
-        let g = graph_from_parts(&labels, &edges).unwrap();
-        let q = label_pattern(&[0, 1, 2], &[(0, 1), (1, 2)], 0).unwrap();
-        let delta = GraphDelta::new().remove_edge(9, 9).remove_node(9);
-
-        let dg = DynGraph::from_digraph(&g);
-        assert_eq!(worst_churn(&dg, &delta), 2, "one edge removal + one bare tombstone");
-
-        let mut m = DynamicMatcher::new(&g, q, IncrementalConfig::new(4)).unwrap();
-        m.apply(&delta).expect("valid batch");
-        assert_eq!(m.stats().full_rebuilds, 0, "borderline batch must stay incremental");
-        assert_eq!(m.stats().incremental_applies, 1);
-        assert_cache_matches_bfs(&m);
     }
 
     /// The budget fallback really flips the engine mode when driven

@@ -198,10 +198,7 @@ fn matcher_equals_registry_of_one(kind: StreamKind, seed: u64, trials: usize, st
             }
         };
         let k = rng.random_range(1..5usize);
-        // Randomized rebuild threshold: both sides must take the churn
-        // rebuild on the same batches.
-        let mut cfg = IncrementalConfig::new(k);
-        cfg.max_delta_fraction = [0.0, 0.05, 0.2, f64::INFINITY][rng.random_range(0..4usize)];
+        let cfg = IncrementalConfig::new(k);
 
         let mut m = DynamicMatcher::new(&g, undispatchable(&q), cfg.clone()).unwrap();
         m.set_telemetry(Telemetry::on());
@@ -248,14 +245,13 @@ fn matcher_equals_registry_of_one_on_every_stream_kind() {
 
 #[test]
 fn forced_incremental_path_agrees() {
-    // Thresholds maxed out so the incremental path is always taken (no
-    // full-rebuild safety net hiding bugs).
+    // Threshold maxed out so the incremental path is always taken (no
+    // full-rank-refresh safety net hiding bugs).
     let mut rng = StdRng::seed_from_u64(7);
     for trial in 0..25 {
         let g = random_graph(&mut rng, 12, 3, 2);
         let q = random_pattern(&mut rng, 3);
         let mut cfg = IncrementalConfig::new(3);
-        cfg.max_delta_fraction = f64::INFINITY;
         cfg.max_dirty_fraction = f64::INFINITY;
         let mut m = DynamicMatcher::new(&g, q, cfg).unwrap();
         for step in 0..10 {
@@ -263,43 +259,8 @@ fn forced_incremental_path_agrees() {
             m.apply(&delta).unwrap();
             assert_agrees(&mut m, 3, 0.5, &format!("forced trial {trial} step {step}"));
         }
-        assert_eq!(m.stats().full_rebuilds, 0);
         assert_eq!(m.stats().full_rank_refreshes, 0);
         assert_eq!(m.stats().incremental_applies, 10);
-    }
-}
-
-#[test]
-fn forced_rebuild_path_agrees() {
-    // Zero thresholds: every *effective* batch goes through the
-    // full-rebuild fallback; the answers must be the same ones the
-    // incremental path produces. The churn estimate is exact since the
-    // effective-op mirror, so a batch whose ops are all no-ops (removing
-    // an absent edge, re-tombstoning a node) counts zero churn and
-    // legitimately stays off the rebuild path.
-    let mut rng = StdRng::seed_from_u64(9);
-    for trial in 0..10 {
-        let g = random_graph(&mut rng, 12, 3, 2);
-        let q = random_pattern(&mut rng, 3);
-        let mut cfg = IncrementalConfig::new(3);
-        cfg.max_delta_fraction = 0.0;
-        let mut m = DynamicMatcher::new(&g, q, cfg).unwrap();
-        let mut mirror = gpm_graph::dynamic::DynGraph::from_digraph(&g);
-        let mut effective = 0;
-        for step in 0..6 {
-            let delta = random_delta(&mut rng, m.graph(), StreamKind::Mixed);
-            let applied = mirror.apply(&delta).unwrap();
-            if !applied.added_nodes.is_empty()
-                || !applied.removed_nodes.is_empty()
-                || !applied.added_edges.is_empty()
-                || !applied.removed_edges.is_empty()
-            {
-                effective += 1;
-            }
-            m.apply(&delta).unwrap();
-            assert_agrees(&mut m, 3, 0.5, &format!("rebuild trial {trial} step {step}"));
-        }
-        assert_eq!(m.stats().full_rebuilds, effective, "every effective batch rebuilds");
     }
 }
 
@@ -314,14 +275,12 @@ fn tombstone_keeps_surviving_ancestors_fresh() {
     let g = graph_from_parts(&[0, 1, 1], &[(0, 1), (0, 2)]).unwrap();
     let q = label_pattern(&[0, 1], &[(0, 1)], 0).unwrap();
     let mut cfg = IncrementalConfig::new(2);
-    cfg.max_delta_fraction = f64::INFINITY;
     cfg.max_dirty_fraction = f64::INFINITY;
     let mut m = DynamicMatcher::new(&g, q, cfg).unwrap();
     assert_eq!(m.top_k().matches[0].relevance, 2);
 
     m.apply(&GraphDelta::new().remove_node(1)).unwrap();
-    assert_eq!(m.stats().full_rebuilds, 0, "must exercise the incremental path");
-    assert_eq!(m.stats().full_rank_refreshes, 0);
+    assert_eq!(m.stats().full_rank_refreshes, 0, "must exercise the incremental path");
     let top = m.top_k();
     assert_eq!(top.nodes(), vec![0]);
     assert_eq!(top.matches[0].relevance, 1, "relevant set still counts the tombstoned node");
@@ -352,7 +311,6 @@ fn attribute_patterns_are_maintained() {
     let top = m.apply(&GraphDelta::new().unset_attr(0, "views")).unwrap();
     assert!(top.nodes().is_empty());
     assert_agrees(&mut m, 2, 0.5, "after UnsetAttr");
-    assert_eq!(m.stats().full_rebuilds, 0, "attr flips are handled incrementally");
 }
 
 #[test]

@@ -207,7 +207,7 @@ fn pattern_json(info: &PatternInfo) -> String {
             "{{\"id\":\"{}\",\"nodes\":{},\"edges\":{},\"k\":{},\"lambda\":{},",
             "\"reach_mode\":\"{}\",\"bound_mode\":\"{}\",\"maintained_bytes\":{},",
             "\"stats\":{{",
-            "\"applies\":{},\"incremental_applies\":{},\"full_rebuilds\":{},",
+            "\"applies\":{},\"incremental_applies\":{},",
             "\"full_rank_refreshes\":{},\"sets_recomputed\":{},\"cond_incremental\":{},",
             "\"cond_rebuilds\":{},\"pruned_outputs\":{},",
             "\"bound_rebuilds\":{},\"last_pruned_outputs\":{},",
@@ -224,7 +224,6 @@ fn pattern_json(info: &PatternInfo) -> String {
         info.maintained_bytes,
         s.applies,
         s.incremental_applies,
-        s.full_rebuilds,
         s.full_rank_refreshes,
         s.sets_recomputed,
         s.cond_incremental,

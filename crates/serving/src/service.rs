@@ -194,7 +194,7 @@ impl ServiceCounters {
 pub struct IngestReport {
     /// The sequence number assigned to the batch.
     pub seq: u64,
-    /// Patterns the batch touched (replayed into or rebuilt).
+    /// Patterns the batch touched (replayed into).
     pub touched: usize,
     /// Updates pushed to subscriptions.
     pub notified: usize,

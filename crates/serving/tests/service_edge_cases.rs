@@ -8,7 +8,7 @@ use gpm_core::result::AnswerDiff;
 use gpm_datagen::update_stream::{update_stream, UpdateStreamConfig};
 use gpm_graph::builder::graph_from_parts;
 use gpm_graph::{DiGraph, GraphDelta};
-use gpm_incremental::IncrementalConfig;
+use gpm_incremental::{DynamicMatcher, IncrementalConfig, IncrementalError, PatternRegistry};
 use gpm_pattern::builder::label_pattern;
 use gpm_pattern::Pattern;
 use gpm_serving::{
@@ -249,6 +249,42 @@ fn k_zero_diversified_subscription_stays_empty() {
     svc.ingest(&GraphDelta::new().add_edge(1, 3)).unwrap();
     assert!(sub.try_recv().is_none(), "no material change, no update");
     assert!(svc.current(sub.pattern()).unwrap().matches.is_empty());
+}
+
+/// The advertised ceiling — 64 pattern nodes, the candidate-bitmask width
+/// — end to end: every owner refuses a 65-node pattern with
+/// `UnsupportedPattern` and keeps nothing of the attempt, so the next
+/// valid registration is the first one.
+#[test]
+fn a_65_node_pattern_is_refused_and_leaves_nothing_behind() {
+    let (g, q) = fixture();
+    let chain: Vec<(u32, u32)> = (1..65).map(|i| (i - 1, i)).collect();
+    let big = label_pattern(&[0; 65], &chain, 0).unwrap();
+    let cfg = IncrementalConfig::new(2);
+
+    let refused = DynamicMatcher::new(&g, big.clone(), cfg.clone()).err();
+    assert!(matches!(refused, Some(IncrementalError::UnsupportedPattern)), "{refused:?}");
+
+    let mut reg = PatternRegistry::with_threads(&g, 1);
+    let refused = reg.register(big.clone(), cfg.clone());
+    assert!(matches!(refused, Err(IncrementalError::UnsupportedPattern)), "{refused:?}");
+    assert_eq!((reg.len(), reg.stats().registrations), (0, 0));
+    assert!(reg.pattern_infos().is_empty());
+    let first = reg.register(q.clone(), cfg.clone()).unwrap();
+    assert_eq!(first.to_string(), "pattern#0", "the refused pattern consumed no id");
+
+    let mut svc = AnswerService::new(&g, ServiceConfig::default());
+    let refused = svc.subscribe(big, cfg.clone(), NotifyMode::Relevance).err();
+    assert!(
+        matches!(refused, Some(ServingError::Incremental(IncrementalError::UnsupportedPattern))),
+        "{refused:?}"
+    );
+    assert_eq!((svc.subscriptions(), svc.registry().len()), (0, 0));
+    assert_eq!(svc.registry_stats().registrations, 0);
+    assert!(svc.registry().pattern_infos().is_empty());
+    let sub = svc.subscribe(q, cfg, NotifyMode::Relevance).unwrap();
+    assert_eq!(sub.pattern().to_string(), "pattern#0");
+    assert_eq!(sub.try_recv().expect("bootstrap answer").topk_nodes(), vec![0, 1]);
 }
 
 #[test]

@@ -41,7 +41,6 @@ fn parallel_refresh_batch_is_fully_observable() {
     let q = label_pattern(&[0, 1], &[(0, 1), (1, 0)], 0).unwrap();
 
     let mut cfg = IncrementalConfig::new(8);
-    cfg.max_delta_fraction = f64::INFINITY;
     cfg.max_dirty_fraction = f64::INFINITY;
     cfg.reach = gpm_ranking::ReachConfig { budget_bytes: 0, threads: 1 };
 

@@ -377,7 +377,11 @@ impl IncSimState {
         for u in q.nodes() {
             let Some(i) = self.valid_index(u, v) else { continue };
             for (j, &uc) in q.successors(u).iter().enumerate() {
-                if self.valid_index(uc, w).is_some_and(|iw| self.alive[uc as usize][iw]) {
+                // Alive when the edge went: on a self-loop a pair killed by
+                // an earlier iteration is this one's child, and skipping
+                // its decrement would leave the counter one too high for
+                // good — the cascade walks `g`, where the edge is gone.
+                if self.pair_alive(uc, w) || (v == w && kill.contains(&(uc, w))) {
                     self.dec_counter(u, i, j, &mut kill);
                 }
             }
@@ -709,6 +713,23 @@ mod tests {
         assert_eq!(s.output_matches(&q), vec![0]);
         check_equiv(&mut g, &mut s, &q, &GraphDelta::new().remove_edge(1, 2));
         assert!(s.output_matches(&q).is_empty());
+    }
+
+    #[test]
+    fn removing_a_self_loop_kills_both_pairs_it_supported() {
+        // Pattern A ⇄ A' (both label 0) over one node with a self-loop:
+        // the loop is each pair's only support for the other. Removing it
+        // kills (A, 0) first, which is the child pair (A', 0) was about to
+        // be decremented for — the decrement must not be skipped.
+        let g0 = graph_from_parts(&[0], &[(0, 0)]).unwrap();
+        let q = label_pattern(&[0, 0], &[(0, 1), (1, 0)], 0).unwrap();
+        let mut g = DynGraph::from_digraph(&g0);
+        let mut s = IncSimState::new(&g, &q).unwrap();
+        assert_eq!(s.output_matches(&q), vec![0]);
+        check_equiv(&mut g, &mut s, &q, &GraphDelta::new().remove_edge(0, 0));
+        assert!(s.output_matches(&q).is_empty());
+        check_equiv(&mut g, &mut s, &q, &GraphDelta::new().add_edge(0, 0));
+        assert_eq!(s.output_matches(&q), vec![0]);
     }
 
     #[test]

@@ -89,7 +89,6 @@ pub mod names {
     pub const REGISTRY_OPS_REPLAYED: &str = "gpm_registry_ops_replayed_total";
     pub const REGISTRY_OPS_SKIPPED: &str = "gpm_registry_ops_skipped_total";
     pub const REGISTRY_LAST_TOUCHED: &str = "gpm_registry_last_patterns_touched";
-    pub const REGISTRY_LAST_REBUILDS: &str = "gpm_registry_last_rebuilds";
 
     // Worker-pool occupancy (copied from the pool's own atomics once per
     // batch — gauges because they are point-in-time running totals).
@@ -159,7 +158,6 @@ pub mod names {
             REGISTRY_OPS_REPLAYED => "Effective ops replayed into per-pattern state.",
             REGISTRY_OPS_SKIPPED => "Effective ops skipped by the shared interest index.",
             REGISTRY_LAST_TOUCHED => "Patterns touched by the last batch.",
-            REGISTRY_LAST_REBUILDS => "Patterns rebuilt by the last batch.",
             POOL_BUSY_NANOS => "Cumulative busy nanoseconds across pool workers.",
             POOL_TASKS => "Tasks completed by the worker pool.",
             POOL_QUEUE_DEPTH => "Worker-pool items pending at snapshot time.",

@@ -80,8 +80,8 @@ fn main() {
 
     let stats = m.stats();
     println!(
-        "maintenance: {} batches, {} incremental, {} full rebuilds, {} relevant sets recomputed",
-        stats.applies, stats.incremental_applies, stats.full_rebuilds, stats.sets_recomputed
+        "maintenance: {} batches, {} incremental, {} full rank refreshes, {} relevant sets recomputed",
+        stats.applies, stats.incremental_applies, stats.full_rank_refreshes, stats.sets_recomputed
     );
     let _ = new_st;
 }

@@ -99,9 +99,9 @@ fn main() {
     show(&reg, &names);
 
     // Attribute deltas flow through the same apply() as structural ones:
-    // seniority arriving on a few PMs creates matches incrementally (no
-    // rebuild — attr flips are zero edge churn), and an attr batch on a
-    // key no pattern mentions is pruned wholesale by the interest index.
+    // seniority arriving on a few PMs creates matches incrementally, and
+    // an attr batch on a key no pattern mentions is pruned wholesale by
+    // the interest index.
     let pms: Vec<_> = reg.graph().nodes_with_label(PM).take(3).collect();
     let mut promote = GraphDelta::new();
     for (i, &pm) in pms.iter().enumerate() {
