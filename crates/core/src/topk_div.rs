@@ -15,6 +15,12 @@
 //! (one more greedy single pick if `k` is odd). Because `δd` is a metric,
 //! the Hassin–Rubinstein–Tamir argument gives `F(S) ≥ F(S*)/2`.
 //!
+//! The greedy scores every pair once — `n(n−1)/2` calls of `δd` — and
+//! keeps each match's best later partner; after a pick it rescans only the
+//! rows whose best partner was just taken, so later rounds cost a few rows
+//! instead of another `n(n−1)/2` scan. The selection, ties included, is
+//! the full scan's: the first maximum in pair scan order.
+//!
 //! The module also ships an exponential exact solver used by tests to
 //! verify the approximation guarantee on small instances.
 
@@ -80,6 +86,15 @@ pub fn top_k_diversified_with(
 /// [`DynamicMatcher`](https://docs.rs/gpm-incremental) both call this, so a
 /// maintained state and a from-scratch run produce identical selections —
 /// ties included.
+///
+/// Each round picks the first maximum of `F'` in `(a, b)` scan order over
+/// the remaining matches. Instead of rescanning every pair per round, each
+/// remaining row `a` keeps its best later partner `b` (first maximum in
+/// its row); a round takes the first row holding the overall maximum —
+/// the same pair — and rescans only the rows whose partner it just took.
+/// Extra memory is `O(n)`. `d` must not return NaN: a NaN compares
+/// unequal to everything, and the row bests would then disagree with a
+/// full scan.
 pub fn greedy_diversified(
     objective: &Objective,
     rel: &[f64],
@@ -87,27 +102,45 @@ pub fn greedy_diversified(
 ) -> (Vec<usize>, f64) {
     let n = rel.len();
     let k = objective.k;
-    let mut remaining: Vec<usize> = (0..n).collect();
+    let mut taken = vec![false; n];
     let mut selected: Vec<usize> = Vec::with_capacity(k);
+    // `row_best[a]`: the first maximum `(F', b)` over untaken `b > a`.
+    let row_scan = |a: usize, taken: &[bool]| -> Option<(f64, usize)> {
+        let mut best: Option<(f64, usize)> = None;
+        for b in (a + 1..n).filter(|&b| !taken[b]) {
+            let dist = d(a, b);
+            debug_assert!(!dist.is_nan(), "δd({a}, {b}) is NaN");
+            let score = objective.f_pair(rel[a], rel[b], dist);
+            if best.is_none_or(|(s, _)| score > s) {
+                best = Some((score, b));
+            }
+        }
+        best
+    };
+    let mut row_best: Vec<Option<(f64, usize)>> =
+        if k >= 2 { (0..n).map(|a| row_scan(a, &taken)).collect() } else { Vec::new() };
     // Greedy pair selection.
-    while selected.len() + 2 <= k && remaining.len() >= 2 {
+    while selected.len() + 2 <= k && n - selected.len() >= 2 {
         let mut best: Option<(f64, usize, usize)> = None;
-        for a in 0..remaining.len() {
-            for b in (a + 1)..remaining.len() {
-                let (i, j) = (remaining[a], remaining[b]);
-                let score = objective.f_pair(rel[i], rel[j], d(i, j));
-                if best.is_none_or(|(s, _, _)| score > s) {
+        for (a, row) in row_best.iter().enumerate() {
+            if let Some((score, b)) = *row {
+                if !taken[a] && best.is_none_or(|(s, _, _)| score > s) {
                     best = Some((score, a, b));
                 }
             }
         }
-        let Some((_, a, b)) = best else { break };
-        // Remove b first (higher index) to keep positions valid.
-        let j = remaining.remove(b);
-        let i = remaining.remove(a);
+        let Some((_, i, j)) = best else { break };
+        taken[i] = true;
+        taken[j] = true;
         selected.push(i);
         selected.push(j);
+        for a in 0..n {
+            if !taken[a] && row_best[a].is_some_and(|(_, b)| b == i || b == j) {
+                row_best[a] = row_scan(a, &taken);
+            }
+        }
     }
+    let mut remaining: Vec<usize> = (0..n).filter(|&i| !taken[i]).collect();
     // Odd k (or leftovers): greedily add the single best marginal match.
     while selected.len() < k && !remaining.is_empty() {
         let mut best: Option<(f64, usize)> = None;
@@ -280,6 +313,142 @@ mod tests {
         for r in [top_k_diversified(&g, &q, &cfg), optimal_diversified(&g, &q, &cfg)] {
             assert!(r.matches.is_empty(), "k = 0 answered {:?}", r.nodes());
             assert_eq!(r.f_value, 0.0);
+        }
+    }
+
+    /// The greedy before row bests: every round rescans every remaining
+    /// pair and keeps the first maximum — the reference the row-best
+    /// greedy must reproduce exactly.
+    fn greedy_full_scan(
+        objective: &Objective,
+        rel: &[f64],
+        d: &impl Fn(usize, usize) -> f64,
+    ) -> (Vec<usize>, f64) {
+        let k = objective.k;
+        let mut remaining: Vec<usize> = (0..rel.len()).collect();
+        let mut selected: Vec<usize> = Vec::with_capacity(k);
+        while selected.len() + 2 <= k && remaining.len() >= 2 {
+            let mut best: Option<(f64, usize, usize)> = None;
+            for a in 0..remaining.len() {
+                for b in (a + 1)..remaining.len() {
+                    let (i, j) = (remaining[a], remaining[b]);
+                    let score = objective.f_pair(rel[i], rel[j], d(i, j));
+                    if best.is_none_or(|(s, _, _)| score > s) {
+                        best = Some((score, a, b));
+                    }
+                }
+            }
+            let Some((_, a, b)) = best else { break };
+            let j = remaining.remove(b);
+            let i = remaining.remove(a);
+            selected.push(i);
+            selected.push(j);
+        }
+        while selected.len() < k && !remaining.is_empty() {
+            let mut best: Option<(f64, usize)> = None;
+            for (pos, &i) in remaining.iter().enumerate() {
+                let mut with: Vec<usize> = selected.clone();
+                with.push(i);
+                let f = f_of(objective, &with, rel, d);
+                if best.is_none_or(|(s, _)| f > s) {
+                    best = Some((f, pos));
+                }
+            }
+            let Some((_, pos)) = best else { break };
+            selected.push(remaining.remove(pos));
+        }
+        let f_value = f_of(objective, &selected, rel, d);
+        (selected, f_value)
+    }
+
+    /// Row-best greedy ≡ full-scan greedy, ties included: relevances and
+    /// distances are drawn from a handful of values so equal scores are
+    /// the norm, and most instances run several pair rounds.
+    #[test]
+    fn row_best_greedy_equals_full_scan() {
+        let mut rng = StdRng::seed_from_u64(25);
+        let mut multi_round = 0usize;
+        for trial in 0..20_000 {
+            let n = rng.random_range(0..40usize);
+            let k = rng.random_range(0..14usize);
+            let lambda = [0.0, 0.25, 0.5, 1.0][rng.random_range(0..4usize)];
+            let rel: Vec<f64> = (0..n).map(|_| rng.random_range(0..5u32) as f64).collect();
+            let mut dist = vec![0.0; n * n];
+            for i in 0..n {
+                for j in i + 1..n {
+                    let v = rng.random_range(0..5u32) as f64 / 4.0;
+                    dist[i * n + j] = v;
+                    dist[j * n + i] = v;
+                }
+            }
+            let d = |i: usize, j: usize| dist[i * n + j];
+            let objective = Objective::new(lambda, k, rng.random_range(1..20u64));
+            let (want, want_f) = greedy_full_scan(&objective, &rel, &d);
+            let (got, got_f) = greedy_diversified(&objective, &rel, &d);
+            assert_eq!(got, want, "trial {trial}: n={n} k={k} λ={lambda}");
+            assert_eq!(got_f.to_bits(), want_f.to_bits(), "trial {trial}");
+            multi_round += usize::from(k.min(n) >= 4);
+        }
+        assert!(multi_round > 1_000, "only {multi_round} instances ran ≥ 2 rounds");
+    }
+
+    /// Seeded instances for [`top_k_diversified_is_pinned`]: 60 nodes,
+    /// 240 random edges, a two-node pattern on odd seeds and a three-node
+    /// chain on even ones.
+    fn pin_instance(seed: u64) -> (gpm_graph::DiGraph, gpm_pattern::Pattern) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let n = 60usize;
+        let labels: Vec<u32> = (0..n).map(|_| rng.random_range(0..3u32)).collect();
+        let edges: Vec<(u32, u32)> = (0..n * 4)
+            .map(|_| (rng.random_range(0..n as u32), rng.random_range(0..n as u32)))
+            .filter(|(a, b)| a != b)
+            .collect();
+        let g = graph_from_parts(&labels, &edges).unwrap();
+        let q = if seed % 2 == 1 {
+            label_pattern(&[0, 1], &[(0, 1)], 0).unwrap()
+        } else {
+            label_pattern(&[0, 1, 2], &[(0, 1), (1, 2)], 0).unwrap()
+        };
+        (g, q)
+    }
+
+    /// Selections and `F` bits taken from the full-scan greedy (commit
+    /// 172f125): a changed tie-break or summation order fails here rather
+    /// than only in the benchmark's `dh_f_ratio`.
+    #[test]
+    fn top_k_diversified_is_pinned() {
+        #[rustfmt::skip]
+        let pins: [(u64, usize, f64, &[u32], u64); 24] = [
+            (1, 2, 0.0, &[20, 28], 0x3fd2492492492492),
+            (1, 2, 0.5, &[8, 20], 0x3ff1e79e79e79e7a),
+            (1, 2, 1.0, &[8, 20], 0x4000000000000000),
+            (1, 3, 0.0, &[20, 28, 8], 0x3fd8618618618618),
+            (1, 3, 0.5, &[8, 20, 23], 0x3ffaaaaaaaaaaaab),
+            (1, 3, 1.0, &[8, 20, 23], 0x4008000000000000),
+            (1, 5, 0.0, &[20, 28, 8, 21, 23], 0x3fe2492492492492),
+            (1, 5, 0.5, &[8, 20, 21, 28, 34], 0x4005381381381381),
+            (1, 5, 1.0, &[8, 20, 21, 23, 25], 0x4013555555555556),
+            (1, 10, 0.0, &[20, 28, 8, 21, 23, 34, 50, 51, 25, 47], 0x3fee79e79e79e79e),
+            (1, 10, 0.5, &[8, 20, 21, 28, 23, 34, 50, 51, 25, 47], 0x4014d0dd0dd0dd0d),
+            (1, 10, 1.0, &[8, 20, 21, 23, 25, 28, 34, 47, 50, 51], 0x4022e93e93e93e93),
+            (2, 2, 0.0, &[15, 32], 0x3fd2bb512bb512bc),
+            (2, 2, 0.5, &[32, 41], 0x3ff1c18f9c18f9c2),
+            (2, 2, 1.0, &[4, 23], 0x4000000000000000),
+            (2, 3, 0.0, &[15, 32, 29], 0x3fda895da895da8a),
+            (2, 3, 0.5, &[32, 41, 15], 0x3ffa0122a0122a01),
+            (2, 3, 1.0, &[4, 23, 41], 0x4008000000000000),
+            (2, 5, 0.0, &[15, 32, 29, 52, 4], 0x3fe44aed44aed44b),
+            (2, 5, 0.5, &[32, 41, 15, 23, 4], 0x400531da7c72fd1c),
+            (2, 5, 1.0, &[4, 23, 15, 41, 32], 0x4013255d9bab2f10),
+            (2, 10, 0.0, &[15, 32, 29, 52, 4, 23, 41, 59, 48], 0x3fec18f9c18f9c19),
+            (2, 10, 0.5, &[32, 41, 15, 23, 4, 59, 48, 52, 29], 0x400e161f31e3fb3e),
+            (2, 10, 1.0, &[4, 23, 15, 41, 48, 59, 32, 52, 29], 0x401a92fff9b207bb),
+        ];
+        for (seed, k, lambda, nodes, f_bits) in pins {
+            let (g, q) = pin_instance(seed);
+            let r = top_k_diversified(&g, &q, &DivConfig::new(k, lambda));
+            assert_eq!(r.nodes(), nodes, "seed {seed} k={k} λ={lambda}");
+            assert_eq!(r.f_value.to_bits(), f_bits, "seed {seed} k={k} λ={lambda}");
         }
     }
 

@@ -7,11 +7,15 @@
 //! applies [`GraphDelta`] batches in place with a monotonically increasing
 //! **version**, and can snapshot back into a `DiGraph` whenever a
 //! from-scratch baseline or fallback recompute needs one.
+//! [`DynGraph::shared_snapshot`] hands out one such copy per version: it
+//! is built on first request, retained until the next `apply` starts
+//! mutating, and shared by every caller in between.
 //!
 //! The label index (`nodes_with_label`) is maintained incrementally too:
 //! candidate enumeration after node additions must not rescan the graph.
 
 use std::collections::BTreeSet;
+use std::sync::{Arc, OnceLock};
 
 use crate::attrs::Attributes;
 use crate::builder::GraphBuilder;
@@ -33,6 +37,9 @@ pub struct DynGraph {
     attrs: Vec<Attributes>,
     edge_count: usize,
     version: u64,
+    /// [`Self::shared_snapshot`] of the current state, once asked for;
+    /// emptied by every mutation.
+    shared: OnceLock<Arc<DiGraph>>,
 }
 
 impl DynGraph {
@@ -60,6 +67,7 @@ impl DynGraph {
             attrs,
             edge_count: g.edge_count(),
             version: 0,
+            shared: OnceLock::new(),
         }
     }
 
@@ -167,7 +175,9 @@ impl DynGraph {
     /// into one hook call per dropped edge (each observing the edge
     /// already gone but later edges still present) before the tombstone
     /// call — cascade algorithms that walk current adjacency stay in
-    /// lockstep.
+    /// lockstep. Every mutation drops the retained
+    /// [`Self::shared_snapshot`] before the hook runs, so a hook never sees
+    /// a copy of an earlier state; a rejected batch keeps it.
     pub fn apply_with(
         &mut self,
         delta: &GraphDelta,
@@ -209,6 +219,7 @@ impl DynGraph {
         macro_rules! emit {
             ($self:ident, $eff:expr) => {{
                 let eff = $eff;
+                $self.shared.take();
                 hook(&*$self, &eff);
                 out.effects.push(eff);
             }};
@@ -332,6 +343,14 @@ impl DynGraph {
             }
         }
         b.build()
+    }
+
+    /// [`Self::snapshot`] of the current version, built at most once per
+    /// version and shared: callers between two batches (say, N pattern
+    /// registrations) get the same `Arc`. It is retained until the next
+    /// [`Self::apply_with`] mutates the graph.
+    pub fn shared_snapshot(&self) -> Arc<DiGraph> {
+        self.shared.get_or_init(|| Arc::new(self.snapshot())).clone()
     }
 }
 
@@ -515,6 +534,97 @@ mod tests {
         assert!(dg.apply(&bad).is_err());
         assert_eq!(dg.version(), 0);
         assert!(!dg.has_edge(0, 2), "earlier ops of a failed batch are not applied");
+    }
+
+    /// Node labels, attributes and edges of two snapshots agree.
+    fn assert_same_graph(a: &DiGraph, b: &DiGraph) {
+        assert_eq!(a.labels(), b.labels());
+        assert_eq!(
+            a.edges().map(|e| (e.source, e.target)).collect::<Vec<_>>(),
+            b.edges().map(|e| (e.source, e.target)).collect::<Vec<_>>()
+        );
+        for v in a.nodes() {
+            assert_eq!(a.attributes(v), b.attributes(v), "attributes of {v}");
+        }
+    }
+
+    #[test]
+    fn shared_snapshot_is_one_copy_per_version() {
+        let mut dg = DynGraph::from_digraph(&sample());
+        let first = dg.shared_snapshot();
+        assert!(Arc::ptr_eq(&first, &dg.shared_snapshot()), "one copy between batches");
+        assert_same_graph(&first, &dg.snapshot());
+
+        // A rejected batch mutates nothing and keeps the copy.
+        assert!(dg.apply(&GraphDelta::new().add_edge(0, 2).add_edge(0, 99)).is_err());
+        assert!(Arc::ptr_eq(&first, &dg.shared_snapshot()));
+
+        // A clone shares the copy; an applied batch replaces it.
+        let twin = dg.clone();
+        dg.apply(&GraphDelta::new().add_edge(0, 2)).unwrap();
+        let second = dg.shared_snapshot();
+        assert!(!Arc::ptr_eq(&first, &second));
+        assert!(second.successors(0).contains(&2));
+        assert!(Arc::ptr_eq(&first, &twin.shared_snapshot()));
+        assert_same_graph(&second, &dg.snapshot());
+    }
+
+    /// A hook that asks for the shared snapshot mid-batch sees the graph
+    /// as of its own mutation — never a copy built before it — and the
+    /// copy the batch leaves behind is the post-batch graph.
+    #[test]
+    fn hooks_never_see_an_earlier_shared_snapshot() {
+        let mut dg = DynGraph::from_digraph(&sample());
+        let before = dg.shared_snapshot();
+        let delta = GraphDelta::new()
+            .add_node(1)
+            .add_edge(3, 4)
+            .set_attr(4, "views", 3i64)
+            .remove_node(2)
+            .remove_edge(0, 1);
+        let mut hooks = 0usize;
+        dg.apply_with(&delta, |g, _| {
+            let seen = g.shared_snapshot();
+            assert!(!Arc::ptr_eq(&seen, &before));
+            assert_same_graph(&seen, &g.snapshot());
+            hooks += 1;
+        })
+        .unwrap();
+        assert!(hooks >= 5);
+        assert_same_graph(&dg.shared_snapshot(), &dg.snapshot());
+    }
+
+    /// Over a seeded mixed stream (nodes, edges, attributes, tombstones)
+    /// the shared snapshot equals a fresh one after every batch.
+    #[test]
+    fn shared_snapshot_tracks_a_mixed_stream() {
+        let mut dg = DynGraph::from_digraph(&sample());
+        let mut x = 0x2545_f491_u64;
+        let mut next = |m: u64| {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            (x % m) as u32
+        };
+        for _ in 0..60 {
+            let n = dg.node_count() as u64;
+            let mut delta = GraphDelta::new();
+            for _ in 0..4 {
+                let (a, b) = (next(n), next(n));
+                delta = match next(6) {
+                    0 => delta.add_node(next(3)),
+                    1 | 2 if a != b => delta.add_edge(a, b),
+                    3 => delta.remove_edge(a, b),
+                    4 => delta.set_attr(a, "w", i64::from(next(3))),
+                    _ if next(4) == 0 => delta.remove_node(a),
+                    _ => delta.unset_attr(a, "w"),
+                };
+            }
+            dg.apply(&delta).unwrap();
+            let shared = dg.shared_snapshot();
+            assert!(Arc::ptr_eq(&shared, &dg.shared_snapshot()));
+            assert_same_graph(&shared, &dg.snapshot());
+        }
     }
 
     #[test]

@@ -31,7 +31,9 @@ pub struct IncrementalConfig {
     /// Memory policy of the shared reach engine when deriving relevant
     /// sets — the same [`ReachConfig`] the static pipeline honors; past
     /// the byte budget, dirty-set materialization degrades to per-source
-    /// BFS instead of the condensation DP. A refresh runs on the thread
+    /// BFS instead of the condensation DP. The diversified answer's stored
+    /// `δd` table counts against the same budget, after the maintained
+    /// condensation. A refresh runs on the thread
     /// that makes it (one registry pool worker per pattern), so
     /// `reach.threads` only matters to the static pipeline.
     pub reach: ReachConfig,

@@ -199,6 +199,11 @@ pub struct PatternInfo {
     /// [`ReachConfig::budget_bytes`](gpm_ranking::ReachConfig) is
     /// enforced against; 0 while `reach_mode` is not `"maintained"`.
     pub maintained_bytes: usize,
+    /// Heap bytes of the pattern's stored `δd` table (the pairwise
+    /// distances diversified answers reuse across calls); 0 until a
+    /// diversified answer is asked for, and while the table plus
+    /// `maintained_bytes` would exceed the reach budget.
+    pub distance_bytes: usize,
     /// Per-pattern maintenance counters (includes
     /// [`ApplyStats::last_refresh_ns`], the last refresh latency, and the
     /// bound-pruning tallies).
@@ -531,6 +536,7 @@ impl PatternRegistry {
             reach_mode: st.reach_mode(),
             bound_mode: st.bound_mode(),
             maintained_bytes: st.maintained_bytes(),
+            distance_bytes: st.distance_bytes(),
             stats: st.stats().clone(),
         })
     }

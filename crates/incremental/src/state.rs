@@ -617,7 +617,8 @@ impl PatternState {
     /// deferred set — the eager escape hatch for consumers that need the
     /// **full** cache (the diversified objective scores pairwise
     /// distances over all matches, so bounds on relevance alone cannot
-    /// prune for it honestly).
+    /// prune for it honestly). The sets go through the cache's `upsert`,
+    /// so each one starts with no stored `δd`.
     fn ensure_complete(&mut self, g: &DynGraph) {
         let outputs: Vec<NodeId> = std::mem::take(&mut self.deferred).into_iter().collect();
         self.materialize(g, &outputs, &Span::disabled());
@@ -628,9 +629,16 @@ impl PatternState {
     /// mixes relevance with pairwise set distances, and a relevance
     /// upper bound says nothing about diversity — pruning here would be
     /// dishonest, so the answer is computed on the complete cache.
+    ///
+    /// The greedy reads its `δd` from the cache's distance table, so a
+    /// call computes Jaccards only for pairs with a set upserted since the
+    /// last call. The table is kept while its bytes plus
+    /// [`Self::maintained_bytes`] fit the reach budget; past it each call
+    /// computes its distances afresh, with the same answer.
+    /// `stats.elapsed` covers the backlog materialization too.
     pub(crate) fn diversified(&mut self, g: &DynGraph, lambda: f64) -> DivResult {
-        self.ensure_complete(g);
         let t0 = Instant::now();
+        self.ensure_complete(g);
         let q = &self.pattern;
         if !self.sim.graph_matches(q) {
             // Mirror the static pipeline's stats: Mu(Q,G,uo) = ∅, known.
@@ -646,21 +654,22 @@ impl PatternState {
             };
         }
         let objective = Objective::new(lambda, self.cfg.k, self.normalizer());
-        let (matches, rel): (Vec<NodeId>, Vec<f64>) =
-            self.cache.relevances().map(|(v, r)| (v, r as f64)).unzip();
-        let d = |i: usize, j: usize| self.cache.distance(matches[i], matches[j]).expect("cached");
-        let (selected, f_value) = greedy_diversified(&objective, &rel, &d);
+        let budget = self.cfg.reach.budget_bytes.saturating_sub(self.maintained_bytes());
+        let pairs = self.cache.pairwise(budget);
+        let rel: Vec<f64> = pairs.relevances.iter().map(|&r| r as f64).collect();
+        let (selected, f_value) =
+            greedy_diversified(&objective, &rel, &|i, j| pairs.distance(i, j));
         let picked: Vec<RankedMatch> = selected
             .iter()
-            .map(|&i| RankedMatch { node: matches[i], relevance: rel[i] as u64 })
+            .map(|&i| RankedMatch { node: pairs.nodes[i], relevance: pairs.relevances[i] })
             .collect();
         DivResult {
             matches: picked,
             f_value,
             stats: RunStats {
                 output_candidates: self.sim.candidate_count(q.output()),
-                inspected_matches: matches.len(),
-                total_matches: Some(matches.len()),
+                inspected_matches: rel.len(),
+                total_matches: Some(rel.len()),
                 elapsed: t0.elapsed(),
                 ..Default::default()
             },
@@ -900,6 +909,13 @@ impl PatternState {
     /// the per-batch engine serves the pattern.
     pub(crate) fn maintained_bytes(&self) -> usize {
         self.maintained.as_ref().map_or(0, |mr| mr.cond.retained_bytes())
+    }
+
+    /// Heap bytes of the `δd` table [`Self::diversified`] keeps in the
+    /// cache; 0 for a pattern never asked for a diversified answer, and
+    /// whenever the table did not fit the budget at the last call.
+    pub(crate) fn distance_bytes(&self) -> usize {
+        self.cache.distance_bytes()
     }
 
     /// How relevant-set preparation currently runs: `"maintained"` while

@@ -325,6 +325,77 @@ fn stress_structural_differential() {
     run_differential(&DELETE_ONLY, 0x5EED_5007, 40, false);
 }
 
+/// The stored `δd` table is answer-invisible. On attr-mixed streams with
+/// node growth and tombstones, after every batch, a registry that keeps
+/// distances across calls and a `budget_bytes: 0` twin that never keeps
+/// any serve the same diversified answers, `F` bits included, and both
+/// equal `top_k_diversified` on the snapshot. The twin, and a
+/// Relevance-only pattern nobody asks a diversified answer of, hold no
+/// table; the roomy registry does. Patterns registered mid-stream build
+/// their state from the graph's shared snapshot.
+#[test]
+fn stored_distances_equal_a_zero_budget_twin_and_static() {
+    let mut rng = StdRng::seed_from_u64(0x5EED_0D01);
+    let mut tables_kept = 0usize;
+    for trial in 0..24 {
+        let n = rng.random_range(20..40usize);
+        let g = random_attr_graph(&mut rng, n, 4);
+        let mut kept = PatternRegistry::with_threads(&g, 2);
+        let mut starved = PatternRegistry::with_threads(&g, 1);
+        let relevance_only =
+            kept.register(random_attr_pattern(&mut rng), IncrementalConfig::new(3)).unwrap();
+        let mut patterns = Vec::new();
+        let stream = update_stream(
+            &g,
+            &UpdateStreamConfig {
+                batches: 8,
+                batch_size: rng.random_range(1..6usize),
+                insert_fraction: ATTR_MIXED.insert_fraction,
+                node_churn: ATTR_MIXED.node_churn,
+                attr_churn: ATTR_MIXED.attr_churn,
+                attr_keys: ATTR_KEYS,
+                attr_values: ATTR_VALUES,
+                labels: LABELS,
+                seed: 0x0D01 ^ (trial as u64) << 7,
+            },
+        );
+        for (step, delta) in stream.iter().enumerate() {
+            if step % 3 == 0 {
+                let q = if step % 2 == 0 {
+                    random_pattern(&mut rng)
+                } else {
+                    random_attr_pattern(&mut rng)
+                };
+                let k = rng.random_range(1..7usize);
+                let lambda = [0.0, 0.25, 0.5, 1.0][rng.random_range(0..4usize)];
+                let cfg = IncrementalConfig::new(k).lambda(lambda);
+                let mut zero = cfg.clone();
+                zero.reach.budget_bytes = 0;
+                let a = kept.register(q.clone(), cfg).unwrap();
+                let b = starved.register(q.clone(), zero).unwrap();
+                patterns.push((q, k, lambda, a, b));
+            }
+            kept.apply(delta).unwrap();
+            starved.apply(delta).unwrap();
+            let snap = kept.snapshot();
+            for (i, (q, k, lambda, a, b)) in patterns.iter().enumerate() {
+                let ctx = format!("trial {trial} step {step} pattern {i}");
+                let x = kept.top_k_diversified(*a).unwrap();
+                let y = starved.top_k_diversified(*b).unwrap();
+                let z = top_k_diversified(&snap, q, &DivConfig::new(*k, *lambda));
+                assert_eq!(x.nodes(), y.nodes(), "kept vs zero budget: {ctx}");
+                assert_eq!(x.f_value.to_bits(), y.f_value.to_bits(), "kept vs zero budget: {ctx}");
+                assert_eq!(x.nodes(), z.nodes(), "kept vs static: {ctx}");
+                assert_eq!(x.f_value.to_bits(), z.f_value.to_bits(), "kept vs static: {ctx}");
+                assert_eq!(starved.pattern_info(*b).unwrap().distance_bytes, 0, "{ctx}");
+                tables_kept += usize::from(kept.pattern_info(*a).unwrap().distance_bytes > 0);
+            }
+            assert_eq!(kept.pattern_info(relevance_only).unwrap().distance_bytes, 0);
+        }
+    }
+    assert!(tables_kept > 100, "only {tables_kept} answers read a stored table");
+}
+
 /// An attr-only batch must be absorbed without any full rebuild: attribute
 /// flips contribute zero edge churn, so the rebuild threshold can never
 /// fire, and `ApplyStats`/`RegistryStats` must show the batches were

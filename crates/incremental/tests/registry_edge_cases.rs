@@ -201,6 +201,31 @@ fn tombstone_heavy_stream_agrees_everywhere() {
     assert!(removed > 0, "the stream actually tombstones nodes");
 }
 
+/// A stored `δd` must die with the set it was computed from. At λ = 1
+/// the greedy picks the most distant pair: outputs 0 → {3}, 1 → {4},
+/// 2 → {3, 4} give δd(0, 1) = 1 and the pair (0, 1). Moving 0's edge
+/// from 3 to 4 re-derives only 0's set; now δd(0, 1) = 0 and (0, 2) wins.
+/// The untouched pairs' distances may be reused, a stale δd(0, 1) = 1
+/// would keep serving (0, 1).
+#[test]
+fn rederived_set_drops_its_stored_distances() {
+    use gpm_core::config::DivConfig;
+    use gpm_core::top_k_diversified;
+    let g = graph_from_parts(&[0, 0, 0, 1, 1], &[(0, 3), (1, 4), (2, 3), (2, 4)]).unwrap();
+    let q = label_pattern(&[0, 1], &[(0, 1)], 0).unwrap();
+    let mut reg = PatternRegistry::new(&g);
+    let id = reg.register(q.clone(), IncrementalConfig::new(2).lambda(1.0)).unwrap();
+    assert_eq!(reg.top_k_diversified(id).unwrap().nodes(), vec![0, 1]);
+    assert!(reg.pattern_info(id).unwrap().distance_bytes > 0, "the table is kept");
+
+    reg.apply(&GraphDelta::new().remove_edge(0, 3).add_edge(0, 4)).unwrap();
+    let div = reg.top_k_diversified(id).unwrap();
+    let base = top_k_diversified(&reg.snapshot(), &q, &DivConfig::new(2, 1.0));
+    assert_eq!(div.nodes(), vec![0, 2]);
+    assert_eq!(div.nodes(), base.nodes());
+    assert_eq!(div.f_value.to_bits(), base.f_value.to_bits());
+}
+
 #[test]
 fn oversized_patterns_are_rejected_and_leave_registry_clean() {
     use gpm_pattern::{PatternBuilder, Predicate};

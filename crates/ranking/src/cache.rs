@@ -1,4 +1,5 @@
-//! Relevant-set cache with partial invalidation.
+//! Relevant-set cache with partial invalidation, and the `δd` kept beside
+//! it.
 //!
 //! The static pipeline rebuilds [`crate::relevant_set::RelevantSets`] from
 //! scratch per query. Under graph deltas most output matches keep their
@@ -14,6 +15,15 @@
 //! universe-encoded ones (both encodings are bijective on the same sets),
 //! so every ranking quantity derived from this cache matches the static
 //! pipeline bit for bit.
+//!
+//! The same reasoning holds for pairs: a `δd` depends on two sets only, so
+//! it stays valid until either of them is upserted or removed. The cache
+//! gives each set a **slot** (reused after a removal) and, once a
+//! diversified answer asks for it ([`RelevanceCache::pairwise`]), keeps a
+//! dense lower-triangular table of `δd` by slot pair. Sets and distances
+//! live in this one store, so every path that replaces a set also drops
+//! its distances; no second invalidation rule exists. A relevance-only
+//! consumer never asks, and never allocates the table.
 
 use std::collections::BTreeMap;
 
@@ -27,26 +37,61 @@ struct CachedSet {
     bits: BitSet,
     /// `bits.count()`, computed once at [`RelevanceCache::upsert`].
     delta_r: u64,
+    /// Row of this set in the distance table.
+    slot: usize,
 }
 
 /// Cached relevant sets `R(uo, v)` keyed by output match, bitsets over
-/// data-node ids.
+/// data-node ids, plus the `δd` of each pair of them once asked for.
 #[derive(Debug, Clone, Default)]
 pub struct RelevanceCache {
     sets: BTreeMap<NodeId, CachedSet>,
+    /// Slots of removed sets, reused before a new one is opened.
+    free_slots: Vec<usize>,
+    /// Slots ever opened; every live slot is below this.
+    slots: usize,
+    /// `δd` by slot pair `(i, j)`, `i < j`, at `tri(j) + i`; `NaN` marks a
+    /// pair not computed since either slot was last (re)filled. Covers the
+    /// first `table_slots` slots; empty until [`Self::pairwise`] keeps it.
+    table: Vec<f64>,
+    table_slots: usize,
+}
+
+/// Entries of a lower-triangular table over `j` slots.
+fn tri(j: usize) -> usize {
+    j * j.saturating_sub(1) / 2
+}
+
+fn pair_index(a: usize, b: usize) -> usize {
+    debug_assert_ne!(a, b, "δd of a set with itself is never asked");
+    let (lo, hi) = if a < b { (a, b) } else { (b, a) };
+    tri(hi) + lo
 }
 
 impl RelevanceCache {
-    /// Inserts or replaces the relevant set of `v`, recording its popcount.
-    /// The reach DP emits node-id bitsets, so they are stored as built.
+    /// Inserts or replaces the relevant set of `v`, recording its popcount
+    /// and dropping every stored `δd` that involves `v`. The reach DP
+    /// emits node-id bitsets, so they are stored as built.
     pub fn upsert(&mut self, v: NodeId, bits: BitSet) {
         let delta_r = bits.count() as u64;
-        self.sets.insert(v, CachedSet { bits, delta_r });
+        let slot = match self.sets.get(&v) {
+            Some(old) => old.slot,
+            None => self.free_slots.pop().unwrap_or_else(|| {
+                self.slots += 1;
+                self.slots - 1
+            }),
+        };
+        self.forget_distances(slot);
+        self.sets.insert(v, CachedSet { bits, delta_r, slot });
     }
 
-    /// Drops the entry of `v` (the match disappeared).
+    /// Drops the entry of `v` (the match disappeared). Its slot's stored
+    /// distances are never read again; the next set to take the slot
+    /// clears them.
     pub fn remove(&mut self, v: NodeId) -> bool {
-        self.sets.remove(&v).is_some()
+        let Some(old) = self.sets.remove(&v) else { return false };
+        self.free_slots.push(old.slot);
+        true
     }
 
     /// `true` iff `v` has a cached set.
@@ -80,16 +125,87 @@ impl RelevanceCache {
         self.sets.get(&v).map(|s| &s.bits)
     }
 
-    /// Jaccard distance `δd` between two cached matches.
-    pub fn distance(&self, a: NodeId, b: NodeId) -> Option<f64> {
-        Some(self.sets.get(&a)?.bits.jaccard_distance(&self.sets.get(&b)?.bits))
-    }
-
     /// `(node, δr)` for every cached match, ascending by node id. Reads the
     /// popcounts stored at `upsert`, so a query is `O(matches)` instead of
     /// `O(matches · |V|/64)`.
     pub fn relevances(&self) -> impl Iterator<Item = (NodeId, u64)> + '_ {
         self.sets.iter().map(|(&v, s)| (v, s.delta_r))
+    }
+
+    /// Heap bytes of the stored distance table; 0 until [`Self::pairwise`]
+    /// has kept one.
+    pub fn distance_bytes(&self) -> usize {
+        self.table.capacity() * std::mem::size_of::<f64>()
+    }
+
+    /// Every cached match with its `δr` and a `δd` oracle over them, for
+    /// the diversified greedy. When a table over every slot fits
+    /// `budget_bytes`, it is kept (grown if slots were opened), every pair
+    /// of cached sets missing a distance gets one — the only Jaccards
+    /// computed — and the oracle reads it. Past the budget the table is
+    /// freed and the oracle computes each `δd` on call; the values are
+    /// the same either way.
+    pub fn pairwise(&mut self, budget_bytes: usize) -> Pairwise<'_> {
+        let entries: Vec<&CachedSet> = self.sets.values().collect();
+        let table = if tri(self.slots) * std::mem::size_of::<f64>() > budget_bytes {
+            self.table = Vec::new();
+            self.table_slots = 0;
+            None
+        } else {
+            self.table.reserve_exact(tri(self.slots) - self.table.len());
+            self.table.resize(tri(self.slots), f64::NAN);
+            self.table_slots = self.slots;
+            for (a, x) in entries.iter().enumerate() {
+                for y in &entries[a + 1..] {
+                    let d = &mut self.table[pair_index(x.slot, y.slot)];
+                    if d.is_nan() {
+                        *d = x.bits.jaccard_distance(&y.bits);
+                    }
+                }
+            }
+            Some(self.table.as_slice())
+        };
+        Pairwise {
+            nodes: self.sets.keys().copied().collect(),
+            relevances: entries.iter().map(|s| s.delta_r).collect(),
+            entries,
+            table,
+        }
+    }
+
+    /// Marks every stored `δd` involving `slot` as not computed.
+    fn forget_distances(&mut self, slot: usize) {
+        if slot >= self.table_slots {
+            return;
+        }
+        self.table[tri(slot)..tri(slot) + slot].fill(f64::NAN);
+        for j in slot + 1..self.table_slots {
+            self.table[tri(j) + slot] = f64::NAN;
+        }
+    }
+}
+
+/// The cached matches as the diversified greedy indexes them: position `i`
+/// is the `i`-th match ascending by node id.
+#[derive(Debug)]
+pub struct Pairwise<'a> {
+    /// Matches, ascending by node id.
+    pub nodes: Vec<NodeId>,
+    /// `δr` of each match.
+    pub relevances: Vec<u64>,
+    entries: Vec<&'a CachedSet>,
+    table: Option<&'a [f64]>,
+}
+
+impl Pairwise<'_> {
+    /// `δd` between the `i`-th and `j`-th match (`i ≠ j`): read from the
+    /// stored table, or computed when the budget left none.
+    pub fn distance(&self, i: usize, j: usize) -> f64 {
+        let (a, b) = (self.entries[i], self.entries[j]);
+        match self.table {
+            Some(t) => t[pair_index(a.slot, b.slot)],
+            None => a.bits.jaccard_distance(&b.bits),
+        }
     }
 }
 
@@ -110,7 +226,7 @@ mod tests {
         assert_eq!(c.relevance_of(7), Some(4));
         assert_eq!(c.matches(), vec![3, 7]);
         // |∩| = 2, |∪| = 5 → δd = 1 - 2/5.
-        assert!((c.distance(3, 7).unwrap() - 0.6).abs() < 1e-12);
+        assert!((c.pairwise(usize::MAX).distance(0, 1) - 0.6).abs() < 1e-12);
         assert!(c.remove(3));
         assert!(!c.remove(3));
         assert_eq!(c.len(), 1);
@@ -146,7 +262,46 @@ mod tests {
         let mut c = RelevanceCache::default();
         c.upsert(0, set(&[1, 3]));
         c.upsert(1, BitSet::from_iter(300, [3, 299]));
-        assert_eq!(c.distance(0, 1), Some(1.0 - 1.0 / 3.0));
-        assert_eq!(c.distance(1, 0), c.distance(0, 1));
+        let p = c.pairwise(usize::MAX);
+        assert_eq!(p.distance(0, 1), 1.0 - 1.0 / 3.0);
+        assert_eq!(p.distance(1, 0), p.distance(0, 1));
+    }
+
+    /// Every stored δd equals a fresh Jaccard of the current sets after
+    /// each upsert, overwrite, removal and slot reuse — and a zero budget
+    /// keeps no table but answers the same.
+    #[test]
+    fn stored_distances_follow_every_set_change() {
+        let mut c = RelevanceCache::default();
+        let check = |c: &mut RelevanceCache| {
+            let fresh: Vec<BitSet> = c.sets.values().map(|s| s.bits.clone()).collect();
+            for budget in [usize::MAX, 0] {
+                let p = c.pairwise(budget);
+                for i in 0..fresh.len() {
+                    for j in (0..fresh.len()).filter(|&j| j != i) {
+                        let want = fresh[i].jaccard_distance(&fresh[j]);
+                        assert_eq!(p.distance(i, j).to_bits(), want.to_bits(), "({i}, {j})");
+                    }
+                }
+            }
+            assert_eq!(c.distance_bytes(), 0, "a zero budget frees the table");
+            c.pairwise(usize::MAX);
+        };
+        assert_eq!(c.distance_bytes(), 0, "nothing allocated before it is asked for");
+        c.upsert(4, set(&[1, 2]));
+        c.upsert(8, set(&[2, 3]));
+        c.upsert(9, set(&[5]));
+        check(&mut c);
+        assert!(c.distance_bytes() > 0);
+        c.upsert(8, set(&[1, 2, 3])); // overwrite keeps the slot, drops its δd
+        check(&mut c);
+        c.remove(4);
+        c.upsert(2, set(&[9])); // reuses 4's slot
+        assert_eq!(c.slots, 3);
+        check(&mut c);
+        c.upsert(6, set(&[]));
+        c.upsert(7, set(&[])); // empty ∪ empty: δd 0, never NaN
+        check(&mut c);
+        assert_eq!(c.pairwise(usize::MAX).distance(1, 2), 0.0);
     }
 }

@@ -138,6 +138,9 @@ fn live_service_scrapes_clean_over_tcp() {
     assert!(body.contains("\"reach_mode\":\"maintained\""), "{body}");
     assert!(body.contains("\"bound_mode\":\"per-component\""), "{body}");
     assert!(body.contains("\"maintained_bytes\":"), "{body}");
+    // A Relevance subscription never asks for a diversified answer, so it
+    // keeps no distance table.
+    assert!(body.contains("\"distance_bytes\":0,"), "{body}");
     assert!(body.contains("\"pruned_outputs\":"), "{body}");
     assert!(body.contains("\"bound_rebuilds\":"), "{body}");
     assert!(body.contains("\"last_refresh_ns\":"), "{body}");

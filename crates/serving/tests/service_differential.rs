@@ -285,6 +285,12 @@ fn run_trials(spec: (f64, f64, f64), grow: usize, seed: u64, trials: usize) {
                 "trial {trial}: a re-condensation no fallback accounts for"
             );
         }
+        // Only a diversified answer asks for pairwise distances: a pattern
+        // with Relevance subscribers alone keeps no δd table.
+        for t in tracked.iter().filter(|t| t.sub.mode() == NotifyMode::Relevance) {
+            let info = svc.registry().pattern_info(t.sub.pattern()).unwrap();
+            assert_eq!(info.distance_bytes, 0, "trial {trial}: relevance-only table");
+        }
         // Suppression really happened somewhere across the run (the
         // service is not just forwarding every touch).
         let s = svc.stats();

@@ -80,12 +80,14 @@ impl IncSimState {
     /// tables, so candidate enumeration evaluates attribute conditions
     /// exactly like the static pipeline. Returns `None` only for patterns
     /// beyond the candidate bitmask width
-    /// ([`CandidateSpace::MAX_PATTERN_NODES`]).
+    /// ([`CandidateSpace::MAX_PATTERN_NODES`]). The snapshot is the
+    /// graph's [`DynGraph::shared_snapshot`], so states built between two
+    /// batches share one copy.
     pub fn new(g: &DynGraph, q: &Pattern) -> Option<Self> {
         if q.node_count() > CandidateSpace::MAX_PATTERN_NODES {
             return None;
         }
-        let snapshot = g.snapshot();
+        let snapshot = g.shared_snapshot();
         let space = CandidateSpace::compute(&snapshot, q);
         let rs = refine_state(&snapshot, q, &space);
 
