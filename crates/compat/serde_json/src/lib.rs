@@ -295,13 +295,16 @@ fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, Error> {
                 *pos += 1;
             }
             Some(_) => {
-                // Consume one UTF-8 scalar (multi-byte sequences pass
-                // through unmodified).
-                let rest =
-                    std::str::from_utf8(&b[*pos..]).map_err(|e| Error::new(e.to_string()))?;
-                let c = rest.chars().next().unwrap();
-                out.push(c);
-                *pos += c.len_utf8();
+                // Copy the unescaped run up to the next `"` or `\`. Both
+                // are ASCII, so the run ends on a char boundary of the
+                // UTF-8 input and each byte is decoded once.
+                let start = *pos;
+                while *pos < b.len() && !matches!(b[*pos], b'"' | b'\\') {
+                    *pos += 1;
+                }
+                let run =
+                    std::str::from_utf8(&b[start..*pos]).map_err(|e| Error::new(e.to_string()))?;
+                out.push_str(run);
             }
         }
     }
@@ -373,5 +376,51 @@ mod tests {
         assert!(from_str(&deep).is_err(), "bounded recursion, no stack overflow");
         assert_eq!(from_str("  -3  ").unwrap().as_i64(), Some(-3));
         assert_eq!(from_str(r#""Ab""#).unwrap().as_str(), Some("Ab"));
+    }
+
+    /// One generated char per `(kind, code)`: control chars, the chars
+    /// the writer escapes, printable ASCII, 2-, 3- and 4-byte UTF-8, and
+    /// arbitrary scalars.
+    fn gen_char(kind: u32, code: u32) -> char {
+        match kind {
+            0 => char::from_u32(code % 0x20).expect("control char"),
+            1 => ['"', '\\', '/', '\n', '\r', '\t'][code as usize % 6],
+            2 => char::from_u32(0x20 + code % 0x5f).expect("printable ASCII"),
+            3 => ['é', 'α', '€', '𝄞'][code as usize % 4],
+            _ => char::from_u32(code % 0x11_0000).unwrap_or('\u{fffd}'),
+        }
+    }
+
+    proptest::proptest! {
+        // parse ∘ to_string = id on strings, as values, keys and array
+        // items, compact and pretty.
+        #[test]
+        fn parse_inverts_to_string_on_generated_strings(
+            chars in proptest::collection::vec((0u32..5, 0u32..0x11_0000), 0..48),
+        ) {
+            let s: String = chars.iter().map(|&(k, c)| gen_char(k, c)).collect();
+            let v = Value::Object(vec![
+                (s.clone(), Value::Array(vec![Value::Str(s.clone()), Value::Num(1.0)])),
+            ]);
+            for text in [to_string(&v).unwrap(), to_string_pretty(&v).unwrap()] {
+                assert_eq!(from_str(&text).unwrap(), v, "{text:?}");
+            }
+            assert_eq!(from_str(&to_string(&Value::Str(s.clone())).unwrap()).unwrap(), Value::Str(s));
+        }
+    }
+
+    /// A string is parsed in one linear pass: a single-line document over
+    /// 1 MiB (mixed multi-byte chars and escapes) parses in well under a
+    /// second, even unoptimized.
+    #[test]
+    fn a_megabyte_line_parses_in_linear_time() {
+        let s = "aé€𝄞\"\\\n\u{1}".repeat(1 << 16);
+        let text = to_string(&Value::Array(vec![Value::Str(s.clone())])).unwrap();
+        assert!(text.len() > 1 << 20, "{} bytes", text.len());
+        let t0 = std::time::Instant::now();
+        let v = from_str(&text).unwrap();
+        let took = t0.elapsed();
+        assert_eq!(v, Value::Array(vec![Value::Str(s)]));
+        assert!(took < std::time::Duration::from_secs(1), "parse took {took:?}");
     }
 }

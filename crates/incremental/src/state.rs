@@ -20,7 +20,7 @@
 //! one: a dirty output's relevant set is a copy of a retained `Full(c)`,
 //! so there is no per-output traversal worth fanning out.
 
-use std::collections::{BTreeSet, HashSet};
+use std::collections::BTreeSet;
 use std::time::Instant;
 
 use gpm_core::result::{rank_top_k, AnswerDiff, DivResult, RankedMatch, RunStats, TopKResult};
@@ -31,7 +31,6 @@ use gpm_graph::{AppliedDelta, BitSet, EffectiveOp, Label, NodeId};
 use gpm_pattern::Pattern;
 use gpm_ranking::objective::{c_uo_with, Objective};
 use gpm_ranking::{CondPolicy, CondensationState, MaintainError, ReachEngine, RelevanceCache};
-use gpm_simulation::incremental::DynPair;
 use gpm_simulation::{DynMatchGraph, IncSimState};
 use gpm_telemetry::Span;
 
@@ -52,7 +51,7 @@ pub(crate) enum Batch<'a> {
 }
 
 /// The stateful half of the reach engine: the alive-pair view kept
-/// packed across batches plus the incrementally maintained condensation
+/// across batches plus the incrementally maintained condensation
 /// over it (whose component slots also hold the upper bounds `h` that
 /// [`PatternState::plan_refresh`] prunes against). Present only while
 /// the reach budget admits the retained `Full(c)` bitsets — dropped
@@ -284,12 +283,7 @@ impl PatternState {
     /// state for the per-batch engine instead — incremental maintenance
     /// only pays off while the touched region is small — and the first
     /// batch back under the same gate re-adopts it.
-    fn maintain_reach(
-        &mut self,
-        g: &DynGraph,
-        applied: &AppliedDelta,
-        span: &Span,
-    ) -> Vec<DynPair> {
+    fn maintain_reach(&mut self, g: &DynGraph, applied: &AppliedDelta, span: &Span) -> Vec<u32> {
         let flips = self.sim.take_dirty();
         let churn = flips.len() + applied.added_edges.len() + applied.removed_edges.len();
         let Some(mut mr) = self.maintained.take() else {
@@ -389,29 +383,27 @@ impl PatternState {
         &mut self,
         g: &DynGraph,
         applied: &AppliedDelta,
-        flips: Vec<DynPair>,
+        flips: Vec<u32>,
     ) -> Vec<NodeId> {
         self.stats.last_pruned_outputs = 0;
         // Seeds of the dirtiness sweep: every alive-flip (drained by
         // [`Self::maintain_reach`], which must run first), plus the source
         // pairs of every changed data edge (an edge between two alive pairs
         // changes match-graph reachability without flipping anybody).
-        // Target candidacy is tested with the ever-candidate map, not the
-        // valid flag: for edges dropped by a node tombstone the target's
-        // valid flag is already cleared by the time this runs, but the
-        // surviving source pairs still lost a relevant descendant. Sources
+        // Target candidacy is tested by slot existence, not the valid
+        // flag: for edges dropped by a node tombstone the target's valid
+        // flag is already cleared by the time this runs, but the surviving
+        // source pairs still lost a relevant descendant. Sources
         // tombstoned in the same batch need no seed of their own — their
         // incoming edges were removed too, seeding every live ancestor.
-        let mut seeds: Vec<DynPair> = flips;
+        let mut seeds: Vec<u32> = flips;
         for &(v, w) in applied.added_edges.iter().chain(&applied.removed_edges) {
             for u in self.pattern.nodes() {
-                if !self.sim.is_candidate(u, v) {
-                    continue;
-                }
+                let Some(s) = self.sim.valid_slot(u, v) else { continue };
                 let touches =
-                    self.pattern.successors(u).iter().any(|&uc| self.sim.ever_candidate(uc, w));
+                    self.pattern.successors(u).iter().any(|&uc| self.sim.slot_of(uc, w).is_some());
                 if touches {
-                    seeds.push((u, v));
+                    seeds.push(s);
                 }
             }
         }
@@ -429,29 +421,32 @@ impl PatternState {
         let uo = self.pattern.output();
         let total_pairs: usize = self.pattern.nodes().map(|u| self.sim.candidate_count(u)).sum();
         let sweep_cap = (self.cfg.max_dirty_fraction * total_pairs.max(1) as f64).ceil() as usize;
-        // Queued in seed order, not hash order: where an overflowing sweep
-        // stops — hence `last_swept_pairs` — must not vary run to run.
-        let mut visited: HashSet<DynPair> = HashSet::with_capacity(seeds.len());
-        let mut queue: Vec<DynPair> = seeds;
-        queue.retain(|&p| visited.insert(p));
+        // Queued in seed order: where an overflowing sweep stops — hence
+        // `last_swept_pairs` — must not vary run to run. Every visited
+        // slot is queued exactly once, so the queue is the visited set.
+        let mut visited = BitSet::new(self.sim.slot_count());
+        let mut queue: Vec<u32> = seeds;
+        queue.retain(|&s| visited.insert(s as usize));
         let mut overflow = false;
         let mut cursor = 0;
         while cursor < queue.len() {
-            if visited.len() > sweep_cap {
+            if queue.len() > sweep_cap {
                 overflow = true;
                 break;
             }
-            let (u, x) = queue[cursor];
+            let (u, x) = self.sim.pair(queue[cursor]);
             cursor += 1;
             for &t in self.pattern.predecessors(u) {
                 for y in g.predecessors(x) {
-                    if self.sim.is_candidate(t, y) && visited.insert((t, y)) {
-                        queue.push((t, y));
+                    if let Some(s) = self.sim.valid_slot(t, y) {
+                        if visited.insert(s as usize) {
+                            queue.push(s);
+                        }
                     }
                 }
             }
         }
-        self.stats.last_swept_pairs = visited.len();
+        self.stats.last_swept_pairs = queue.len();
 
         if overflow {
             // The affected region is most of the graph: rebuild the whole
@@ -461,8 +456,13 @@ impl PatternState {
         }
 
         // Partial refresh: only the affected output matches need work.
-        let mut dirty_outputs: Vec<NodeId> =
-            visited.iter().filter(|&&(u, _)| u == uo).map(|&(_, v)| v).collect();
+        let mut dirty_outputs: Vec<(NodeId, u32)> = queue
+            .iter()
+            .filter_map(|&s| {
+                let (u, v) = self.sim.pair(s);
+                (u == uo).then_some((v, s))
+            })
+            .collect();
         dirty_outputs.sort_unstable();
         self.stats.last_dirty_outputs = dirty_outputs.len();
 
@@ -474,8 +474,8 @@ impl PatternState {
         // current k-th stays exact. Dead outputs leave both sides.
         let mut candidates: Vec<NodeId> =
             Vec::with_capacity(dirty_outputs.len() + self.deferred.len());
-        for v in dirty_outputs {
-            if self.sim.pair_alive(uo, v) {
+        for (v, s) in dirty_outputs {
+            if self.sim.is_alive(s) {
                 candidates.push(v);
             } else {
                 self.cache.remove(v);
@@ -536,7 +536,7 @@ impl PatternState {
         let mut outputs = Vec::with_capacity(candidates.len());
         let mut pruned = 0usize;
         for v in candidates {
-            let h = mr.view.compact_of(uo, v).and_then(|p| mr.cond.upper_bound(p));
+            let h = self.sim.slot_of(uo, v).and_then(|p| mr.cond.upper_bound(p));
             match h {
                 Some(h) if sel.dominates(h, v) => {
                     pruned += 1;
@@ -724,7 +724,7 @@ impl PatternState {
     /// already, spread over every batch since the state was built, and is
     /// just resolving the planned outputs' pair slots — O(plan), not
     /// O(view); otherwise the per-batch [`ReachEngine`]
-    /// packs the alive-pair view and condenses it (its `tarjan` /
+    /// builds the alive-pair view and condenses it (its `tarjan` /
     /// `bitsets` sub-phases and budget-fallback events land under the
     /// `prepare` span). `extract` copies each output's strict-reach set
     /// out (or, past the reach budget, BFSes it) and stores it — the span
@@ -745,16 +745,13 @@ impl PatternState {
             }
             ex
         };
-        let compact = |view: &DynMatchGraph| -> Vec<u32> {
-            outputs
-                .iter()
-                .map(|&v| view.compact_of(uo, v).expect("planned outputs are alive"))
-                .collect()
-        };
+        let sources: Vec<u32> = outputs
+            .iter()
+            .map(|&v| self.sim.alive_slot(uo, v).expect("planned outputs are alive"))
+            .collect();
         let _extract;
         let sets: Vec<BitSet> = match &self.maintained {
             Some(mr) => {
-                let sources = compact(&mr.view);
                 if prep.is_enabled() {
                     prep.detail(format!("sources={} dp=true maintained=true", outputs.len()));
                 }
@@ -764,7 +761,6 @@ impl PatternState {
             }
             None => {
                 let view = DynMatchGraph::over_alive(g, q, &self.sim);
-                let sources = compact(&view);
                 let engine = ReachEngine::prepare_traced(view, sources, &self.cfg.reach, &prep);
                 if prep.is_enabled() {
                     prep.detail(format!("sources={} dp={}", outputs.len(), engine.used_dp()));
@@ -788,6 +784,8 @@ impl PatternState {
     /// only enters through a cycle.
     #[cfg(test)]
     pub(crate) fn relevant_set_bfs(&self, g: &DynGraph, v: NodeId) -> Vec<usize> {
+        use gpm_simulation::incremental::DynPair;
+        use std::collections::HashSet;
         let q = &self.pattern;
         let uo = q.output();
         let mut visited: HashSet<DynPair> = HashSet::new();
@@ -844,12 +842,27 @@ impl PatternState {
     pub(crate) fn verify_maintained(&self, g: &DynGraph) -> Result<(), String> {
         let Some(mr) = &self.maintained else { return Ok(()) };
         let fresh = DynMatchGraph::over_alive(g, &self.pattern, &self.sim);
-        if mr.view.alive_count() != fresh.len() {
+        if mr.view.len() != fresh.len() {
             return Err(format!(
-                "maintained view: alive pair count {} != fresh {}",
-                mr.view.alive_count(),
+                "maintained view: {} slots != fresh {}",
+                mr.view.len(),
                 fresh.len()
             ));
+        }
+        for c in 0..fresh.len() as u32 {
+            let (alive, out, inn) =
+                (mr.view.is_alive(c), mr.view.successors(c), mr.view.predecessors(c));
+            if (alive, out, inn) != (fresh.is_alive(c), fresh.successors(c), fresh.predecessors(c))
+            {
+                let (u, v) = self.sim.pair(c);
+                return Err(format!(
+                    "maintained view: slot {c} = ({u},{v}) diverged: alive {alive}, out {out:?}, \
+                     in {inn:?} != fresh {}, {:?}, {:?}",
+                    fresh.is_alive(c),
+                    fresh.successors(c),
+                    fresh.predecessors(c)
+                ));
+            }
         }
         if mr.view.edge_count() != fresh.edge_count() {
             return Err(format!(
@@ -857,28 +870,6 @@ impl PatternState {
                 mr.view.edge_count(),
                 fresh.edge_count()
             ));
-        }
-        for fc in 0..fresh.len() as u32 {
-            let (u, v) = (fresh.pattern_node(fc), fresh.data_node(fc));
-            let Some(mc) = mr.view.compact_of(u, v) else {
-                return Err(format!("maintained view: alive pair ({u},{v}) missing"));
-            };
-            let want: BTreeSet<(u32, u32)> = fresh
-                .successors(fc)
-                .iter()
-                .map(|&s| (fresh.pattern_node(s), fresh.data_node(s)))
-                .collect();
-            let got: BTreeSet<(u32, u32)> = mr
-                .view
-                .successors(mc)
-                .iter()
-                .map(|&s| (mr.view.pattern_node(s), mr.view.data_node(s)))
-                .collect();
-            if got != want {
-                return Err(format!(
-                    "maintained view: adjacency of ({u},{v}) diverged: {got:?} != {want:?}"
-                ));
-            }
         }
         mr.cond
             .validate(&mr.view, |p| mr.view.is_alive(p))
@@ -898,9 +889,9 @@ impl PatternState {
     /// fixpoint check) and the maintained-reach oracle, both non-fatal.
     /// This is what the sampled production auditor runs in the background.
     pub(crate) fn audit(&self, g: &DynGraph) -> Result<(), String> {
-        if !self.sim.check_invariants(g, &self.pattern) {
-            return Err("simulation invariants violated (see stderr for detail)".to_string());
-        }
+        self.sim
+            .check_invariants(g, &self.pattern)
+            .map_err(|msg| format!("simulation invariants violated: {msg}"))?;
         self.verify_maintained(g)
     }
 

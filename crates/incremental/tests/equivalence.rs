@@ -314,23 +314,6 @@ fn attribute_patterns_are_maintained() {
 }
 
 #[test]
-fn oversized_patterns_are_rejected() {
-    // The real remaining restriction: the candidate bitmask is 64 bits.
-    use gpm_pattern::{PatternBuilder, Predicate};
-    let g = graph_from_parts(&[0, 1], &[(0, 1)]).unwrap();
-    let mut b = PatternBuilder::new();
-    for i in 0..65u32 {
-        b.node(format!("u{i}"), Predicate::Label(0));
-    }
-    for i in 1..65u32 {
-        b.edge(i - 1, i).unwrap();
-    }
-    b.output(0).unwrap();
-    let q = b.build().unwrap();
-    assert!(DynamicMatcher::new(&g, q, IncrementalConfig::new(2)).is_err());
-}
-
-#[test]
 fn invalid_delta_leaves_state_intact() {
     let g = graph_from_parts(&[0, 1], &[(0, 1)]).unwrap();
     let q = label_pattern(&[0, 1], &[(0, 1)], 0).unwrap();

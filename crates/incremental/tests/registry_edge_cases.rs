@@ -227,25 +227,6 @@ fn rederived_set_drops_its_stored_distances() {
 }
 
 #[test]
-fn oversized_patterns_are_rejected_and_leave_registry_clean() {
-    use gpm_pattern::{PatternBuilder, Predicate};
-    let g = graph_from_parts(&[0, 1], &[(0, 1)]).unwrap();
-    let mut b = PatternBuilder::new();
-    for i in 0..65u32 {
-        b.node(format!("u{i}"), Predicate::Label(0));
-    }
-    for i in 1..65u32 {
-        b.edge(i - 1, i).unwrap();
-    }
-    b.output(0).unwrap();
-    let q = b.build().unwrap();
-    let mut reg = PatternRegistry::new(&g);
-    assert!(reg.register(q, IncrementalConfig::new(2)).is_err());
-    assert!(reg.is_empty());
-    assert_eq!(reg.stats().registrations, 0, "failed registrations are not counted");
-}
-
-#[test]
 fn attribute_patterns_register_and_answer() {
     use gpm_pattern::{CmpOp, PatternBuilder, Predicate};
     let g = graph_from_parts(&[0, 1], &[(0, 1)]).unwrap();

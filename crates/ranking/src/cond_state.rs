@@ -402,10 +402,11 @@ impl CondensationState {
         Ok(())
     }
 
-    /// Component id of pair `p`, if alive.
+    /// Component id of pair `p`, if alive. A slot past the state's width
+    /// was appended to the view after the last batch folded in here, and
+    /// has never been alive.
     pub fn comp_of(&self, p: u32) -> Option<u32> {
-        let c = self.comp_of[p as usize];
-        (c != DEAD).then_some(c)
+        self.comp_of.get(p as usize).copied().filter(|&c| c != DEAD)
     }
 
     // ------------------------------------------------------- internals

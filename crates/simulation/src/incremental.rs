@@ -32,8 +32,19 @@
 //!   candidacy is a function of `(label, attrs)`, so any other predicate
 //!   is untouched by construction.
 //!
-//! Every alive-flip is recorded in a per-batch **dirty set** the ranking
-//! layer consumes to invalidate relevant sets.
+//! Every candidate pair `(u, v)` owns one **slot**: a dense `u32`, assigned
+//! once and never reused (node ids are never reused either). The initial
+//! graph's slots are the refinement run's pair ids; node additions and
+//! attribute entries append more. A tombstone or an attribute exit keeps
+//! the slot, flagged invalid, and a re-entry revalidates the same one.
+//! Every per-pair array is indexed by slot, and the slot is the pair id of
+//! the whole dynamic path — the alive-pair view
+//! ([`DynMatchGraph`](crate::DynMatchGraph)), the condensation maintained
+//! over it and the refresh planner all name a pair by it, so the one
+//! `(u, v) → slot` map lives here.
+//!
+//! Every alive-flip is recorded in a per-batch **dirty set** of slots the
+//! ranking layer consumes to invalidate relevant sets.
 
 use std::collections::HashMap;
 
@@ -50,27 +61,26 @@ pub type DynPair = (PNodeId, NodeId);
 /// Maximum simulation state that follows a [`DynGraph`].
 #[derive(Debug, Clone)]
 pub struct IncSimState {
-    /// `cand[u]`: candidate data nodes of pattern node `u`, append-only
-    /// (tombstoned candidates keep their slot, flagged invalid).
-    cand: Vec<Vec<NodeId>>,
-    /// `idx[u]`: data node → local index in `cand[u]`.
-    idx: Vec<HashMap<NodeId, u32>>,
-    /// `valid[u][i]`: candidate not tombstoned.
-    valid: Vec<Vec<bool>>,
-    /// `alive[u][i]`: pair in the maximum simulation (structurally).
-    alive: Vec<Vec<bool>>,
-    /// `cnt[u][i*d + j]`: alive children of `(u, cand[u][i])` under the
-    /// `j`-th pattern edge of `u` (successor order), `d = outdeg(u)`.
-    cnt: Vec<Vec<u32>>,
-    /// `zeros[u][i]`: number of zero slots among the pair's counters.
-    /// Invariant: `alive ⇔ valid ∧ zeros == 0`.
-    zeros: Vec<Vec<u32>>,
+    /// `slots[u]`: data node → slot of the pair `(u, v)`, for every `v`
+    /// that has ever been a candidate of `u`.
+    slots: Vec<HashMap<NodeId, u32>>,
+    /// `pair[s]`: the pair slot `s` stands for.
+    pair: Vec<DynPair>,
+    /// `valid[s]`: the data node is live and satisfies the predicate.
+    valid: Vec<bool>,
+    /// `alive[s]`: pair in the maximum simulation (structurally).
+    alive: Vec<bool>,
+    /// `cnt[cbase[s] + j]`: alive children of slot `s` under the `j`-th
+    /// pattern edge of its pattern node (successor order).
+    /// Invariant: `alive ⇔ valid ∧ every counter > 0`.
+    cnt: Vec<u32>,
+    cbase: Vec<u32>,
     /// Alive pairs per pattern node (graph-matches bookkeeping).
     alive_count: Vec<usize>,
     /// Valid candidates per pattern node (`|can(u)|` of the current graph).
     valid_count: Vec<usize>,
-    /// Pairs whose alive status flipped since the last `take_dirty`.
-    dirty: Vec<DynPair>,
+    /// Slots whose alive status flipped since the last `take_dirty`.
+    dirty: Vec<u32>,
 }
 
 impl IncSimState {
@@ -91,39 +101,37 @@ impl IncSimState {
         let space = CandidateSpace::compute(&snapshot, q);
         let rs = refine_state(&snapshot, q, &space);
 
+        // Slots are the refinement's pair ids, so its flags and its
+        // counter layout are taken over as they are.
         let np = q.node_count();
+        let n = space.pair_count();
         let mut state = IncSimState {
-            cand: vec![Vec::new(); np],
-            idx: vec![HashMap::new(); np],
-            valid: vec![Vec::new(); np],
-            alive: vec![Vec::new(); np],
-            cnt: vec![Vec::new(); np],
-            zeros: vec![Vec::new(); np],
+            slots: vec![HashMap::new(); np],
+            pair: Vec::with_capacity(n),
+            valid: vec![true; n],
+            cbase: Vec::with_capacity(n),
             alive_count: vec![0; np],
             valid_count: vec![0; np],
             dirty: Vec::new(),
+            alive: rs.alive,
+            cnt: rs.counters,
         };
         for u in q.nodes() {
+            let ui = u as usize;
             let d = q.successors(u).len();
             let list = space.candidates(u);
-            let ui = u as usize;
-            state.cand[ui] = list.to_vec();
-            state.valid[ui] = vec![true; list.len()];
+            state.slots[ui].reserve(list.len());
             state.valid_count[ui] = list.len();
-            state.cnt[ui] = Vec::with_capacity(list.len() * d);
             for (i, &v) in list.iter().enumerate() {
-                state.idx[ui].insert(v, i as u32);
-                let p = space.pair_at(u, i) as usize;
-                let a = rs.alive[p];
-                state.alive[ui].push(a);
-                if a {
-                    state.alive_count[ui] += 1;
-                }
+                let s = space.pair_at(u, i);
+                debug_assert_eq!(s as usize, state.pair.len(), "pair ids are dense per node");
+                state.slots[ui].insert(v, s);
+                state.pair.push((u, v));
                 let base = rs.ebase[ui] + i * d;
-                state.cnt[ui].extend_from_slice(&rs.counters[base..base + d]);
-                let z = (0..d).filter(|&j| rs.counters[base + j] == 0).count() as u32;
-                state.zeros[ui].push(z);
-                debug_assert_eq!(a, z == 0, "refine fixpoint invariant");
+                state.cbase.push(u32::try_from(base).expect("counter offsets fit in u32"));
+                let supported = state.cnt[base..base + d].iter().all(|&c| c > 0);
+                debug_assert_eq!(state.alive[s as usize], supported, "refine fixpoint invariant");
+                state.alive_count[ui] += usize::from(state.alive[s as usize]);
             }
         }
         Some(state)
@@ -136,33 +144,48 @@ impl IncSimState {
         q.nodes().all(|u| self.alive_count[u as usize] > 0)
     }
 
+    /// Number of slots, alive or not — the pair id space `0..slot_count()`.
+    #[inline]
+    pub fn slot_count(&self) -> usize {
+        self.pair.len()
+    }
+
+    /// The pair slot `s` stands for.
+    #[inline]
+    pub fn pair(&self, s: u32) -> DynPair {
+        self.pair[s as usize]
+    }
+
+    /// `true` iff slot `s` holds an alive pair (structural — emptiness rule
+    /// not applied).
+    #[inline]
+    pub fn is_alive(&self, s: u32) -> bool {
+        self.alive[s as usize]
+    }
+
+    /// Slot of `(u, v)` whenever `v` has **ever** been a candidate of `u`:
+    /// slots are never deleted, so this includes tombstoned candidates.
+    #[inline]
+    pub fn slot_of(&self, u: PNodeId, v: NodeId) -> Option<u32> {
+        self.slots[u as usize].get(&v).copied()
+    }
+
+    /// Slot of `(u, v)` when `v` is a (valid) candidate of `u`.
+    #[inline]
+    pub fn valid_slot(&self, u: PNodeId, v: NodeId) -> Option<u32> {
+        self.slot_of(u, v).filter(|&s| self.valid[s as usize])
+    }
+
+    /// Slot of `(u, v)` when the pair is alive.
+    #[inline]
+    pub fn alive_slot(&self, u: PNodeId, v: NodeId) -> Option<u32> {
+        self.slot_of(u, v).filter(|&s| self.alive[s as usize])
+    }
+
     /// `(u, v)` alive? (structural — emptiness rule not applied).
     #[inline]
     pub fn pair_alive(&self, u: PNodeId, v: NodeId) -> bool {
-        match self.idx[u as usize].get(&v) {
-            Some(&i) => self.alive[u as usize][i as usize],
-            None => false,
-        }
-    }
-
-    /// `true` iff `v` is a (valid) candidate of `u`.
-    #[inline]
-    pub fn is_candidate(&self, u: PNodeId, v: NodeId) -> bool {
-        match self.idx[u as usize].get(&v) {
-            Some(&i) => self.valid[u as usize][i as usize],
-            None => false,
-        }
-    }
-
-    /// `true` iff `v` has **ever** been a candidate of `u` — candidate
-    /// slots are never deleted, so this includes tombstoned candidates.
-    /// The ranking layer seeds its dirtiness sweep with this test: when a
-    /// batch tombstones a node, the node's valid flags are already cleared
-    /// by the time post-batch seeds are computed, yet the source pairs of
-    /// its dropped edges still need sweeping.
-    #[inline]
-    pub fn ever_candidate(&self, u: PNodeId, v: NodeId) -> bool {
-        self.idx[u as usize].contains_key(&v)
+        self.alive_slot(u, v).is_some()
     }
 
     /// `|can(u)|` of the current graph.
@@ -188,18 +211,17 @@ impl IncSimState {
     /// ranking cache is maintained structurally so that when a revival
     /// makes `G ⊨ Q` again, the cached sets are already correct.
     pub fn structural_matches_of(&self, u: PNodeId) -> Vec<NodeId> {
-        let mut m: Vec<NodeId> = self.cand[u as usize]
+        let mut m: Vec<NodeId> = self.slots[u as usize]
             .iter()
-            .enumerate()
-            .filter(|&(i, _)| self.alive[u as usize][i])
-            .map(|(_, &v)| v)
+            .filter(|&(_, &s)| self.alive[s as usize])
+            .map(|(&v, _)| v)
             .collect();
         m.sort_unstable();
         m
     }
 
     /// Structurally alive pairs over all pattern nodes — what an
-    /// alive-pair view packs, whether or not the emptiness rule fires.
+    /// alive-pair view holds, whether or not the emptiness rule fires.
     pub fn alive_pairs(&self) -> usize {
         self.alive_count.iter().sum()
     }
@@ -217,8 +239,9 @@ impl IncSimState {
         self.len(q) == 0
     }
 
-    /// Drains the pairs whose alive status flipped since the last call.
-    pub fn take_dirty(&mut self) -> Vec<DynPair> {
+    /// Drains the slots whose alive status flipped since the last call, in
+    /// flip order (a slot that flipped twice appears twice).
+    pub fn take_dirty(&mut self) -> Vec<u32> {
         std::mem::take(&mut self.dirty)
     }
 
@@ -236,49 +259,46 @@ impl IncSimState {
             if !q.predicate(u).eval(label, Some(attrs)) {
                 continue;
             }
-            debug_assert!(!self.idx[u as usize].contains_key(&v), "node ids are never reused");
-            let d = q.successors(u).len();
-            self.push_candidate_slot(u, v, d);
-            if d == 0 {
+            debug_assert!(self.slot_of(u, v).is_none(), "node ids are never reused");
+            let s = self.push_slot(q, u, v);
+            if q.successors(u).is_empty() {
                 // Leaves are unconditionally alive; a fresh node has no
                 // edges, so no counter references the pair yet and the
                 // flip cannot cascade.
-                let ui = u as usize;
-                let i = self.cand[ui].len() - 1;
-                self.alive[ui][i] = true;
-                self.alive_count[ui] += 1;
-                self.dirty.push((u, v));
+                self.alive[s as usize] = true;
+                self.alive_count[u as usize] += 1;
+                self.dirty.push(s);
             }
         }
     }
 
-    /// Appends a fresh, **dead** candidate slot `(u, v)` across the
-    /// parallel per-pair arrays (`cand`/`idx`/`valid`/`cnt`/`zeros`/
-    /// `alive`) — the single allocation both node addition and attribute
-    /// candidacy entry go through, so the arrays can never desynchronize.
-    /// `d` is `outdeg(u)`; counters start at zero (node addition: the node
-    /// has no edges; attr entry: the revival recount re-derives them).
-    fn push_candidate_slot(&mut self, u: PNodeId, v: NodeId, d: usize) {
-        let ui = u as usize;
-        let i = self.cand[ui].len();
-        self.cand[ui].push(v);
-        self.idx[ui].insert(v, i as u32);
-        self.valid[ui].push(true);
-        self.valid_count[ui] += 1;
-        self.cnt[ui].extend(std::iter::repeat_n(0, d));
-        self.zeros[ui].push(d as u32);
-        self.alive[ui].push(false);
+    /// Appends a fresh, valid, **dead** slot for `(u, v)` across the
+    /// per-slot arrays — the single allocation both node addition and
+    /// attribute candidacy entry go through, so the arrays can never
+    /// desynchronize. Counters start at zero (node addition: the node has
+    /// no edges; attr entry: the revival recount re-derives them).
+    fn push_slot(&mut self, q: &Pattern, u: PNodeId, v: NodeId) -> u32 {
+        let s = u32::try_from(self.pair.len()).expect("slot ids fit in u32");
+        let d = q.successors(u).len();
+        self.slots[u as usize].insert(v, s);
+        self.pair.push((u, v));
+        self.valid.push(true);
+        self.valid_count[u as usize] += 1;
+        self.alive.push(false);
+        self.cbase.push(u32::try_from(self.cnt.len()).expect("counter offsets fit in u32"));
+        self.cnt.extend(std::iter::repeat_n(0, d));
+        s
     }
 
     /// Reacts to a change of attribute `key` on live node `v` (`g` already
     /// updated). Only pattern nodes whose predicate mentions `key` can
     /// change their mind about `v`:
     ///
-    /// * `v` **enters** `can(u)` — a fresh (or revalidated) candidate slot
-    ///   is added dead, then revived through the same optimistic
-    ///   region machinery as edge insertion: unlike a freshly added node,
-    ///   `v` already has edges, so it can complete mutual-support cycles
-    ///   the moment it becomes a candidate.
+    /// * `v` **enters** `can(u)` — a fresh (or revalidated) slot is added
+    ///   dead, then revived through the same optimistic region machinery
+    ///   as edge insertion: unlike a freshly added node, `v` already has
+    ///   edges, so it can complete mutual-support cycles the moment it
+    ///   becomes a candidate.
     /// * `v` **leaves** `can(u)` — the pair is invalidated and, if alive,
     ///   killed through the standard death cascade (its incident edges
     ///   still exist, so parent counters must be decremented — unlike a
@@ -295,37 +315,35 @@ impl IncSimState {
         // directions must not interleave — deaths have to cascade to their
         // fixpoint before any fresh slot becomes valid, or the cascade
         // could decrement a brand-new zero counter.
-        let mut leave: Vec<PNodeId> = Vec::new();
-        let mut enter: Vec<PNodeId> = Vec::new();
+        let mut leave: Vec<u32> = Vec::new();
+        let mut enter: Vec<(PNodeId, Option<u32>)> = Vec::new();
         for u in q.nodes() {
             let pred = q.predicate(u);
             if !pred.mentions_key(key) {
                 continue; // candidacy is a function of (label, attrs[keys..])
             }
             let holds = pred.eval(label, Some(attrs));
-            let was =
-                self.idx[u as usize].get(&v).is_some_and(|&i| self.valid[u as usize][i as usize]);
-            if holds && !was {
-                enter.push(u);
-            } else if !holds && was {
-                leave.push(u);
+            let slot = self.slot_of(u, v);
+            match (holds, slot.filter(|&s| self.valid[s as usize])) {
+                (true, None) => enter.push((u, slot)),
+                (false, Some(s)) => leave.push(s),
+                _ => {}
             }
         }
 
         // Departures: invalidate, then run the standard death cascade —
         // `v` keeps its edges, so parent counters must be decremented
         // (unlike a tombstone, whose edge removals arrive first).
-        let mut kill: Vec<DynPair> = Vec::new();
-        for &u in &leave {
-            let ui = u as usize;
-            let i = self.idx[ui][&v] as usize;
-            self.valid[ui][i] = false;
+        let mut kill: Vec<u32> = Vec::new();
+        for &s in &leave {
+            let ui = self.pair[s as usize].0 as usize;
+            self.valid[s as usize] = false;
             self.valid_count[ui] -= 1;
-            if self.alive[ui][i] {
-                self.alive[ui][i] = false;
+            if self.alive[s as usize] {
+                self.alive[s as usize] = false;
                 self.alive_count[ui] -= 1;
-                self.dirty.push((u, v));
-                kill.push((u, v));
+                self.dirty.push(s);
+                kill.push(s);
             }
         }
         self.cascade_deaths(g, q, kill);
@@ -334,18 +352,18 @@ impl IncSimState {
         // region recounts its counters against current adjacency — a
         // revalidated slot's counters are stale (frozen while invalid),
         // and a fresh slot starts at zero either way.
-        let mut seeds: Vec<DynPair> = Vec::new();
-        for &u in &enter {
-            let ui = u as usize;
-            match self.idx[ui].get(&v).copied() {
-                Some(i) => {
-                    debug_assert!(!self.alive[ui][i as usize], "invalid pairs are dead");
-                    self.valid[ui][i as usize] = true;
-                    self.valid_count[ui] += 1;
+        let mut seeds: Vec<u32> = Vec::new();
+        for (u, slot) in enter {
+            let s = match slot {
+                Some(s) => {
+                    debug_assert!(!self.alive[s as usize], "invalid pairs are dead");
+                    self.valid[s as usize] = true;
+                    self.valid_count[u as usize] += 1;
+                    s
                 }
-                None => self.push_candidate_slot(u, v, q.successors(u).len()),
-            }
-            seeds.push((u, v));
+                None => self.push_slot(q, u, v),
+            };
+            seeds.push(s);
         }
         self.revive_region(g, q, seeds);
     }
@@ -355,36 +373,33 @@ impl IncSimState {
     /// [`Self::on_edge_removed`]).
     pub fn on_node_removed(&mut self, q: &Pattern, v: NodeId) {
         for u in q.nodes() {
-            let ui = u as usize;
-            let Some(&i) = self.idx[ui].get(&v) else { continue };
-            let i = i as usize;
-            if !self.valid[ui][i] {
-                continue;
-            }
-            self.valid[ui][i] = false;
+            let Some(s) = self.valid_slot(u, v) else { continue };
+            let (si, ui) = (s as usize, u as usize);
+            self.valid[si] = false;
             self.valid_count[ui] -= 1;
-            if self.alive[ui][i] {
+            if self.alive[si] {
                 // No incident edges remain, so no counters reference this
                 // pair anymore — the flip cannot cascade.
-                self.alive[ui][i] = false;
+                self.alive[si] = false;
                 self.alive_count[ui] -= 1;
-                self.dirty.push((u, v));
+                self.dirty.push(s);
             }
         }
     }
 
     /// Reacts to the removal of data edge `(v, w)` (`g` already updated).
     pub fn on_edge_removed(&mut self, g: &DynGraph, q: &Pattern, v: NodeId, w: NodeId) {
-        let mut kill: Vec<DynPair> = Vec::new();
+        let mut kill: Vec<u32> = Vec::new();
         for u in q.nodes() {
-            let Some(i) = self.valid_index(u, v) else { continue };
+            let Some(s) = self.valid_slot(u, v) else { continue };
             for (j, &uc) in q.successors(u).iter().enumerate() {
                 // Alive when the edge went: on a self-loop a pair killed by
                 // an earlier iteration is this one's child, and skipping
                 // its decrement would leave the counter one too high for
                 // good — the cascade walks `g`, where the edge is gone.
-                if self.pair_alive(uc, w) || (v == w && kill.contains(&(uc, w))) {
-                    self.dec_counter(u, i, j, &mut kill);
+                let child = self.slot_of(uc, w);
+                if child.is_some_and(|c| self.alive[c as usize] || (v == w && kill.contains(&c))) {
+                    self.dec_counter(s, j, &mut kill);
                 }
             }
         }
@@ -396,30 +411,29 @@ impl IncSimState {
         // 1. Counter maintenance: the new edge contributes one alive child
         //    per pattern edge whose child pair is alive.
         for u in q.nodes() {
-            let Some(i) = self.valid_index(u, v) else { continue };
+            let Some(s) = self.valid_slot(u, v) else { continue };
             for (j, &uc) in q.successors(u).iter().enumerate() {
-                if self.valid_index(uc, w).is_some_and(|iw| self.alive[uc as usize][iw]) {
-                    self.inc_counter(u, i, j);
+                if self.alive_slot(uc, w).is_some() {
+                    self.inc_counter(s, j);
                 }
             }
         }
 
         // 2. Revival seeds: dead pairs of `v` whose support may now exist.
-        let mut seeds: Vec<DynPair> = Vec::new();
+        let mut seeds: Vec<u32> = Vec::new();
         for u in q.nodes() {
-            let Some(i) = self.valid_index(u, v) else { continue };
-            if self.alive[u as usize][i] {
+            let Some(s) = self.valid_slot(u, v) else { continue };
+            if self.alive[s as usize] {
                 continue;
             }
-            let touches = q.successors(u).iter().any(|&uc| self.valid_index(uc, w).is_some());
-            if touches {
-                seeds.push((u, v));
+            if q.successors(u).iter().any(|&uc| self.valid_slot(uc, w).is_some()) {
+                seeds.push(s);
             }
         }
         self.revive_region(g, q, seeds);
     }
 
-    /// Optimistic revival from `seeds` (distinct **dead, valid** pairs that
+    /// Optimistic revival from `seeds` (distinct **dead, valid** slots that
     /// may have gained support): expands the region backward through dead
     /// candidate pairs, marks it alive (updating parent counters), recounts
     /// the region's own counters from current adjacency, then cascades
@@ -432,232 +446,187 @@ impl IncSimState {
     /// new potential support at specific pairs, and both need the region
     /// treatment because mutually-dependent dead pairs (cyclic patterns)
     /// must come alive together.
-    fn revive_region(&mut self, g: &DynGraph, q: &Pattern, seeds: Vec<DynPair>) {
+    fn revive_region(&mut self, g: &DynGraph, q: &Pattern, seeds: Vec<u32>) {
+        // A pair is marked alive as it joins the region, which is also what
+        // keeps it from joining twice.
         let mut region = seeds;
-        let mut seen: std::collections::HashSet<DynPair> = region.iter().copied().collect();
+        for &s in &region {
+            self.alive[s as usize] = true;
+        }
         let mut cursor = 0;
         while cursor < region.len() {
-            let (u, x) = region[cursor];
+            let (u, x) = self.pair[region[cursor] as usize];
             cursor += 1;
             for &t in q.predecessors(u) {
                 for y in g.predecessors(x) {
-                    let Some(iy) = self.valid_index(t, y) else { continue };
-                    if self.alive[t as usize][iy] {
-                        continue;
-                    }
-                    if seen.insert((t, y)) {
-                        region.push((t, y));
+                    let Some(sy) = self.valid_slot(t, y) else { continue };
+                    if !self.alive[sy as usize] {
+                        self.alive[sy as usize] = true;
+                        region.push(sy);
                     }
                 }
             }
-        }
-        if region.is_empty() {
-            return;
         }
 
-        // Optimistically revive the region: mark alive (updating parent
-        // counters), recount the region's own counters, then cascade
-        // deaths restricted to what cannot actually be supported.
-        for &(u, x) in &region {
-            let i = self.idx[u as usize][&x] as usize;
-            self.alive[u as usize][i] = true;
-            self.alive_count[u as usize] += 1;
-            self.bump_parents(g, q, u, x, 1, &mut Vec::new());
+        // Count the optimistic revival in (parents gain support), recount
+        // the region's own counters, then cascade deaths restricted to
+        // what cannot actually be supported.
+        for &s in &region {
+            self.alive_count[self.pair[s as usize].0 as usize] += 1;
+            self.bump_parents(g, q, s, 1, &mut Vec::new());
         }
-        let mut kill: Vec<DynPair> = Vec::new();
-        for &(u, x) in &region {
-            let ui = u as usize;
-            let i = self.idx[ui][&x] as usize;
-            let d = q.successors(u).len();
-            let mut z = 0u32;
+        let mut kill: Vec<u32> = Vec::new();
+        for &s in &region {
+            let (u, x) = self.pair[s as usize];
+            let base = self.cbase[s as usize] as usize;
+            let mut supported = true;
             for (j, &uc) in q.successors(u).iter().enumerate() {
-                let c = g
-                    .successors(x)
-                    .filter(|&y| {
-                        self.valid_index(uc, y).is_some_and(|iy| self.alive[uc as usize][iy])
-                    })
-                    .count() as u32;
-                self.cnt[ui][i * d + j] = c;
-                if c == 0 {
-                    z += 1;
-                }
+                let c =
+                    g.successors(x).filter(|&y| self.alive_slot(uc, y).is_some()).count() as u32;
+                self.cnt[base + j] = c;
+                supported &= c > 0;
             }
-            self.zeros[ui][i] = z;
-            if z > 0 {
-                kill.push((u, x));
+            if !supported {
+                kill.push(s);
             }
         }
-        for &(u, x) in &kill {
+        for &s in &kill {
             // These never actually revived: undo the optimistic mark before
             // cascading, mirroring a normal death (parents were bumped).
-            let i = self.idx[u as usize][&x] as usize;
-            self.alive[u as usize][i] = false;
-            self.alive_count[u as usize] -= 1;
+            self.alive[s as usize] = false;
+            self.alive_count[self.pair[s as usize].0 as usize] -= 1;
         }
-        let mut follow: Vec<DynPair> = Vec::new();
-        for &(u, x) in &kill {
-            self.bump_parents(g, q, u, x, -1, &mut follow);
+        let mut follow: Vec<u32> = Vec::new();
+        for &s in &kill {
+            self.bump_parents(g, q, s, -1, &mut follow);
         }
         self.cascade_deaths(g, q, follow);
 
         // Record survivors as dirty flips.
-        for &(u, x) in &region {
-            let i = self.idx[u as usize][&x] as usize;
-            if self.alive[u as usize][i] {
-                self.dirty.push((u, x));
+        for &s in &region {
+            if self.alive[s as usize] {
+                self.dirty.push(s);
             }
         }
     }
 
     // ------------------------------------------------------------ internals
 
-    /// Local index of `v` in `can(u)` when the candidate is valid.
-    #[inline]
-    fn valid_index(&self, u: PNodeId, v: NodeId) -> Option<usize> {
-        let &i = self.idx[u as usize].get(&v)?;
-        self.valid[u as usize][i as usize].then_some(i as usize)
-    }
-
-    /// Decrements counter `(u, i, j)`; on a 0-transition of an alive pair,
-    /// records the death in `kill`.
-    fn dec_counter(&mut self, u: PNodeId, i: usize, j: usize, kill: &mut Vec<DynPair>) {
-        let ui = u as usize;
-        let d = self.cnt[ui].len() / self.cand[ui].len().max(1);
-        let slot = i * d + j;
-        self.cnt[ui][slot] -= 1;
-        if self.cnt[ui][slot] == 0 {
-            self.zeros[ui][i] += 1;
-            if self.alive[ui][i] {
-                self.alive[ui][i] = false;
-                self.alive_count[ui] -= 1;
-                self.dirty.push((u, self.cand[ui][i]));
-                kill.push((u, self.cand[ui][i]));
-            }
+    /// Decrements counter `j` of slot `s`; on a 0-transition of an alive
+    /// pair, records the death in `kill`.
+    fn dec_counter(&mut self, s: u32, j: usize, kill: &mut Vec<u32>) {
+        let si = s as usize;
+        let k = self.cbase[si] as usize + j;
+        self.cnt[k] -= 1;
+        if self.cnt[k] == 0 && self.alive[si] {
+            self.alive[si] = false;
+            self.alive_count[self.pair[si].0 as usize] -= 1;
+            self.dirty.push(s);
+            kill.push(s);
         }
     }
 
-    /// Increments counter `(u, i, j)`, tracking the zero count.
-    fn inc_counter(&mut self, u: PNodeId, i: usize, j: usize) {
-        let ui = u as usize;
-        let d = self.cnt[ui].len() / self.cand[ui].len().max(1);
-        let slot = i * d + j;
-        if self.cnt[ui][slot] == 0 {
-            self.zeros[ui][i] -= 1;
-        }
-        self.cnt[ui][slot] += 1;
+    /// Increments counter `j` of slot `s`.
+    fn inc_counter(&mut self, s: u32, j: usize) {
+        self.cnt[self.cbase[s as usize] as usize + j] += 1;
     }
 
-    /// Adjusts the counters of all valid parent pairs of `(u, x)` by
+    /// Adjusts the counters of all valid parent pairs of slot `s` by
     /// `delta` (±1), collecting deaths into `kill` when decrementing.
-    fn bump_parents(
-        &mut self,
-        g: &DynGraph,
-        q: &Pattern,
-        u: PNodeId,
-        x: NodeId,
-        delta: i32,
-        kill: &mut Vec<DynPair>,
-    ) {
+    fn bump_parents(&mut self, g: &DynGraph, q: &Pattern, s: u32, delta: i32, kill: &mut Vec<u32>) {
+        let (u, x) = self.pair[s as usize];
         for &t in q.predecessors(u) {
             let j = q.successors(t).binary_search(&u).expect("pattern edge must exist");
             for y in g.predecessors(x) {
-                let Some(iy) = self.valid_index(t, y) else { continue };
+                let Some(sy) = self.valid_slot(t, y) else { continue };
                 if delta > 0 {
-                    self.inc_counter(t, iy, j);
+                    self.inc_counter(sy, j);
                 } else {
-                    self.dec_counter(t, iy, j, kill);
+                    self.dec_counter(sy, j, kill);
                 }
             }
         }
     }
 
     /// Standard death cascade from an initial kill list.
-    fn cascade_deaths(&mut self, g: &DynGraph, q: &Pattern, mut kill: Vec<DynPair>) {
-        while let Some((u, x)) = kill.pop() {
-            self.bump_parents(g, q, u, x, -1, &mut kill);
+    fn cascade_deaths(&mut self, g: &DynGraph, q: &Pattern, mut kill: Vec<u32>) {
+        while let Some(s) = kill.pop() {
+            self.bump_parents(g, q, s, -1, &mut kill);
         }
     }
 
-    /// Debug validation: every **valid** pair's counters equal its true
-    /// alive-child count and `alive ⇔ zeros == 0`; invalid pairs
-    /// (tombstoned nodes or attr-flipped ex-candidates) are dead and their
-    /// counters frozen — the update hooks never read or write them while
-    /// invalid, and an attr re-entry recounts them before use. Candidacy
-    /// is also checked both ways: valid slots hold exactly the live nodes
-    /// satisfying the predicate (`O(|Vp| · |V|)` + `O(|pairs| · deg)`).
-    pub fn check_invariants(&self, g: &DynGraph, q: &Pattern) -> bool {
+    /// Full validation, returning the first violation found (naming the
+    /// pair and the counter or flag): the slot map and the slots agree;
+    /// valid slots hold exactly the live nodes satisfying the predicate
+    /// (checked both ways) and the per-node tallies match the flags; every
+    /// **valid** pair's counters equal its true alive-child count and
+    /// `alive ⇔ every counter > 0`. Invalid pairs (tombstoned nodes or
+    /// attr-flipped ex-candidates) must be dead; their counters are frozen
+    /// — the update hooks never read or write them while invalid, and an
+    /// attr re-entry recounts them before use. `O(|Vp| · |V|)` +
+    /// `O(|slots| · deg)`.
+    pub fn check_invariants(&self, g: &DynGraph, q: &Pattern) -> Result<(), String> {
+        for (s, &(u, v)) in self.pair.iter().enumerate() {
+            if self.slot_of(u, v) != Some(s as u32) {
+                return Err(format!("pair ({u},{v}): slot {s} is not its mapped slot"));
+            }
+            let holds = !g.is_removed(v) && q.predicate(u).eval(g.label(v), Some(g.attributes(v)));
+            if self.valid[s] != holds {
+                return Err(format!(
+                    "pair ({u},{v}): valid = {} but the predicate holds = {holds}",
+                    self.valid[s]
+                ));
+            }
+        }
         for u in q.nodes() {
             let ui = u as usize;
+            let flags = |f: &[bool]| self.slots[ui].values().filter(|&&s| f[s as usize]).count();
+            let (vc, ac) = (flags(&self.valid), flags(&self.alive));
+            if (vc, ac) != (self.valid_count[ui], self.alive_count[ui]) {
+                return Err(format!(
+                    "pattern node {u}: valid_count / alive_count = {} / {} but {vc} / {ac} flags",
+                    self.valid_count[ui], self.alive_count[ui]
+                ));
+            }
             let pred = q.predicate(u);
-            for (i, &v) in self.cand[ui].iter().enumerate() {
-                let holds = !g.is_removed(v) && pred.eval(g.label(v), Some(g.attributes(v)));
-                if self.valid[ui][i] != holds {
-                    eprintln!(
-                        "candidate soundness: valid[{u}][{v}] = {} but predicate holds = {holds}",
-                        self.valid[ui][i]
-                    );
-                    return false;
-                }
-            }
-            let vc = self.valid[ui].iter().filter(|&&x| x).count();
-            if vc != self.valid_count[ui] {
-                eprintln!("valid_count[{u}] = {} but {vc} valid flags", self.valid_count[ui]);
-                return false;
-            }
             for v in 0..g.node_count() as NodeId {
                 if !g.is_removed(v)
                     && pred.eval(g.label(v), Some(g.attributes(v)))
-                    && !self.is_candidate(u, v)
+                    && self.valid_slot(u, v).is_none()
                 {
-                    eprintln!("candidate completeness: live node {v} satisfies {u} but is absent");
-                    return false;
+                    return Err(format!("pair ({u},{v}): satisfies the predicate but has no slot"));
                 }
             }
         }
-        for u in q.nodes() {
-            let ui = u as usize;
-            let d = q.successors(u).len();
-            for (i, &v) in self.cand[ui].iter().enumerate() {
-                if !self.valid[ui][i] {
-                    if self.alive[ui][i] {
-                        eprintln!("invalid pair ({u},{v}) must be dead");
-                        return false;
-                    }
-                    continue;
+        for (s, &(u, v)) in self.pair.iter().enumerate() {
+            if !self.valid[s] {
+                if self.alive[s] {
+                    return Err(format!("pair ({u},{v}): invalid but alive"));
                 }
-                let mut z = 0;
-                for (j, &uc) in q.successors(u).iter().enumerate() {
-                    let expect = g
-                        .successors(v)
-                        .filter(|&w| {
-                            self.valid_index(uc, w).is_some_and(|iw| self.alive[uc as usize][iw])
-                        })
-                        .count() as u32;
-                    if self.cnt[ui][i * d + j] != expect {
-                        eprintln!(
-                            "cnt[{u}][{v} slot {j}] = {} but true alive-child count {expect}",
-                            self.cnt[ui][i * d + j]
-                        );
-                        return false;
-                    }
-                    if expect == 0 {
-                        z += 1;
-                    }
+                continue;
+            }
+            let base = self.cbase[s] as usize;
+            let mut supported = true;
+            for (j, &uc) in q.successors(u).iter().enumerate() {
+                let expect =
+                    g.successors(v).filter(|&w| self.alive_slot(uc, w).is_some()).count() as u32;
+                if self.cnt[base + j] != expect {
+                    return Err(format!(
+                        "pair ({u},{v}): counter of pattern edge ({u},{uc}) = {} but {expect} \
+                         alive children",
+                        self.cnt[base + j]
+                    ));
                 }
-                if self.zeros[ui][i] != z {
-                    eprintln!("zeros[{u}][{v}] = {} but {z} zero slots", self.zeros[ui][i]);
-                    return false;
-                }
-                if self.alive[ui][i] != (self.valid[ui][i] && z == 0) {
-                    eprintln!(
-                        "alive[{u}][{v}] = {} but valid={} zeros={z}",
-                        self.alive[ui][i], self.valid[ui][i]
-                    );
-                    return false;
-                }
+                supported &= expect > 0;
+            }
+            if self.alive[s] != supported {
+                return Err(format!(
+                    "pair ({u},{v}): alive = {} but every counter > 0 = {supported}",
+                    self.alive[s]
+                ));
             }
         }
-        true
+        Ok(())
     }
 }
 
@@ -683,11 +652,11 @@ mod tests {
             }
         })
         .unwrap();
-        if !state.check_invariants(g, q) {
+        if let Err(msg) = state.check_invariants(g, q) {
             let snap = g.snapshot();
             let edges: Vec<_> = snap.edges().map(|e| (e.source, e.target)).collect();
             panic!(
-                "counter invariants after {delta:?}\n labels {:?}\n edges {edges:?}\n pattern {:?} / {:?}",
+                "{msg} after {delta:?}\n labels {:?}\n edges {edges:?}\n pattern {:?} / {:?}",
                 snap.labels(),
                 q.nodes().map(|u| q.predicate(u).primary_label()).collect::<Vec<_>>(),
                 q.edges().collect::<Vec<_>>()
@@ -1019,7 +988,22 @@ mod tests {
         // (A,0) changed — no alive flips.
         assert!(s.take_dirty().is_empty());
         check_equiv(&mut g, &mut s, &q, &GraphDelta::new().remove_edge(0, 1).remove_edge(0, 2));
-        let dirty = s.take_dirty();
+        let dirty: Vec<DynPair> = s.take_dirty().into_iter().map(|d| s.pair(d)).collect();
         assert!(dirty.contains(&(0, 0)), "output pair died: {dirty:?}");
+    }
+
+    /// The auditor names what broke: one corrupted counter is reported
+    /// with its pair and pattern edge, not just as "violated".
+    #[test]
+    fn check_invariants_names_the_corrupted_pair() {
+        let g0 = graph_from_parts(&[0, 1, 2], &[(0, 1), (1, 2)]).unwrap();
+        let q = label_pattern(&[0, 1, 2], &[(0, 1), (1, 2)], 0).unwrap();
+        let g = DynGraph::from_digraph(&g0);
+        let mut s = IncSimState::new(&g, &q).unwrap();
+        assert_eq!(s.check_invariants(&g, &q), Ok(()));
+        let b = s.slot_of(1, 1).expect("(1,1) is a candidate pair");
+        s.cnt[s.cbase[b as usize] as usize] += 1;
+        let msg = s.check_invariants(&g, &q).expect_err("corrupted counter");
+        assert!(msg.starts_with("pair (1,1): counter of pattern edge (1,2) = 2"), "{msg}");
     }
 }

@@ -32,10 +32,10 @@ use crate::relation::SimRelation;
 /// of data nodes. The static pipeline implements it with a
 /// [`MatchGraph`] + [`CandidateSpace`] pair ([`MatchGraph::reach_view`],
 /// universe = the per-query compact candidate universe); the dynamic
-/// path with a [`DynMatchGraph`](crate::DynMatchGraph) over the alive
-/// pairs of an [`IncSimState`](crate::IncSimState) (universe = stable
-/// data-node ids, the encoding the relevance cache persists across
-/// batches). One DP, two worlds.
+/// path with a [`DynMatchGraph`](crate::DynMatchGraph) over the candidate
+/// slots of an [`IncSimState`](crate::IncSimState), dead ones without
+/// edges (universe = stable data-node ids, the encoding the relevance
+/// cache persists across batches). One DP, two worlds.
 pub trait ReachView: Successors + Sync {
     /// Width of the universe the projections index into.
     fn universe_size(&self) -> usize;
