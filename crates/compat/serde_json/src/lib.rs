@@ -242,18 +242,33 @@ fn parse_lit(b: &[u8], pos: &mut usize, lit: &str, v: Value) -> Result<Value, Er
     }
 }
 
+/// Parses a number in JSON's grammar,
+/// `-? (0 | [1-9][0-9]*) (. [0-9]+)? ([eE] [+-]? [0-9]+)?`. A number that
+/// overflows to ±∞ is an error, as in the real crate.
 fn parse_number(b: &[u8], pos: &mut usize) -> Result<Value, Error> {
     let start = *pos;
-    if b.get(*pos) == Some(&b'-') {
-        *pos += 1;
-    }
-    while *pos < b.len() && matches!(b[*pos], b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-') {
-        *pos += 1;
-    }
+    let eat = |pos: &mut usize, set: &[u8]| {
+        let hit = b.get(*pos).is_some_and(|c| set.contains(c));
+        *pos += usize::from(hit);
+        hit
+    };
+    let digits = |pos: &mut usize| {
+        let from = *pos;
+        while eat(pos, b"0123456789") {}
+        *pos > from
+    };
+    eat(pos, b"-");
+    let well_formed = (eat(pos, b"0") || digits(pos))
+        && (!eat(pos, b".") || digits(pos))
+        && (!eat(pos, b"eE") || {
+            eat(pos, b"+-");
+            digits(pos)
+        });
     let text = std::str::from_utf8(&b[start..*pos]).map_err(|e| Error::new(e.to_string()))?;
-    text.parse::<f64>()
-        .map(Value::Num)
-        .map_err(|_| Error::new(format!("bad number {text:?} at byte {start}")))
+    match text.parse::<f64>() {
+        Ok(n) if well_formed && n.is_finite() => Ok(Value::Num(n)),
+        _ => Err(Error::new(format!("bad number {text:?} at byte {start}"))),
+    }
 }
 
 fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, Error> {
@@ -278,13 +293,16 @@ fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, Error> {
                     Some(b'b') => out.push('\u{8}'),
                     Some(b'f') => out.push('\u{c}'),
                     Some(b'u') => {
+                        // Exactly four hex digits; no sign.
                         let hex = b
                             .get(*pos + 1..*pos + 5)
-                            .ok_or_else(|| Error::new("truncated \\u escape"))?;
-                        let hex =
-                            std::str::from_utf8(hex).map_err(|e| Error::new(e.to_string()))?;
-                        let code = u32::from_str_radix(hex, 16)
-                            .map_err(|_| Error::new(format!("bad \\u escape {hex:?}")))?;
+                            .filter(|h| h.iter().all(u8::is_ascii_hexdigit))
+                            .ok_or_else(|| {
+                                Error::new(format!("bad \\u escape at byte {}", *pos))
+                            })?;
+                        let code = hex
+                            .iter()
+                            .fold(0, |acc, &h| acc << 4 | (h as char).to_digit(16).unwrap_or(0));
                         // Surrogates are not paired up (the writer never
                         // emits them — it escapes only control chars).
                         out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
@@ -329,6 +347,7 @@ fn write_json_string(s: &str, out: &mut String) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::{Strategy, TestRng};
 
     #[test]
     fn renders_nested_structures() {
@@ -378,6 +397,49 @@ mod tests {
         assert_eq!(from_str(r#""Ab""#).unwrap().as_str(), Some("Ab"));
     }
 
+    #[test]
+    fn rejects_a_signed_unicode_escape() {
+        assert!(from_str(r#""\u+041""#).is_err());
+        assert_eq!(from_str(r#""A""#).unwrap().as_str(), Some("A"));
+    }
+
+    #[test]
+    fn rejects_a_leading_plus() {
+        assert!(from_str("+1").is_err());
+    }
+
+    #[test]
+    fn rejects_a_fraction_without_integer_part() {
+        assert!(from_str(".5").is_err());
+        assert!(from_str("-.5").is_err());
+    }
+
+    #[test]
+    fn rejects_a_fraction_without_digits() {
+        assert!(from_str("1.").is_err());
+        assert!(from_str("1.e3").is_err());
+    }
+
+    #[test]
+    fn rejects_a_leading_zero() {
+        assert!(from_str("01").is_err());
+        assert!(from_str("[-01]").is_err());
+        assert_eq!(from_str("[0, -0.5, 1e3, 2E-2]").unwrap().as_array().unwrap().len(), 4);
+    }
+
+    #[test]
+    fn rejects_an_exponent_without_digits() {
+        assert!(from_str("1e").is_err());
+        assert!(from_str("1e+").is_err());
+    }
+
+    #[test]
+    fn rejects_a_number_that_overflows() {
+        assert!(from_str("1e400").is_err());
+        assert!(from_str("-1e400").is_err());
+        assert_eq!(from_str("1e-400").unwrap().as_f64(), Some(0.0), "underflow is fine");
+    }
+
     /// One generated char per `(kind, code)`: control chars, the chars
     /// the writer escapes, printable ASCII, 2-, 3- and 4-byte UTF-8, and
     /// arbitrary scalars.
@@ -406,6 +468,61 @@ mod tests {
                 assert_eq!(from_str(&text).unwrap(), v, "{text:?}");
             }
             assert_eq!(from_str(&to_string(&Value::Str(s.clone())).unwrap()).unwrap(), Value::Str(s));
+        }
+
+        // parse ∘ to_string = id on generated value trees, compact and
+        // pretty; and no truncation or ASCII-byte substitution of the
+        // compact text makes the parser panic.
+        #[test]
+        fn parse_inverts_to_string_and_never_panics_on_generated_trees(v in ArbValue(4)) {
+            let text = to_string(&v).unwrap();
+            assert_eq!(from_str(&text).unwrap(), v, "{text:?}");
+            assert_eq!(from_str(&to_string_pretty(&v).unwrap()).unwrap(), v, "{text:?}");
+            for (i, c) in text.char_indices() {
+                let _ = from_str(&text[..i]);
+                for sub in 0..0x80u8 {
+                    let (head, tail) = (&text[..i], &text[i + c.len_utf8()..]);
+                    let _ = from_str(&format!("{head}{}{tail}", sub as char));
+                }
+            }
+        }
+    }
+
+    /// A generated `Value` tree whose containers nest at most `.0` deep:
+    /// finite numbers (small integers, integers past 2⁵³, negative
+    /// fractions, arbitrary bit patterns) and strings over [`gen_char`].
+    struct ArbValue(u32);
+
+    impl Strategy for ArbValue {
+        type Value = Value;
+
+        fn generate(&self, rng: &mut TestRng) -> Value {
+            let string = |rng: &mut TestRng| -> String {
+                (0..rng.below(8))
+                    .map(|_| gen_char(rng.below(5) as u32, rng.below(0x11_0000) as u32))
+                    .collect()
+            };
+            let child = |rng: &mut TestRng| ArbValue(self.0 - 1).generate(rng);
+            match rng.below(if self.0 == 0 { 4 } else { 6 }) {
+                0 => Value::Null,
+                1 => Value::Bool(rng.below(2) == 1),
+                2 => Value::Num(match rng.below(4) {
+                    0 => rng.below(2001) as f64 - 1000.0,
+                    1 => {
+                        ((1u64 << 53) + rng.below(1 << 40) as u64) as f64
+                            * [1.0, -1.0][rng.below(2)]
+                    }
+                    2 => -(rng.below(1000) as f64 + 1.0) / (rng.below(999) as f64 + 2.0),
+                    _ => Some(f64::from_bits(
+                        ((rng.below(1 << 32) as u64) << 32) | rng.below(1 << 32) as u64,
+                    ))
+                    .filter(|n| n.is_finite())
+                    .unwrap_or(0.5),
+                }),
+                3 => Value::Str(string(rng)),
+                4 => Value::Array((0..rng.below(4)).map(|_| child(rng)).collect()),
+                _ => Value::Object((0..rng.below(4)).map(|_| (string(rng), child(rng))).collect()),
+            }
         }
     }
 

@@ -12,8 +12,8 @@
 //! and the bound index, the structural pass, SCC processing and every wave
 //! run on that one graph — work proportional to what can reach an answer,
 //! not to the candidate space. Relevant sets are bitsets over the cone's
-//! own universe ([`LocalUniverse`]: the data nodes of the cone pairs that
-//! have a predecessor — nothing else can enter a relevant set).
+//! own universe (the data nodes of the cone pairs that have a predecessor —
+//! nothing else can enter a relevant set; see [`MatchGraph`]).
 //! Every cone pair carries the paper's vector `v.T = ⟨v.bf, v.R, v.l, v.h⟩`:
 //!
 //! * the boolean formula `v.bf` is represented by a three-valued
@@ -52,7 +52,7 @@ use std::rc::Rc;
 use gpm_graph::{BitSet, Condensation, DiGraph, NodeId};
 use gpm_pattern::{PNodeId, Pattern};
 use gpm_ranking::bounds::output_upper_bounds_on_cone;
-use gpm_simulation::{compute_simulation, CandidateSpace, LocalUniverse, MatchGraph};
+use gpm_simulation::{compute_simulation, CandidateSpace, MatchGraph, ReachView};
 
 use crate::config::{SelectionStrategy, TopKConfig};
 use crate::result::RunStats;
@@ -84,9 +84,8 @@ pub struct Engine<'a> {
     cfg: &'a TopKConfig,
     pub(crate) space: CandidateSpace,
     /// The output cone; output pairs are `out_base..out_base + out_count`.
+    /// Relevant sets are bitsets over its universe.
     pub(crate) pg: MatchGraph,
-    /// Relevant-set universe: the data nodes `pg`'s edges lead to.
-    pub(crate) universe: LocalUniverse,
 
     // Pattern structure.
     pub(crate) scc_of: Vec<u32>,
@@ -166,15 +165,7 @@ impl<'a> Engine<'a> {
         }
 
         let pg = MatchGraph::over_output_cone(g, q, &space);
-        let universe = LocalUniverse::of(&pg);
-        let bounds = output_upper_bounds_on_cone(
-            g,
-            q,
-            &space,
-            (&pg, &universe),
-            cfg.bounds,
-            &cfg.bound_config,
-        );
+        let bounds = output_upper_bounds_on_cone(g, q, &space, &pg, cfg.bounds, &cfg.bound_config);
 
         let qcond = Condensation::compute(q.topology());
         let scc_of: Vec<u32> = (0..q.node_count() as u32).map(|u| qcond.component_of(u)).collect();
@@ -193,7 +184,6 @@ impl<'a> Engine<'a> {
             cfg,
             space,
             pg,
-            universe,
             scc_of,
             scc_nontrivial,
             node_rank,
@@ -338,7 +328,7 @@ impl<'a> Engine<'a> {
 
     /// Universe size of relevant-set bitsets (the cone's data nodes).
     pub fn universe_size(&self) -> usize {
-        self.universe.size()
+        self.pg.universe_size()
     }
 
     /// The candidate space (for `Cuo`, candidate counts, etc.).
@@ -653,14 +643,14 @@ impl<'a> Engine<'a> {
         // Take ownership of the set (copy-on-write on sharing).
         let mut rp = match self.r[p as usize].take() {
             Some(rc) => rc,
-            None => Rc::new(BitSet::new(self.universe.size())),
+            None => Rc::new(BitSet::new(self.pg.universe_size())),
         };
         let set = Rc::make_mut(&mut rp);
         for &c in self.pg.successors(p) {
             if self.status[c as usize] != Status::Matched {
                 continue;
             }
-            grew |= set.insert(self.universe.pos(c));
+            grew |= set.insert(self.pg.universe_pos(c));
             if let Some(rc) = &self.r[c as usize] {
                 grew |= set.union_with(rc);
             }

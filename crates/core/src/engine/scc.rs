@@ -26,6 +26,7 @@ use std::rc::Rc;
 
 use gpm_graph::csr::Csr;
 use gpm_graph::{BitSet, Condensation};
+use gpm_simulation::ReachView;
 
 use super::{Engine, Status};
 
@@ -256,7 +257,7 @@ impl Engine<'_> {
         let csr = Csr::from_edges(matched.len(), &edges);
         let cond = Condensation::compute(&csr);
 
-        let m = self.universe.size();
+        let m = self.pg.universe_size();
         let nc = cond.component_count();
         // The shared `R` of each finished component.
         let mut shared: Vec<Option<Rc<BitSet>>> = vec![None; nc];
@@ -270,7 +271,7 @@ impl Engine<'_> {
             for &sc in cond.comp_successors(comp) {
                 set.union_with(shared[sc as usize].as_ref().expect("succ first"));
                 if !cond.is_nontrivial(sc) {
-                    set.insert(self.universe.pos(matched[cond.members(sc)[0] as usize]));
+                    set.insert(self.pg.universe_pos(matched[cond.members(sc)[0] as usize]));
                 }
                 comp_final[comp as usize] &= comp_final[sc as usize];
             }
@@ -295,7 +296,7 @@ impl Engine<'_> {
                     if !self.finals[c as usize] {
                         comp_final[comp as usize] = false;
                     }
-                    set.insert(self.universe.pos(c));
+                    set.insert(self.pg.universe_pos(c));
                     if let Some(rc) = &self.r[c as usize] {
                         set.union_with(rc);
                     }
@@ -304,7 +305,7 @@ impl Engine<'_> {
             if cond.is_nontrivial(comp) {
                 // Cycle members reach each other and themselves.
                 for &lm in cond.members(comp) {
-                    set.insert(self.universe.pos(matched[lm as usize]));
+                    set.insert(self.pg.universe_pos(matched[lm as usize]));
                 }
             }
             let result = Rc::new(set);

@@ -17,8 +17,9 @@ use std::time::Instant;
 use gpm_graph::{BitSet, DiGraph, NodeId};
 use gpm_pattern::Pattern;
 use gpm_ranking::distance::DistanceFn;
-use gpm_ranking::objective::Objective;
+use gpm_ranking::reach_sets::ReachEngine;
 use gpm_ranking::relevance::{RelevanceCtx, RelevanceFn};
+use gpm_simulation::{compute_simulation, MatchGraph, SimRelation};
 
 use crate::config::{DivConfig, TopKConfig};
 use crate::match_all::compute_match_outcome;
@@ -42,21 +43,26 @@ pub struct GenTopKResult {
     pub stats: RunStats,
 }
 
-/// Builds the `M(Q,G,R(uo))` universe bitset: matches of all query nodes
-/// strictly reachable from `uo`.
-fn descendant_matches(q: &Pattern, sim: &gpm_simulation::SimRelation) -> (BitSet, usize) {
-    let space = sim.space();
-    let mut set = BitSet::new(space.universe_size());
+/// Builds `M(Q,G,R(uo))` over data-node ids — matches of all query nodes
+/// strictly reachable from `uo` — and counts those query nodes. Node ids,
+/// not a match graph's universe: a match need not be reached by any
+/// match-graph edge.
+fn descendant_matches(g: &DiGraph, q: &Pattern, sim: &SimRelation) -> (BitSet, usize) {
     let reach = q.reachable_from_output();
-    let mut count_nodes = 0usize;
-    for u in reach.iter() {
-        count_nodes += 1;
-        for v in sim.matches_of(u as u32) {
-            let pos = space.universe_pos(v).expect("match is a candidate");
-            set.insert(pos as usize);
-        }
-    }
-    (set, count_nodes)
+    let nodes = reach.iter().flat_map(|u| sim.matches_of(u as u32)).map(|v| v as usize);
+    (BitSet::from_iter(g.node_count(), nodes), reach.count())
+}
+
+/// `δ*r` of a match whose relevant set holds the data nodes `r`, against
+/// [`descendant_matches`]' output.
+fn score(
+    g: &DiGraph,
+    f: &dyn RelevanceFn,
+    r: impl IntoIterator<Item = NodeId>,
+    (desc_matches, desc_query_nodes): &(BitSet, usize),
+) -> f64 {
+    let r_set = &BitSet::from_iter(g.node_count(), r.into_iter().map(|v| v as usize));
+    f.score(&RelevanceCtx { r_set, desc_query_nodes: *desc_query_nodes, desc_matches })
 }
 
 /// Early-terminating generalized topKP (Proposition 4): the engine finds a
@@ -76,25 +82,27 @@ pub fn generalized_top_k(
             stats: RunStats { elapsed: t0.elapsed(), ..base.stats },
         };
     }
-    // Exact context for the winners only (one linear simulation pass plus
-    // per-winner relevant sets).
-    let sim = gpm_simulation::compute_simulation(g, q);
-    let (dm, desc_nodes) = descendant_matches(q, &sim);
-    let space = sim.space();
-    let mut matches: Vec<ScoredMatch> = base
+    // Exact context for the winners only: one simulation pass, one match
+    // graph and one reach pass from the winners' pairs.
+    let sim = compute_simulation(g, q);
+    let desc = descendant_matches(g, q, &sim);
+    let mg = MatchGraph::over_matches(g, q, &sim);
+    let sources: Vec<u32> = base
         .matches
         .iter()
         .map(|m| {
-            let ids =
-                gpm_ranking::relevant_set::relevant_set_of_pair(g, q, &sim, q.output(), m.node)
-                    .unwrap_or_default();
-            let mut r = BitSet::new(space.universe_size());
-            for v in ids {
-                let pos = space.universe_pos(v).expect("candidate");
-                r.insert(pos as usize);
-            }
-            let ctx = RelevanceCtx { r_set: &r, desc_query_nodes: desc_nodes, desc_matches: &dm };
-            ScoredMatch { node: m.node, score: f.score(&ctx) }
+            let p = sim.space().pair_id(q.output(), m.node).expect("a winner is a candidate");
+            mg.compact_of(p).expect("a winner is a match")
+        })
+        .collect();
+    let sets = ReachEngine::prepare(&mg, sources, &cfg.reach).extract_all(cfg.reach.threads);
+    let mut matches: Vec<ScoredMatch> = base
+        .matches
+        .iter()
+        .zip(&sets)
+        .map(|(m, set)| ScoredMatch {
+            node: m.node,
+            score: score(g, f, set.iter().map(|i| mg.universe()[i]), &desc),
         })
         .collect();
     matches.sort_by(|a, b| b.score.partial_cmp(&a.score).unwrap().then(a.node.cmp(&b.node)));
@@ -113,12 +121,11 @@ pub fn generalized_top_k_full(
     let t0 = Instant::now();
     let outcome = compute_match_outcome(g, q, &cfg.reach);
     let rs = &outcome.relevant;
-    let (dm, desc_nodes) = descendant_matches(q, &outcome.sim);
+    let desc = descendant_matches(g, q, &outcome.sim);
     let mut matches: Vec<ScoredMatch> = (0..rs.len())
-        .map(|i| {
-            let ctx =
-                RelevanceCtx { r_set: rs.set(i), desc_query_nodes: desc_nodes, desc_matches: &dm };
-            ScoredMatch { node: rs.matches()[i], score: f.score(&ctx) }
+        .map(|i| ScoredMatch {
+            node: rs.matches()[i],
+            score: score(g, f, rs.set_node_ids(i), &desc),
         })
         .collect();
     matches.sort_by(|a, b| b.score.partial_cmp(&a.score).unwrap().then(a.node.cmp(&b.node)));
@@ -150,9 +157,6 @@ pub fn generalized_top_k_diversified(
 
 /// Re-export for symmetry with the basic API.
 pub use crate::topk_div::top_k_diversified_with;
-
-#[allow(unused)]
-fn _api(_: &Objective) {}
 
 #[cfg(test)]
 mod tests {

@@ -10,7 +10,7 @@ use gpm_graph::DiGraph;
 use gpm_pattern::builder::label_pattern;
 use gpm_pattern::Pattern;
 use gpm_ranking::bounds::{output_upper_bounds, BoundConfig, BoundStrategy};
-use gpm_ranking::reach_sets::{strict_reach_sets, ReachConfig};
+use gpm_ranking::reach_sets::{ReachConfig, ReachEngine};
 use gpm_simulation::{CandidateSpace, MatchGraph};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
@@ -49,10 +49,7 @@ fn product_graph_bounds(g: &DiGraph, q: &Pattern, space: &CandidateSpace) -> Vec
     let sources: Vec<u32> = (0..space.candidate_count(uo))
         .map(|i| pg.compact_of(space.pair_at(uo, i)).unwrap())
         .collect();
-    strict_reach_sets(&pg, space, &sources, &ReachConfig::default())
-        .iter()
-        .map(|s| s.count() as u64)
-        .collect()
+    ReachEngine::prepare(&pg, sources, &ReachConfig::default()).counts(1)
 }
 
 #[test]

@@ -24,9 +24,9 @@
 
 use gpm_graph::{Condensation, DiGraph, NodeId};
 use gpm_pattern::Pattern;
-use gpm_simulation::{CandidateSpace, LocalUniverse, MatchGraph};
+use gpm_simulation::{CandidateSpace, MatchGraph};
 
-use crate::reach_sets::{strict_reach_counts, ReachConfig};
+use crate::reach_sets::{ReachConfig, ReachEngine};
 
 /// Bound-index selection.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -102,15 +102,14 @@ pub fn output_upper_bounds(
 }
 
 /// [`output_upper_bounds`] for a caller that already holds the output cone
-/// ([`MatchGraph::over_output_cone`]) and its [`LocalUniverse`] — the
-/// propagation engine, which runs its waves on the same graph.
-/// `ProductReach` reads them instead of building its own; the values are
-/// identical either way.
+/// ([`MatchGraph::over_output_cone`]) — the propagation engine, which runs
+/// its waves on the same graph. `ProductReach` reads it instead of
+/// building its own; the values are identical either way.
 pub fn output_upper_bounds_on_cone(
     g: &DiGraph,
     q: &Pattern,
     space: &CandidateSpace,
-    cone: (&MatchGraph, &LocalUniverse),
+    cone: &MatchGraph,
     strategy: BoundStrategy,
     cfg: &BoundConfig,
 ) -> OutputBounds {
@@ -121,7 +120,7 @@ fn bounds_impl(
     g: &DiGraph,
     q: &Pattern,
     space: &CandidateSpace,
-    cone: Option<(&MatchGraph, &LocalUniverse)>,
+    cone: Option<&MatchGraph>,
     strategy: BoundStrategy,
     cfg: &BoundConfig,
 ) -> OutputBounds {
@@ -134,15 +133,17 @@ fn bounds_impl(
     };
     let h = match used {
         BoundStrategy::Global => {
-            vec![global_bound(q, space); space.candidate_count(q.output())]
+            vec![global_bound(g, q, space); space.candidate_count(q.output())]
         }
         BoundStrategy::DescLabelCount => desc_count_bounds(g, q, space),
         BoundStrategy::ProductReach | BoundStrategy::Auto => match cone {
-            Some((pg, universe)) => product_reach_bounds(q, space, pg, universe, &cfg.reach),
-            None => {
-                let pg = MatchGraph::over_output_cone(g, q, space);
-                product_reach_bounds(q, space, &pg, &LocalUniverse::of(&pg), &cfg.reach)
-            }
+            Some(pg) => product_reach_bounds(q, space, pg, &cfg.reach),
+            None => product_reach_bounds(
+                q,
+                space,
+                &MatchGraph::over_output_cone(g, q, space),
+                &cfg.reach,
+            ),
         },
     };
     OutputBounds { h, used }
@@ -160,14 +161,12 @@ fn reachable_mask(q: &Pattern) -> u64 {
 
 /// Count of distinct candidate data nodes of reachable query nodes — the
 /// universal upper bound every strategy caps at.
-fn global_bound(q: &Pattern, space: &CandidateSpace) -> u64 {
+fn global_bound(g: &DiGraph, q: &Pattern, space: &CandidateSpace) -> u64 {
     let mask = reachable_mask(q);
     if mask == 0 {
         return 0;
     }
-    (0..space.universe_size() as u32)
-        .filter(|&i| space.mask_of(space.universe_node(i)) & mask != 0)
-        .count() as u64
+    g.nodes().filter(|&v| space.mask_of(v) & mask != 0).count() as u64
 }
 
 /// The paper's descendant-count index: for every candidate `v` of `uo`, sum
@@ -178,7 +177,7 @@ fn desc_count_bounds(g: &DiGraph, q: &Pattern, space: &CandidateSpace) -> Vec<u6
     let classes: Vec<u32> =
         (0..q.node_count() as u32).filter(|&u| mask & (1u64 << u) != 0).collect();
     let out_cands = space.candidates(q.output());
-    let gb = global_bound(q, space);
+    let gb = global_bound(g, q, space);
     if classes.is_empty() {
         return vec![0; out_cands.len()];
     }
@@ -241,14 +240,13 @@ fn product_reach_bounds(
     q: &Pattern,
     space: &CandidateSpace,
     cone: &MatchGraph,
-    universe: &LocalUniverse,
     reach: &ReachConfig,
 ) -> Vec<u64> {
     let uo = q.output();
     let sources: Vec<u32> = (0..space.candidate_count(uo))
         .map(|i| cone.compact_of(space.pair_at(uo, i)).expect("output pairs root the cone"))
         .collect();
-    strict_reach_counts(cone.local_view(universe), sources, reach)
+    ReachEngine::prepare(cone, sources, reach).counts(reach.threads)
 }
 
 #[cfg(test)]

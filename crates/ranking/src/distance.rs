@@ -15,7 +15,8 @@ use gpm_graph::{BitSet, DiGraph, NodeId};
 pub struct MatchInfo<'a> {
     /// The match's data node.
     pub node: NodeId,
-    /// Its relevant set over the candidate universe.
+    /// Its relevant set, over the same universe as every other match's set
+    /// (a match graph's universe, or data-node ids).
     pub r_set: &'a BitSet,
 }
 

@@ -6,8 +6,8 @@
 //! relevant-set refreshes are all instances of one problem: *for each
 //! source pair, collect the distinct data nodes of all pairs reachable
 //! via at least one edge*. This module solves it once, over any
-//! [`ReachView`] (the static `MatchGraph` + `CandidateSpace` pair, or the
-//! dynamic `DynMatchGraph` over alive pairs), in two phases:
+//! [`ReachView`] (a static `MatchGraph` over its own universe, or the
+//! dynamic `DynMatchGraph` over simulation slots), in two phases:
 //!
 //! 1. **prepare** ([`ReachEngine::prepare`]) — condense the pair graph
 //!    (Tarjan, component ids in reverse topological order), walk the
@@ -33,7 +33,7 @@
 use std::collections::VecDeque;
 
 use gpm_graph::{BitSet, Condensation};
-use gpm_simulation::{CandidateSpace, MatchGraph, ReachView};
+use gpm_simulation::ReachView;
 use gpm_telemetry::Span;
 
 /// Memory / execution policy for set-reachability computations.
@@ -360,36 +360,17 @@ impl<V: ReachView> ReachExtractor<'_, V> {
     }
 }
 
-/// For every source pair (compact id in `mg`), the set of universe
-/// positions of data nodes of pairs strictly reachable from it — the
-/// static-pipeline entry point ([`ReachEngine`] over
-/// [`MatchGraph::reach_view`]).
-pub fn strict_reach_sets(
-    mg: &MatchGraph,
-    space: &CandidateSpace,
-    sources: &[u32],
-    cfg: &ReachConfig,
-) -> Vec<BitSet> {
-    let engine = ReachEngine::prepare(mg.reach_view(space), sources.to_vec(), cfg);
-    engine.extract_all(cfg.threads)
-}
-
-/// Count-only variant over any view (the bound index never stores the
-/// sets): one `prepare`, then [`ReachEngine::counts`].
-pub fn strict_reach_counts<V: ReachView>(
-    view: V,
-    sources: Vec<u32>,
-    cfg: &ReachConfig,
-) -> Vec<u64> {
-    ReachEngine::prepare(view, sources, cfg).counts(cfg.threads)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use gpm_graph::builder::graph_from_parts;
     use gpm_pattern::builder::label_pattern;
-    use gpm_simulation::compute_simulation;
+    use gpm_simulation::{compute_simulation, MatchGraph};
+
+    /// Every source's strict-reach set under `cfg`.
+    fn sets(mg: &MatchGraph, sources: &[u32], cfg: &ReachConfig) -> Vec<BitSet> {
+        ReachEngine::prepare(mg, sources.to_vec(), cfg).extract_all(cfg.threads)
+    }
 
     /// Chain a→b→c with an extra b: R((A,0)) should be {1,2}, etc.
     #[test]
@@ -400,13 +381,8 @@ mod tests {
         let sim = compute_simulation(&g, &q);
         let mg = MatchGraph::over_matches(&g, &q, &sim);
         let sources: Vec<u32> = (0..mg.len() as u32).collect();
-        let dp = strict_reach_sets(&mg, sim.space(), &sources, &ReachConfig::default());
-        let bfs = strict_reach_sets(
-            &mg,
-            sim.space(),
-            &sources,
-            &ReachConfig { budget_bytes: 0, threads: 2 },
-        );
+        let dp = sets(&mg, &sources, &ReachConfig::default());
+        let bfs = sets(&mg, &sources, &ReachConfig { budget_bytes: 0, threads: 2 });
         assert_eq!(dp.len(), bfs.len());
         for (a, b) in dp.iter().zip(&bfs) {
             assert_eq!(a, b);
@@ -423,14 +399,10 @@ mod tests {
         let sim = compute_simulation(&g, &q);
         let mg = MatchGraph::over_matches(&g, &q, &sim);
         let sources: Vec<u32> = (0..mg.len() as u32).collect();
-        let dp = ReachEngine::prepare(
-            mg.reach_view(sim.space()),
-            sources.clone(),
-            &ReachConfig::default(),
-        );
+        let dp = ReachEngine::prepare(&mg, sources.clone(), &ReachConfig::default());
         assert!(dp.used_dp());
         let bfs = ReachEngine::prepare(
-            mg.reach_view(sim.space()),
+            &mg,
             sources.clone(),
             &ReachConfig { budget_bytes: 0, threads: 1 },
         );
@@ -450,7 +422,7 @@ mod tests {
         let mg = MatchGraph::over_matches(&g, &q, &sim);
         let sources: Vec<u32> = (0..mg.len() as u32).collect();
         for cfg in [ReachConfig::default(), ReachConfig { budget_bytes: 0, threads: 1 }] {
-            let sets = strict_reach_sets(&mg, sim.space(), &sources, &cfg);
+            let sets = sets(&mg, &sources, &cfg);
             for s in &sets {
                 assert_eq!(s.count(), 2, "both data nodes reachable, incl. self");
             }
@@ -466,15 +438,11 @@ mod tests {
         let mg = MatchGraph::over_matches(&g, &q, &sim);
         let leaf = mg.compact_of(sim.space().pair_id(1, 1).unwrap()).unwrap();
         let root = mg.compact_of(sim.space().pair_id(0, 0).unwrap()).unwrap();
-        let sets = strict_reach_sets(&mg, sim.space(), &[leaf, root], &ReachConfig::default());
+        let engine = ReachEngine::prepare(&mg, vec![leaf, root], &ReachConfig::default());
+        let sets = engine.extract_all(1);
         assert!(sets[0].is_empty());
         assert_eq!(sets[1].count(), 1);
-        let counts = strict_reach_counts(
-            mg.reach_view(sim.space()),
-            vec![leaf, root],
-            &ReachConfig::default(),
-        );
-        assert_eq!(counts, vec![0, 1]);
+        assert_eq!(engine.counts(1), vec![0, 1]);
     }
 
     #[test]
@@ -483,7 +451,7 @@ mod tests {
         let q = label_pattern(&[0], &[], 0).unwrap();
         let sim = compute_simulation(&g, &q);
         let mg = MatchGraph::over_matches(&g, &q, &sim);
-        assert!(strict_reach_sets(&mg, sim.space(), &[], &ReachConfig::default()).is_empty());
+        assert!(sets(&mg, &[], &ReachConfig::default()).is_empty());
     }
 
     /// Tracing surfaces the DP sub-phases and the budget-fallback
@@ -500,12 +468,7 @@ mod tests {
         let t = Telemetry::on();
 
         let root = t.root_span("prepare");
-        let dp = ReachEngine::prepare_traced(
-            mg.reach_view(sim.space()),
-            sources.clone(),
-            &ReachConfig::default(),
-            &root,
-        );
+        let dp = ReachEngine::prepare_traced(&mg, sources.clone(), &ReachConfig::default(), &root);
         assert!(dp.used_dp());
         let trace = t.finish_batch(root, 0).expect("enabled");
         assert_eq!(trace.spans_named("tarjan").count(), 1);
@@ -514,7 +477,7 @@ mod tests {
 
         let root = t.root_span("prepare");
         let bfs = ReachEngine::prepare_traced(
-            mg.reach_view(sim.space()),
+            &mg,
             sources.clone(),
             &ReachConfig { budget_bytes: 0, threads: 1 },
             &root,
@@ -536,7 +499,7 @@ mod tests {
         let sim = compute_simulation(&g, &q);
         let mg = MatchGraph::over_matches(&g, &q, &sim);
         let root = mg.compact_of(sim.space().pair_id(0, 0).unwrap()).unwrap();
-        let sets = strict_reach_sets(&mg, sim.space(), &[root], &ReachConfig::default());
+        let sets = sets(&mg, &[root], &ReachConfig::default());
         // Reaches data nodes 1, 2, 3 — node 3 via two pairs but counted once.
         assert_eq!(sets[0].count(), 3);
     }

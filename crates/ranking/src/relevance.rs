@@ -22,7 +22,7 @@ use gpm_graph::BitSet;
 /// Evaluation context for one output match.
 #[derive(Debug, Clone, Copy)]
 pub struct RelevanceCtx<'a> {
-    /// The match's relevant set over the candidate universe.
+    /// The match's relevant set over data-node ids.
     pub r_set: &'a BitSet,
     /// `|R(u)|`: number of query nodes strictly reachable from `uo`.
     pub desc_query_nodes: usize,

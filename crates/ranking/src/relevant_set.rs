@@ -15,17 +15,18 @@ use gpm_graph::{BitSet, DiGraph, NodeId};
 use gpm_pattern::{PNodeId, Pattern};
 use gpm_simulation::{MatchGraph, SimRelation};
 
-use crate::reach_sets::{strict_reach_sets, ReachConfig};
+use crate::reach_sets::{ReachConfig, ReachEngine};
 
-/// Relevant sets of all matches of the output node, over the compact
-/// candidate universe.
-#[derive(Debug, Clone)]
+/// Relevant sets of all matches of the output node, over the match graph's
+/// universe (the data nodes its edges reach, in node-id order).
+#[derive(Debug, Clone, Default)]
 pub struct RelevantSets {
     /// Output matches (ascending node id), aligned with `sets`.
     matches: Vec<NodeId>,
     /// `sets[i]` = R(uo, matches[i]) as universe positions.
     sets: Vec<BitSet>,
-    universe_size: usize,
+    /// The data node at each universe position.
+    universe: Vec<NodeId>,
 }
 
 impl RelevantSets {
@@ -37,9 +38,8 @@ impl RelevantSets {
 
     /// As [`RelevantSets::compute`] with an explicit memory/thread policy.
     pub fn compute_with(g: &DiGraph, q: &Pattern, sim: &SimRelation, cfg: &ReachConfig) -> Self {
-        let universe_size = sim.space().universe_size();
         if !sim.graph_matches() {
-            return RelevantSets { matches: Vec::new(), sets: Vec::new(), universe_size };
+            return RelevantSets::default();
         }
         let mg = MatchGraph::over_matches(g, q, sim);
         let matches = sim.output_matches(q);
@@ -50,8 +50,8 @@ impl RelevantSets {
                 mg.compact_of(p).expect("match pair is in the match graph")
             })
             .collect();
-        let sets = strict_reach_sets(&mg, sim.space(), &sources, cfg);
-        RelevantSets { matches, sets, universe_size }
+        let sets = ReachEngine::prepare(&mg, sources, cfg).extract_all(cfg.threads);
+        RelevantSets { matches, sets, universe: mg.universe().to_vec() }
     }
 
     /// The output matches, ascending.
@@ -67,11 +67,6 @@ impl RelevantSets {
     /// `true` when there is no output match.
     pub fn is_empty(&self) -> bool {
         self.matches.is_empty()
-    }
-
-    /// Universe width of the bitsets.
-    pub fn universe_size(&self) -> usize {
-        self.universe_size
     }
 
     /// Relevant set of the `i`-th match.
@@ -101,14 +96,14 @@ impl RelevantSets {
     }
 
     /// Decodes the `i`-th relevant set back to data-node ids (ascending).
-    pub fn set_node_ids(&self, sim: &SimRelation, i: usize) -> Vec<NodeId> {
-        self.sets[i].iter().map(|pos| sim.space().universe_node(pos as u32)).collect()
+    pub fn set_node_ids(&self, i: usize) -> Vec<NodeId> {
+        self.sets[i].iter().map(|pos| self.universe[pos]).collect()
     }
 }
 
 /// Relevant set of an arbitrary pair `(u, v)` — not just the output node —
-/// as data-node ids. Used by golden tests (Example 4 checks `R` of every PM)
-/// and by the result-inspection API. Per-pair BFS over the match graph.
+/// as data-node ids (ascending). Used by golden tests (Example 4 checks `R`
+/// of every PM) and by the result-inspection API.
 pub fn relevant_set_of_pair(
     g: &DiGraph,
     q: &Pattern,
@@ -120,13 +115,9 @@ pub fn relevant_set_of_pair(
         return None;
     }
     let mg = MatchGraph::over_matches(g, q, sim);
-    let p = sim.space().pair_id(u, v)?;
-    let c = mg.compact_of(p)?;
-    let sets = strict_reach_sets(&mg, sim.space(), &[c], &ReachConfig::default());
-    let mut ids: Vec<NodeId> =
-        sets[0].iter().map(|pos| sim.space().universe_node(pos as u32)).collect();
-    ids.sort_unstable();
-    Some(ids)
+    let c = mg.compact_of(sim.space().pair_id(u, v)?)?;
+    let sets = ReachEngine::prepare(&mg, vec![c], &ReachConfig::default()).extract_all(1);
+    Some(sets[0].iter().map(|pos| mg.universe()[pos]).collect())
 }
 
 #[cfg(test)]
@@ -159,7 +150,7 @@ mod tests {
         let i4 = rs.index_of(4).unwrap();
         assert_eq!(rs.distance(i0, i3), 0.0);
         assert!((rs.distance(i0, i4) - (1.0 - 1.0 / 3.0)).abs() < 1e-12);
-        assert_eq!(rs.set_node_ids(&sim, i4), vec![2, 5]);
+        assert_eq!(rs.set_node_ids(i4), vec![2, 5]);
     }
 
     #[test]

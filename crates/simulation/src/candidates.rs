@@ -1,12 +1,11 @@
-//! Candidate spaces: `can(u)` for every pattern node, pair indexing, and the
-//! compact *universe* of candidate data nodes.
+//! Candidate spaces: `can(u)` for every pattern node and pair indexing.
 //!
 //! A data node `v` is a **candidate** of a query node `u` if it satisfies
 //! `u`'s predicate (`L(v) = fv(u)` in the basic formulation). The paper's
 //! algorithms work pair-wise — every `(u, v)` with `v ∈ can(u)` carries a
-//! vector `v.T` — so this module assigns each such pair a dense id and maps
-//! candidate data nodes into a compact universe `0..m` over which relevant
-//! sets are bitsets.
+//! vector `v.T` — so this module assigns each such pair a dense id. Relevant
+//! sets are not numbered here: each match graph numbers the data nodes its
+//! edges reach ([`MatchGraph`](crate::MatchGraph)).
 
 use gpm_graph::{DiGraph, NodeId};
 use gpm_pattern::{PNodeId, Pattern};
@@ -14,7 +13,7 @@ use gpm_pattern::{PNodeId, Pattern};
 /// Dense identifier of a `(pattern node, candidate)` pair.
 pub type PairId = u32;
 
-/// Candidate sets of all pattern nodes plus pair/universe indexing.
+/// Candidate sets of all pattern nodes plus pair indexing.
 #[derive(Debug, Clone)]
 pub struct CandidateSpace {
     /// `cand[u]` = sorted candidate node ids of pattern node `u`.
@@ -26,11 +25,6 @@ pub struct CandidateSpace {
     /// 10). Enables O(1) "is `w` a candidate of `u'`?" tests during
     /// refinement.
     mask: Vec<u64>,
-    /// Universe position of each data node (`u32::MAX` = not a candidate of
-    /// any pattern node).
-    uni_pos: Vec<u32>,
-    /// Universe: deduplicated candidate node ids, sorted ascending.
-    universe: Vec<NodeId>,
 }
 
 impl CandidateSpace {
@@ -76,16 +70,7 @@ impl CandidateSpace {
             }
         }
 
-        let mut uni_pos = vec![u32::MAX; g.node_count()];
-        let mut universe = Vec::new();
-        for (v, &m) in mask.iter().enumerate() {
-            if m != 0 {
-                uni_pos[v] = universe.len() as u32;
-                universe.push(v as NodeId);
-            }
-        }
-
-        CandidateSpace { cand, offset, mask, uni_pos, universe }
+        CandidateSpace { cand, offset, mask }
     }
 
     /// Candidates of pattern node `u`, sorted by node id.
@@ -144,25 +129,6 @@ impl CandidateSpace {
         (self.offset.partition_point(|&o| o <= p) - 1) as PNodeId
     }
 
-    /// Universe size `m` (number of distinct candidate data nodes).
-    #[inline]
-    pub fn universe_size(&self) -> usize {
-        self.universe.len()
-    }
-
-    /// Universe position of data node `v`; `None` if `v` is no candidate.
-    #[inline]
-    pub fn universe_pos(&self, v: NodeId) -> Option<u32> {
-        let p = self.uni_pos[v as usize];
-        (p != u32::MAX).then_some(p)
-    }
-
-    /// Data node at universe position `i`.
-    #[inline]
-    pub fn universe_node(&self, i: u32) -> NodeId {
-        self.universe[i as usize]
-    }
-
     /// `true` if some pattern node has no candidate at all (then `G` cannot
     /// match `Q` and `M(Q,G) = ∅`).
     pub fn any_empty(&self) -> bool {
@@ -208,20 +174,13 @@ mod tests {
     }
 
     #[test]
-    fn masks_and_universe() {
+    fn masks() {
         let (g, q) = setup();
         let cs = CandidateSpace::compute(&g, &q);
         assert!(cs.is_candidate(0, 1));
         assert!(!cs.is_candidate(0, 2));
         assert!(cs.is_candidate(1, 4));
         assert_eq!(cs.mask_of(5), 0, "label 7 matches nothing");
-        // Universe = nodes 0..4 (node 5 excluded).
-        assert_eq!(cs.universe_size(), 5);
-        assert_eq!(cs.universe_pos(5), None);
-        for v in 0..5u32 {
-            let p = cs.universe_pos(v).unwrap();
-            assert_eq!(cs.universe_node(p), v);
-        }
     }
 
     #[test]
@@ -232,7 +191,6 @@ mod tests {
         let q = label_pattern(&[0, 0], &[(0, 1)], 0).unwrap();
         let cs = CandidateSpace::compute(&g, &q);
         assert_eq!(cs.pair_count(), 4);
-        assert_eq!(cs.universe_size(), 2);
         assert_eq!(cs.mask_of(0), 0b11);
     }
 

@@ -33,6 +33,6 @@ pub mod result_graph;
 pub use candidates::CandidateSpace;
 pub use dyn_match_graph::{DynMatchGraph, PairDelta};
 pub use incremental::IncSimState;
-pub use match_graph::{LocalUniverse, LocalView, MatchGraph, ReachView, SpaceView};
+pub use match_graph::{MatchGraph, ReachView};
 pub use refine::{compute_simulation, refine_state, RefineState};
 pub use relation::SimRelation;

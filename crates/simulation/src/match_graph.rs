@@ -15,7 +15,13 @@
 //! **output cone** of the product graph — the pairs reachable from an
 //! output pair — can influence an answer, so that is what the
 //! early-termination engine and the bound index build
-//! ([`MatchGraph::over_output_cone`], with its own [`LocalUniverse`]).
+//! ([`MatchGraph::over_output_cone`]).
+//!
+//! Every match graph numbers its own universe: the distinct data nodes of
+//! its pairs that have a predecessor — the only nodes a strict-reachability
+//! set over it can hold — in ascending node-id order. Sets over it are as
+//! wide as the graph has reachable data nodes, and because positions keep
+//! node-id order, popcounts and Jaccard distances equal those over node ids.
 
 use gpm_graph::csr::Csr;
 use gpm_graph::scc::Successors;
@@ -26,16 +32,14 @@ use crate::candidates::{CandidateSpace, PairId};
 use crate::relation::SimRelation;
 
 /// Abstract pair-graph view the shared reach engine
-/// (`gpm-ranking::reach_sets`) runs over: dense compact pair ids
+/// (`gpm-ranking::reach_sets`) runs over: dense pair ids
 /// `0..node_count()`, successor slices (via [`Successors`]), and a
-/// projection of every compact pair onto a position in a fixed universe
-/// of data nodes. The static pipeline implements it with a
-/// [`MatchGraph`] + [`CandidateSpace`] pair ([`MatchGraph::reach_view`],
-/// universe = the per-query compact candidate universe); the dynamic
-/// path with a [`DynMatchGraph`](crate::DynMatchGraph) over the candidate
-/// slots of an [`IncSimState`](crate::IncSimState), dead ones without
-/// edges (universe = stable data-node ids, the encoding the relevance
-/// cache persists across batches). One DP, two worlds.
+/// projection of every pair onto a position in a fixed universe of data
+/// nodes. A [`MatchGraph`] implements it over its own universe; a
+/// [`DynMatchGraph`](crate::DynMatchGraph) over the candidate slots of an
+/// [`IncSimState`](crate::IncSimState), dead ones without edges, with
+/// stable data-node ids as the universe (the encoding the relevance cache
+/// persists across batches). One DP, two worlds.
 pub trait ReachView: Successors + Sync {
     /// Width of the universe the projections index into.
     fn universe_size(&self) -> usize;
@@ -55,7 +59,7 @@ impl<T: ReachView + ?Sized> ReachView for &T {
 }
 
 /// A pair graph over a subset of candidate pairs, with forward and reverse
-/// CSR adjacency and dense *compact* node ids.
+/// CSR adjacency, dense *compact* node ids and its own universe.
 #[derive(Debug, Clone)]
 pub struct MatchGraph {
     full_to_compact: Vec<u32>,
@@ -64,6 +68,11 @@ pub struct MatchGraph {
     gnode: Vec<NodeId>,
     fwd: Csr,
     rev: Csr,
+    /// Universe position of each compact pair's data node ([`NOT_INCLUDED`]
+    /// for pairs nothing reaches).
+    pos: Vec<u32>,
+    /// The data node at each universe position, ascending.
+    universe: Vec<NodeId>,
 }
 
 pub const NOT_INCLUDED: u32 = u32::MAX;
@@ -120,6 +129,20 @@ impl PairNumbering {
         let n = self.compact_to_full.len();
         let fwd = Csr::from_edges(n, edges);
         let rev = fwd.reversed(n);
+        let reachable = |c: usize| !rev.neighbors(c as u32).is_empty();
+        let mut universe: Vec<NodeId> =
+            (0..n).filter(|&c| reachable(c)).map(|c| self.gnode[c]).collect();
+        universe.sort_unstable();
+        universe.dedup();
+        let pos = (0..n)
+            .map(|c| {
+                if reachable(c) {
+                    universe.binary_search(&self.gnode[c]).expect("collected above") as u32
+                } else {
+                    NOT_INCLUDED
+                }
+            })
+            .collect();
         MatchGraph {
             full_to_compact: self.full_to_compact,
             compact_to_full: self.compact_to_full,
@@ -127,6 +150,8 @@ impl PairNumbering {
             gnode: self.gnode,
             fwd,
             rev,
+            pos,
+            universe,
         }
     }
 }
@@ -260,121 +285,11 @@ impl MatchGraph {
         (0..self.len() as u32).filter(move |&c| self.pnode[c as usize] == u)
     }
 
-    /// This graph as a [`ReachView`] projecting onto `space`'s compact
-    /// candidate universe — what the static reach engine runs over.
-    pub fn reach_view<'a>(&'a self, space: &'a CandidateSpace) -> SpaceView<'a> {
-        SpaceView { mg: self, space }
-    }
-
-    /// This graph as a [`ReachView`] projecting onto its own
-    /// [`LocalUniverse`] (`universe` must be [`LocalUniverse::of`] this
-    /// graph).
-    pub fn local_view<'a>(&'a self, universe: &'a LocalUniverse) -> LocalView<'a> {
-        debug_assert_eq!(universe.pos.len(), self.len());
-        LocalView { mg: self, universe }
-    }
-}
-
-/// The static [`ReachView`]: a [`MatchGraph`] projected onto its
-/// [`CandidateSpace`]'s compact universe.
-#[derive(Debug, Clone, Copy)]
-pub struct SpaceView<'a> {
-    mg: &'a MatchGraph,
-    space: &'a CandidateSpace,
-}
-
-impl Successors for SpaceView<'_> {
-    fn node_count(&self) -> usize {
-        self.mg.len()
-    }
-    fn successors_of(&self, v: NodeId) -> &[NodeId] {
-        self.mg.successors(v)
-    }
-}
-
-impl ReachView for SpaceView<'_> {
-    fn universe_size(&self) -> usize {
-        self.space.universe_size()
-    }
-    fn universe_pos(&self, c: u32) -> usize {
-        self.space.universe_pos(self.mg.data_node(c)).expect("candidate nodes are in the universe")
-            as usize
-    }
-}
-
-/// A graph-local universe: the distinct data nodes of the pairs of one
-/// [`MatchGraph`] that have a predecessor — the only nodes a
-/// strict-reachability set over that graph can contain — numbered
-/// densely. Bitsets over it are as wide as the graph has reachable data
-/// nodes — for an output cone a fraction of the [`CandidateSpace`]
-/// universe — so unions, popcounts and Jaccard distances scan
-/// proportionally fewer words.
-#[derive(Debug, Clone)]
-pub struct LocalUniverse {
-    /// Universe position of each compact pair's data node
-    /// ([`NOT_INCLUDED`] for pairs nothing reaches).
-    pos: Vec<u32>,
-    size: usize,
-}
-
-impl LocalUniverse {
-    /// Numbers the data nodes of `mg`'s reachable pairs in ascending
-    /// node-id order.
-    pub fn of(mg: &MatchGraph) -> Self {
-        let reachable = |c: &u32| !mg.predecessors(*c).is_empty();
-        let mut nodes: Vec<NodeId> =
-            (0..mg.len() as u32).filter(reachable).map(|c| mg.data_node(c)).collect();
-        nodes.sort_unstable();
-        nodes.dedup();
-        let pos = (0..mg.len() as u32)
-            .map(|c| {
-                if reachable(&c) {
-                    nodes.binary_search(&mg.data_node(c)).expect("collected above") as u32
-                } else {
-                    NOT_INCLUDED
-                }
-            })
-            .collect();
-        LocalUniverse { pos, size: nodes.len() }
-    }
-
-    /// Number of distinct reachable data nodes.
+    /// The data node at each universe position, ascending — what decodes a
+    /// set over this graph back to node ids.
     #[inline]
-    pub fn size(&self) -> usize {
-        self.size
-    }
-
-    /// Universe position of compact pair `c`'s data node; `c` must have a
-    /// predecessor.
-    #[inline]
-    pub fn pos(&self, c: u32) -> usize {
-        debug_assert_ne!(self.pos[c as usize], NOT_INCLUDED, "pair {c} is not reachable");
-        self.pos[c as usize] as usize
-    }
-}
-
-/// A [`MatchGraph`] projected onto its own [`LocalUniverse`].
-#[derive(Debug, Clone, Copy)]
-pub struct LocalView<'a> {
-    mg: &'a MatchGraph,
-    universe: &'a LocalUniverse,
-}
-
-impl Successors for LocalView<'_> {
-    fn node_count(&self) -> usize {
-        self.mg.len()
-    }
-    fn successors_of(&self, v: NodeId) -> &[NodeId] {
-        self.mg.successors(v)
-    }
-}
-
-impl ReachView for LocalView<'_> {
-    fn universe_size(&self) -> usize {
-        self.universe.size()
-    }
-    fn universe_pos(&self, c: u32) -> usize {
-        self.universe.pos(c)
+    pub fn universe(&self) -> &[NodeId] {
+        &self.universe
     }
 }
 
@@ -384,6 +299,16 @@ impl Successors for MatchGraph {
     }
     fn successors_of(&self, v: NodeId) -> &[NodeId] {
         self.successors(v)
+    }
+}
+
+impl ReachView for MatchGraph {
+    fn universe_size(&self) -> usize {
+        self.universe.len()
+    }
+    fn universe_pos(&self, c: u32) -> usize {
+        debug_assert_ne!(self.pos[c as usize], NOT_INCLUDED, "pair {c} is not reachable");
+        self.pos[c as usize] as usize
     }
 }
 
@@ -505,15 +430,14 @@ mod tests {
                     assert_eq!(cone.compact_of(full.full_of(c)), None, "{ctx}");
                 }
 
-                // The local universe numbers exactly the nodes some pair
-                // reaches, identically for pairs sharing a data node.
-                let uni = LocalUniverse::of(&cone);
-                let mut seen = std::collections::BTreeMap::new();
+                // The universe numbers exactly the nodes some pair reaches,
+                // in node-id order, identically for pairs sharing a node.
+                let mut seen = std::collections::BTreeSet::new();
                 for i in (0..cone.len() as u32).filter(|&i| !cone.predecessors(i).is_empty()) {
-                    assert!(uni.pos(i) < uni.size(), "{ctx}");
-                    assert_eq!(*seen.entry(cone.data_node(i)).or_insert(uni.pos(i)), uni.pos(i));
+                    assert_eq!(cone.universe()[cone.universe_pos(i)], cone.data_node(i), "{ctx}");
+                    seen.insert(cone.data_node(i));
                 }
-                assert_eq!(seen.len(), uni.size(), "{ctx}");
+                assert!(seen.iter().eq(cone.universe()), "{ctx}");
             }
         }
     }

@@ -1,11 +1,11 @@
 //! Edge-case integration tests for the early-termination engine: shapes
 //! and inputs that stress unusual paths (self-loops, multiple SCCs,
 //! saturated k, disconnected patterns with non-root outputs, duplicate
-//! labels).
+//! labels, the empty graph).
 
 use diversified_topk::prelude::*;
 use gpm_core::config::SelectionStrategy;
-use gpm_core::{top_k, top_k_by_match};
+use gpm_core::{top_k, top_k_by_match, top_k_diversified, top_k_diversified_heuristic};
 use gpm_graph::builder::graph_from_parts;
 use gpm_pattern::builder::label_pattern;
 
@@ -115,5 +115,25 @@ fn nopt_equals_match_across_seeds() {
     for seed in [1, 2, 8, 1000] {
         let fast = top_k(&g, &q, &TopKConfig::new(2).nopt(seed));
         assert_eq!(fast.matches, base.matches, "seed {seed}");
+    }
+}
+
+#[test]
+fn empty_graph_answers_are_empty() {
+    let g = GraphBuilder::new().build();
+    let q = label_pattern(&[0, 1], &[(0, 1)], 0).unwrap();
+    let (cfg, div) = (TopKConfig::new(10), DivConfig::new(10, 0.5));
+    let ranked = [("top_k", top_k(&g, &q, &cfg)), ("top_k_by_match", top_k_by_match(&g, &q, &cfg))];
+    let diversified = [
+        ("top_k_diversified", top_k_diversified(&g, &q, &div)),
+        ("top_k_diversified_heuristic", top_k_diversified_heuristic(&g, &q, &div)),
+    ];
+    let answers = ranked
+        .iter()
+        .map(|(name, r)| (name, &r.matches, &r.stats))
+        .chain(diversified.iter().map(|(name, r)| (name, &r.matches, &r.stats)));
+    for (name, matches, stats) in answers {
+        assert!(matches.is_empty(), "{name}: {matches:?}");
+        assert_eq!(stats.total_matches, Some(0), "{name}");
     }
 }

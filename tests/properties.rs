@@ -6,7 +6,11 @@
 //!   relevance as the find-all baseline, under both selection strategies;
 //! * every bound strategy produces sound upper bounds;
 //! * `δd` (Jaccard over relevant sets) is a metric;
-//! * `TopKDiv` respects its 2-approximation bound against brute force.
+//! * `TopKDiv` respects its 2-approximation bound against brute force;
+//! * the static relevant sets decode to the data nodes a plain BFS over
+//!   `(u, v)` pairs finds, and their distances are Jaccard over those nodes.
+
+use std::collections::BTreeSet;
 
 use diversified_topk::prelude::*;
 use gpm_core::config::{DivConfig, SelectionStrategy};
@@ -14,7 +18,8 @@ use gpm_core::{top_k, top_k_by_match, top_k_diversified};
 use gpm_graph::builder::graph_from_parts;
 use gpm_pattern::builder::label_pattern;
 use gpm_ranking::bounds::{output_upper_bounds, BoundConfig, BoundStrategy};
-use gpm_ranking::relevant_set::RelevantSets;
+use gpm_ranking::relevant_set::{relevant_set_of_pair, RelevantSets};
+use gpm_simulation::SimRelation;
 use proptest::prelude::*;
 
 /// A random small labeled digraph.
@@ -40,6 +45,25 @@ fn arb_pattern() -> impl Strategy<Value = (Vec<u32>, Vec<(u32, u32)>)> {
             (labels, edges)
         })
     })
+}
+
+/// `R(u, v)` by plain BFS over `(u, v)` pairs: the data nodes of the match
+/// pairs strictly reachable from `(u, v)` — `(u, v)` itself only through a
+/// cycle.
+fn bfs_relevant_set(g: &DiGraph, q: &Pattern, sim: &SimRelation, u: u32, v: u32) -> BTreeSet<u32> {
+    let (mut seen, mut nodes) = (BTreeSet::new(), BTreeSet::new());
+    let mut stack = vec![(u, v)];
+    while let Some((u, v)) = stack.pop() {
+        for &uc in q.successors(u) {
+            for &w in g.successors(v) {
+                if sim.contains(uc, w) && seen.insert((uc, w)) {
+                    nodes.insert(w);
+                    stack.push((uc, w));
+                }
+            }
+        }
+    }
+    nodes
 }
 
 proptest! {
@@ -138,5 +162,41 @@ proptest! {
         let opt = gpm_core::topk_div::optimal_diversified(&g, &q, &cfg);
         prop_assert!(approx.f_value * 2.0 >= opt.f_value - 1e-9);
         prop_assert!(opt.f_value >= approx.f_value - 1e-9);
+    }
+
+    // `arb_pattern`'s extra edges make both DAG and cyclic patterns.
+    #[test]
+    fn static_relevant_sets_decode_to_the_bfs_sets(
+        (labels, edges) in arb_graph(),
+        (plabels, pedges) in arb_pattern(),
+    ) {
+        let g = graph_from_parts(&labels, &edges).unwrap();
+        let q = label_pattern(&plabels, &pedges, 0).unwrap();
+        let sim = compute_simulation(&g, &q);
+        let rs = RelevantSets::compute(&g, &q, &sim);
+        prop_assert_eq!(rs.matches(), &sim.output_matches(&q)[..]);
+        let bfs: Vec<BTreeSet<u32>> =
+            rs.matches().iter().map(|&v| bfs_relevant_set(&g, &q, &sim, q.output(), v)).collect();
+        for (i, want) in bfs.iter().enumerate() {
+            prop_assert_eq!(rs.set_node_ids(i), want.iter().copied().collect::<Vec<_>>());
+            prop_assert_eq!(rs.relevance(i), want.len() as u64);
+        }
+        for u in q.nodes() {
+            for v in sim.matches_of(u) {
+                let want: Vec<u32> = bfs_relevant_set(&g, &q, &sim, u, v).into_iter().collect();
+                prop_assert_eq!(relevant_set_of_pair(&g, &q, &sim, u, v), Some(want));
+            }
+        }
+        for (i, a) in bfs.iter().enumerate() {
+            for (j, b) in bfs.iter().enumerate() {
+                let union = a.union(b).count();
+                let want = if union == 0 {
+                    0.0
+                } else {
+                    1.0 - a.intersection(b).count() as f64 / union as f64
+                };
+                prop_assert_eq!(rs.distance(i, j).to_bits(), want.to_bits(), "δd({}, {})", i, j);
+            }
+        }
     }
 }

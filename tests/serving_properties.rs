@@ -11,6 +11,9 @@
 //!    subscriber still ends up with the latest consistent answer, with
 //!    the `version` gap accounting for every skipped change and the diff
 //!    rebased onto what the consumer actually saw (nothing).
+//!
+//! One fixed stream also grows a service from the empty graph and shrinks
+//! it back, with `k` above the match count throughout.
 
 use diversified_topk::prelude::*;
 use gpm_core::config::DivConfig;
@@ -236,4 +239,48 @@ proptest! {
         let r = check_coalescing(&labels, &edges, &plabels, &pedges, &batches, k);
         prop_assert!(r.is_ok(), "{}", r.unwrap_err());
     }
+}
+
+/// A service over the empty graph: one Relevance and one Diversified
+/// subscription with `k = 10`, fed batches that grow to three output
+/// matches and delete them again. After every batch each subscription's
+/// latest answer is the static recompute on the snapshot.
+#[test]
+fn service_grows_from_and_shrinks_to_the_empty_graph() {
+    let (k, lambda) = (10, 0.5);
+    let q = label_pattern(&[0, 1], &[(0, 1)], 0).unwrap();
+    let mut svc = AnswerService::new(&GraphBuilder::new().build(), ServiceConfig::default());
+    let rel = svc
+        .subscribe(q.clone(), IncrementalConfig::new(k).lambda(lambda), NotifyMode::Relevance)
+        .unwrap();
+    let div = svc.attach(rel.pattern(), NotifyMode::Diversified).unwrap();
+    let batches = [
+        GraphDelta::new().add_node(0).add_node(1),
+        GraphDelta::new().add_edge(0, 1),
+        GraphDelta::new().add_node(0).add_node(1).add_edge(2, 3).add_edge(2, 1),
+        GraphDelta::new().add_node(0).add_edge(4, 3),
+        GraphDelta::new().remove_edge(0, 1).remove_node(0),
+        GraphDelta::new().remove_node(2),
+        GraphDelta::new().remove_edge(4, 3).remove_node(1).remove_node(3).remove_node(4),
+    ];
+    let (mut latest_rel, mut latest_div) = (Vec::new(), Vec::new());
+    let mut most_matches = 0;
+    for (step, delta) in std::iter::once(None).chain(batches.iter().map(Some)).enumerate() {
+        if let Some(delta) = delta {
+            svc.ingest(delta).unwrap();
+        }
+        let snap = svc.registry().snapshot();
+        for (sub, latest) in [(&rel, &mut latest_rel), (&div, &mut latest_div)] {
+            if let Some(u) = sub.drain().pop() {
+                *latest = u.topk;
+            }
+        }
+        let fresh_rel = top_k_by_match(&snap, &q, &TopKConfig::new(k)).matches;
+        let fresh_div = top_k_diversified(&snap, &q, &DivConfig::new(k, lambda)).matches;
+        assert_eq!(latest_rel, fresh_rel, "step {step}: relevance");
+        assert_eq!(latest_div, fresh_div, "step {step}: diversified");
+        most_matches = most_matches.max(fresh_rel.len());
+    }
+    assert_eq!(most_matches, 3, "the stream peaks at three output matches");
+    assert!(latest_rel.is_empty() && latest_div.is_empty(), "the stream ends with no match");
 }
