@@ -19,6 +19,8 @@
 //! — and from [`workloads`]; their paths and the bytes they generate are
 //! pinned by its `input_digest`.
 
+#![forbid(unsafe_code)]
+
 pub mod delta_bench;
 pub mod experiments;
 pub mod registry_bench;

@@ -38,7 +38,7 @@ fn bulk_batches(g: &DiGraph) -> [(&'static str, GraphDelta); 4] {
 
 fn replay_agrees_with_scratch(what: &str, g: &DiGraph, patterns: &[Pattern]) {
     let cfg = IncrementalConfig::new(K).lambda(LAMBDA);
-    let mut reg = PatternRegistry::with_threads(g, 2);
+    let mut reg = PatternRegistry::new(g);
     let mut served: Vec<_> = patterns
         .iter()
         .map(|q| {

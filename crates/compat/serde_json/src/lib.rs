@@ -45,19 +45,22 @@ pub fn to_string<T: Serialize + ?Sized>(value: &T) -> Result<String, Error> {
     Ok(out)
 }
 
+/// `f64`'s `Display` is the shortest text that parses back to the same
+/// bits, with no exponent and no fraction on integral values — and `-0`
+/// for negative zero, which an integer cast would print as `0`.
+fn write_num(n: f64, out: &mut String) {
+    if n.is_finite() {
+        out.push_str(&format!("{n}"));
+    } else {
+        out.push_str("null");
+    }
+}
+
 fn write_compact(v: &Value, out: &mut String) {
     match v {
         Value::Null => out.push_str("null"),
         Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-        Value::Num(n) => {
-            if !n.is_finite() {
-                out.push_str("null");
-            } else if n.fract() == 0.0 && n.abs() < 9.0e15 {
-                out.push_str(&format!("{}", *n as i64));
-            } else {
-                out.push_str(&format!("{n}"));
-            }
-        }
+        Value::Num(n) => write_num(*n, out),
         Value::Str(s) => write_json_string(s, out),
         Value::Array(items) => {
             out.push('[');
@@ -90,15 +93,7 @@ fn write_value(v: &Value, indent: usize, out: &mut String) {
     match v {
         Value::Null => out.push_str("null"),
         Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-        Value::Num(n) => {
-            if !n.is_finite() {
-                out.push_str("null");
-            } else if n.fract() == 0.0 && n.abs() < 9.0e15 {
-                out.push_str(&format!("{}", *n as i64));
-            } else {
-                out.push_str(&format!("{n}"));
-            }
-        }
+        Value::Num(n) => write_num(*n, out),
         Value::Str(s) => write_json_string(s, out),
         Value::Array(items) => {
             if items.is_empty() {
@@ -401,6 +396,19 @@ mod tests {
     fn rejects_a_signed_unicode_escape() {
         assert!(from_str(r#""\u+041""#).is_err());
         assert_eq!(from_str(r#""A""#).unwrap().as_str(), Some("A"));
+    }
+
+    #[test]
+    fn numbers_keep_their_bits() {
+        for n in [-0.0, 0.0, 1.0, -7.0, 9.0e15, 1e300, 5e-324, 0.1, f64::MAX, f64::MIN] {
+            let text = to_string(&Value::Num(n)).unwrap();
+            match from_str(&text).unwrap() {
+                Value::Num(back) => assert_eq!(back.to_bits(), n.to_bits(), "{n} via {text}"),
+                other => panic!("{text} parsed as {other:?}"),
+            }
+        }
+        assert_eq!(to_string(&Value::Num(-0.0)).unwrap(), "-0");
+        assert_eq!(to_string(&Value::Num(42.0)).unwrap(), "42");
     }
 
     #[test]

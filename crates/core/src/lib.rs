@@ -30,6 +30,8 @@
 //! activated and propagated upward (`AcyclicProp`); nontrivial pattern SCCs
 //! run a local fixpoint (`SccProcess`); Proposition 3 decides termination.
 
+#![forbid(unsafe_code)]
+
 pub mod config;
 pub mod engine;
 pub mod generalized;

@@ -18,6 +18,8 @@
 //! * [`update_stream`] — delta-batch generation for the dynamic-graph
 //!   workloads served by `gpm-incremental`.
 
+#![forbid(unsafe_code)]
+
 pub mod datasets;
 pub mod fixtures;
 pub mod patterns;

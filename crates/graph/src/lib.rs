@@ -16,7 +16,7 @@
 //! * [`BitSet`] — a word-packed bitset used for relevant-set algebra
 //!   (`R(u,v)` unions, intersections and Jaccard distances; operands of
 //!   unequal capacity zero-extend);
-//! * [`reach`] — BFS/DFS utilities and hop distances (used by the
+//! * [`reach`] — strict descendant sets and hop distances (used by the
 //!   distance-based diversity function of Section 3.4);
 //! * [`io`] — a line-oriented text format and a compact binary snapshot
 //!   format for graphs;
@@ -26,6 +26,8 @@
 //!
 //! The substrate is deliberately free of third-party graph dependencies: the
 //! reproduction builds every system the paper relies on from scratch.
+
+#![forbid(unsafe_code)]
 
 pub mod attrs;
 pub mod bitset;

@@ -1,9 +1,8 @@
-//! Reachability and traversal utilities.
-//!
-//! Used by the ranking layer (relevant sets are reachability sets in the
-//! match graph), by the distance-based diversity function `1 - 1/d(v1,v2)` of
-//! Section 3.4 (hop distances), and by the pattern generator (connectivity
-//! checks).
+//! Reachability over small graphs: the pattern nodes an output node
+//! reaches (the query nodes the normalizer `Cuo` counts, Section 3.3), and
+//! hop distances for the distance-based diversity function
+//! `1 - 1/d(v1,v2)` of Section 3.4. Relevant sets over match graphs have
+//! their own engine in `gpm-ranking`.
 
 use crate::bitset::BitSet;
 use crate::digraph::{DiGraph, NodeId};
@@ -22,23 +21,6 @@ impl Bfs {
     /// Scratchpad for graphs with `n` nodes.
     pub fn new(n: usize) -> Self {
         Bfs { visited: BitSet::new(n), queue: std::collections::VecDeque::new() }
-    }
-
-    /// Visits every node reachable from `start` (including `start`), calling
-    /// `on_visit` once per node.
-    pub fn run(&mut self, g: &impl Successors, start: NodeId, mut on_visit: impl FnMut(NodeId)) {
-        self.visited.clear();
-        self.queue.clear();
-        self.visited.insert(start as usize);
-        self.queue.push_back(start);
-        while let Some(v) = self.queue.pop_front() {
-            on_visit(v);
-            for &w in g.successors_of(v) {
-                if self.visited.insert(w as usize) {
-                    self.queue.push_back(w);
-                }
-            }
-        }
     }
 
     /// Visits every node reachable from any node of `starts`.
@@ -81,33 +63,6 @@ pub fn strict_descendants(g: &impl Successors, start: NodeId) -> BitSet {
     out
 }
 
-/// All nodes reachable from `start`, including `start`.
-pub fn descendants_inclusive(g: &impl Successors, start: NodeId) -> BitSet {
-    let n = g.node_count();
-    let mut out = BitSet::new(n);
-    let mut bfs = Bfs::new(n);
-    bfs.run(g, start, |v| {
-        out.insert(v as usize);
-    });
-    out
-}
-
-/// `true` iff `target` is reachable from `start` via ≥ 0 edges.
-pub fn reaches(g: &impl Successors, start: NodeId, target: NodeId) -> bool {
-    if start == target {
-        return true;
-    }
-    let n = g.node_count();
-    let mut bfs = Bfs::new(n);
-    let mut found = false;
-    bfs.run(g, start, |v| {
-        if v == target {
-            found = true;
-        }
-    });
-    found
-}
-
 /// Directed hop distance from `start` to `target`; `None` when unreachable.
 /// `d(v, v) = 0`.
 pub fn hop_distance(g: &DiGraph, start: NodeId, target: NodeId) -> Option<u32> {
@@ -136,23 +91,6 @@ pub fn hop_distance(g: &DiGraph, start: NodeId, target: NodeId) -> Option<u32> {
     None
 }
 
-/// Single-source hop distances (`u32::MAX` = unreachable).
-pub fn bfs_distances(g: &DiGraph, start: NodeId) -> Vec<u32> {
-    let mut dist = vec![u32::MAX; g.node_count()];
-    dist[start as usize] = 0;
-    let mut queue = std::collections::VecDeque::from([start]);
-    while let Some(v) = queue.pop_front() {
-        let dv = dist[v as usize];
-        for &w in g.successors(v) {
-            if dist[w as usize] == u32::MAX {
-                dist[w as usize] = dv + 1;
-                queue.push_back(w);
-            }
-        }
-    }
-    dist
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -164,7 +102,7 @@ mod tests {
     }
 
     #[test]
-    fn strict_vs_inclusive() {
+    fn strict_descendants_include_start_only_on_a_cycle() {
         let g = diamond();
         // On the cycle, a node reaches itself via ≥1 edge.
         let s = strict_descendants(&g, 0);
@@ -175,30 +113,19 @@ mod tests {
         let s0 = strict_descendants(&dag, 0);
         assert!(!s0.contains(0));
         assert!(s0.contains(1) && s0.contains(2));
-        let inc = descendants_inclusive(&dag, 0);
-        assert!(inc.contains(0));
-        assert_eq!(inc.count(), 3);
         let s2 = strict_descendants(&dag, 2);
         assert!(s2.is_empty());
     }
 
     #[test]
-    fn reaches_and_distance() {
+    fn hop_distances() {
         let g = diamond();
-        assert!(reaches(&g, 1, 2)); // 1→3→0→2
+        assert_eq!(hop_distance(&g, 1, 2), Some(3)); // 1→3→0→2
         assert_eq!(hop_distance(&g, 0, 3), Some(2));
         assert_eq!(hop_distance(&g, 0, 0), Some(0));
         let dag = graph_from_parts(&[0; 3], &[(0, 1)]).unwrap();
         assert_eq!(hop_distance(&dag, 0, 2), None);
-        assert!(!reaches(&dag, 0, 2));
-        assert!(reaches(&dag, 2, 2));
-    }
-
-    #[test]
-    fn distances_vector() {
-        let g = graph_from_parts(&[0; 4], &[(0, 1), (1, 2)]).unwrap();
-        let d = bfs_distances(&g, 0);
-        assert_eq!(d, vec![0, 1, 2, u32::MAX]);
+        assert_eq!(hop_distance(&dag, 2, 2), Some(0));
     }
 
     #[test]
@@ -211,7 +138,7 @@ mod tests {
         assert_eq!(seen, vec![0, 1, 2, 3, 4]);
         // Reuse the scratchpad.
         let mut seen2 = Vec::new();
-        bfs.run(&g, 1, |v| seen2.push(v));
+        bfs.run_multi(&g, &[1], |v| seen2.push(v));
         seen2.sort_unstable();
         assert_eq!(seen2, vec![1, 3]);
     }

@@ -53,9 +53,9 @@
 //! each delta batch mutates the graph once, a shared interest index prunes
 //! the per-pattern fan-out (node labels and edge label-pairs for
 //! structural ops, per-pattern attribute-key interest for
-//! `SetAttr`/`UnsetAttr`), and the independent per-pattern ranking refreshes
-//! run on a **persistent** worker pool (spawned once, parked between
-//! batches) with a deterministic merge. [`PatternRegistry::apply`] surfaces
+//! `SetAttr`/`UnsetAttr`), and each touched pattern's ranking is refreshed
+//! once, in registration order, on the calling thread — a batch never
+//! leaves the thread that applies it. [`PatternRegistry::apply`] surfaces
 //! an [`AnswerChange`] — fresh answer plus entered/left/reordered change
 //! set — per touched pattern, the hook the streaming serving layer
 //! (`gpm-serving`) fans out to subscribers. Answers are bit-identical to N
@@ -80,8 +80,9 @@
 //! assert_eq!(reg.top_k(papers).unwrap().nodes(), vec![2, 3, 4]);
 //! ```
 
+#![forbid(unsafe_code)]
+
 mod matcher;
-mod pool;
 mod registry;
 mod state;
 

@@ -33,9 +33,8 @@ pub struct IncrementalConfig {
     /// the byte budget, dirty-set materialization degrades to per-source
     /// BFS instead of the condensation DP. The diversified answer's stored
     /// `δd` table counts against the same budget, after the maintained
-    /// condensation. A refresh runs on the thread
-    /// that makes it (one registry pool worker per pattern), so
-    /// `reach.threads` only matters to the static pipeline.
+    /// condensation. A refresh runs on the thread that applies the
+    /// batch, so `reach.threads` only matters to the static pipeline.
     pub reach: ReachConfig,
     /// Whether refresh planning may skip materializing outputs whose
     /// upper bound (the popcount stored beside each maintained `Full(c)`)

@@ -18,14 +18,10 @@
 //!   pattern never names, and attribute ops on keys none of its
 //!   predicates mention — the *shared-index hit rate* in
 //!   [`RegistryStats`] reports how much that saves;
-//! * **parallel ranking maintenance**: after the (inherently sequential)
-//!   lockstep replay, per-pattern refreshes are independent, so whole
-//!   patterns are dispatched across a small thread pool and merged back
-//!   in registration order — answers are deterministic regardless of
-//!   interleaving because no worker touches another pattern's state.
-//!   One pattern's refresh is one
-//!   [`PatternState::refresh`](crate::state::PatternState) call on one
-//!   worker; it is never split further.
+//! * **one refresh per pattern**: after the lockstep replay, each pattern
+//!   gets one [`PatternState::refresh`](crate::state::PatternState) call,
+//!   in registration order, on the calling thread — the paper's
+//!   algorithms are sequential and so is the registry.
 //!
 //! Answers are **bit-identical** to N independent matchers and to the
 //! static pipeline on a snapshot (property-tested by
@@ -36,10 +32,8 @@ use gpm_graph::dynamic::DynGraph;
 use gpm_graph::{DiGraph, GraphDelta, Label};
 use gpm_pattern::Pattern;
 use gpm_telemetry::{names, Counter, Gauge, Span, Telemetry};
-use parking_lot::Mutex;
 
 use crate::matcher::{ApplyStats, IncrementalConfig, IncrementalError};
-use crate::pool::WorkerPool;
 use crate::state::{Batch, PatternState};
 
 /// Stable handle of a registered pattern. Ids are never reused, so a
@@ -74,8 +68,8 @@ pub struct RegistryStats {
     /// Patterns whose state the last batch actually touched (replayed at
     /// least one mutation into).
     pub last_patterns_touched: usize,
-    /// Always 0: one pattern's refresh is no longer split across the pool
-    /// and no metric stands behind this field. It stays only because the
+    /// Always 0: one pattern's refresh is never split and no metric
+    /// stands behind this field. It stays only because the
     /// frozen `benchmark/` package reads it for its
     /// `incremental.intra_pattern_splits` metric; the next `benchmark` PR
     /// removes both.
@@ -98,9 +92,7 @@ impl RegistryStats {
 
 struct Slot {
     id: PatternId,
-    /// Interior mutability so phase-2 workers can refresh disjoint slots
-    /// through a shared borrow of the slot list.
-    state: Mutex<PatternState>,
+    state: PatternState,
 }
 
 /// The registry's metric handles, resolved once per attached
@@ -114,8 +106,6 @@ struct RegistryCounters {
     ops_replayed: Counter,
     ops_skipped: Counter,
     last_touched: Gauge,
-    pool_busy_nanos: Gauge,
-    pool_tasks: Gauge,
     bounds_pruned: Counter,
 }
 
@@ -129,8 +119,6 @@ impl RegistryCounters {
             ops_replayed: m.counter(names::REGISTRY_OPS_REPLAYED),
             ops_skipped: m.counter(names::REGISTRY_OPS_SKIPPED),
             last_touched: m.gauge(names::REGISTRY_LAST_TOUCHED),
-            pool_busy_nanos: m.gauge(names::POOL_BUSY_NANOS),
-            pool_tasks: m.gauge(names::POOL_TASKS),
             bounds_pruned: m.counter(names::BOUNDS_PRUNED),
         }
     }
@@ -144,8 +132,6 @@ impl RegistryCounters {
         next.ops_replayed.add(self.ops_replayed.get());
         next.ops_skipped.add(self.ops_skipped.get());
         next.last_touched.set(self.last_touched.get());
-        next.pool_busy_nanos.set(self.pool_busy_nanos.get());
-        next.pool_tasks.set(self.pool_tasks.get());
         next.bounds_pruned.add(self.bounds_pruned.get());
     }
 }
@@ -175,8 +161,7 @@ impl AnswerChange {
 }
 
 /// Introspection snapshot of one registered pattern — what the admin
-/// plane's `/patterns` endpoint serves. Everything here is a copy; the
-/// slot lock is held only while assembling it.
+/// plane's `/patterns` endpoint serves. Everything here is a copy.
 #[derive(Debug, Clone)]
 pub struct PatternInfo {
     /// The pattern's registry handle.
@@ -215,10 +200,6 @@ pub struct PatternRegistry {
     graph: DynGraph,
     slots: Vec<Slot>,
     next_id: u64,
-    /// Persistent phase-2 pool (`None` ⇒ fully sequential fan-out). Sized
-    /// once at construction; batches reuse the parked workers instead of
-    /// respawning scoped threads.
-    pool: Option<WorkerPool>,
     /// Shared observability bundle — [`Telemetry::off`] unless an owner
     /// (the serving layer, a bench) attaches its own: counters always
     /// record, spans/histograms only when the bundle is enabled.
@@ -227,34 +208,25 @@ pub struct PatternRegistry {
 }
 
 impl PatternRegistry {
-    /// An empty registry over (a dynamic mirror of) `g`, with the thread
-    /// pool sized by [`Self::default_threads`].
+    /// An empty registry over (a dynamic mirror of) `g`.
     pub fn new(g: &DiGraph) -> Self {
-        Self::with_threads(g, Self::default_threads())
-    }
-
-    /// The maintenance-pool size [`Self::new`] picks: the machine's
-    /// parallelism capped at 4 — ranking refreshes are short; more workers
-    /// than that just contend on spawn overhead. Benchmarks and CLIs
-    /// should default to this so recorded thread counts match the library.
-    pub fn default_threads() -> usize {
-        std::thread::available_parallelism().map_or(1, |n| n.get()).min(4)
-    }
-
-    /// An empty registry with an explicit maintenance-pool size
-    /// (`threads = 1` forces fully sequential fan-out). The pool threads
-    /// are spawned **once** here and parked between batches.
-    pub fn with_threads(g: &DiGraph, threads: usize) -> Self {
         let telemetry = Telemetry::off();
         let counters = RegistryCounters::resolve(&telemetry);
         PatternRegistry {
             graph: DynGraph::from_digraph(g),
             slots: Vec::new(),
             next_id: 0,
-            pool: (threads > 1).then(|| WorkerPool::new(threads)),
             telemetry,
             counters,
         }
+    }
+
+    /// [`Self::new`]; `threads` is ignored — a batch runs on the calling
+    /// thread. It stays only because the frozen `benchmark/` package calls
+    /// it (`benchmark/src/workloads/stream.rs`); the next `benchmark` PR
+    /// removes it.
+    pub fn with_threads(g: &DiGraph, _threads: usize) -> Self {
+        Self::new(g)
     }
 
     /// Attaches a shared [`Telemetry`] bundle: subsequent batches trace
@@ -270,11 +242,6 @@ impl PatternRegistry {
     /// The attached observability bundle.
     pub fn telemetry(&self) -> &Telemetry {
         &self.telemetry
-    }
-
-    /// The maintenance-pool size this registry runs with.
-    pub fn threads(&self) -> usize {
-        self.pool.as_ref().map_or(1, WorkerPool::workers)
     }
 
     /// The shared graph.
@@ -331,7 +298,7 @@ impl PatternRegistry {
         let state = PatternState::new(&self.graph, q, cfg)?;
         let id = PatternId(self.next_id);
         self.next_id += 1;
-        self.slots.push(Slot { id, state: Mutex::new(state) });
+        self.slots.push(Slot { id, state });
         self.counters.registrations.inc();
         Ok(id)
     }
@@ -382,22 +349,20 @@ impl PatternRegistry {
         delta: &GraphDelta,
         parent: &Span,
     ) -> Result<Vec<AnswerChange>, IncrementalError> {
-        let n = self.slots.len();
-
-        // Phase 1 (sequential): mutate the shared graph ONCE, replaying
-        // each effective mutation through the interested patterns in
-        // lockstep — the hook observes exactly the intermediate graph
-        // states a private DynamicMatcher replay would.
+        // Phase 1: mutate the shared graph ONCE, replaying each effective
+        // mutation through the interested patterns in lockstep — the hook
+        // observes exactly the intermediate graph states a private
+        // DynamicMatcher replay would.
         let mut replayed = 0u64;
         let mut skipped = 0u64;
-        let mut touched = vec![false; n];
+        let mut touched = vec![false; self.slots.len()];
         let applied = {
             let replay_span = parent.child("replay");
-            let mut guards: Vec<_> = self.slots.iter().map(|s| s.state.lock()).collect();
+            let slots = &mut self.slots;
             let applied = self.graph.apply_with(delta, |g, eff| {
-                for (i, st) in guards.iter_mut().enumerate() {
-                    if st.wants(g, eff) {
-                        st.replay(g, eff);
+                for (i, slot) in slots.iter_mut().enumerate() {
+                    if slot.state.wants(g, eff) {
+                        slot.state.replay(g, eff);
                         touched[i] = true;
                         replayed += 1;
                     } else {
@@ -411,62 +376,32 @@ impl PatternRegistry {
             applied
         };
 
-        // Phase 2 (parallel across patterns): per-pattern ranking
-        // maintenance is independent given the final graph. The
-        // persistent pool's workers claim whole slots by index; since no
-        // slot is shared, the per-pattern result is identical under any
-        // interleaving, and answers are merged in registration order
-        // below. Each pattern is one `PatternState::refresh` call under
-        // its slot lock; patterns the index proved the whole batch
+        // Phase 2: one `PatternState::refresh` per pattern, in
+        // registration order; patterns the index proved the whole batch
         // irrelevant to skip the seed scan and report nothing.
-        let graph = &self.graph;
-        let slots = &self.slots;
-        let bounds_pruned = &self.counters.bounds_pruned;
-        let fresh: Vec<Mutex<Option<(TopKResult, AnswerDiff)>>> =
-            (0..n).map(|_| Mutex::new(None)).collect();
-        let refresh = |i: usize| {
+        let mut changes = Vec::new();
+        for (slot, &was_touched) in self.slots.iter_mut().zip(&touched) {
             let refresh_span = parent.child("refresh");
             if refresh_span.is_enabled() {
-                refresh_span.detail(format!("pattern={}", slots[i].id));
+                refresh_span.detail(format!("pattern={}", slot.id));
             }
-            let batch = if touched[i] { Batch::Replayed(&applied) } else { Batch::Untouched };
-            let mut st = slots[i].state.lock();
-            if let Some(answer) = st.refresh(graph, batch, &refresh_span) {
-                // Counters are atomic — safe from any pool worker.
-                bounds_pruned.add(st.stats().last_pruned_outputs as u64);
-                *fresh[i].lock() = Some(answer);
+            let batch = if was_touched { Batch::Replayed(&applied) } else { Batch::Untouched };
+            if let Some((top, diff)) = slot.state.refresh(&self.graph, batch, &refresh_span) {
+                self.counters.bounds_pruned.add(slot.state.stats().last_pruned_outputs as u64);
+                changes.push(AnswerChange { id: slot.id, top, diff });
             }
-        };
-        match &self.pool {
-            Some(pool) if n >= 2 => pool.run(n, &refresh),
-            _ => (0..n).for_each(refresh),
         }
 
         self.counters.batches.inc();
         self.counters.ops_replayed.add(replayed);
         self.counters.ops_skipped.add(skipped);
         self.counters.last_touched.set(touched.iter().filter(|&&t| t).count() as i64);
-        if let Some(pool) = &self.pool {
-            self.counters.pool_busy_nanos.set(pool.busy_nanos().min(i64::MAX as u64) as i64);
-            self.counters.pool_tasks.set(pool.tasks_run().min(i64::MAX as u64) as i64);
-        }
-
-        Ok(fresh
-            .into_iter()
-            .enumerate()
-            .filter_map(|(i, slot)| {
-                slot.into_inner().map(|(top, diff)| AnswerChange {
-                    id: self.slots[i].id,
-                    top,
-                    diff,
-                })
-            })
-            .collect())
+        Ok(changes)
     }
 
     /// Current top-k of every registered pattern, in registration order.
     pub fn answers(&self) -> Vec<(PatternId, TopKResult)> {
-        self.slots.iter().map(|s| (s.id, s.state.lock().top_k())).collect()
+        self.slots.iter().map(|s| (s.id, s.state.top_k())).collect()
     }
 
     /// Current top-k of one pattern (`None` for unknown ids).
@@ -476,17 +411,16 @@ impl PatternRegistry {
 
     /// Current diversified top-k of one pattern with its configured `λ`.
     /// Materializes any bound-deferred backlog first (the diversity term
-    /// needs every match's relevant set), hence the mutable slot access.
-    pub fn top_k_diversified(&self, id: PatternId) -> Option<DivResult> {
-        self.with_slot_mut(id, |st| {
-            let lambda = st.cfg().lambda;
-            st.diversified(&self.graph, lambda)
-        })
+    /// needs every match's relevant set), hence `&mut self`.
+    pub fn top_k_diversified(&mut self, id: PatternId) -> Option<DivResult> {
+        let lambda = self.with_slot(id, |st| st.cfg().lambda)?;
+        self.diversified(id, lambda)
     }
 
     /// As [`Self::top_k_diversified`] with an explicit `λ`.
-    pub fn diversified(&self, id: PatternId, lambda: f64) -> Option<DivResult> {
-        self.with_slot_mut(id, |st| st.diversified(&self.graph, lambda))
+    pub fn diversified(&mut self, id: PatternId, lambda: f64) -> Option<DivResult> {
+        let slot = self.slots.iter_mut().find(|s| s.id == id)?;
+        Some(slot.state.diversified(&self.graph, lambda))
     }
 
     /// The registered pattern behind `id`.
@@ -518,11 +452,7 @@ impl PatternRegistry {
     }
 
     fn with_slot<T>(&self, id: PatternId, f: impl FnOnce(&PatternState) -> T) -> Option<T> {
-        self.slots.iter().find(|s| s.id == id).map(|s| f(&s.state.lock()))
-    }
-
-    fn with_slot_mut<T>(&self, id: PatternId, f: impl FnOnce(&mut PatternState) -> T) -> Option<T> {
-        self.slots.iter().find(|s| s.id == id).map(|s| f(&mut s.state.lock()))
+        self.slots.iter().find(|s| s.id == id).map(|s| f(&s.state))
     }
 
     /// Introspection snapshot of one pattern (`None` for unknown ids).
@@ -546,18 +476,11 @@ impl PatternRegistry {
         self.slots.iter().map(|s| self.pattern_info(s.id).expect("slot exists")).collect()
     }
 
-    /// Items of the current maintenance-pool job not yet completed —
-    /// 0 between batches or without a pool. The snapshot-time queue-depth
-    /// gauge the serving layer samples.
-    pub fn pool_queue_depth(&self) -> usize {
-        self.pool.as_ref().map_or(0, WorkerPool::queued_items)
-    }
-
     /// Full correctness audit of one pattern against the shared graph:
     /// simulation invariants plus the maintained-reach oracle, non-fatal.
     /// `None` for unknown ids. This is what the sampled production
-    /// auditor runs; it holds the slot lock for the audit's duration, so
-    /// callers should sample rather than run it per batch.
+    /// auditor runs; it re-derives the pattern's state, so callers should
+    /// sample rather than run it per batch.
     pub fn audit_pattern(&self, id: PatternId) -> Option<Result<(), String>> {
         self.with_slot(id, |st| st.audit(&self.graph))
     }
@@ -568,9 +491,9 @@ impl PatternRegistry {
     /// when there was nothing to corrupt (unknown id, budget-disabled
     /// maintained mode, or an edgeless view).
     #[doc(hidden)]
-    pub fn corrupt_maintained_for_test(&self, id: PatternId) -> bool {
-        let Some(slot) = self.slots.iter().find(|s| s.id == id) else { return false };
-        slot.state.lock().corrupt_maintained_for_test(&self.graph)
+    pub fn corrupt_maintained_for_test(&mut self, id: PatternId) -> bool {
+        let Some(slot) = self.slots.iter_mut().find(|s| s.id == id) else { return false };
+        slot.state.corrupt_maintained_for_test(&self.graph)
     }
 
     /// Differential-oracle hook for test harnesses: panics when any
@@ -579,7 +502,7 @@ impl PatternRegistry {
     #[doc(hidden)]
     pub fn check_maintained_all(&self) {
         for s in &self.slots {
-            s.state.lock().check_maintained(&self.graph);
+            s.state.check_maintained(&self.graph);
         }
     }
 }

@@ -202,10 +202,10 @@ fn matcher_equals_registry_of_one(kind: StreamKind, seed: u64, trials: usize, st
 
         let mut m = DynamicMatcher::new(&g, undispatchable(&q), cfg.clone()).unwrap();
         m.set_telemetry(Telemetry::on());
-        let mut reg = PatternRegistry::with_threads(&g, 1);
+        let mut reg = PatternRegistry::new(&g);
         reg.set_telemetry(Telemetry::on());
         let id = reg.register(undispatchable(&q), cfg.clone()).unwrap();
-        let mut indexed = PatternRegistry::with_threads(&g, 1);
+        let mut indexed = PatternRegistry::new(&g);
         let indexed_id = indexed.register(q, cfg).unwrap();
 
         for step in 0..steps {

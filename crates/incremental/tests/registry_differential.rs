@@ -1,10 +1,10 @@
 //! Differential property harness for [`PatternRegistry`].
 //!
-//! The registry's one promise: sharing graph application, candidate
-//! indexing and the maintenance pool across N patterns changes **nothing**
-//! about any answer. For generated update streams (insert-only /
-//! delete-only / mixed, via `gpm_datagen::update_stream`, with or without
-//! attribute mutations mixed in), after **every** batch and for **every**
+//! The registry's one promise: sharing graph application and candidate
+//! indexing across N patterns changes **nothing** about any answer. For
+//! generated update streams (insert-only / delete-only / mixed, via
+//! `gpm_datagen::update_stream`, with or without attribute mutations
+//! mixed in), after **every** batch and for **every**
 //! registered pattern — label-only or carrying full attribute-predicate
 //! trees — the registry must agree bit-for-bit with
 //!
@@ -138,7 +138,7 @@ fn random_attr_pattern(rng: &mut StdRng) -> Pattern {
 /// The differential oracle: one pattern's registry answer vs its
 /// independent matcher vs static recompute on the registry snapshot.
 fn assert_pattern_agrees(
-    reg: &PatternRegistry,
+    reg: &mut PatternRegistry,
     id: PatternId,
     matcher: &mut DynamicMatcher,
     snap: &DiGraph,
@@ -219,7 +219,7 @@ fn run_differential(spec: &StreamSpec, seed: u64, trials: usize, forced: bool) {
             if attrs { random_attr_graph(&mut rng, n, 3) } else { random_graph(&mut rng, n, 3) };
         let n_patterns = rng.random_range(2..6usize);
 
-        let mut reg = PatternRegistry::with_threads(&g, 3);
+        let mut reg = PatternRegistry::new(&g);
         let mut matchers: Vec<DynamicMatcher> = Vec::new();
         let mut handles: Vec<(PatternId, usize, f64)> = Vec::new();
         for _ in 0..n_patterns {
@@ -257,7 +257,7 @@ fn run_differential(spec: &StreamSpec, seed: u64, trials: usize, forced: bool) {
                 let (id, k, lambda) = handles[i];
                 let ctx =
                     format!("trial {trial} step {step} pattern {i} (forced={forced}): {delta:?}");
-                assert_pattern_agrees(&reg, id, m, &snap, k, lambda, &ctx);
+                assert_pattern_agrees(&mut reg, id, m, &snap, k, lambda, &ctx);
             }
         }
         if forced {
@@ -340,8 +340,8 @@ fn stored_distances_equal_a_zero_budget_twin_and_static() {
     for trial in 0..24 {
         let n = rng.random_range(20..40usize);
         let g = random_attr_graph(&mut rng, n, 4);
-        let mut kept = PatternRegistry::with_threads(&g, 2);
-        let mut starved = PatternRegistry::with_threads(&g, 1);
+        let mut kept = PatternRegistry::new(&g);
+        let mut starved = PatternRegistry::new(&g);
         let relevance_only =
             kept.register(random_attr_pattern(&mut rng), IncrementalConfig::new(3)).unwrap();
         let mut patterns = Vec::new();
@@ -406,7 +406,7 @@ fn attr_only_batches_stay_incremental() {
     for trial in 0..8 {
         let n = rng.random_range(10..28usize);
         let g = random_attr_graph(&mut rng, n, 3);
-        let mut reg = PatternRegistry::with_threads(&g, 2);
+        let mut reg = PatternRegistry::new(&g);
         let mut pairs: Vec<(PatternId, DynamicMatcher)> = Vec::new();
         for _ in 0..3 {
             let q = random_attr_pattern(&mut rng);
@@ -438,7 +438,7 @@ fn attr_only_batches_stay_incremental() {
             for (i, (id, m)) in pairs.iter_mut().enumerate() {
                 m.apply(delta).unwrap();
                 let ctx = format!("attr-only trial {trial} step {step} pattern {i}");
-                assert_pattern_agrees(&reg, *id, m, &snap, 3, 0.5, &ctx);
+                assert_pattern_agrees(&mut reg, *id, m, &snap, 3, 0.5, &ctx);
             }
         }
         assert!(attr_effects > 0, "stream mutated something");
@@ -461,7 +461,7 @@ fn attr_only_batches_stay_incremental() {
 fn uninterested_attr_keys_are_skipped_by_the_interest_index() {
     let mut rng = StdRng::seed_from_u64(0x5EED_0A06);
     let g = random_attr_graph(&mut rng, 20, 3);
-    let mut reg = PatternRegistry::with_threads(&g, 2);
+    let mut reg = PatternRegistry::new(&g);
     // Two label-only patterns (mention no keys at all) and one attribute
     // pattern over the shared alphabet (attr0..attr2).
     let ids = [
@@ -521,7 +521,7 @@ fn midstream_register_and_deregister_agree() {
         // registrations must pick the attribute tables up from the
         // snapshot too.
         let g = random_attr_graph(&mut rng, n, 3);
-        let mut reg = PatternRegistry::with_threads(&g, 2);
+        let mut reg = PatternRegistry::new(&g);
 
         // Start with two patterns.
         let mut live: Vec<(PatternId, DynamicMatcher, usize, f64)> = Vec::new();
@@ -575,7 +575,7 @@ fn midstream_register_and_deregister_agree() {
             let snap = reg.snapshot();
             for (i, (id, m, k, lambda)) in live.iter_mut().enumerate() {
                 let ctx = format!("midstream trial {trial} step {step} pattern {i}");
-                assert_pattern_agrees(&reg, *id, m, &snap, *k, *lambda, &ctx);
+                assert_pattern_agrees(&mut reg, *id, m, &snap, *k, *lambda, &ctx);
             }
         }
         assert_eq!(reg.len(), live.len());
@@ -647,10 +647,10 @@ fn telemetry_on_and_off_registries_agree() {
     for trial in 0..8u64 {
         let n = rng.random_range(8..26usize);
         let g = random_attr_graph(&mut rng, n, 3);
-        let mut traced = PatternRegistry::with_threads(&g, 3);
+        let mut traced = PatternRegistry::new(&g);
         let telemetry = Telemetry::on();
         traced.set_telemetry(telemetry.clone());
-        let mut plain = PatternRegistry::with_threads(&g, 3);
+        let mut plain = PatternRegistry::new(&g);
 
         let mut ids: Vec<(PatternId, PatternId, usize)> = Vec::new();
         for _ in 0..rng.random_range(2..5usize) {

@@ -13,6 +13,8 @@
 //! own case-study queries use (e.g. Fig. 4: `C = "music" ∧ R > 2`). Both are
 //! supported; a pure-label pattern enjoys `O(1)` candidate lookups.
 
+#![forbid(unsafe_code)]
+
 pub mod builder;
 pub mod error;
 pub mod pattern;

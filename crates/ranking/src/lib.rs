@@ -29,6 +29,8 @@
 //!   the tight bound index, with a memory budget and a parallel BFS
 //!   fallback.
 
+#![forbid(unsafe_code)]
+
 pub mod bounds;
 pub mod cache;
 pub mod cond_state;

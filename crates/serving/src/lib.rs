@@ -66,6 +66,8 @@
 //! assert!(sub.try_recv().is_none());
 //! ```
 
+#![forbid(unsafe_code)]
+
 mod admin;
 mod answer;
 mod audit;

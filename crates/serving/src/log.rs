@@ -342,11 +342,23 @@ impl DeltaLog {
         out
     }
 
-    /// Reads a log back from a file.
+    /// Reads a log back from a file. Every line [`Self::save`] writes ends
+    /// in `\n`, so bytes after the last `\n` that do not parse are an
+    /// append torn by a crash: they are dropped, and the log loads as of
+    /// the previous save. A torn header, or a corrupt line that does end
+    /// in `\n`, is still rejected.
     pub fn load(path: impl AsRef<std::path::Path>) -> Result<Self, ServingError> {
-        let text = std::fs::read_to_string(path)
+        let bytes =
+            std::fs::read(path).map_err(|e| ServingError::corrupt(format!("read log: {e}")))?;
+        let complete = bytes.iter().rposition(|&b| b == b'\n').map_or(0, |i| i + 1);
+        let tail = &bytes[complete..];
+        let torn = complete > 0
+            && !tail.is_empty()
+            && !std::str::from_utf8(tail).is_ok_and(|t| serde_json::from_str(t).is_ok());
+        let kept = if torn { &bytes[..complete] } else { &bytes[..] };
+        let text = std::str::from_utf8(kept)
             .map_err(|e| ServingError::corrupt(format!("read log: {e}")))?;
-        Self::from_json_lines(&text)
+        Self::from_json_lines(text)
     }
 }
 

@@ -101,7 +101,10 @@ pub struct ServiceConfig {
     /// (change points, not batches — an unchanged answer spans any number
     /// of offsets for free).
     pub retain_answers: usize,
-    /// Maintenance-pool size of the owned registry.
+    /// Ignored: a batch runs on the service's thread. It stays only
+    /// because the frozen `benchmark/` package sets it
+    /// (`benchmark/src/workloads/stream.rs`); the next `benchmark` PR
+    /// removes it.
     pub threads: usize,
     /// Observability bounds and switches. Enabled by default: the
     /// serving layer is where batch traces, phase histograms and the
@@ -121,7 +124,7 @@ impl Default for ServiceConfig {
         ServiceConfig {
             queue_capacity: 64,
             retain_answers: 1024,
-            threads: PatternRegistry::default_threads(),
+            threads: 1,
             telemetry: TelemetryConfig::default(),
             slo: SloConfig::default(),
             health: HealthConfig::default(),
@@ -250,7 +253,6 @@ pub struct AnswerService {
     /// Snapshot-time gauges refreshed by [`Self::sample_gauges`].
     log_bytes: Gauge,
     fsync_age: Gauge,
-    pool_queue: Gauge,
     uptime: Gauge,
     started: std::time::Instant,
 }
@@ -267,7 +269,7 @@ impl AnswerService {
     pub fn at_offset(g: &DiGraph, seq: u64, cfg: ServiceConfig) -> Self {
         let telemetry = Telemetry::new(cfg.telemetry.clone());
         let counters = ServiceCounters::resolve(&telemetry);
-        let mut registry = PatternRegistry::with_threads(g, cfg.threads);
+        let mut registry = PatternRegistry::new(g);
         registry.set_telemetry(telemetry.clone());
         let mut log = DeltaLog::at_offset(g, seq);
         log.set_fsync_histogram(telemetry.metrics().histogram(names::LOG_FSYNC_SECONDS));
@@ -275,10 +277,9 @@ impl AnswerService {
         // Constant 1 with the version as a label — the Prometheus idiom
         // for joining build metadata onto every other series.
         m.gauge_with(names::BUILD_INFO, &[("version", env!("CARGO_PKG_VERSION"))]).set(1);
-        let (log_bytes, fsync_age, pool_queue, uptime) = (
+        let (log_bytes, fsync_age, uptime) = (
             m.gauge(names::DELTA_LOG_BYTES),
             m.gauge(names::DELTA_LOG_FSYNC_AGE),
-            m.gauge(names::POOL_QUEUE_DEPTH),
             m.gauge(names::UPTIME_SECONDS),
         );
         let (audit_runs, audit_violations) =
@@ -299,7 +300,6 @@ impl AnswerService {
             audit_violations,
             log_bytes,
             fsync_age,
-            pool_queue,
             uptime,
             started: std::time::Instant::now(),
         }
@@ -684,15 +684,13 @@ impl AnswerService {
         out
     }
 
-    /// Refreshes the snapshot-time gauges (log bytes, fsync age, pool
-    /// queue depth, uptime). The admin plane calls this right before
-    /// rendering `/metrics`, so scraped values describe scrape time
-    /// rather than the last batch.
+    /// Refreshes the snapshot-time gauges (log bytes, fsync age, uptime).
+    /// The admin plane calls this right before rendering `/metrics`, so
+    /// scraped values describe scrape time rather than the last batch.
     pub fn sample_gauges(&self) {
         self.log_bytes.set(self.log.persisted_bytes().min(i64::MAX as u64) as i64);
         let age = self.log.fsync_age().map_or(0, |d| d.as_secs().min(i64::MAX as u64) as i64);
         self.fsync_age.set(age);
-        self.pool_queue.set(self.registry.pool_queue_depth() as i64);
         self.uptime.set(self.started.elapsed().as_secs().min(i64::MAX as u64) as i64);
     }
 
@@ -859,6 +857,13 @@ impl AnswerService {
     /// The latched audit violation, if any (`/healthz` detail).
     pub fn audit_violation(&self) -> Option<(PatternId, String)> {
         self.audit_latch.clone()
+    }
+
+    /// Test harnesses inject production corruption through this: see
+    /// [`PatternRegistry::corrupt_maintained_for_test`].
+    #[doc(hidden)]
+    pub fn corrupt_maintained_for_test(&mut self, pattern: PatternId) -> bool {
+        self.registry.corrupt_maintained_for_test(pattern)
     }
 }
 

@@ -105,7 +105,7 @@ fn live_service_scrapes_clean_over_tcp() {
         with(names::SLO_GOOD) + with(names::SLO_BAD) > 0.0
     });
     assert!(slo_events, "every touched pattern records SLO events");
-    for gauge in [names::DELTA_LOG_BYTES, names::POOL_QUEUE_DEPTH, names::UPTIME_SECONDS] {
+    for gauge in [names::DELTA_LOG_BYTES, names::UPTIME_SECONDS] {
         assert!(family(&families, gauge).is_some(), "{gauge} exported");
     }
 
@@ -218,7 +218,7 @@ fn health_walks_ready_degraded_unready_and_back() {
     // Unready — the sampled auditor proves the maintained condensation
     // wrong (a deliberately desynchronized pair edge). Correctness
     // outranks latency: /healthz and /readyz both refuse with 503.
-    let corrupted = handle.with(move |svc| svc.registry().corrupt_maintained_for_test(id));
+    let corrupted = handle.with(move |svc| svc.corrupt_maintained_for_test(id));
     assert!(corrupted, "small graph keeps maintained mode, so there is state to corrupt");
     let audited = handle.with(|svc| svc.audit_sample());
     let (audited_id, verdict) = audited.expect("one registered pattern");
@@ -269,7 +269,7 @@ fn background_auditor_catches_corruption_unprompted() {
         assert!(std::time::Instant::now() < deadline, "auditor never ran");
         std::thread::sleep(Duration::from_millis(5));
     }
-    assert!(handle.with(move |svc| svc.registry().corrupt_maintained_for_test(id)));
+    assert!(handle.with(move |svc| svc.corrupt_maintained_for_test(id)));
     loop {
         let (violations, latched) = handle.with(|svc| {
             (

@@ -265,7 +265,7 @@ fn a_65_node_pattern_is_refused_and_leaves_nothing_behind() {
     let refused = DynamicMatcher::new(&g, big.clone(), cfg.clone()).err();
     assert!(matches!(refused, Some(IncrementalError::UnsupportedPattern)), "{refused:?}");
 
-    let mut reg = PatternRegistry::with_threads(&g, 1);
+    let mut reg = PatternRegistry::new(&g);
     let refused = reg.register(big.clone(), cfg.clone());
     assert!(matches!(refused, Err(IncrementalError::UnsupportedPattern)), "{refused:?}");
     assert_eq!((reg.len(), reg.stats().registrations), (0, 0));
@@ -419,6 +419,61 @@ fn save_appends_past_the_last_persisted_seq() {
     assert_eq!(std::fs::read_to_string(&other).unwrap(), log.to_json_lines());
     std::fs::remove_file(&path).ok();
     std::fs::remove_file(&other).ok();
+}
+
+/// A crash during an appending save can leave a partial last line, cut
+/// anywhere — inside a multi-byte character too. Loading such a file
+/// gives the log as of the previous save; the last entry survives only
+/// when all its JSON reached the file. A torn header, and a corrupt line
+/// that ends in `\n`, are still rejected.
+#[test]
+fn a_torn_final_line_loads_as_the_previous_save() {
+    let (g, _) = fixture();
+    let dir = std::env::temp_dir().join("gpm_serving_torn_test");
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join(format!("torn_{}.jsonl", std::process::id()));
+    std::fs::remove_file(&path).ok();
+
+    let mut log = DeltaLog::new(&g);
+    log.append(GraphDelta::new().add_edge(1, 3).set_attr(2, "views", 9i64));
+    log.save(&path).unwrap();
+    let previous = log.to_json_lines();
+    log.append(GraphDelta::new().set_attr(3, "título", "ünïcødé ✓ 漢字").add_edge(0, 3));
+    log.save(&path).unwrap();
+    let full = std::fs::read(&path).unwrap();
+    assert_eq!(full, log.to_json_lines().into_bytes());
+
+    let start = previous.len();
+    let end = full.len() - 1; // the final `\n`
+    assert!(std::str::from_utf8(&full[start..end]).unwrap().chars().any(|c| c.len_utf8() > 1));
+    for cut in start..end {
+        std::fs::write(&path, &full[..cut]).unwrap();
+        let loaded = DeltaLog::load(&path).unwrap_or_else(|e| panic!("cut at {cut}: {e}"));
+        assert_eq!(loaded.to_json_lines(), previous, "cut at {cut}");
+    }
+    // Every JSON byte of the last entry made it: only the `\n` is missing.
+    std::fs::write(&path, &full[..end]).unwrap();
+    assert_eq!(DeltaLog::load(&path).unwrap().to_json_lines(), log.to_json_lines());
+
+    // A torn header is not a log; a whole one is a log with no entries.
+    let header_end = previous.find('\n').unwrap();
+    for cut in [1, header_end / 2, header_end - 1] {
+        std::fs::write(&path, &full[..cut]).unwrap();
+        assert!(DeltaLog::load(&path).is_err(), "header cut at {cut}");
+    }
+    std::fs::write(&path, &full[..header_end]).unwrap();
+    assert!(DeltaLog::load(&path).unwrap().is_empty());
+    // A corrupt line that ends in `\n` was written whole: rejected.
+    let mut corrupt = full.clone();
+    corrupt[start + 1] = b'X';
+    std::fs::write(&path, &corrupt).unwrap();
+    assert!(DeltaLog::load(&path).is_err());
+    // So is an unterminated line that parses but breaks the sequence.
+    let last = std::str::from_utf8(&full[start..end]).unwrap();
+    assert!(last.starts_with("{\"seq\":2,"), "{last}");
+    std::fs::write(&path, previous.clone() + &last.replacen("\"seq\":2", "\"seq\":5", 1)).unwrap();
+    assert!(DeltaLog::load(&path).is_err());
+    std::fs::remove_file(&path).ok();
 }
 
 /// The service-level checkpoint call: the persistence cursor lives with

@@ -21,6 +21,8 @@
 //! whose candidate-pair variant underpins the tight upper bounds `v.h` used
 //! for early termination (Section 4).
 
+#![forbid(unsafe_code)]
+
 pub mod candidates;
 pub mod dyn_match_graph;
 pub mod incremental;

@@ -38,6 +38,8 @@ mod imp {
         })
     }
 
+    // The crate's one `unsafe`: everything else is safe code.
+    #[allow(unsafe_code)]
     pub fn now_ticks() -> u64 {
         // SAFETY: RDTSC is unprivileged and side-effect-free; baseline
         // on every x86_64 target Rust supports.

@@ -8,12 +8,12 @@
 //! Three pieces, one bundle:
 //!
 //! * **metrics** ([`MetricsRegistry`]) — named counters, gauges and
-//!   fixed-bucket latency histograms, lock-free on the hot path via
-//!   per-thread shards merged at snapshot, rendered as JSON or a
-//!   Prometheus-style text exposition;
+//!   fixed-bucket latency histograms, a few relaxed atomics per record
+//!   on the hot path, rendered as JSON or a Prometheus-style text
+//!   exposition;
 //! * **phase tracing** ([`Span`], [`BatchTrace`]) — a per-batch span
-//!   tree with monotonic timestamps and thread ordinals, so WorkerPool
-//!   parallelism is visible in the trace rather than inferred;
+//!   tree with monotonic timestamps, collected on the one thread that
+//!   runs the batch;
 //! * **flight recorder** ([`FlightRecorder`]) — a bounded ring of
 //!   recent batch traces plus captures of every batch that crossed a
 //!   latency threshold, dumpable as JSON for post-hoc debugging.
@@ -30,6 +30,8 @@
 //! enabled flag, keeping the disabled overhead to a couple of relaxed
 //! atomic loads.
 
+#![deny(unsafe_code)]
+
 mod clock;
 pub mod exposition;
 mod metrics;
@@ -37,8 +39,8 @@ mod recorder;
 mod trace;
 
 pub use metrics::{
-    bucket_index, bucket_le_ns, thread_ordinal, Counter, Gauge, Histogram, HistogramSnapshot,
-    MetricsRegistry, MetricsSnapshot, BUCKET_COUNT,
+    bucket_index, bucket_le_ns, Counter, Gauge, Histogram, HistogramSnapshot, MetricsRegistry,
+    MetricsSnapshot, BUCKET_COUNT,
 };
 pub use recorder::{FlightRecorder, RecorderConfig};
 pub use trace::{BatchTrace, Span, SpanRecord};
@@ -90,11 +92,6 @@ pub mod names {
     pub const REGISTRY_OPS_SKIPPED: &str = "gpm_registry_ops_skipped_total";
     pub const REGISTRY_LAST_TOUCHED: &str = "gpm_registry_last_patterns_touched";
 
-    // Worker-pool occupancy (copied from the pool's own atomics once per
-    // batch — gauges because they are point-in-time running totals).
-    pub const POOL_BUSY_NANOS: &str = "gpm_pool_busy_nanos";
-    pub const POOL_TASKS: &str = "gpm_pool_tasks";
-
     // Serving counters/gauges (always on — they back `ServiceStats`).
     pub const SERVING_BATCHES: &str = "gpm_serving_batches_total";
     pub const SERVING_UPDATES_PUSHED: &str = "gpm_serving_updates_pushed_total";
@@ -118,9 +115,6 @@ pub mod names {
     /// Seconds since the log's last successful fsync — refreshed at
     /// snapshot/health time, so a stalled log shows up as a growing age.
     pub const DELTA_LOG_FSYNC_AGE: &str = "gpm_delta_log_fsync_age_seconds";
-    /// Items of the current worker-pool job not yet completed, sampled
-    /// at snapshot time (0 between jobs).
-    pub const POOL_QUEUE_DEPTH: &str = "gpm_pool_queue_depth";
     /// Constant-1 gauge labeled `{version="…"}` — the standard
     /// build-identification idiom, joinable against any other series.
     pub const BUILD_INFO: &str = "gpm_build_info";
@@ -158,9 +152,6 @@ pub mod names {
             REGISTRY_OPS_REPLAYED => "Effective ops replayed into per-pattern state.",
             REGISTRY_OPS_SKIPPED => "Effective ops skipped by the shared interest index.",
             REGISTRY_LAST_TOUCHED => "Patterns touched by the last batch.",
-            POOL_BUSY_NANOS => "Cumulative busy nanoseconds across pool workers.",
-            POOL_TASKS => "Tasks completed by the worker pool.",
-            POOL_QUEUE_DEPTH => "Worker-pool items pending at snapshot time.",
             SERVING_BATCHES => "Batches ingested by the answer service.",
             SERVING_UPDATES_PUSHED => "Answer updates pushed to subscriptions.",
             SERVING_UPDATES_COALESCED => "Updates coalesced by bounded queues.",
@@ -453,7 +444,6 @@ impl Telemetry {
                         name,
                         start_ns: 0,
                         duration_ns,
-                        thread: thread_ordinal(),
                         events: Vec::new(),
                         detail: "sampled-out skeleton".to_string(),
                     }],

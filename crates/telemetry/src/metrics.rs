@@ -3,10 +3,10 @@
 //!
 //! Handles ([`Counter`], [`Gauge`], [`Histogram`]) are resolved **once**
 //! by name and stored by the instrumented layer; recording is then a
-//! couple of relaxed atomic operations on a per-thread shard — no lock,
-//! no allocation, no syscall. Shards are merged only at snapshot time
-//! ([`MetricsRegistry::snapshot`]), which feeds both the JSON form and
-//! the Prometheus-style text exposition ([`MetricsRegistry::render`]).
+//! couple of relaxed atomic operations on the metric's one set of cells —
+//! no lock, no allocation, no syscall. [`MetricsRegistry::snapshot`] reads
+//! them for both the JSON form and the Prometheus-style text exposition
+//! ([`MetricsRegistry::render`]).
 //!
 //! Two rules keep the semantics predictable across the stack:
 //!
@@ -20,13 +20,9 @@
 //!   [`Telemetry`](crate::Telemetry) level, tracing) off wholesale.
 
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU32, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
-
-/// Number of per-thread shards counters and histograms spread writes
-/// across (threads hash onto shards by a stable per-thread ordinal).
-const SHARDS: usize = 8;
 
 /// Histogram bucket upper bounds: powers of two in nanoseconds, from
 /// `2^10` ns (~1 µs) doubling up to `2^37` ns (~137 s), plus a +Inf
@@ -56,44 +52,16 @@ pub fn bucket_index(ns: u64) -> usize {
     ((ceil_log2 - FIRST_BUCKET_LOG2) as usize).min(BUCKET_COUNT - 1)
 }
 
-static NEXT_ORDINAL: AtomicU32 = AtomicU32::new(0);
-
-thread_local! {
-    static ORDINAL: u32 = NEXT_ORDINAL.fetch_add(1, Ordering::Relaxed);
-}
-
-/// A small dense id assigned to each thread on first telemetry use —
-/// distinct per live thread, stable for the thread's lifetime. Traces
-/// record it so a span tree shows *which* pool worker ran each phase.
-pub fn thread_ordinal() -> u32 {
-    ORDINAL.with(|o| *o)
-}
-
-fn shard() -> usize {
-    thread_ordinal() as usize % SHARDS
-}
-
-/// One cache-line-ish padded atomic cell, so shards of one metric do not
-/// false-share.
-#[repr(align(64))]
-#[derive(Default)]
-struct PaddedU64(AtomicU64);
-
-#[derive(Default)]
-struct CounterInner {
-    shards: [PaddedU64; SHARDS],
-}
-
 /// A monotonically increasing counter. Cloning shares the underlying
-/// cells; increments from any thread, merged at read.
+/// cell.
 #[derive(Clone)]
 pub struct Counter {
-    inner: Arc<CounterInner>,
+    inner: Arc<AtomicU64>,
 }
 
 impl Counter {
     fn new() -> Self {
-        Counter { inner: Arc::new(CounterInner::default()) }
+        Counter { inner: Arc::new(AtomicU64::new(0)) }
     }
 
     /// Adds 1.
@@ -103,12 +71,12 @@ impl Counter {
 
     /// Adds `n`.
     pub fn add(&self, n: u64) {
-        self.inner.shards[shard()].0.fetch_add(n, Ordering::Relaxed);
+        self.inner.fetch_add(n, Ordering::Relaxed);
     }
 
-    /// The merged value.
+    /// The current value.
     pub fn get(&self) -> u64 {
-        self.inner.shards.iter().map(|s| s.0.load(Ordering::Relaxed)).sum()
+        self.inner.load(Ordering::Relaxed)
     }
 }
 
@@ -160,35 +128,17 @@ impl std::fmt::Debug for Gauge {
 // No separate sample counter: the total is the sum of the bucket
 // counts, computed at snapshot time — one fewer RMW per record on the
 // span-close hot path.
-struct HistShard {
+struct HistogramInner {
     buckets: [AtomicU64; BUCKET_COUNT],
     sum_ns: AtomicU64,
     max_ns: AtomicU64,
-}
-
-impl Default for HistShard {
-    fn default() -> Self {
-        HistShard {
-            buckets: std::array::from_fn(|_| AtomicU64::new(0)),
-            sum_ns: AtomicU64::new(0),
-            max_ns: AtomicU64::new(0),
-        }
-    }
-}
-
-#[repr(align(64))]
-#[derive(Default)]
-struct PaddedHistShard(HistShard);
-
-struct HistogramInner {
-    shards: [PaddedHistShard; SHARDS],
     enabled: Arc<AtomicBool>,
 }
 
 /// A fixed-bucket latency histogram (see [`bucket_le_ns`] for the
-/// boundaries). Recording is shard-local and lock-free; quantiles are
-/// estimated at snapshot time as the bucket upper bound clamped to the
-/// exact observed maximum. Disabled registries drop samples.
+/// boundaries). Recording is lock-free; quantiles are estimated at
+/// snapshot time as the bucket upper bound clamped to the exact observed
+/// maximum. Disabled registries drop samples.
 #[derive(Clone)]
 pub struct Histogram {
     inner: Arc<HistogramInner>,
@@ -198,7 +148,9 @@ impl Histogram {
     fn new(enabled: Arc<AtomicBool>) -> Self {
         Histogram {
             inner: Arc::new(HistogramInner {
-                shards: std::array::from_fn(|_| PaddedHistShard::default()),
+                buckets: std::array::from_fn(|_| AtomicU64::new(0)),
+                sum_ns: AtomicU64::new(0),
+                max_ns: AtomicU64::new(0),
                 enabled,
             }),
         }
@@ -214,19 +166,15 @@ impl Histogram {
         if !self.inner.enabled.load(Ordering::Relaxed) {
             return;
         }
-        let s = &self.inner.shards[shard()].0;
-        s.buckets[bucket_index(ns)].fetch_add(1, Ordering::Relaxed);
-        s.sum_ns.fetch_add(ns, Ordering::Relaxed);
-        s.max_ns.fetch_max(ns, Ordering::Relaxed);
+        let h = &self.inner;
+        h.buckets[bucket_index(ns)].fetch_add(1, Ordering::Relaxed);
+        h.sum_ns.fetch_add(ns, Ordering::Relaxed);
+        h.max_ns.fetch_max(ns, Ordering::Relaxed);
     }
 
-    /// Merged samples so far (the sum of all bucket counts).
+    /// Samples so far (the sum of all bucket counts).
     pub fn count(&self) -> u64 {
-        self.inner
-            .shards
-            .iter()
-            .map(|s| s.0.buckets.iter().map(|b| b.load(Ordering::Relaxed)).sum::<u64>())
-            .sum()
+        self.inner.buckets.iter().map(|b| b.load(Ordering::Relaxed)).sum()
     }
 
     /// Whether samples currently record (the registry's shared flag).
@@ -234,20 +182,17 @@ impl Histogram {
         self.inner.enabled.load(Ordering::Relaxed)
     }
 
-    /// The merged snapshot (bucket counts + count/sum/max).
+    /// The snapshot (bucket counts + count/sum/max).
     pub fn snapshot(&self) -> HistogramSnapshot {
-        let mut out =
-            HistogramSnapshot { buckets: [0; BUCKET_COUNT], count: 0, sum_ns: 0, max_ns: 0 };
-        for s in &self.inner.shards {
-            let s = &s.0;
-            for (o, b) in out.buckets.iter_mut().zip(&s.buckets) {
-                *o += b.load(Ordering::Relaxed);
-            }
-            out.sum_ns += s.sum_ns.load(Ordering::Relaxed);
-            out.max_ns = out.max_ns.max(s.max_ns.load(Ordering::Relaxed));
+        let h = &self.inner;
+        let buckets: [u64; BUCKET_COUNT] =
+            std::array::from_fn(|i| h.buckets[i].load(Ordering::Relaxed));
+        HistogramSnapshot {
+            buckets,
+            count: buckets.iter().sum(),
+            sum_ns: h.sum_ns.load(Ordering::Relaxed),
+            max_ns: h.max_ns.load(Ordering::Relaxed),
         }
-        out.count = out.buckets.iter().sum();
-        out
     }
 }
 
@@ -257,7 +202,7 @@ impl std::fmt::Debug for Histogram {
     }
 }
 
-/// A merged, point-in-time view of one histogram.
+/// A point-in-time view of one histogram.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HistogramSnapshot {
     /// Per-bucket sample counts (boundaries from [`bucket_le_ns`]).
@@ -476,7 +421,7 @@ impl MetricsRegistry {
         }
     }
 
-    /// A merged, point-in-time view of every registered metric.
+    /// A point-in-time view of every registered metric.
     pub fn snapshot(&self) -> MetricsSnapshot {
         let m = self.lock();
         let mut snap = MetricsSnapshot::default();
@@ -505,25 +450,25 @@ impl MetricsRegistry {
     }
 }
 
-/// The merged values of every metric at one instant.
+/// The values of every metric at one instant.
 #[derive(Default)]
 pub struct MetricsSnapshot {
     /// `(full name, key, value)`, sorted by full name.
     counters: Vec<(String, MetricKey, u64)>,
     /// `(full name, key, value)`, sorted by full name.
     gauges: Vec<(String, MetricKey, i64)>,
-    /// `(full name, key, merged histogram)`, sorted by full name.
+    /// `(full name, key, histogram snapshot)`, sorted by full name.
     histograms: Vec<(String, MetricKey, HistogramSnapshot)>,
 }
 
 impl MetricsSnapshot {
-    /// The merged histogram under `full_name` (label form included, e.g.
+    /// The histogram under `full_name` (label form included, e.g.
     /// `gpm_phase_seconds{phase="prepare"}`).
     pub fn histogram(&self, full_name: &str) -> Option<&HistogramSnapshot> {
         self.histograms.iter().find(|(n, _, _)| n == full_name).map(|(_, _, h)| h)
     }
 
-    /// The merged value of counter `full_name`.
+    /// The value of counter `full_name`.
     pub fn counter(&self, full_name: &str) -> Option<u64> {
         self.counters.iter().find(|(n, _, _)| n == full_name).map(|&(_, _, v)| v)
     }
@@ -783,29 +728,6 @@ mod tests {
         r.set_enabled(true);
         h.record(Duration::from_micros(10));
         assert_eq!(h.count(), 1, "already-resolved handles observe enable");
-    }
-
-    #[test]
-    fn sharded_writes_merge_across_threads() {
-        let r = MetricsRegistry::new(true);
-        let c = r.counter("ops_total");
-        let h = r.histogram("lat_seconds");
-        std::thread::scope(|s| {
-            for _ in 0..4 {
-                let c = c.clone();
-                let h = h.clone();
-                s.spawn(move || {
-                    for _ in 0..1000 {
-                        c.inc();
-                        h.record_ns(1_500);
-                    }
-                });
-            }
-        });
-        assert_eq!(c.get(), 4000);
-        let snap = h.snapshot();
-        assert_eq!(snap.count, 4000);
-        assert_eq!(snap.buckets[1], 4000); // 1.5 µs: bucket le 2048 ns
     }
 
     #[test]

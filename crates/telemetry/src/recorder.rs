@@ -198,7 +198,6 @@ mod tests {
                 name: "ingest",
                 start_ns: 0,
                 duration_ns: total_ns,
-                thread: 0,
                 events: Vec::new(),
                 detail: String::new(),
             }],

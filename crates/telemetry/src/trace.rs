@@ -1,13 +1,11 @@
 //! Structured phase tracing: [`Span`]s collected into a per-batch
 //! [`BatchTrace`] tree.
 //!
-//! A span is cheap to create and `Sync`, so a parent span can be shared
-//! by reference into pool-worker closures and each worker opens its own
-//! children — the finished trace then shows *which* thread ran each
-//! phase (`thread`, the dense ordinal from
-//! [`thread_ordinal`](crate::thread_ordinal)). Timestamps are monotonic
-//! nanoseconds relative to the batch root, so a trace is self-contained
-//! and diffable.
+//! A batch is traced on the one thread that runs it: a span shares its
+//! batch's record table through an `Rc`, so [`Span`] is neither `Send`
+//! nor `Sync` and the compiler keeps every span of a batch on the thread
+//! that opened its root. Timestamps are monotonic nanoseconds relative to
+//! the batch root, so a trace is self-contained and diffable.
 //!
 //! When tracing is disabled the whole API degrades to no-ops that never
 //! read the clock: [`Span::disabled`] (and children of a disabled span)
@@ -15,13 +13,11 @@
 //! disabled-telemetry overhead near zero. Enabled spans read the fast
 //! tick clock ([`crate::clock`]) exactly twice, at open and at close.
 
-use std::cell::UnsafeCell;
-use std::fmt;
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::cell::RefCell;
+use std::rc::Rc;
 
 use crate::clock;
-use crate::metrics::{format_seconds, json_string, thread_ordinal};
+use crate::metrics::{format_seconds, json_string};
 
 /// One finished (or still-open) node of a trace tree, in the flat
 /// parent-indexed form the collector stores.
@@ -36,8 +32,6 @@ pub struct SpanRecord {
     pub start_ns: u64,
     /// Duration in nanoseconds (0 until the span closes).
     pub duration_ns: u64,
-    /// Dense ordinal of the thread that *opened* the span.
-    pub thread: u32,
     /// Point events recorded on this span (`(offset ns, text)`), e.g.
     /// budget-fallback decisions.
     pub events: Vec<(u64, String)>,
@@ -45,46 +39,18 @@ pub struct SpanRecord {
     pub detail: String,
 }
 
-/// Preallocated record slots per batch — sized past the deepest traces
+/// Record slots preallocated per batch — sized past the deepest traces
 /// the stack produces (a registry batch over a dozen touched patterns
-/// opens a few dozen spans); later spans spill to the overflow mutex.
+/// opens a few dozen spans); a batch that opens more grows the table.
 const RECORD_SLOTS: usize = 64;
 
-/// One preallocated record cell. Exactly one span ever writes it (the
-/// span that claimed its index from the collector's counter), exactly
-/// once (guarded by `SpanInner::finished`), publishing with a `Release`
-/// store of `ready`; readers check `ready` with `Acquire` before
-/// touching `rec`. That single-writer discipline is what `Sync` asserts.
-#[derive(Default)]
-struct Slot {
-    ready: AtomicBool,
-    rec: UnsafeCell<Option<SpanRecord>>,
-}
-
-impl fmt::Debug for Slot {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        // `rec` is only readable through the `ready` protocol; the flag
-        // alone is the debuggable surface.
-        f.debug_struct("Slot").field("ready", &self.ready).finish_non_exhaustive()
-    }
-}
-
-// SAFETY: see the `Slot` docs — per-slot single writer, single write,
-// Release/Acquire publication through `ready`.
-unsafe impl Sync for Slot {}
-
-/// Shared collector for one trace-collecting batch. Opening a span only
-/// claims an index from `next` (no lock); the span's finished record
-/// lands in its own preallocated slot at close — only spans past
-/// [`RECORD_SLOTS`] touch the overflow mutex, so a whole batch of
-/// closes coalesces into the single lock acquisition
-/// [`Span::into_trace`] makes to drain the overflow.
+/// The record table of one trace-collecting batch: opening a span
+/// reserves the next slot, closing it fills the slot in.
 #[derive(Debug)]
 struct Collector {
     epoch_ticks: u64,
-    slots: Box<[Slot]>,
-    overflow: Mutex<Vec<(u32, SpanRecord)>>,
-    next: AtomicU32,
+    /// By span index; `None` while the span is open.
+    records: RefCell<Vec<Option<SpanRecord>>>,
 }
 
 impl Collector {
@@ -93,40 +59,79 @@ impl Collector {
     }
 }
 
-/// Rarely-used span attachments, kept out of the hot open/close path:
-/// the per-span mutex is only locked when `event`/`detail` were actually
-/// called (tracked by `SpanInner::has_extra`).
+/// Attachments made through `&Span` before it closes.
 #[derive(Debug, Default)]
 struct Extra {
     detail: String,
     events: Vec<(u64, String)>,
 }
 
-/// An enabled span: claims a record index at open and files a full
-/// [`SpanRecord`] into its collector slot at close.
+/// An enabled span: reserves a record slot at open and files a full
+/// [`SpanRecord`] into it at close.
 #[derive(Debug)]
 struct SpanInner {
-    collector: Arc<Collector>,
+    collector: Rc<Collector>,
     index: u32,
     parent: Option<u32>,
     name: &'static str,
-    thread: u32,
     start_ticks: u64,
     start_ns: u64,
-    /// Set once on close; guards against double-finish from Drop.
-    finished: AtomicU64,
-    has_extra: AtomicU32,
-    extra: Mutex<Extra>,
+    extra: RefCell<Extra>,
+}
+
+impl SpanInner {
+    /// Reserves the next record slot for a span that started at
+    /// `start_ticks`. Its offset in the trace is derived from the shared
+    /// epoch (the subtraction saturates to zero, so a child can never
+    /// start "before" its root).
+    fn open(
+        collector: Rc<Collector>,
+        parent: Option<u32>,
+        name: &'static str,
+        start_ticks: u64,
+    ) -> SpanInner {
+        let index = {
+            let mut records = collector.records.borrow_mut();
+            records.push(None);
+            (records.len() - 1) as u32
+        };
+        let start_ns = clock::ticks_to_ns(start_ticks.saturating_sub(collector.epoch_ticks));
+        SpanInner {
+            collector,
+            index,
+            parent,
+            name,
+            start_ticks,
+            start_ns,
+            extra: RefCell::new(Extra::default()),
+        }
+    }
+
+    fn close(self) {
+        let d = clock::ticks_to_ns(clock::now_ticks().saturating_sub(self.start_ticks));
+        let Extra { detail, events } = self.extra.into_inner();
+        let rec = SpanRecord {
+            parent: self.parent,
+            name: self.name,
+            start_ns: self.start_ns,
+            duration_ns: d,
+            events,
+            detail,
+        };
+        // A span closed after its root was assembled finds the table
+        // drained and is discarded.
+        if let Some(slot) = self.collector.records.borrow_mut().get_mut(self.index as usize) {
+            *slot = Some(rec);
+        }
+    }
 }
 
 /// A handle on one open phase of a batch. Create children with
 /// [`Span::child`], attach point events with [`Span::event`], and close
 /// with [`Span::finish`] (or implicitly on drop). Disabled spans
-/// ([`Span::disabled`]) are free: no allocation, no clock reads. The
-/// inner state lives inline (no per-span `Arc`): a span is shared by
-/// `&Span` into worker closures, never cloned, and an enabled span
-/// allocates nothing of its own — its record moves into the collector
-/// table when it closes.
+/// ([`Span::disabled`]) are free: no allocation, no clock reads. An
+/// enabled child allocates nothing of its own either — its record moves
+/// into the batch's preallocated table when it closes.
 #[derive(Debug)]
 pub struct Span {
     inner: Option<SpanInner>,
@@ -178,58 +183,23 @@ impl Span {
     /// Starts a fresh trace-collecting root span — one per batch.
     pub(crate) fn root(name: &'static str) -> Span {
         let epoch_ticks = clock::now_ticks();
-        let collector = Arc::new(Collector {
+        let collector = Rc::new(Collector {
             epoch_ticks,
-            slots: (0..RECORD_SLOTS).map(|_| Slot::default()).collect(),
-            overflow: Mutex::new(Vec::new()),
-            next: AtomicU32::new(1),
+            records: RefCell::new(Vec::with_capacity(RECORD_SLOTS)),
         });
-        Span {
-            inner: Some(SpanInner {
-                collector,
-                index: 0,
-                parent: None,
-                name,
-                thread: thread_ordinal(),
-                start_ticks: epoch_ticks,
-                start_ns: 0,
-                finished: AtomicU64::new(0),
-                has_extra: AtomicU32::new(0),
-                extra: Mutex::new(Extra::default()),
-            }),
-            timed: None,
-        }
+        Span { inner: Some(SpanInner::open(collector, None, name, epoch_ticks)), timed: None }
     }
 
-    /// Opens a child phase. May be called from any thread holding a
-    /// reference to `self`; the child records the opening thread's
-    /// ordinal, which is how WorkerPool attribution becomes visible.
-    /// Opening takes no lock — the span claims an index and defers its
-    /// record to close.
+    /// Opens a child phase.
     pub fn child(&self, name: &'static str) -> Span {
         let Some(inner) = &self.inner else {
             return Span::disabled();
         };
-        let collector = inner.collector.clone();
-        let index = collector.next.fetch_add(1, Ordering::Relaxed);
-        // One clock read: the span's offset in the trace is derived from
-        // the shared epoch (the subtraction saturates to zero, so a
-        // child can never start "before" its root).
+        let collector = Rc::clone(&inner.collector);
+        // One clock read: the span's start.
         let start_ticks = clock::now_ticks();
-        let start_ns = clock::ticks_to_ns(start_ticks.saturating_sub(collector.epoch_ticks));
         Span {
-            inner: Some(SpanInner {
-                collector,
-                index,
-                parent: Some(inner.index),
-                name,
-                thread: thread_ordinal(),
-                start_ticks,
-                start_ns,
-                finished: AtomicU64::new(0),
-                has_extra: AtomicU32::new(0),
-                extra: Mutex::new(Extra::default()),
-            }),
+            inner: Some(SpanInner::open(collector, Some(inner.index), name, start_ticks)),
             timed: None,
         }
     }
@@ -239,9 +209,7 @@ impl Span {
     pub fn event(&self, text: impl Into<String>) {
         let Some(inner) = &self.inner else { return };
         let at = inner.collector.now_ns();
-        let mut extra = inner.extra.lock().unwrap_or_else(|e| e.into_inner());
-        extra.events.push((at, text.into()));
-        inner.has_extra.store(1, Ordering::Relaxed);
+        inner.extra.borrow_mut().events.push((at, text.into()));
     }
 
     /// Attaches free-form detail shown in the dumped trace (overwrites
@@ -249,9 +217,7 @@ impl Span {
     /// [`Span::is_enabled`].
     pub fn detail(&self, text: impl Into<String>) {
         let Some(inner) = &self.inner else { return };
-        let mut extra = inner.extra.lock().unwrap_or_else(|e| e.into_inner());
-        extra.detail = text.into();
-        inner.has_extra.store(1, Ordering::Relaxed);
+        inner.extra.borrow_mut().detail = text.into();
     }
 
     /// Closes the span, recording its duration. Dropping an unfinished
@@ -261,93 +227,38 @@ impl Span {
         // Drop runs the close.
     }
 
-    fn close(&self) {
-        let Some(inner) = &self.inner else { return };
-        if inner.finished.swap(1, Ordering::Relaxed) != 0 {
-            return;
-        }
-        let d = clock::ticks_to_ns(clock::now_ticks().saturating_sub(inner.start_ticks));
-        let Extra { detail, events } = if inner.has_extra.load(Ordering::Relaxed) != 0 {
-            std::mem::take(&mut *inner.extra.lock().unwrap_or_else(|e| e.into_inner()))
-        } else {
-            Extra::default()
-        };
-        let rec = SpanRecord {
-            parent: inner.parent,
-            name: inner.name,
-            start_ns: inner.start_ns,
-            duration_ns: d,
-            thread: inner.thread,
-            events,
-            detail,
-        };
-        match inner.collector.slots.get(inner.index as usize) {
-            Some(slot) => {
-                // SAFETY: this span is the sole claimant of its index and
-                // `finished` made this the one write; readers wait for
-                // the `ready` publication.
-                unsafe { *slot.rec.get() = Some(rec) };
-                slot.ready.store(true, Ordering::Release);
-            }
-            None => {
-                let mut ov = inner.collector.overflow.lock().unwrap_or_else(|e| e.into_inner());
-                ov.push((inner.index, rec));
-            }
-        }
-    }
-
     /// Consumes a **root** span and returns the finished trace. Returns
     /// `None` for disabled spans.
-    pub(crate) fn into_trace(self, seq: u64) -> Option<BatchTrace> {
-        self.close();
-        let t = self.inner.as_ref()?;
-        debug_assert_eq!(t.index, 0, "into_trace is for root spans");
-        let (slots, overflow) = (&t.collector.slots, &t.collector.overflow);
-        // Re-assemble in creation (index) order. A child still open when
-        // the root finished has no record yet — it gets an `(open)`
-        // placeholder, and its eventual close lands in a slot (or the
-        // drained overflow) nobody reads again, harmlessly discarded
-        // with the collector.
-        let n = t.collector.next.load(Ordering::Relaxed) as usize;
-        let mut spans: Vec<SpanRecord> = (0..n)
-            .map(|_| SpanRecord {
-                parent: None,
-                name: "(open)",
-                start_ns: 0,
-                duration_ns: 0,
-                thread: 0,
-                events: Vec::new(),
-                detail: String::new(),
+    pub(crate) fn into_trace(mut self, seq: u64) -> Option<BatchTrace> {
+        let inner = self.inner.take()?;
+        debug_assert_eq!(inner.index, 0, "into_trace is for root spans");
+        let collector = Rc::clone(&inner.collector);
+        inner.close();
+        // In creation (index) order. A child still open when the root
+        // finished has no record yet — it gets an `(open)` placeholder.
+        let records = std::mem::take(&mut *collector.records.borrow_mut());
+        let spans: Vec<SpanRecord> = records
+            .into_iter()
+            .map(|r| {
+                r.unwrap_or_else(|| SpanRecord {
+                    parent: None,
+                    name: "(open)",
+                    start_ns: 0,
+                    duration_ns: 0,
+                    events: Vec::new(),
+                    detail: String::new(),
+                })
             })
             .collect();
-        for (i, slot) in slots.iter().enumerate().take(n) {
-            if slot.ready.load(Ordering::Acquire) {
-                // SAFETY: `ready` pairs with the closing span's Release
-                // store, and a published slot is never written again.
-                if let Some(rec) = unsafe { (*slot.rec.get()).take() } {
-                    spans[i] = rec;
-                }
-            }
-        }
-        let overflowed = {
-            let mut ov = overflow.lock().unwrap_or_else(|e| e.into_inner());
-            std::mem::take(&mut *ov)
-        };
-        for (i, rec) in overflowed {
-            // A straggler-opened span may postdate the `next` load above;
-            // its record has no placeholder and is dropped like any
-            // other post-finish close.
-            if let Some(s) = spans.get_mut(i as usize) {
-                *s = rec;
-            }
-        }
         Some(BatchTrace { seq, total_ns: spans[0].duration_ns, spans })
     }
 }
 
 impl Drop for Span {
     fn drop(&mut self) {
-        self.close();
+        if let Some(inner) = self.inner.take() {
+            inner.close();
+        }
     }
 }
 
@@ -380,9 +291,8 @@ impl BatchTrace {
         let s = &self.spans[index];
         let indent = "  ".repeat(depth);
         out.push_str(&format!(
-            "{indent}{} [t{}] +{}s {}s",
+            "{indent}{} +{}s {}s",
             s.name,
-            s.thread,
             format_seconds(s.start_ns),
             format_seconds(s.duration_ns),
         ));
@@ -413,11 +323,9 @@ impl BatchTrace {
                 out.push(',');
             }
             out.push_str(&format!(
-                "{{\"name\":{},\"parent\":{},\"thread\":{},\"start_seconds\":{},\
-                 \"duration_seconds\":{}",
+                "{{\"name\":{},\"parent\":{},\"start_seconds\":{},\"duration_seconds\":{}",
                 json_string(s.name),
                 s.parent.map_or("null".to_string(), |p| p.to_string()),
-                s.thread,
                 format_seconds(s.start_ns),
                 format_seconds(s.duration_ns),
             ));
@@ -461,6 +369,7 @@ mod tests {
         assert_eq!(trace.spans.len(), 4);
         assert_eq!(trace.spans[0].name, "batch");
         assert_eq!(trace.spans[0].parent, None);
+        assert_eq!(trace.spans[0].start_ns, 0, "the root is the trace's epoch");
         let apply = trace.spans_named("apply").next().expect("apply span");
         assert_eq!(apply.parent, Some(0));
         assert!(apply.duration_ns >= 2_000_000, "sleep is visible");
@@ -486,26 +395,6 @@ mod tests {
     }
 
     #[test]
-    fn spans_opened_on_other_threads_record_their_ordinals() {
-        let root = Span::root("batch");
-        let here = thread_ordinal();
-        std::thread::scope(|s| {
-            for _ in 0..2 {
-                let root = &root;
-                s.spawn(move || {
-                    let c = root.child("extract");
-                    c.detail("chunk");
-                });
-            }
-        });
-        let trace = root.into_trace(0).expect("enabled root");
-        let threads: Vec<u32> = trace.spans_named("extract").map(|s| s.thread).collect();
-        assert_eq!(threads.len(), 2);
-        assert!(threads.iter().all(|&t| t != here), "workers, not the opener");
-        assert_ne!(threads[0], threads[1], "one ordinal per thread");
-    }
-
-    #[test]
     fn child_still_open_at_root_finish_becomes_a_placeholder() {
         let root = Span::root("batch");
         let straggler = root.child("extract");
@@ -519,18 +408,11 @@ mod tests {
     }
 
     #[test]
-    fn spans_past_slot_capacity_spill_to_overflow_and_still_trace() {
+    fn spans_past_the_preallocated_slots_still_trace() {
         let root = Span::root("batch");
-        std::thread::scope(|s| {
-            for _ in 0..2 {
-                let root = &root;
-                s.spawn(move || {
-                    for _ in 0..RECORD_SLOTS {
-                        root.child("extract").finish();
-                    }
-                });
-            }
-        });
+        for _ in 0..2 * RECORD_SLOTS {
+            root.child("extract").finish();
+        }
         let trace = root.into_trace(5).expect("enabled root");
         assert_eq!(trace.spans.len(), 2 * RECORD_SLOTS + 1);
         assert_eq!(trace.spans_named("extract").count(), 2 * RECORD_SLOTS);

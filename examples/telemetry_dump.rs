@@ -8,7 +8,7 @@
 //! 1. the **flight recorder** — a bounded ring of recent batch traces
 //!    plus the over-threshold ones; the slowest batch is printed as its
 //!    span tree (ingest → apply → replay → refresh → prepare/extract →
-//!    notify), each span tagged with the worker thread that ran it;
+//!    notify), each span with its start offset and duration;
 //! 2. the **phase histograms** — per-phase latency digests
 //!    (p50/p99/max) distilled from the same spans, plus the delta-log
 //!    fsync cost from a checkpoint;

@@ -46,6 +46,8 @@
 //! mapping every figure of the paper's evaluation to a reproduction target,
 //! and `EXPERIMENTS.md` for measured-vs-paper results.
 
+#![forbid(unsafe_code)]
+
 pub use gpm_core as core;
 pub use gpm_datagen as datagen;
 pub use gpm_graph as graph;

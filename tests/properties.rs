@@ -8,7 +8,9 @@
 //! * `δd` (Jaccard over relevant sets) is a metric;
 //! * `TopKDiv` respects its 2-approximation bound against brute force;
 //! * the static relevant sets decode to the data nodes a plain BFS over
-//!   `(u, v)` pairs finds, and their distances are Jaccard over those nodes.
+//!   `(u, v)` pairs finds, and their distances are Jaccard over those nodes;
+//! * `graph/json.rs` round-trips attributed graphs and deltas through
+//!   JSON text, and no truncated or mangled text makes it panic.
 
 use std::collections::BTreeSet;
 
@@ -16,6 +18,8 @@ use diversified_topk::prelude::*;
 use gpm_core::config::{DivConfig, SelectionStrategy};
 use gpm_core::{top_k, top_k_by_match, top_k_diversified};
 use gpm_graph::builder::graph_from_parts;
+use gpm_graph::json::{delta_from_value, graph_from_value, graph_to_value};
+use gpm_graph::{AttrValue, Attributes, DeltaOp, GraphBuilder, GraphDelta};
 use gpm_pattern::builder::label_pattern;
 use gpm_ranking::bounds::{output_upper_bounds, BoundConfig, BoundStrategy};
 use gpm_ranking::relevant_set::{relevant_set_of_pair, RelevantSets};
@@ -64,6 +68,118 @@ fn bfs_relevant_set(g: &DiGraph, q: &Pattern, sim: &SimRelation, u: u32, v: u32)
         }
     }
     nodes
+}
+
+/// Characters the JSON generators draw from: JSON escapes, control
+/// characters, and 2-, 3- and 4-byte UTF-8.
+const CHARS: &[char] =
+    &['a', 'Z', '7', ' ', '"', '\\', '/', '\n', '\t', '\u{1}', '\u{7f}', 'é', 'ß', '漢', '🦀'];
+
+fn text_of(codes: &[usize]) -> String {
+    codes.iter().map(|&c| CHARS[c % CHARS.len()]).collect()
+}
+
+/// Attribute values: integers within the 2^53 a JSON number carries
+/// exactly, floats from raw bits (exponents within 2^±64, so the text
+/// stays short: `serde_json`'s own tests cover the extreme exponents),
+/// the non-finite and other edge floats, and strings.
+fn arb_attr_value() -> impl Strategy<Value = AttrValue> {
+    const EDGE: [f64; 8] =
+        [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -0.0, 0.0, f64::EPSILON, -1.0, 9.0e15];
+    (0u32..4, 0u64..u64::MAX, proptest::collection::vec(0usize..64, 0..4)).prop_map(
+        |(kind, bits, codes)| match kind {
+            0 => AttrValue::Int((bits % (1 << 54)) as i64 - (1 << 53)),
+            1 => {
+                // Random sign and mantissa, biased exponent 2^-64 … 2^63.
+                let exponent = 1023 - 64 + (bits >> 52) % 128;
+                AttrValue::Float(f64::from_bits((bits & !(0x7ff << 52)) | exponent << 52))
+            }
+            2 => AttrValue::Float(EDGE[(bits % 8) as usize]),
+            _ => AttrValue::Str(text_of(&codes)),
+        },
+    )
+}
+
+/// A small attributed graph: any `u32` labels, duplicate edges and
+/// self-loops, and attributes under keys that may be empty or non-ASCII.
+fn arb_attr_graph() -> impl Strategy<Value = DiGraph> {
+    (1usize..4).prop_flat_map(|n| {
+        let labels = proptest::collection::vec(0u32..u32::MAX, n);
+        let edges = proptest::collection::vec((0u32..n as u32, 0u32..n as u32), 0..n + 2);
+        let key = proptest::collection::vec(0usize..64, 0..3);
+        let attrs = proptest::collection::vec((0u32..n as u32, key, arb_attr_value()), 0..n + 1);
+        (labels, edges, attrs).prop_map(|(labels, edges, attrs)| {
+            let mut per_node = vec![Attributes::new(); labels.len()];
+            for (v, key, value) in attrs {
+                per_node[v as usize].set(text_of(&key), value);
+            }
+            let mut b = GraphBuilder::new();
+            for (label, a) in labels.into_iter().zip(per_node) {
+                b.add_node_with_attrs(label, a);
+            }
+            for (s, t) in edges {
+                b.add_edge(s, t).unwrap();
+            }
+            b.build()
+        })
+    })
+}
+
+/// One delta op of any of the six kinds, over any `u32` node ids.
+fn arb_delta_op() -> impl Strategy<Value = DeltaOp> {
+    let key = proptest::collection::vec(0usize..64, 0..3);
+    (0u32..6, (0u32..u32::MAX, 0u32..u32::MAX), key, arb_attr_value()).prop_map(
+        |(kind, (a, b), key, value)| match kind {
+            0 => DeltaOp::AddNode(a),
+            1 => DeltaOp::AddEdge(a, b),
+            2 => DeltaOp::RemoveEdge(a, b),
+            3 => DeltaOp::RemoveNode(a),
+            4 => DeltaOp::SetAttr { node: a, key: text_of(&key), value },
+            _ => DeltaOp::UnsetAttr { node: a, key: text_of(&key) },
+        },
+    )
+}
+
+/// Attribute values equal as stored: floats bit for bit, any NaN as NaN.
+fn same_value(a: &AttrValue, b: &AttrValue) -> bool {
+    match (a, b) {
+        (AttrValue::Float(x), AttrValue::Float(y)) => {
+            x.to_bits() == y.to_bits() || (x.is_nan() && y.is_nan())
+        }
+        _ => a == b,
+    }
+}
+
+fn same_attrs(a: Option<&Attributes>, b: Option<&Attributes>) -> bool {
+    let (a, b) = (a.cloned().unwrap_or_default(), b.cloned().unwrap_or_default());
+    a.len() == b.len()
+        && a.iter().zip(b.iter()).all(|((ka, va), (kb, vb))| ka == kb && same_value(va, vb))
+}
+
+fn same_op(a: &DeltaOp, b: &DeltaOp) -> bool {
+    match (a, b) {
+        (
+            DeltaOp::SetAttr { node: na, key: ka, value: va },
+            DeltaOp::SetAttr { node: nb, key: kb, value: vb },
+        ) => na == nb && ka == kb && same_value(va, vb),
+        _ => a == b,
+    }
+}
+
+/// Feeds `decode` every char-boundary truncation of `text` and every
+/// substitution of one character by an ASCII byte.
+fn mangle(text: &str, decode: impl Fn(&str)) {
+    let mut mangled = String::with_capacity(text.len());
+    for (i, c) in text.char_indices() {
+        decode(&text[..i]);
+        for sub in 0..0x80u8 {
+            mangled.clear();
+            mangled.push_str(&text[..i]);
+            mangled.push(sub as char);
+            mangled.push_str(&text[i + c.len_utf8()..]);
+            decode(&mangled);
+        }
+    }
 }
 
 proptest! {
@@ -198,5 +314,44 @@ proptest! {
                 prop_assert_eq!(rs.distance(i, j).to_bits(), want.to_bits(), "δd({}, {})", i, j);
             }
         }
+    }
+
+    // The delta-log encoding round-trips generated attributed graphs and
+    // deltas through `serde_json` text — decoded values equal the
+    // originals, and re-encoding gives the same bytes — and no truncated
+    // or mangled text makes either decoder panic.
+    #[test]
+    fn graph_json_roundtrips_and_never_panics(
+        g in arb_attr_graph(),
+        ops in proptest::collection::vec(arb_delta_op(), 0..4),
+    ) {
+        let text = serde_json::to_string(&graph_to_value(&g)).unwrap();
+        let back = graph_from_value(&serde_json::from_str(&text).unwrap()).unwrap();
+        prop_assert_eq!(back.node_count(), g.node_count());
+        prop_assert_eq!(back.edge_count(), g.edge_count());
+        for v in g.nodes() {
+            prop_assert_eq!(back.label(v), g.label(v));
+            prop_assert_eq!(back.successors(v), g.successors(v));
+            prop_assert!(same_attrs(back.attributes(v), g.attributes(v)), "node {} via {}", v, text);
+        }
+        prop_assert_eq!(serde_json::to_string(&graph_to_value(&back)).unwrap(), text.clone());
+
+        let delta = GraphDelta { ops };
+        let dtext = serde_json::to_string(&delta).unwrap();
+        let dback = delta_from_value(&serde_json::from_str(&dtext).unwrap()).unwrap();
+        prop_assert_eq!(dback.ops.len(), delta.ops.len());
+        prop_assert!(delta.ops.iter().zip(&dback.ops).all(|(a, b)| same_op(a, b)), "{}", dtext);
+        prop_assert_eq!(serde_json::to_string(&dback).unwrap(), dtext.clone());
+
+        mangle(&text, |t| {
+            if let Ok(v) = serde_json::from_str(t) {
+                let _ = graph_from_value(&v);
+            }
+        });
+        mangle(&dtext, |t| {
+            if let Ok(v) = serde_json::from_str(t) {
+                let _ = delta_from_value(&v);
+            }
+        });
     }
 }
