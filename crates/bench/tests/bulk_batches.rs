@@ -43,7 +43,7 @@ fn replay_agrees_with_scratch(what: &str, g: &DiGraph, patterns: &[Pattern]) {
         .iter()
         .map(|q| {
             let id = reg.register(q.clone(), cfg.clone()).unwrap();
-            (id, DynamicMatcher::new(g, q.clone(), cfg.clone()).unwrap())
+            (id, DynamicMatcher::new(g, q.clone(), cfg.clone()))
         })
         .collect();
 

@@ -26,11 +26,14 @@ pub struct TopKConfig {
     pub k: usize,
     /// Leaf-batch selection strategy.
     pub strategy: SelectionStrategy,
-    /// Upper-bound index strategy (Proposition 3's `h`).
+    /// Ignored: there is one bound index. Kept only because the frozen
+    /// `benchmark/` reads it (`benchmark/src/workloads/layer_twins.rs`);
+    /// the next revision of `benchmark/` deletes it.
     pub bounds: BoundStrategy,
-    /// Bound-index tuning.
+    /// Ignored, like `bounds`, and kept for the same reader.
     pub bound_config: BoundConfig,
-    /// Set-reachability policy for the `Match` baseline / score finalization.
+    /// Set-reachability policy of every reach pass: Proposition 3's bound
+    /// index, the `Match` baseline and score finalization.
     pub reach: ReachConfig,
 }
 
@@ -40,11 +43,8 @@ impl TopKConfig {
         TopKConfig {
             k,
             strategy: SelectionStrategy::Optimized,
-            // Adaptive: the tight `ProductReach` index while the candidate
-            // product graph fits the budget (it is what makes Prop. 3 fire
-            // early), the paper's cheap descendant-count index beyond it.
-            bounds: BoundStrategy::Auto,
-            bound_config: BoundConfig::default(),
+            bounds: BoundStrategy::ProductReach,
+            bound_config: BoundConfig,
             reach: ReachConfig::default(),
         }
     }
@@ -60,7 +60,7 @@ impl TopKConfig {
 /// trade-off `λ`.
 #[derive(Debug, Clone)]
 pub struct DivConfig {
-    /// Base top-k settings (`k`, strategy, bounds …).
+    /// Base top-k settings (`k`, strategy, reach budget).
     pub topk: TopKConfig,
     /// Relevance/diversity trade-off `λ ∈ [0,1]` (Section 3.3).
     pub lambda: f64,

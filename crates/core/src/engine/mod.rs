@@ -25,9 +25,9 @@
 //!   cone universe that grows monotonically as matches propagate;
 //! * `v.l = |v.R|` is a sound lower bound of `δr` once the pair is matched;
 //! * `v.h` of an output pair starts from the bound index
-//!   ([`output_upper_bounds_on_cone`]: by default the count of distinct data
-//!   nodes strictly reachable from the pair in this same graph, the `v.h`
-//!   of Examples 7–8) and tightens to `|v.R|` when the pair becomes
+//!   ([`output_upper_bounds_on_cone`]: the count of distinct data nodes
+//!   strictly reachable from the pair in this same graph, the `v.h` of
+//!   Examples 7–8) and tightens to `|v.R|` when the pair becomes
 //!   *final* (its whole cone is decided).
 //!
 //! ## Waves
@@ -165,7 +165,7 @@ impl<'a> Engine<'a> {
         }
 
         let pg = MatchGraph::over_output_cone(g, q, &space);
-        let bounds = output_upper_bounds_on_cone(g, q, &space, &pg, cfg.bounds, &cfg.bound_config);
+        let h = output_upper_bounds_on_cone(q, &space, &pg, &cfg.reach);
 
         let qcond = Condensation::compute(q.topology());
         let scc_of: Vec<u32> = (0..q.node_count() as u32).map(|u| qcond.component_of(u)).collect();
@@ -197,8 +197,8 @@ impl<'a> Engine<'a> {
             r_count: vec![0; n],
             out_base,
             out_count,
-            h_init: bounds.as_slice().to_vec(),
-            h_cur: bounds.as_slice().to_vec(),
+            h_cur: h.clone(),
+            h_init: h,
             h_order: Vec::new(),
             matched_out: Vec::new(),
             dirty: vec![false; n],

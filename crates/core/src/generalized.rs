@@ -95,7 +95,7 @@ pub fn generalized_top_k(
             mg.compact_of(p).expect("a winner is a match")
         })
         .collect();
-    let sets = ReachEngine::prepare(&mg, sources, &cfg.reach).extract_all(cfg.reach.threads);
+    let sets = ReachEngine::prepare(&mg, sources, &cfg.reach).extract_all();
     let mut matches: Vec<ScoredMatch> = base
         .matches
         .iter()

@@ -14,7 +14,7 @@
 //!
 //! The engine is frozen between waves, so within one wave's batch of
 //! newcomers the distances between members of `S` change only when a swap
-//! replaces one: they are remembered ([`SwapMemo`]) and `F''` is fed from
+//! replaces one: they are remembered (`SwapMemo`) and `F''` is fed from
 //! the memo — `k` Jaccards per newcomer, the same `Objective::f_score`,
 //! bit-identical decisions.
 //!

@@ -49,7 +49,7 @@ fn product_graph_bounds(g: &DiGraph, q: &Pattern, space: &CandidateSpace) -> Vec
     let sources: Vec<u32> = (0..space.candidate_count(uo))
         .map(|i| pg.compact_of(space.pair_at(uo, i)).unwrap())
         .collect();
-    ReachEngine::prepare(&pg, sources, &ReachConfig::default()).counts(1)
+    ReachEngine::prepare(&pg, sources, &ReachConfig::default()).counts()
 }
 
 #[test]
@@ -60,32 +60,24 @@ fn engine_bounds_equal_product_reach_bounds() {
         let g = random_graph(trial, n, rng.random_range(n..n * 4), 4);
         for (name, q) in patterns() {
             let space = CandidateSpace::compute(&g, &q);
-            let public = output_upper_bounds(
-                &g,
-                &q,
-                &space,
-                BoundStrategy::ProductReach,
-                &BoundConfig::default(),
-            );
+            let public =
+                output_upper_bounds(&g, &q, &space, BoundStrategy::default(), &BoundConfig);
             assert_eq!(
-                public.as_slice(),
+                public,
                 product_graph_bounds(&g, &q, &space),
                 "trial {trial} {name}: cone bounds ≠ product-graph bounds"
             );
-            for strategy in [BoundStrategy::ProductReach, BoundStrategy::Auto] {
-                let mut cfg = TopKConfig::new(3);
-                cfg.bounds = strategy;
-                let Some(eng) = Engine::new(&g, &q, &cfg) else { continue };
-                assert_eq!(eng.output_candidates(), public.as_slice().len());
-                for i in 0..eng.output_candidates() {
-                    // Before any wave the only tightening is the
-                    // structural refutation pass (h := 0).
-                    let expected = match eng.output_status(i) {
-                        Status::Refuted => 0,
-                        _ => public.h_at(i),
-                    };
-                    assert_eq!(eng.output_h(i), expected, "trial {trial} {name} candidate {i}");
-                }
+            let cfg = TopKConfig::new(3);
+            let Some(eng) = Engine::new(&g, &q, &cfg) else { continue };
+            assert_eq!(eng.output_candidates(), public.len());
+            for (i, &h) in public.iter().enumerate() {
+                // Before any wave the only tightening is the structural
+                // refutation pass (h := 0).
+                let expected = match eng.output_status(i) {
+                    Status::Refuted => 0,
+                    _ => h,
+                };
+                assert_eq!(eng.output_h(i), expected, "trial {trial} {name} candidate {i}");
             }
         }
     }

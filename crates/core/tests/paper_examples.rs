@@ -127,9 +127,9 @@ fn example_7_topkdag_q1() {
     let sim = compute_simulation(&g, &q1);
     let space = sim.space();
 
-    let bounds =
-        output_upper_bounds(&g, &q1, space, BoundStrategy::ProductReach, &BoundConfig::default());
-    let h = |name: &str| bounds.h_of(space, &q1, node(&g, name)).unwrap();
+    let bounds = output_upper_bounds(&g, &q1, space, BoundStrategy::default(), &BoundConfig);
+    let out = space.candidates(q1.output());
+    let h = |name: &str| bounds[out.binary_search(&node(&g, name)).unwrap()];
     assert_eq!(h("PM2"), 3, "Cu(PM2) = |{{DB2, PRG3, PRG4}}|");
     assert_eq!(h("PM3"), 2, "Cu(PM3) = |{{DB2, PRG3}}|");
     assert_eq!(h("PM4"), 2);
@@ -157,9 +157,9 @@ fn example_8_topk_cyclic() {
     let sim = compute_simulation(&g, &q);
     let space = sim.space();
 
-    let bounds =
-        output_upper_bounds(&g, &q, space, BoundStrategy::ProductReach, &BoundConfig::default());
-    let h = |name: &str| bounds.h_of(space, &q, node(&g, name)).unwrap();
+    let bounds = output_upper_bounds(&g, &q, space, BoundStrategy::default(), &BoundConfig);
+    let out = space.candidates(q.output());
+    let h = |name: &str| bounds[out.binary_search(&node(&g, name)).unwrap()];
     assert_eq!(h("PM1"), 4);
     assert_eq!(h("PM2"), 8);
     assert_eq!(h("PM3"), 6);

@@ -15,7 +15,7 @@
 //! * [`patterns`] — pattern generation: extraction-based (guarantees a
 //!   nonempty `Mu`, like the paper's hand-constructed queries), plus the
 //!   Fig. 4 queries `Q1`/`Q2`;
-//! * [`update_stream`] — delta-batch generation for the dynamic-graph
+//! * [`update_stream`](mod@update_stream) — delta-batch generation for the dynamic-graph
 //!   workloads served by `gpm-incremental`.
 
 #![forbid(unsafe_code)]

@@ -1,7 +1,7 @@
 //! Synthetic graphs via the linkage-generation model.
 //!
 //! Section 6: "We generated synthetic graphs following the linkage
-//! generation models [12]: an edge was attached to the high degree nodes
+//! generation models \[12\]: an edge was attached to the high degree nodes
 //! with higher probability", controlled by `(|V|, |E|)` with labels from a
 //! set of 15. We implement degree-proportional endpoint sampling with the
 //! classic endpoint-pool trick (each inserted edge pushes both endpoints

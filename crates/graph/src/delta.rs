@@ -3,9 +3,9 @@
 //! Social networks — the paper's target domain — change continuously, so
 //! the serving layer maintains matches **incrementally** instead of
 //! recomputing `M(Q,G)` from scratch (see the `gpm-incremental` crate). A
-//! [`GraphDelta`] is one batch of updates; [`DynGraph`] (in
+//! [`GraphDelta`] is one batch of updates; [`DynGraph`](crate::DynGraph) (in
 //! [`crate::dynamic`]) applies it in place, and [`apply_delta`] rebuilds an
-//! immutable [`DiGraph`](crate::DiGraph) for from-scratch baselines and
+//! immutable [`DiGraph`] for from-scratch baselines and
 //! equivalence tests.
 //!
 //! Semantics:

@@ -1,6 +1,6 @@
 //! [`DynGraph`]: a mutable adjacency structure for incremental maintenance.
 //!
-//! The CSR [`DiGraph`](crate::DiGraph) is immutable by design — the static
+//! The CSR [`DiGraph`] is immutable by design — the static
 //! algorithms want packed, cache-friendly adjacency. The dynamic path
 //! instead keeps per-node sorted edge sets that support `O(log d)` insert,
 //! remove and membership while preserving deterministic iteration order,

@@ -38,7 +38,7 @@
 //! // Two authors (label 0) citing papers (label 1).
 //! let g = graph_from_parts(&[0, 0, 1, 1], &[(0, 2), (1, 2), (1, 3)]).unwrap();
 //! let q = label_pattern(&[0, 1], &[(0, 1)], 0).unwrap();
-//! let mut m = DynamicMatcher::new(&g, q, IncrementalConfig::new(2)).unwrap();
+//! let mut m = DynamicMatcher::new(&g, q, IncrementalConfig::new(2));
 //! assert_eq!(m.top_k().nodes(), vec![1, 0]); // author 1 reaches 2 papers
 //!
 //! // A new paper appears and author 0 cites it: the ranking flips.

@@ -33,8 +33,7 @@ pub struct IncrementalConfig {
     /// the byte budget, dirty-set materialization degrades to per-source
     /// BFS instead of the condensation DP. The diversified answer's stored
     /// `δd` table counts against the same budget, after the maintained
-    /// condensation. A refresh runs on the thread that applies the
-    /// batch, so `reach.threads` only matters to the static pipeline.
+    /// condensation. Only `reach.budget_bytes` is read.
     pub reach: ReachConfig,
     /// Whether refresh planning may skip materializing outputs whose
     /// upper bound (the popcount stored beside each maintained `Full(c)`)
@@ -66,13 +65,9 @@ impl IncrementalConfig {
     }
 }
 
-/// Errors from matcher construction and delta application.
+/// Errors from delta application.
 #[derive(Debug)]
 pub enum IncrementalError {
-    /// The pattern exceeds the candidate-bitmask width (64 pattern nodes).
-    /// Attribute predicates are fully supported — `SetAttr`/`UnsetAttr`
-    /// deltas flip candidacy incrementally.
-    UnsupportedPattern,
     /// The delta referenced nodes that do not exist (graph unchanged).
     Graph(GraphError),
 }
@@ -80,9 +75,6 @@ pub enum IncrementalError {
 impl std::fmt::Display for IncrementalError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            IncrementalError::UnsupportedPattern => {
-                write!(f, "patterns with more than 64 nodes cannot be maintained incrementally")
-            }
             IncrementalError::Graph(e) => write!(f, "delta rejected: {e}"),
         }
     }
@@ -145,7 +137,7 @@ pub struct ApplyStats {
 /// A matcher that owns a graph + pattern and keeps the top-k answer fresh
 /// across [`GraphDelta`] batches. See the crate docs for the architecture.
 ///
-/// Internally this is one [`PatternState`] married to its own [`DynGraph`];
+/// Internally this is one `PatternState` married to its own [`DynGraph`];
 /// to serve many patterns over a single shared graph, use a
 /// [`PatternRegistry`](crate::PatternRegistry) instead.
 pub struct DynamicMatcher {
@@ -158,10 +150,10 @@ pub struct DynamicMatcher {
 
 impl DynamicMatcher {
     /// Materializes the state for `q` over `g`.
-    pub fn new(g: &DiGraph, q: Pattern, cfg: IncrementalConfig) -> Result<Self, IncrementalError> {
+    pub fn new(g: &DiGraph, q: Pattern, cfg: IncrementalConfig) -> Self {
         let graph = DynGraph::from_digraph(g);
-        let state = PatternState::new(&graph, q, cfg)?;
-        Ok(DynamicMatcher { graph, state, telemetry: Telemetry::off() })
+        let state = PatternState::new(&graph, q, cfg);
+        DynamicMatcher { graph, state, telemetry: Telemetry::off() }
     }
 
     /// Attaches a shared [`Telemetry`] bundle; each subsequent apply

@@ -289,13 +289,16 @@ impl PatternRegistry {
     /// a pattern registered mid-stream answers exactly as if it had been
     /// built from [`Self::snapshot`]. Duplicate registrations are allowed
     /// and independent (two subscribers may serve the same shape with
-    /// different configs).
+    /// different configs). Never fails: the `Result` is kept only because
+    /// the frozen `benchmark/` calls `.expect` on it
+    /// (`benchmark/src/workloads/stream.rs`); the next revision of
+    /// `benchmark/` drops it.
     pub fn register(
         &mut self,
         q: Pattern,
         cfg: IncrementalConfig,
     ) -> Result<PatternId, IncrementalError> {
-        let state = PatternState::new(&self.graph, q, cfg)?;
+        let state = PatternState::new(&self.graph, q, cfg);
         let id = PatternId(self.next_id);
         self.next_id += 1;
         self.slots.push(Slot { id, state });

@@ -34,7 +34,7 @@ use gpm_ranking::{CondPolicy, CondensationState, MaintainError, ReachEngine, Rel
 use gpm_simulation::{DynMatchGraph, IncSimState};
 use gpm_telemetry::Span;
 
-use crate::matcher::{ApplyStats, IncrementalConfig, IncrementalError};
+use crate::matcher::{ApplyStats, IncrementalConfig};
 
 /// Below this absolute churn the maintained-condensation churn gate
 /// ([`PatternState::cond_churn_high`]) never fires.
@@ -114,12 +114,8 @@ pub(crate) struct PatternState {
 
 impl PatternState {
     /// Materializes the state for `q` over the current contents of `g`.
-    pub(crate) fn new(
-        g: &DynGraph,
-        pattern: Pattern,
-        cfg: IncrementalConfig,
-    ) -> Result<Self, IncrementalError> {
-        let sim = IncSimState::new(g, &pattern).ok_or(IncrementalError::UnsupportedPattern)?;
+    pub(crate) fn new(g: &DynGraph, pattern: Pattern, cfg: IncrementalConfig) -> Self {
+        let sim = IncSimState::new(g, &pattern);
         let node_labels: Option<BTreeSet<Label>> =
             pattern.nodes().map(|u| pattern.predicate(u).primary_label()).collect();
         let edge_label_pairs: Option<BTreeSet<(Label, Label)>> = pattern
@@ -154,7 +150,7 @@ impl PatternState {
         state.materialize(g, &outputs, &Span::disabled());
         state.sim.take_dirty();
         state.served = state.top_k().matches;
-        Ok(state)
+        state
     }
 
     /// The pattern being served.
@@ -767,7 +763,7 @@ impl PatternState {
                 }
                 drop(prep);
                 _extract = extract_span();
-                engine.extract_all(1)
+                engine.extract_all()
             }
         };
         for (&v, set) in outputs.iter().zip(sets) {
@@ -966,7 +962,6 @@ mod tests {
     use gpm_graph::builder::graph_from_parts;
     use gpm_graph::{DiGraph, GraphDelta};
     use gpm_pattern::builder::label_pattern;
-    use gpm_ranking::ReachConfig;
     use proptest::prelude::*;
 
     /// The oracle: every cached relevant set must equal the pre-DP
@@ -1026,7 +1021,7 @@ mod tests {
         cfg: IncrementalConfig,
         batches: &[Vec<(u8, u32, u32)>],
     ) -> DynamicMatcher {
-        let mut m = DynamicMatcher::new(g, q, cfg).expect("supported pattern");
+        let mut m = DynamicMatcher::new(g, q, cfg);
         assert_cache_matches_bfs(&m);
         for raw in batches {
             let delta = decode(m.graph(), raw);
@@ -1079,7 +1074,7 @@ mod tests {
             let g = graph_from_parts(&labels, &edges).unwrap();
             let q = label_pattern(&[0, 1, 2], &[(0, 1), (1, 2), (2, 0)], 0).unwrap();
             let mut starved = IncrementalConfig::new(4);
-            starved.reach = ReachConfig { budget_bytes: 0, threads: 1 };
+            starved.reach.budget_bytes = 0;
             let a = run_stream(&g, q.clone(), starved, &batches);
             let b = run_stream(&g, q, IncrementalConfig::new(4), &batches);
             prop_assert_eq!(a.top_k().nodes(), b.top_k().nodes());
@@ -1098,10 +1093,10 @@ mod tests {
         let q = label_pattern(&[0, 1, 2], &[(0, 1), (1, 2)], 0).unwrap();
 
         let mut starved = IncrementalConfig::new(3);
-        starved.reach = ReachConfig { budget_bytes: 0, threads: 1 };
+        starved.reach.budget_bytes = 0;
         let mut dyn_g = DynGraph::from_digraph(&g);
-        let mut dp = PatternState::new(&dyn_g, q.clone(), IncrementalConfig::new(3)).unwrap();
-        let mut bfs = PatternState::new(&dyn_g, q, starved).unwrap();
+        let mut dp = PatternState::new(&dyn_g, q.clone(), IncrementalConfig::new(3));
+        let mut bfs = PatternState::new(&dyn_g, q, starved);
         assert_eq!(dp.reach_mode(), "maintained");
         assert_eq!(bfs.reach_mode(), "engine");
         assert_eq!(bfs.maintained_bytes(), 0);

@@ -117,8 +117,7 @@ fn run_stream(kind: StreamKind, seed: u64, trials: usize, steps: usize) {
         let q = random_pattern(&mut rng, 3);
         let k = rng.random_range(1..5usize);
         let lambda = rng.random_range(0.0..1.0f64);
-        let mut m =
-            DynamicMatcher::new(&g, q.clone(), IncrementalConfig::new(k).lambda(lambda)).unwrap();
+        let mut m = DynamicMatcher::new(&g, q.clone(), IncrementalConfig::new(k).lambda(lambda));
         assert_agrees(&mut m, k, lambda, &format!("trial {trial} init"));
         for step in 0..steps {
             let delta = random_delta(&mut rng, m.graph(), kind);
@@ -200,7 +199,7 @@ fn matcher_equals_registry_of_one(kind: StreamKind, seed: u64, trials: usize, st
         let k = rng.random_range(1..5usize);
         let cfg = IncrementalConfig::new(k);
 
-        let mut m = DynamicMatcher::new(&g, undispatchable(&q), cfg.clone()).unwrap();
+        let mut m = DynamicMatcher::new(&g, undispatchable(&q), cfg.clone());
         m.set_telemetry(Telemetry::on());
         let mut reg = PatternRegistry::new(&g);
         reg.set_telemetry(Telemetry::on());
@@ -253,7 +252,7 @@ fn forced_incremental_path_agrees() {
         let q = random_pattern(&mut rng, 3);
         let mut cfg = IncrementalConfig::new(3);
         cfg.max_dirty_fraction = f64::INFINITY;
-        let mut m = DynamicMatcher::new(&g, q, cfg).unwrap();
+        let mut m = DynamicMatcher::new(&g, q, cfg);
         for step in 0..10 {
             let delta = random_delta(&mut rng, m.graph(), StreamKind::Mixed);
             m.apply(&delta).unwrap();
@@ -276,7 +275,7 @@ fn tombstone_keeps_surviving_ancestors_fresh() {
     let q = label_pattern(&[0, 1], &[(0, 1)], 0).unwrap();
     let mut cfg = IncrementalConfig::new(2);
     cfg.max_dirty_fraction = f64::INFINITY;
-    let mut m = DynamicMatcher::new(&g, q, cfg).unwrap();
+    let mut m = DynamicMatcher::new(&g, q, cfg);
     assert_eq!(m.top_k().matches[0].relevance, 2);
 
     m.apply(&GraphDelta::new().remove_node(1)).unwrap();
@@ -295,7 +294,7 @@ fn attribute_patterns_are_maintained() {
     b.node("V", Predicate::labeled(0, [Predicate::attr("views", CmpOp::Gt, 10i64)]));
     b.output(0).unwrap();
     let q = b.build().unwrap();
-    let mut m = DynamicMatcher::new(&g, q, IncrementalConfig::new(2)).unwrap();
+    let mut m = DynamicMatcher::new(&g, q, IncrementalConfig::new(2));
     assert!(m.top_k().nodes().is_empty(), "no node carries `views` yet");
     assert_agrees(&mut m, 2, 0.5, "attr pattern before any attribute lands");
 
@@ -317,7 +316,7 @@ fn attribute_patterns_are_maintained() {
 fn invalid_delta_leaves_state_intact() {
     let g = graph_from_parts(&[0, 1], &[(0, 1)]).unwrap();
     let q = label_pattern(&[0, 1], &[(0, 1)], 0).unwrap();
-    let mut m = DynamicMatcher::new(&g, q, IncrementalConfig::new(2)).unwrap();
+    let mut m = DynamicMatcher::new(&g, q, IncrementalConfig::new(2));
     let before = m.top_k();
     assert!(m.apply(&GraphDelta::new().add_edge(0, 99)).is_err());
     assert_eq!(m.top_k().nodes(), before.nodes());

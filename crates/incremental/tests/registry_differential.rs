@@ -231,7 +231,7 @@ fn run_differential(spec: &StreamSpec, seed: u64, trials: usize, forced: bool) {
                 cfg.max_dirty_fraction = f64::INFINITY;
             }
             let id = reg.register(q.clone(), cfg.clone()).unwrap();
-            matchers.push(DynamicMatcher::new(&g, q, cfg).unwrap());
+            matchers.push(DynamicMatcher::new(&g, q, cfg));
             handles.push((id, k, lambda));
         }
 
@@ -333,15 +333,24 @@ fn stress_structural_differential() {
 /// Relevance-only pattern nobody asks a diversified answer of, hold no
 /// table; the roomy registry does. Patterns registered mid-stream build
 /// their state from the graph's shared snapshot.
+///
+/// A third registry checks the budget against measured bytes: each of its
+/// patterns gets a budget drawn between half and one and a half times
+/// what the roomy twin holds (`maintained_bytes + distance_bytes`) after
+/// its first diversified answer. After every call its held bytes stay
+/// inside that budget, its answers equal the other two, and calls land on
+/// both sides of the keep/drop boundary of the table.
 #[test]
 fn stored_distances_equal_a_zero_budget_twin_and_static() {
     let mut rng = StdRng::seed_from_u64(0x5EED_0D01);
     let mut tables_kept = 0usize;
+    let (mut measured_kept, mut measured_dropped) = (0usize, 0usize);
     for trial in 0..24 {
         let n = rng.random_range(20..40usize);
         let g = random_attr_graph(&mut rng, n, 4);
         let mut kept = PatternRegistry::new(&g);
         let mut starved = PatternRegistry::new(&g);
+        let mut measured = PatternRegistry::new(&g);
         let relevance_only =
             kept.register(random_attr_pattern(&mut rng), IncrementalConfig::new(3)).unwrap();
         let mut patterns = Vec::new();
@@ -371,29 +380,55 @@ fn stored_distances_equal_a_zero_budget_twin_and_static() {
                 let cfg = IncrementalConfig::new(k).lambda(lambda);
                 let mut zero = cfg.clone();
                 zero.reach.budget_bytes = 0;
-                let a = kept.register(q.clone(), cfg).unwrap();
+                let a = kept.register(q.clone(), cfg.clone()).unwrap();
                 let b = starved.register(q.clone(), zero).unwrap();
-                patterns.push((q, k, lambda, a, b));
+                kept.top_k_diversified(a).unwrap();
+                let held = kept.pattern_info(a).unwrap();
+                let budget = (held.maintained_bytes + held.distance_bytes)
+                    * rng.random_range(50..150usize)
+                    / 100;
+                let mut drawn = cfg;
+                drawn.reach.budget_bytes = budget;
+                let c = measured.register(q.clone(), drawn).unwrap();
+                patterns.push((q, k, lambda, a, b, c, budget));
             }
             kept.apply(delta).unwrap();
             starved.apply(delta).unwrap();
+            measured.apply(delta).unwrap();
             let snap = kept.snapshot();
-            for (i, (q, k, lambda, a, b)) in patterns.iter().enumerate() {
+            for (i, (q, k, lambda, a, b, c, budget)) in patterns.iter().enumerate() {
                 let ctx = format!("trial {trial} step {step} pattern {i}");
                 let x = kept.top_k_diversified(*a).unwrap();
                 let y = starved.top_k_diversified(*b).unwrap();
+                let w = measured.top_k_diversified(*c).unwrap();
                 let z = top_k_diversified(&snap, q, &DivConfig::new(*k, *lambda));
                 assert_eq!(x.nodes(), y.nodes(), "kept vs zero budget: {ctx}");
                 assert_eq!(x.f_value.to_bits(), y.f_value.to_bits(), "kept vs zero budget: {ctx}");
+                assert_eq!(x.nodes(), w.nodes(), "kept vs drawn budget: {ctx}");
+                assert_eq!(x.f_value.to_bits(), w.f_value.to_bits(), "kept vs drawn budget: {ctx}");
                 assert_eq!(x.nodes(), z.nodes(), "kept vs static: {ctx}");
                 assert_eq!(x.f_value.to_bits(), z.f_value.to_bits(), "kept vs static: {ctx}");
                 assert_eq!(starved.pattern_info(*b).unwrap().distance_bytes, 0, "{ctx}");
-                tables_kept += usize::from(kept.pattern_info(*a).unwrap().distance_bytes > 0);
+                let roomy = kept.pattern_info(*a).unwrap().distance_bytes;
+                tables_kept += usize::from(roomy > 0);
+                let held = measured.pattern_info(*c).unwrap();
+                assert!(
+                    held.maintained_bytes + held.distance_bytes <= *budget,
+                    "{} + {} bytes held over a {budget}-byte budget: {ctx}",
+                    held.maintained_bytes,
+                    held.distance_bytes
+                );
+                measured_kept += usize::from(held.distance_bytes > 0);
+                measured_dropped += usize::from(held.distance_bytes == 0 && roomy > 0);
             }
             assert_eq!(kept.pattern_info(relevance_only).unwrap().distance_bytes, 0);
         }
     }
     assert!(tables_kept > 100, "only {tables_kept} answers read a stored table");
+    assert!(
+        measured_kept > 20 && measured_dropped > 20,
+        "drawn budgets kept the table {measured_kept} times and dropped it {measured_dropped}"
+    );
 }
 
 /// An attr-only batch must be absorbed without any full rebuild: attribute
@@ -412,7 +447,7 @@ fn attr_only_batches_stay_incremental() {
             let q = random_attr_pattern(&mut rng);
             let cfg = IncrementalConfig::new(3);
             let id = reg.register(q.clone(), cfg.clone()).unwrap();
-            pairs.push((id, DynamicMatcher::new(&g, q, cfg).unwrap()));
+            pairs.push((id, DynamicMatcher::new(&g, q, cfg)));
         }
         let stream = update_stream(
             &g,
@@ -530,7 +565,7 @@ fn midstream_register_and_deregister_agree() {
             let (k, lambda) = (rng.random_range(1..4usize), 0.5);
             let cfg = IncrementalConfig::new(k).lambda(lambda);
             let id = reg.register(q.clone(), cfg.clone()).unwrap();
-            live.push((id, DynamicMatcher::new(&g, q, cfg).unwrap(), k, lambda));
+            live.push((id, DynamicMatcher::new(&g, q, cfg), k, lambda));
         }
 
         let stream = update_stream(
@@ -561,7 +596,7 @@ fn midstream_register_and_deregister_agree() {
                 let (k, lambda) = (rng.random_range(1..4usize), rng.random_range(0.0..1.0f64));
                 let cfg = IncrementalConfig::new(k).lambda(lambda);
                 let id = reg.register(q.clone(), cfg.clone()).unwrap();
-                let twin = DynamicMatcher::new(&reg.snapshot(), q, cfg).unwrap();
+                let twin = DynamicMatcher::new(&reg.snapshot(), q, cfg);
                 live.push((id, twin, k, lambda));
             }
             if step == 5 {
@@ -743,8 +778,8 @@ fn bounded_and_unbounded_matchers_agree() {
             assert!(bounded_cfg.bounds, "bounds are on by default");
             let mut plain_cfg = bounded_cfg.clone();
             plain_cfg.bounds = false;
-            let mut bounded = DynamicMatcher::new(&g, q.clone(), bounded_cfg).unwrap();
-            let mut plain = DynamicMatcher::new(&g, q, plain_cfg).unwrap();
+            let mut bounded = DynamicMatcher::new(&g, q.clone(), bounded_cfg);
+            let mut plain = DynamicMatcher::new(&g, q, plain_cfg);
             assert_eq!(bounded.bound_mode(), "per-component");
             assert_eq!(plain.bound_mode(), "off", "disabled bounds report off");
 
@@ -815,7 +850,7 @@ fn dominated_outputs_are_pruned_and_revived() {
     let q = label_pattern(&[0, 1], &[(0, 1)], 0).unwrap();
     let mut cfg = IncrementalConfig::new(2);
     cfg.max_dirty_fraction = f64::INFINITY;
-    let mut m = DynamicMatcher::new(&g, q, cfg).unwrap();
+    let mut m = DynamicMatcher::new(&g, q, cfg);
     assert_eq!(m.bound_mode(), "per-component");
     assert_eq!(m.top_k().nodes(), vec![10, 11]);
 
@@ -875,7 +910,7 @@ fn bound_index_never_rebuilds_on_attr_or_tombstone_batches() {
             let q = if attrs { random_attr_pattern(&mut rng) } else { random_pattern(&mut rng) };
             let mut cfg = IncrementalConfig::new(3);
             cfg.max_dirty_fraction = f64::INFINITY;
-            let mut m = DynamicMatcher::new(&g, q, cfg).unwrap();
+            let mut m = DynamicMatcher::new(&g, q, cfg);
             let stream = update_stream(
                 &g,
                 &UpdateStreamConfig {

@@ -49,7 +49,7 @@ fn k_zero_diversified_answers_are_empty() {
     let g = graph_from_parts(&[0, 0, 1, 1], &[(0, 2), (1, 3)]).unwrap();
     let q = label_pattern(&[0, 1], &[(0, 1)], 0).unwrap();
 
-    let mut m = DynamicMatcher::new(&g, q.clone(), IncrementalConfig::new(0)).unwrap();
+    let mut m = DynamicMatcher::new(&g, q.clone(), IncrementalConfig::new(0));
     assert!(m.top_k_diversified().matches.is_empty());
     m.apply(&GraphDelta::new().add_edge(0, 3)).unwrap();
     let div = m.diversified(1.0);
@@ -175,7 +175,7 @@ fn tombstone_heavy_stream_agrees_everywhere() {
     let q = label_pattern(&[0, 1, 2], &[(0, 1), (1, 2)], 0).unwrap();
     let mut reg = PatternRegistry::new(&base);
     let id = reg.register(q.clone(), forced(3)).unwrap();
-    let mut m = DynamicMatcher::new(&base, q.clone(), forced(3)).unwrap();
+    let mut m = DynamicMatcher::new(&base, q.clone(), forced(3));
 
     let stream = update_stream(
         &base,
@@ -279,7 +279,7 @@ fn giant_pattern_refresh_equals_a_static_recompute() {
     let q = label_pattern(&[0, 1], &[(0, 1), (1, 0)], 0).unwrap();
 
     let mut cfg = forced(8);
-    cfg.reach = gpm_ranking::ReachConfig { budget_bytes: 0, threads: 1 };
+    cfg.reach.budget_bytes = 0;
     let mut reg = PatternRegistry::new(&g);
     let id = reg.register(q.clone(), cfg).unwrap();
     reg.register(q.clone(), forced(3)).unwrap();

@@ -83,6 +83,9 @@ impl PatternBuilder {
         if self.predicates.is_empty() {
             return Err(PatternError::Empty);
         }
+        if self.predicates.len() > Pattern::MAX_NODES {
+            return Err(PatternError::TooManyNodes(self.predicates.len()));
+        }
         let output = self.output.ok_or(PatternError::NoOutput)?;
         // Reject duplicate non-empty names: name-based lookups must be
         // unambiguous.
@@ -161,6 +164,19 @@ mod tests {
         b.node("A", Predicate::Label(0));
         assert_eq!(b.edge_by_name("A", "B").unwrap_err(), PatternError::UnknownNode("B".into()));
         assert_eq!(b.output_by_name("Z").unwrap_err(), PatternError::UnknownNode("Z".into()));
+    }
+
+    /// The size limit is enforced where a pattern is built, so nothing
+    /// downstream ever sees a pattern it cannot represent.
+    #[test]
+    fn refuses_more_than_max_nodes() {
+        let chain = |n: u32| {
+            let edges: Vec<(u32, u32)> = (1..n).map(|i| (i - 1, i)).collect();
+            label_pattern(&vec![0; n as usize], &edges, 0)
+        };
+        let n = Pattern::MAX_NODES as u32;
+        assert_eq!(chain(n).unwrap().node_count(), 64);
+        assert_eq!(chain(n + 1).unwrap_err(), PatternError::TooManyNodes(65));
     }
 
     #[test]

@@ -2,6 +2,8 @@
 
 use std::fmt;
 
+use crate::pattern::Pattern;
+
 /// Errors raised while building or validating a pattern.
 #[derive(Debug, PartialEq, Eq)]
 pub enum PatternError {
@@ -15,6 +17,8 @@ pub enum PatternError {
     UnknownNode(String),
     /// An edge referenced an out-of-range node id.
     UnknownNodeId(u32),
+    /// The pattern has more than [`Pattern::MAX_NODES`] nodes (the count).
+    TooManyNodes(usize),
 }
 
 impl fmt::Display for PatternError {
@@ -25,6 +29,9 @@ impl fmt::Display for PatternError {
             PatternError::DuplicateName(n) => write!(f, "duplicate pattern node name {n:?}"),
             PatternError::UnknownNode(n) => write!(f, "unknown pattern node {n:?}"),
             PatternError::UnknownNodeId(id) => write!(f, "unknown pattern node id {id}"),
+            PatternError::TooManyNodes(n) => {
+                write!(f, "pattern has {n} nodes; at most {} are supported", Pattern::MAX_NODES)
+            }
         }
     }
 }
@@ -42,5 +49,6 @@ mod tests {
         assert!(PatternError::DuplicateName("PM".into()).to_string().contains("PM"));
         assert!(PatternError::UnknownNode("X".into()).to_string().contains('X'));
         assert!(PatternError::UnknownNodeId(4).to_string().contains('4'));
+        assert!(PatternError::TooManyNodes(65).to_string().contains("65"));
     }
 }

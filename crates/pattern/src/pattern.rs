@@ -22,6 +22,12 @@ pub struct Pattern {
 }
 
 impl Pattern {
+    /// Most nodes a pattern may have: candidate spaces keep one bit per
+    /// pattern node for each data node (the paper's largest pattern has
+    /// 10). [`PatternBuilder::build`](crate::PatternBuilder::build) refuses
+    /// larger patterns, so every algorithm may rely on it.
+    pub const MAX_NODES: usize = 64;
+
     /// Number of pattern nodes `|Vp|`.
     pub fn node_count(&self) -> usize {
         self.topology.node_count()

@@ -17,17 +17,16 @@
 //!   normalizer `Cuo`, plus the pairwise `F'` used by the 2-approximation
 //!   and the partial-information `F''` used by the early-termination
 //!   heuristic.
-//! * **Bound indexes** ([`bounds`]): upper bounds `h(uo,v) ≥ δr(uo,v)` that
-//!   drive Proposition 3 early termination, in three tightness/cost
-//!   variants.
+//! * **Bound index** ([`bounds`]): upper bounds `h(uo,v) ≥ δr(uo,v)` that
+//!   drive Proposition 3 early termination — strict-reach counts over the
+//!   output cone.
 //! * **Maintained condensation** ([`cond_state`]): the incremental
 //!   counterpart of [`reach_sets`] and [`bounds`] — component reach
 //!   bitsets `Full(c)` kept alive across deltas, each with its popcount
 //!   `h` beside it.
 //! * **Set-reachability core** ([`reach_sets`]): a shared
 //!   condensation-and-bitset dynamic program used by both relevant sets and
-//!   the tight bound index, with a memory budget and a parallel BFS
-//!   fallback.
+//!   the bound index, with a memory budget and a per-source BFS fallback.
 
 #![forbid(unsafe_code)]
 
@@ -40,9 +39,7 @@ pub mod reach_sets;
 pub mod relevance;
 pub mod relevant_set;
 
-pub use bounds::{
-    output_upper_bounds, output_upper_bounds_on_cone, BoundConfig, BoundStrategy, OutputBounds,
-};
+pub use bounds::{output_upper_bounds, output_upper_bounds_on_cone, BoundConfig, BoundStrategy};
 pub use cache::RelevanceCache;
 pub use cond_state::{CondPolicy, CondensationState, MaintainError, MaintainStats};
 pub use distance::{DistanceFn, JaccardDistance, MatchInfo, NeighborhoodDiversity};

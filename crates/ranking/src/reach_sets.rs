@@ -27,8 +27,8 @@
 //! If the estimated peak memory exceeds the budget, the engine degrades
 //! to per-source BFS over the pair graph — the same `O(|V|(|V|+|E|))`
 //! worst case the paper quotes with a bounded memory footprint —
-//! behind the **same** extraction interface; `extract_all` spreads the
-//! per-source traversals over [`ReachConfig::threads`] scoped threads.
+//! behind the **same** extraction interface. Both phases run on the
+//! calling thread.
 
 use std::collections::VecDeque;
 
@@ -36,14 +36,15 @@ use gpm_graph::{BitSet, Condensation};
 use gpm_simulation::ReachView;
 use gpm_telemetry::Span;
 
-/// Memory / execution policy for set-reachability computations.
+/// Memory policy for set-reachability computations.
 #[derive(Debug, Clone, Copy)]
 pub struct ReachConfig {
     /// Peak bytes allowed for materialized component bitsets before the
     /// computation falls back to per-source BFS.
     pub budget_bytes: usize,
-    /// Threads for batch extraction in BFS-fallback mode (0 = available
-    /// parallelism). DP extraction is bitset copies and stays sequential.
+    /// Ignored: the engine runs on the calling thread. Kept only because
+    /// the frozen `benchmark/` sets it (`benchmark/src/workloads/stream.rs`
+    /// and `static_paper.rs`); the next revision of `benchmark/` deletes it.
     pub threads: usize,
 }
 
@@ -70,7 +71,6 @@ enum Mode {
 pub struct ReachEngine<V> {
     view: V,
     sources: Vec<u32>,
-    m: usize,
     mode: Mode,
 }
 
@@ -91,12 +91,8 @@ impl<V: ReachView> ReachEngine<V> {
     pub fn prepare_traced(view: V, sources: Vec<u32>, cfg: &ReachConfig, span: &Span) -> Self {
         let m = view.universe_size();
         if sources.is_empty() {
-            return ReachEngine {
-                view,
-                sources,
-                m,
-                mode: Mode::Dp { sets: Vec::new(), of_source: Vec::new() },
-            };
+            let mode = Mode::Dp { sets: Vec::new(), of_source: Vec::new() };
+            return ReachEngine { view, sources, mode };
         }
         // Cheap bail-out: the DP retains at least one universe-wide
         // bitset, so a budget below that can skip the condensation the
@@ -105,7 +101,7 @@ impl<V: ReachView> ReachEngine<V> {
         let words = m.div_ceil(64);
         if words * 8 > cfg.budget_bytes {
             span.event("budget-bail-early");
-            return ReachEngine { view, sources, m, mode: Mode::Bfs };
+            return ReachEngine { view, sources, mode: Mode::Bfs };
         }
         let cond = {
             let _tarjan = span.child("tarjan");
@@ -153,7 +149,7 @@ impl<V: ReachView> ReachEngine<V> {
         let estimated = (needed_count + trivial_src).saturating_mul(words * 8);
         if estimated > cfg.budget_bytes {
             span.event("budget-bail-estimate");
-            return ReachEngine { view, sources, m, mode: Mode::Bfs };
+            return ReachEngine { view, sources, mode: Mode::Bfs };
         }
         let bitsets_span = span.child("bitsets");
 
@@ -247,7 +243,7 @@ impl<V: ReachView> ReachEngine<V> {
                 sets.len()
             ));
         }
-        ReachEngine { view, sources, m, mode: Mode::Dp { sets, of_source } }
+        ReachEngine { view, sources, mode: Mode::Dp { sets, of_source } }
     }
 
     /// `true` when the condensation DP ran; `false` when the memory budget
@@ -256,103 +252,52 @@ impl<V: ReachView> ReachEngine<V> {
         matches!(self.mode, Mode::Dp { .. })
     }
 
-    /// A per-thread extraction handle carrying reusable scratch (visited
-    /// bitset + queue for the BFS-fallback mode; nothing in DP mode) —
-    /// the fallback runs exactly when memory is tight, so it must not
-    /// churn an `O(pairs)`-bit allocation per source.
-    fn extractor(&self) -> ReachExtractor<'_, V> {
-        let scratch_bits = match self.mode {
-            Mode::Dp { .. } => 0,
-            Mode::Bfs => self.view.node_count(),
-        };
-        ReachExtractor { engine: self, visited: BitSet::new(scratch_bits), queue: VecDeque::new() }
-    }
-
     /// Count-only phase 2: `|strict-reach set|` of every source. In DP
     /// mode no set is cloned out and sources sharing a component share one
-    /// popcount; BFS mode extracts (honoring `threads`) and counts.
-    pub fn counts(&self, threads: usize) -> Vec<u64> {
+    /// popcount.
+    pub fn counts(&self) -> Vec<u64> {
         match &self.mode {
             Mode::Dp { sets, of_source } => {
                 let per_set: Vec<u64> = sets.iter().map(|s| s.count() as u64).collect();
                 of_source.iter().map(|&i| per_set[i as usize]).collect()
             }
-            Mode::Bfs => self.extract_all(threads).iter().map(|s| s.count() as u64).collect(),
+            Mode::Bfs => self.extract_all().iter().map(|s| s.count() as u64).collect(),
         }
     }
 
-    /// Extracts every source, honoring `threads` in BFS mode (DP
-    /// extraction is cheap clones and stays sequential).
-    pub fn extract_all(&self, threads: usize) -> Vec<BitSet> {
-        let n = self.sources.len();
-        if n == 0 {
-            return Vec::new();
-        }
-        let threads = match self.mode {
-            Mode::Dp { .. } => 1,
-            Mode::Bfs => if threads == 0 {
-                std::thread::available_parallelism().map(|p| p.get()).unwrap_or(1)
-            } else {
-                threads
-            }
-            .min(n),
-        };
-        if threads <= 1 {
-            let mut ex = self.extractor();
-            return (0..n).map(|i| ex.extract(i)).collect();
-        }
-        let mut out: Vec<BitSet> = (0..n).map(|_| BitSet::new(self.m)).collect();
-        let chunk = n.div_ceil(threads);
-        std::thread::scope(|scope| {
-            for (ci, out_chunk) in out.chunks_mut(chunk).enumerate() {
-                scope.spawn(move || {
-                    let mut ex = self.extractor();
-                    for (j, slot) in out_chunk.iter_mut().enumerate() {
-                        *slot = ex.extract(ci * chunk + j);
-                    }
-                });
-            }
-        });
-        out
-    }
-}
-
-/// A per-thread phase-2 handle over a prepared [`ReachEngine`]: shares
-/// the engine's retained sets read-only and owns the BFS scratch, so
-/// extracting a whole chunk of sources costs one scratch allocation.
-struct ReachExtractor<'a, V> {
-    engine: &'a ReachEngine<V>,
-    visited: BitSet,
-    queue: VecDeque<u32>,
-}
-
-impl<V: ReachView> ReachExtractor<'_, V> {
-    /// The strict-reachability set of source `i` as a fresh bitset over
+    /// Phase 2: the strict-reach set of every source, as fresh bitsets over
     /// the view's universe.
-    fn extract(&mut self, i: usize) -> BitSet {
-        match &self.engine.mode {
-            Mode::Dp { sets, of_source } => sets[of_source[i] as usize].clone(),
-            Mode::Bfs => self.bfs_from(self.engine.sources[i]),
+    pub fn extract_all(&self) -> Vec<BitSet> {
+        match &self.mode {
+            Mode::Dp { sets, of_source } => {
+                of_source.iter().map(|&i| sets[i as usize].clone()).collect()
+            }
+            Mode::Bfs => {
+                // The fallback runs exactly when memory is tight, so every
+                // source reuses one visited bitset and one queue.
+                let mut visited = BitSet::new(self.view.node_count());
+                let mut queue = VecDeque::new();
+                self.sources.iter().map(|&s| self.bfs_from(s, &mut visited, &mut queue)).collect()
+            }
         }
     }
 
     /// Strict reachability from `s` by plain BFS over the pair graph:
     /// seeded with the successors, so `s` itself only enters via a cycle.
-    fn bfs_from(&mut self, s: u32) -> BitSet {
-        let view = &self.engine.view;
-        let mut set = BitSet::new(self.engine.m);
-        self.visited.clear();
-        self.queue.clear();
+    fn bfs_from(&self, s: u32, visited: &mut BitSet, queue: &mut VecDeque<u32>) -> BitSet {
+        let view = &self.view;
+        let mut set = BitSet::new(view.universe_size());
+        visited.clear();
         for &w in view.successors_of(s) {
-            if self.visited.insert(w as usize) {
-                self.queue.push_back(w);
+            if visited.insert(w as usize) {
+                queue.push_back(w);
             }
         }
-        while let Some(p) = self.queue.pop_front() {
+        while let Some(p) = queue.pop_front() {
             set.insert(view.universe_pos(p));
             for &w in view.successors_of(p) {
-                if self.visited.insert(w as usize) {
-                    self.queue.push_back(w);
+                if visited.insert(w as usize) {
+                    queue.push_back(w);
                 }
             }
         }
@@ -369,7 +314,12 @@ mod tests {
 
     /// Every source's strict-reach set under `cfg`.
     fn sets(mg: &MatchGraph, sources: &[u32], cfg: &ReachConfig) -> Vec<BitSet> {
-        ReachEngine::prepare(mg, sources.to_vec(), cfg).extract_all(cfg.threads)
+        ReachEngine::prepare(mg, sources.to_vec(), cfg).extract_all()
+    }
+
+    /// A budget that forces the BFS fallback.
+    fn starved() -> ReachConfig {
+        ReachConfig { budget_bytes: 0, ..ReachConfig::default() }
     }
 
     /// Chain a→b→c with an extra b: R((A,0)) should be {1,2}, etc.
@@ -382,7 +332,7 @@ mod tests {
         let mg = MatchGraph::over_matches(&g, &q, &sim);
         let sources: Vec<u32> = (0..mg.len() as u32).collect();
         let dp = sets(&mg, &sources, &ReachConfig::default());
-        let bfs = sets(&mg, &sources, &ReachConfig { budget_bytes: 0, threads: 2 });
+        let bfs = sets(&mg, &sources, &starved());
         assert_eq!(dp.len(), bfs.len());
         for (a, b) in dp.iter().zip(&bfs) {
             assert_eq!(a, b);
@@ -401,16 +351,13 @@ mod tests {
         let sources: Vec<u32> = (0..mg.len() as u32).collect();
         let dp = ReachEngine::prepare(&mg, sources.clone(), &ReachConfig::default());
         assert!(dp.used_dp());
-        let bfs = ReachEngine::prepare(
-            &mg,
-            sources.clone(),
-            &ReachConfig { budget_bytes: 0, threads: 1 },
-        );
+        let bfs = ReachEngine::prepare(&mg, sources.clone(), &starved());
         assert!(!bfs.used_dp());
-        assert_eq!(dp.extract_all(1).len(), sources.len());
-        assert_eq!(dp.extract_all(1), bfs.extract_all(1));
+        assert_eq!(dp.extract_all().len(), sources.len());
+        assert_eq!(dp.extract_all(), bfs.extract_all());
+        assert_eq!(dp.counts(), bfs.counts());
         // Repeated extraction is legal (read-only phase 2).
-        assert_eq!(bfs.extract_all(1), bfs.extract_all(2));
+        assert_eq!(bfs.extract_all(), bfs.extract_all());
     }
 
     /// On a cycle, a pair reaches itself (strictness via nonempty path).
@@ -421,7 +368,7 @@ mod tests {
         let sim = compute_simulation(&g, &q);
         let mg = MatchGraph::over_matches(&g, &q, &sim);
         let sources: Vec<u32> = (0..mg.len() as u32).collect();
-        for cfg in [ReachConfig::default(), ReachConfig { budget_bytes: 0, threads: 1 }] {
+        for cfg in [ReachConfig::default(), starved()] {
             let sets = sets(&mg, &sources, &cfg);
             for s in &sets {
                 assert_eq!(s.count(), 2, "both data nodes reachable, incl. self");
@@ -439,10 +386,10 @@ mod tests {
         let leaf = mg.compact_of(sim.space().pair_id(1, 1).unwrap()).unwrap();
         let root = mg.compact_of(sim.space().pair_id(0, 0).unwrap()).unwrap();
         let engine = ReachEngine::prepare(&mg, vec![leaf, root], &ReachConfig::default());
-        let sets = engine.extract_all(1);
+        let sets = engine.extract_all();
         assert!(sets[0].is_empty());
         assert_eq!(sets[1].count(), 1);
-        assert_eq!(engine.counts(1), vec![0, 1]);
+        assert_eq!(engine.counts(), vec![0, 1]);
     }
 
     #[test]
@@ -476,17 +423,12 @@ mod tests {
         assert!(bitsets.detail.contains("components="));
 
         let root = t.root_span("prepare");
-        let bfs = ReachEngine::prepare_traced(
-            &mg,
-            sources.clone(),
-            &ReachConfig { budget_bytes: 0, threads: 1 },
-            &root,
-        );
+        let bfs = ReachEngine::prepare_traced(&mg, sources.clone(), &starved(), &root);
         assert!(!bfs.used_dp());
         let trace = t.finish_batch(root, 1).expect("enabled");
         assert!(trace.spans[0].events.iter().any(|(_, e)| e == "budget-bail-early"));
         assert_eq!(trace.spans_named("tarjan").count(), 0, "early bail skips Tarjan");
-        assert_eq!(dp.extract_all(1), bfs.extract_all(1), "tracing never changes answers");
+        assert_eq!(dp.extract_all(), bfs.extract_all(), "tracing never changes answers");
     }
 
     /// Shared-node diamond: distinct pairs with the same data node must not

@@ -36,7 +36,7 @@ impl RelevantSets {
         Self::compute_with(g, q, sim, &ReachConfig::default())
     }
 
-    /// As [`RelevantSets::compute`] with an explicit memory/thread policy.
+    /// As [`RelevantSets::compute`] with an explicit memory policy.
     pub fn compute_with(g: &DiGraph, q: &Pattern, sim: &SimRelation, cfg: &ReachConfig) -> Self {
         if !sim.graph_matches() {
             return RelevantSets::default();
@@ -50,7 +50,7 @@ impl RelevantSets {
                 mg.compact_of(p).expect("match pair is in the match graph")
             })
             .collect();
-        let sets = ReachEngine::prepare(&mg, sources, cfg).extract_all(cfg.threads);
+        let sets = ReachEngine::prepare(&mg, sources, cfg).extract_all();
         RelevantSets { matches, sets, universe: mg.universe().to_vec() }
     }
 
@@ -116,7 +116,7 @@ pub fn relevant_set_of_pair(
     }
     let mg = MatchGraph::over_matches(g, q, sim);
     let c = mg.compact_of(sim.space().pair_id(u, v)?)?;
-    let sets = ReachEngine::prepare(&mg, vec![c], &ReachConfig::default()).extract_all(1);
+    let sets = ReachEngine::prepare(&mg, vec![c], &ReachConfig::default()).extract_all();
     Some(sets[0].iter().map(|pos| mg.universe()[pos]).collect())
 }
 

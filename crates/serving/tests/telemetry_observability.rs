@@ -26,7 +26,7 @@ fn refresh_batch_is_fully_observable() {
 
     let mut cfg = IncrementalConfig::new(8);
     cfg.max_dirty_fraction = f64::INFINITY;
-    cfg.reach = gpm_ranking::ReachConfig { budget_bytes: 0, threads: 1 };
+    cfg.reach.budget_bytes = 0;
 
     let mut svc = AnswerService::new(
         &g,

@@ -21,27 +21,19 @@ pub struct CandidateSpace {
     /// Prefix sums: pair id of `(u, i)` is `offset[u] + i`.
     offset: Vec<u32>,
     /// Bitmask per data node: bit `u` set iff the node is a candidate of
-    /// pattern node `u` (patterns have ≤ 64 nodes — the paper's largest is
-    /// 10). Enables O(1) "is `w` a candidate of `u'`?" tests during
+    /// pattern node `u` (a pattern has at most [`Pattern::MAX_NODES`] = 64
+    /// nodes). Enables O(1) "is `w` a candidate of `u'`?" tests during
     /// refinement.
     mask: Vec<u64>,
 }
 
 impl CandidateSpace {
-    /// Maximum pattern size supported by the bitmask representation.
-    pub const MAX_PATTERN_NODES: usize = 64;
-
     /// Enumerates candidates of every pattern node.
     ///
     /// Pure-label predicates use the graph's label index (`O(|can|)`); other
     /// predicates scan the label class when a primary label is implied, or
     /// all nodes otherwise.
     pub fn compute(g: &DiGraph, q: &Pattern) -> Self {
-        assert!(
-            q.node_count() <= Self::MAX_PATTERN_NODES,
-            "patterns with more than {} nodes are not supported",
-            Self::MAX_PATTERN_NODES
-        );
         let mut cand: Vec<Vec<NodeId>> = Vec::with_capacity(q.node_count());
         for u in q.nodes() {
             let pred = q.predicate(u);

@@ -2,10 +2,9 @@
 //!
 //! The static pipeline materializes a [`MatchGraph`](crate::MatchGraph)
 //! from a CSR snapshot per query; the dynamic path instead maintains an
-//! [`IncSimState`](crate::IncSimState) against a mutable
-//! [`DynGraph`](gpm_graph::DynGraph). This view gives the simulation's
+//! [`IncSimState`] against a mutable [`DynGraph`]. This view gives the simulation's
 //! **alive pairs** sorted adjacency and implements
-//! [`ReachView`](crate::ReachView), so the shared condensation-and-bitset
+//! [`ReachView`], so the shared condensation-and-bitset
 //! DP (`gpm-ranking::reach_sets`) is the single reach engine for both
 //! worlds.
 //!
@@ -425,7 +424,7 @@ mod tests {
         let mg = MatchGraph::over_matches(&g0, &q, &sim);
 
         let dg = DynGraph::from_digraph(&g0);
-        let inc = IncSimState::new(&dg, &q).unwrap();
+        let inc = IncSimState::new(&dg, &q);
         let view = DynMatchGraph::over_alive(&dg, &q, &inc);
 
         assert_eq!(view.alive_count(), mg.len());
@@ -452,7 +451,7 @@ mod tests {
         let g0 = graph_from_parts(&[0, 1, 1], &[(0, 1)]).unwrap();
         let q = label_pattern(&[0, 1], &[(0, 1)], 0).unwrap();
         let dg = DynGraph::from_digraph(&g0);
-        let inc = IncSimState::new(&dg, &q).unwrap();
+        let inc = IncSimState::new(&dg, &q);
         let view = DynMatchGraph::over_alive(&dg, &q, &inc);
         // (A,0), (B,1), (B,2): all structurally alive (B is a leaf).
         assert_eq!(view.len(), 3);
@@ -515,7 +514,7 @@ mod tests {
         let g0 = graph_from_parts(&[0, 1, 0, 1], &[(0, 1), (1, 2), (2, 3), (3, 0)]).unwrap();
         let q = label_pattern(&[0, 1], &[(0, 1), (1, 0)], 0).unwrap();
         let mut dg = DynGraph::from_digraph(&g0);
-        let mut sim = IncSimState::new(&dg, &q).unwrap();
+        let mut sim = IncSimState::new(&dg, &q);
         sim.take_dirty();
         let mut view = DynMatchGraph::over_alive(&dg, &q, &sim);
         let slots_before = view.len();
@@ -541,7 +540,7 @@ mod tests {
         let g0 = graph_from_parts(&[0, 1, 2, 1, 2], &[(0, 1), (0, 3), (3, 4)]).unwrap();
         let q = label_pattern(&[0, 1, 2], &[(0, 1), (1, 2)], 0).unwrap();
         let mut dg = DynGraph::from_digraph(&g0);
-        let mut sim = IncSimState::new(&dg, &q).unwrap();
+        let mut sim = IncSimState::new(&dg, &q);
         let mut view = DynMatchGraph::over_alive(&dg, &q, &sim);
         let (a0, b1) = (sim.slot_of(0, 0).unwrap(), sim.slot_of(1, 1).unwrap());
         assert!(view.is_alive(a0) && !view.is_alive(b1));
@@ -575,7 +574,7 @@ mod tests {
         b.output(0).unwrap();
         let q = b.build().unwrap();
         let mut dg = DynGraph::from_digraph(&g0);
-        let mut sim = IncSimState::new(&dg, &q).unwrap();
+        let mut sim = IncSimState::new(&dg, &q);
         let mut view = DynMatchGraph::over_alive(&dg, &q, &sim);
         assert!(sim.slot_of(1, 1).is_none(), "no k yet: never a candidate");
 
@@ -671,7 +670,7 @@ mod tests {
             let q = b.build().unwrap();
 
             let mut dg = DynGraph::from_digraph(&g0);
-            let mut sim = IncSimState::new(&dg, &q).unwrap();
+            let mut sim = IncSimState::new(&dg, &q);
             let mut view = DynMatchGraph::over_alive(&dg, &q, &sim);
             for raw in &batches {
                 let delta = decode(&dg, raw);

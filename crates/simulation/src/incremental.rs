@@ -88,15 +88,10 @@ impl IncSimState {
     /// from a static refinement run. Full [`Predicate`](gpm_pattern::Predicate)
     /// trees are supported — the snapshot carries the graph's attribute
     /// tables, so candidate enumeration evaluates attribute conditions
-    /// exactly like the static pipeline. Returns `None` only for patterns
-    /// beyond the candidate bitmask width
-    /// ([`CandidateSpace::MAX_PATTERN_NODES`]). The snapshot is the
-    /// graph's [`DynGraph::shared_snapshot`], so states built between two
-    /// batches share one copy.
-    pub fn new(g: &DynGraph, q: &Pattern) -> Option<Self> {
-        if q.node_count() > CandidateSpace::MAX_PATTERN_NODES {
-            return None;
-        }
+    /// exactly like the static pipeline. The snapshot is the graph's
+    /// [`DynGraph::shared_snapshot`], so states built between two batches
+    /// share one copy.
+    pub fn new(g: &DynGraph, q: &Pattern) -> Self {
         let snapshot = g.shared_snapshot();
         let space = CandidateSpace::compute(&snapshot, q);
         let rs = refine_state(&snapshot, q, &space);
@@ -134,7 +129,7 @@ impl IncSimState {
                 state.alive_count[ui] += usize::from(state.alive[s as usize]);
             }
         }
-        Some(state)
+        state
     }
 
     // ------------------------------------------------------------ queries
@@ -680,7 +675,7 @@ mod tests {
         let g0 = graph_from_parts(&[0, 1, 2], &[(0, 1), (1, 2)]).unwrap();
         let q = label_pattern(&[0, 1, 2], &[(0, 1), (1, 2)], 0).unwrap();
         let mut g = DynGraph::from_digraph(&g0);
-        let mut s = IncSimState::new(&g, &q).unwrap();
+        let mut s = IncSimState::new(&g, &q);
         assert_eq!(s.output_matches(&q), vec![0]);
         check_equiv(&mut g, &mut s, &q, &GraphDelta::new().remove_edge(1, 2));
         assert!(s.output_matches(&q).is_empty());
@@ -695,7 +690,7 @@ mod tests {
         let g0 = graph_from_parts(&[0], &[(0, 0)]).unwrap();
         let q = label_pattern(&[0, 0], &[(0, 1), (1, 0)], 0).unwrap();
         let mut g = DynGraph::from_digraph(&g0);
-        let mut s = IncSimState::new(&g, &q).unwrap();
+        let mut s = IncSimState::new(&g, &q);
         assert_eq!(s.output_matches(&q), vec![0]);
         check_equiv(&mut g, &mut s, &q, &GraphDelta::new().remove_edge(0, 0));
         assert!(s.output_matches(&q).is_empty());
@@ -710,7 +705,7 @@ mod tests {
         let g0 = graph_from_parts(&[0, 1], &[(0, 1)]).unwrap();
         let q = label_pattern(&[0, 1], &[(0, 1), (1, 0)], 0).unwrap();
         let mut g = DynGraph::from_digraph(&g0);
-        let mut s = IncSimState::new(&g, &q).unwrap();
+        let mut s = IncSimState::new(&g, &q);
         assert!(s.output_matches(&q).is_empty());
         check_equiv(&mut g, &mut s, &q, &GraphDelta::new().add_edge(1, 0));
         assert_eq!(s.output_matches(&q), vec![0]);
@@ -721,7 +716,7 @@ mod tests {
         let g0 = graph_from_parts(&[0, 1], &[(0, 1)]).unwrap();
         let q = label_pattern(&[0, 1], &[(0, 1)], 0).unwrap();
         let mut g = DynGraph::from_digraph(&g0);
-        let mut s = IncSimState::new(&g, &q).unwrap();
+        let mut s = IncSimState::new(&g, &q);
         // Add a fresh `a` node wired to a fresh `b` node.
         check_equiv(&mut g, &mut s, &q, &GraphDelta::new().add_node(0).add_node(1).add_edge(2, 3));
         assert_eq!(s.output_matches(&q), vec![0, 2]);
@@ -756,7 +751,7 @@ mod tests {
             }
             let q = label_pattern(&plabels, &pedges, 0).unwrap();
             let mut g = DynGraph::from_digraph(&g0);
-            let Some(mut s) = IncSimState::new(&g, &q) else { panic!("pure label") };
+            let mut s = IncSimState::new(&g, &q);
             for step in 0..10 {
                 let mut delta = GraphDelta::new();
                 for _ in 0..rng.random_range(1..4usize) {
@@ -802,7 +797,7 @@ mod tests {
         let g0 = graph_from_parts(&[0, 1, 2], &[(0, 1), (1, 2)]).unwrap();
         let q = attr_chain_pattern();
         let mut g = DynGraph::from_digraph(&g0);
-        let mut s = IncSimState::new(&g, &q).unwrap();
+        let mut s = IncSimState::new(&g, &q);
         assert!(s.output_matches(&q).is_empty(), "node 1 has no k0 yet");
         assert_eq!(s.candidate_count(1), 0);
 
@@ -843,7 +838,7 @@ mod tests {
 
         let g0 = graph_from_parts(&[0, 1], &[(0, 1), (1, 0)]).unwrap();
         let mut g = DynGraph::from_digraph(&g0);
-        let mut s = IncSimState::new(&g, &q).unwrap();
+        let mut s = IncSimState::new(&g, &q);
         assert!(s.output_matches(&q).is_empty());
         check_equiv(&mut g, &mut s, &q, &GraphDelta::new().set_attr(1, "k0", 1i64));
         assert_eq!(s.output_matches(&q), vec![0]);
@@ -859,7 +854,7 @@ mod tests {
         let g0 = graph_from_parts(&[0, 2], &[]).unwrap();
         let q = attr_chain_pattern();
         let mut g = DynGraph::from_digraph(&g0);
-        let mut s = IncSimState::new(&g, &q).unwrap();
+        let mut s = IncSimState::new(&g, &q);
         check_equiv(
             &mut g,
             &mut s,
@@ -937,7 +932,7 @@ mod tests {
             let q = pb.build().unwrap();
 
             let mut g = DynGraph::from_digraph(&g0);
-            let mut s = IncSimState::new(&g, &q).unwrap();
+            let mut s = IncSimState::new(&g, &q);
             for _step in 0..8 {
                 let mut delta = GraphDelta::new();
                 for _ in 0..rng.random_range(1..4usize) {
@@ -980,7 +975,7 @@ mod tests {
         let g0 = graph_from_parts(&[0, 1, 1], &[(0, 1)]).unwrap();
         let q = label_pattern(&[0, 1], &[(0, 1)], 0).unwrap();
         let mut g = DynGraph::from_digraph(&g0);
-        let mut s = IncSimState::new(&g, &q).unwrap();
+        let mut s = IncSimState::new(&g, &q);
         s.take_dirty();
         check_equiv(&mut g, &mut s, &q, &GraphDelta::new().add_edge(0, 2));
         // (B,2) was already alive as a leaf? No: B has no pattern
@@ -999,7 +994,7 @@ mod tests {
         let g0 = graph_from_parts(&[0, 1, 2], &[(0, 1), (1, 2)]).unwrap();
         let q = label_pattern(&[0, 1, 2], &[(0, 1), (1, 2)], 0).unwrap();
         let g = DynGraph::from_digraph(&g0);
-        let mut s = IncSimState::new(&g, &q).unwrap();
+        let mut s = IncSimState::new(&g, &q);
         assert_eq!(s.check_invariants(&g, &q), Ok(()));
         let b = s.slot_of(1, 1).expect("(1,1) is a candidate pair");
         s.cnt[s.cbase[b as usize] as usize] += 1;

@@ -50,8 +50,7 @@ fn main() {
         q.edge_count()
     );
 
-    let mut m = DynamicMatcher::new(&g, q, IncrementalConfig::new(2).lambda(0.5))
-        .expect("Fig. 1 pattern is maintainable");
+    let mut m = DynamicMatcher::new(&g, q, IncrementalConfig::new(2).lambda(0.5));
     let initial = m.top_k();
     assert_eq!(initial.total_relevance(), 14, "the paper's Example 3 numbers");
     show("initial network (paper Example 3)", &initial, &mut m);

@@ -35,7 +35,7 @@
 //! | [`graph`] | CSR graphs, SCC condensation, bitsets, reachability |
 //! | [`pattern`] | patterns with output node and attribute predicates |
 //! | [`simulation`] | maximum simulation `M(Q,G)`, match graph |
-//! | [`ranking`] | relevant sets, `δr`/`δd`/`F`, bound indexes |
+//! | [`ranking`] | relevant sets, `δr`/`δd`/`F`, bound index |
 //! | [`core`] | `Match`, `TopKDAG`, `TopK`, `TopKDiv`, `TopKDH` |
 //! | [`incremental`] | `DynamicMatcher`: top-k maintained under graph deltas |
 //! | [`serving`] | streaming answer service: subscriptions, delta log, versioned answers |
@@ -71,7 +71,6 @@ pub mod prelude {
         AnswerChange, DynamicMatcher, IncrementalConfig, PatternId, PatternRegistry, RegistryStats,
     };
     pub use gpm_pattern::{CmpOp, Pattern, PatternBuilder, Predicate};
-    pub use gpm_ranking::bounds::BoundStrategy;
     pub use gpm_serving::{
         AdminServer, AnswerService, AnswerUpdate, Auditor, AuditorConfig, DeltaLog, HealthReport,
         NotifyMode, ServiceConfig, ServiceController, ServiceHandle, Subscription, Telemetry,

@@ -137,3 +137,23 @@ fn empty_graph_answers_are_empty() {
         assert_eq!(stats.total_matches, Some(0), "{name}");
     }
 }
+
+/// The largest pattern a builder accepts (`Pattern::MAX_NODES` = 64 nodes,
+/// one bit each in the candidate mask) answers on every static entry
+/// point. A 64-node chain over a 70-node path matches its output at the
+/// 7 path nodes with 63 successors ahead, each reaching 63 nodes.
+#[test]
+fn a_64_node_chain_answers_on_every_static_entry_point() {
+    let n = Pattern::MAX_NODES as u32;
+    let path: Vec<(u32, u32)> = (1..70).map(|i| (i - 1, i)).collect();
+    let g = graph_from_parts(&[0; 70], &path).unwrap();
+    let q = label_pattern(&vec![0; n as usize], &path[..n as usize - 1], 0).unwrap();
+    let (cfg, div) = (TopKConfig::new(3), DivConfig::new(3, 0.5));
+    for r in [top_k(&g, &q, &cfg), top_k_by_match(&g, &q, &cfg)] {
+        assert_eq!(r.matches.iter().map(|m| m.relevance).collect::<Vec<_>>(), vec![63; 3]);
+    }
+    for r in [top_k_diversified(&g, &q, &div), top_k_diversified_heuristic(&g, &q, &div)] {
+        assert_eq!(r.matches.iter().map(|m| m.relevance).collect::<Vec<_>>(), vec![63; 3]);
+        assert!(r.matches.iter().all(|m| m.node < 7), "{:?}", r.matches);
+    }
+}

@@ -223,8 +223,7 @@ fn run_and_compare(
     k: usize,
     lambda: f64,
 ) -> Result<(), String> {
-    let mut m = DynamicMatcher::new(g, q.clone(), IncrementalConfig::new(k).lambda(lambda))
-        .map_err(|e| e.to_string())?;
+    let mut m = DynamicMatcher::new(g, q.clone(), IncrementalConfig::new(k).lambda(lambda));
     for raw in batches {
         let delta = decode(m.graph(), raw, kind);
         m.apply(&delta).map_err(|e| e.to_string())?;
@@ -332,7 +331,7 @@ proptest! {
         // agreeing with the static recompute.
         let g = build_attr_graph(&labels, &edges, &attrs).unwrap();
         let q = build_attr_pattern(&plabels, &pedges, &conds).unwrap();
-        let mut m = DynamicMatcher::new(&g, q.clone(), IncrementalConfig::new(k)).unwrap();
+        let mut m = DynamicMatcher::new(&g, q.clone(), IncrementalConfig::new(k));
         for raw in &batches {
             let delta = decode(m.graph(), raw, Stream::AttrMixed);
             m.apply(&delta).unwrap();
@@ -373,8 +372,8 @@ proptest! {
         prop_assert!(bounded_cfg.bounds, "bounds are on by default");
         let mut plain_cfg = bounded_cfg.clone();
         plain_cfg.bounds = false;
-        let mut bm = DynamicMatcher::new(&g, q.clone(), bounded_cfg).unwrap();
-        let mut pm = DynamicMatcher::new(&g, q, plain_cfg).unwrap();
+        let mut bm = DynamicMatcher::new(&g, q.clone(), bounded_cfg);
+        let mut pm = DynamicMatcher::new(&g, q, plain_cfg);
         for raw in &batches {
             let delta = decode(bm.graph(), raw, Stream::Mixed);
             bm.apply(&delta).unwrap();
@@ -441,7 +440,7 @@ fn bridged_cycles(bridges: &[(u32, u32)]) -> DiGraph {
 fn scc_split_then_remerge_in_one_batch() {
     // One SCC: C1 (0..4) and C2 (4..8) joined by bridges 3→4 and 7→0.
     let g = bridged_cycles(&[(3, 4), (7, 0)]);
-    let mut m = DynamicMatcher::new(&g, flip_flop(), forced(8)).unwrap();
+    let mut m = DynamicMatcher::new(&g, flip_flop(), forced(8));
     assert_exact(&m, 8, "before the toggle");
     let (ci0, cr0) = (m.stats().cond_incremental, m.stats().cond_rebuilds);
 
@@ -473,7 +472,7 @@ fn tombstoned_component_updates_ancestor_sets() {
     let g = bridged_cycles(&[(3, 4)]);
     // k = 16 keeps the C1 outputs in view next to the higher-relevance
     // ballast nodes, so their relevance drop is observable.
-    let mut m = DynamicMatcher::new(&g, flip_flop(), forced(16)).unwrap();
+    let mut m = DynamicMatcher::new(&g, flip_flop(), forced(16));
     assert_exact(&m, 16, "before the tombstones");
     let c1_relevance = |m: &DynamicMatcher| {
         m.top_k().matches.iter().filter(|r| r.node < 4).map(|r| r.relevance).max().unwrap()
@@ -518,7 +517,7 @@ fn attr_candidacy_departure_inside_shared_scc() {
 
     // k = 16 covers every possible A-output (11 even nodes), so the
     // departed pair's absence and re-entry are visible in the answer.
-    let mut m = DynamicMatcher::new(&g, q, forced(16)).unwrap();
+    let mut m = DynamicMatcher::new(&g, q, forced(16));
     assert!(m.top_k().nodes().is_empty(), "no node carries `views` yet");
 
     // Mass revival: every even node becomes an A-candidate. The region
@@ -621,7 +620,7 @@ proptest! {
         b.output(0).unwrap();
         let q = b.build().unwrap();
 
-        let mut m = DynamicMatcher::new(&g, q, forced(6)).unwrap();
+        let mut m = DynamicMatcher::new(&g, q, forced(6));
         // Attributes land on every even node: cycles come alive.
         let mut init = GraphDelta::new();
         for v in (0..total).step_by(2) {
