@@ -3,17 +3,22 @@
 //! A batch is always replayed — nothing looks at a delta before the graph
 //! applies it — so a batch that rewrites the whole graph must leave every
 //! maintained layer exactly where a from-scratch build would. On the
-//! benchmark's own generators, after each bulk batch: registry ≡ one
-//! `DynamicMatcher` per pattern ≡ the static pipeline on the snapshot
-//! (top-k and diversified), the maintained condensations validate, the
-//! simulation invariants hold, and no state was re-created.
+//! benchmark's own generators, after each bulk batch: registry ≡ each
+//! pattern's `undispatchable` twin in a registry of its own ≡ the static
+//! pipeline on the snapshot (top-k and diversified), the maintained
+//! condensations validate, the simulation invariants hold, and no state
+//! was re-created.
 
+#[path = "../../incremental/tests/common/mod.rs"]
+mod common;
+
+use common::undispatchable;
 use gpm_bench::delta_bench::dirty_region_workload;
 use gpm_bench::registry_bench::{registry_graph, registry_patterns};
 use gpm_core::config::{DivConfig, TopKConfig};
 use gpm_core::{top_k_by_match, top_k_diversified};
 use gpm_graph::{DiGraph, GraphDelta};
-use gpm_incremental::{DynamicMatcher, IncrementalConfig, PatternRegistry};
+use gpm_incremental::{IncrementalConfig, PatternRegistry};
 use gpm_pattern::Pattern;
 
 const K: usize = 5;
@@ -43,33 +48,36 @@ fn replay_agrees_with_scratch(what: &str, g: &DiGraph, patterns: &[Pattern]) {
         .iter()
         .map(|q| {
             let id = reg.register(q.clone(), cfg.clone()).unwrap();
-            (id, DynamicMatcher::new(g, q.clone(), cfg.clone()))
+            let mut twin = PatternRegistry::new(g);
+            let twin_id = twin.register(undispatchable(q), cfg.clone()).unwrap();
+            (id, q, twin, twin_id)
         })
         .collect();
 
     for (name, delta) in bulk_batches(g) {
         reg.apply(&delta).unwrap();
-        reg.check_maintained_all();
         let snap = reg.snapshot();
-        for (i, (id, m)) in served.iter_mut().enumerate() {
+        for (i, (id, q, twin, twin_id)) in served.iter_mut().enumerate() {
             let ctx = format!("{what}, {name}, pattern {i}");
-            m.apply(&delta).unwrap();
-            m.check_maintained();
+            twin.apply(&delta).unwrap();
             assert_eq!(reg.audit_pattern(*id), Some(Ok(())), "audit: {ctx}");
+            assert_eq!(twin.audit_pattern(*twin_id), Some(Ok(())), "twin audit: {ctx}");
 
             let top = reg.top_k(*id).unwrap().matches;
-            assert_eq!(top, m.top_k().matches, "registry vs matcher: {ctx}");
-            let base = top_k_by_match(&snap, m.pattern(), &TopKConfig::new(K));
+            assert_eq!(top, twin.top_k(*twin_id).unwrap().matches, "registry vs twin: {ctx}");
+            let base = top_k_by_match(&snap, q, &TopKConfig::new(K));
             assert_eq!(top, base.matches, "registry vs static: {ctx}");
 
             let div = reg.top_k_diversified(*id).unwrap();
-            let base = top_k_diversified(&snap, m.pattern(), &DivConfig::new(K, LAMBDA));
-            assert_eq!(div.nodes(), m.top_k_diversified().nodes(), "div vs matcher: {ctx}");
+            let base = top_k_diversified(&snap, q, &DivConfig::new(K, LAMBDA));
+            let twin_div = twin.top_k_diversified(*twin_id).unwrap();
+            assert_eq!(div.nodes(), twin_div.nodes(), "div vs twin: {ctx}");
             assert_eq!(div.nodes(), base.nodes(), "div vs static: {ctx}");
             assert!((div.f_value - base.f_value).abs() < 1e-9, "F diverged: {ctx}");
 
-            let stats = reg.stats_of(*id).unwrap();
-            assert_eq!((stats.full_rebuilds, m.stats().full_rebuilds), (0, 0), "replayed: {ctx}");
+            let full_rebuilds = |r: &PatternRegistry, id| r.stats_of(id).unwrap().full_rebuilds;
+            let rebuilt = (full_rebuilds(&reg, *id), full_rebuilds(twin, *twin_id));
+            assert_eq!(rebuilt, (0, 0), "replayed: {ctx}");
         }
     }
 }

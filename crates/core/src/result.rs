@@ -68,8 +68,8 @@ impl RunStats {
 /// The best `k` of `(node, δr)` entries in the answer order
 /// ([`RankedMatch`]'s `Ord`), folded through a [`BoundedSelector`] so only
 /// `k` entries are ever held. The re-entrant entry point for maintained
-/// states (the incremental `DynamicMatcher` re-ranks from its relevance
-/// cache through this on every refresh).
+/// states (the incremental `PatternRegistry` re-ranks each pattern from
+/// its relevance cache through this on every refresh).
 pub fn rank_top_k(rel: impl IntoIterator<Item = (NodeId, u64)>, k: usize) -> Vec<RankedMatch> {
     let mut sel = BoundedSelector::new(k);
     for (node, relevance) in rel {

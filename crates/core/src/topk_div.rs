@@ -83,9 +83,9 @@ pub fn top_k_diversified_with(
 /// and distances come from: `rel[i]` is the raw `δr` of the `i`-th match
 /// and `d(i, j)` its pairwise `δd`. Returns the selected indices (pairs in
 /// pick order) and `F(S)`. The static pipeline and the incremental
-/// [`DynamicMatcher`](https://docs.rs/gpm-incremental) both call this, so a
-/// maintained state and a from-scratch run produce identical selections —
-/// ties included.
+/// `PatternRegistry` (gpm-incremental) both call this, so a maintained
+/// state and a from-scratch run produce identical selections — ties
+/// included.
 ///
 /// Each round picks the first maximum of `F'` in `(a, b)` scan order over
 /// the remaining matches. Instead of rescanning every pair per round, each

@@ -4,8 +4,8 @@
 //! not redistributable here, so each emulator reproduces the properties the
 //! experiments actually exercise — size ratio, degree skew, cyclic vs
 //! acyclic structure, label selectivity, attribute schema — at a chosen
-//! [`Scale`] of the paper's node/edge counts (DESIGN.md §2 documents the
-//! substitution argument per dataset).
+//! [`Scale`] of the paper's node/edge counts; the table gives, per
+//! dataset, the properties each emulator keeps.
 //!
 //! | dataset | paper size (V/E) | structure | label | attributes |
 //! |---|---|---|---|---|

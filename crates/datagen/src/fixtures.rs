@@ -1,6 +1,6 @@
 //! The paper's Fig. 1 running example, reconstructed edge-by-edge.
 //!
-//! The reconstruction (DESIGN.md §3) is pinned by the paper's examples:
+//! The reconstruction is pinned by the paper's examples:
 //! `|M(Q,G)| = 15` pairs; the relevant sets of Example 4; the distances of
 //! Example 5 (`10/11`, `1/4`, `1`, `0`); the λ-regimes of Example 6
 //! (`4/33`, `1/2`); Example 7's bounds for the DAG pattern `Q1`; Example

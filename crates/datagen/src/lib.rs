@@ -5,7 +5,7 @@
 //! * [`fixtures`] — the paper's running example (Fig. 1): the collaboration
 //!   network `G`, the cyclic pattern `Q` and Example 7's DAG pattern `Q1`,
 //!   reconstructed so that **every** number in Examples 1–10 is reproduced
-//!   (see `DESIGN.md` §3);
+//!   (the module docs list them);
 //! * [`synthetic`] — the linkage-model generator the paper's synthetic data
 //!   uses: preferential attachment controlled by `(|V|, |E|)` over a
 //!   15-label alphabet;

@@ -92,7 +92,7 @@ impl UpdateStreamConfig {
 }
 
 /// Generates `cfg.batches` consecutive deltas for `base`. Applying them in
-/// order through [`DynGraph::apply`] (or a `DynamicMatcher`) is guaranteed
+/// order through [`DynGraph::apply`] (or a `PatternRegistry`) is guaranteed
 /// to succeed; each delta is built against the graph state its
 /// predecessors produce.
 pub fn update_stream(base: &DiGraph, cfg: &UpdateStreamConfig) -> Vec<GraphDelta> {

@@ -30,51 +30,35 @@
 //! [`IncrementalConfig::max_cond_churn_fraction`] drops the maintained
 //! condensation for the per-batch reach engine until the stream calms.
 //!
-//! ```
-//! use gpm_graph::{builder::graph_from_parts, GraphDelta};
-//! use gpm_incremental::{DynamicMatcher, IncrementalConfig};
-//! use gpm_pattern::builder::label_pattern;
-//!
-//! // Two authors (label 0) citing papers (label 1).
-//! let g = graph_from_parts(&[0, 0, 1, 1], &[(0, 2), (1, 2), (1, 3)]).unwrap();
-//! let q = label_pattern(&[0, 1], &[(0, 1)], 0).unwrap();
-//! let mut m = DynamicMatcher::new(&g, q, IncrementalConfig::new(2));
-//! assert_eq!(m.top_k().nodes(), vec![1, 0]); // author 1 reaches 2 papers
-//!
-//! // A new paper appears and author 0 cites it: the ranking flips.
-//! let top = m.apply(&GraphDelta::new().add_node(1).add_edge(0, 4)).unwrap();
-//! assert_eq!(top.nodes(), vec![0, 1]);
-//! ```
-
-//! ## Multi-query serving
-//!
 //! One graph usually serves many query shapes at once. [`PatternRegistry`]
-//! maintains N registered patterns over a **single** shared [`gpm_graph::DynGraph`]:
-//! each delta batch mutates the graph once, a shared interest index prunes
-//! the per-pattern fan-out (node labels and edge label-pairs for
-//! structural ops, per-pattern attribute-key interest for
-//! `SetAttr`/`UnsetAttr`), and each touched pattern's ranking is refreshed
-//! once, in registration order, on the calling thread — a batch never
-//! leaves the thread that applies it. [`PatternRegistry::apply`] surfaces
-//! an [`AnswerChange`] — fresh answer plus entered/left/reordered change
-//! set — per touched pattern, the hook the streaming serving layer
-//! (`gpm-serving`) fans out to subscribers. Answers are bit-identical to N
-//! independent [`DynamicMatcher`]s (differentially property-tested in
-//! `tests/registry_differential.rs`).
+//! maintains every registered pattern over a **single** shared
+//! [`gpm_graph::DynGraph`]: each delta batch mutates the graph once, a
+//! shared interest index prunes the per-pattern fan-out (node labels and
+//! edge label-pairs for structural ops, per-pattern attribute-key interest
+//! for `SetAttr`/`UnsetAttr`), and each touched pattern's ranking is
+//! refreshed once, in registration order, on the calling thread — a batch
+//! never leaves the thread that applies it. [`PatternRegistry::apply`]
+//! surfaces an [`AnswerChange`] — fresh answer plus entered/left/reordered
+//! change set — per touched pattern, the hook the streaming serving layer
+//! (`gpm-serving`) fans out to subscribers. A registry of one pattern is
+//! how a single query is maintained.
 //!
 //! ```
 //! use gpm_graph::{builder::graph_from_parts, GraphDelta};
 //! use gpm_incremental::{IncrementalConfig, PatternRegistry};
 //! use gpm_pattern::builder::label_pattern;
 //!
+//! // Two authors (label 0) citing papers (label 1).
 //! let g = graph_from_parts(&[0, 0, 1, 1], &[(0, 2), (1, 2), (1, 3)]).unwrap();
 //! let mut reg = PatternRegistry::new(&g);
 //! let authors = reg.register(label_pattern(&[0, 1], &[(0, 1)], 0).unwrap(),
 //!                            IncrementalConfig::new(2)).unwrap();
 //! let papers = reg.register(label_pattern(&[1], &[], 0).unwrap(),
 //!                           IncrementalConfig::new(3)).unwrap();
+//! assert_eq!(reg.top_k(authors).unwrap().nodes(), vec![1, 0]); // author 1 reaches 2 papers
 //!
-//! // One batch, both answers refreshed.
+//! // A new paper appears and author 0 cites it: one batch, both answers
+//! // refreshed, and the authors' ranking flips.
 //! reg.apply(&GraphDelta::new().add_node(1).add_edge(0, 4)).unwrap();
 //! assert_eq!(reg.top_k(authors).unwrap().nodes(), vec![0, 1]);
 //! assert_eq!(reg.top_k(papers).unwrap().nodes(), vec![2, 3, 4]);
@@ -82,14 +66,15 @@
 
 #![forbid(unsafe_code)]
 
-mod matcher;
 mod registry;
 mod state;
 
-pub use matcher::{ApplyStats, DynamicMatcher, IncrementalConfig, IncrementalError};
-pub use registry::{AnswerChange, PatternId, PatternInfo, PatternRegistry, RegistryStats};
+pub use registry::{
+    AnswerChange, ApplyStats, IncrementalConfig, PatternId, PatternInfo, PatternRegistry,
+    RegistryStats,
+};
 
-// The observability bundle [`PatternRegistry::set_telemetry`] /
-// [`DynamicMatcher::set_telemetry`] accept, re-exported so incremental
-// consumers need no direct gpm-telemetry dependency.
+// The observability bundle [`PatternRegistry::set_telemetry`] accepts,
+// re-exported so incremental consumers need no direct gpm-telemetry
+// dependency.
 pub use gpm_telemetry::{Telemetry, TelemetryConfig};

@@ -1,11 +1,12 @@
-//! [`PatternRegistry`]: many patterns maintained over **one** dynamic graph.
+//! [`PatternRegistry`]: patterns maintained over **one** dynamic graph —
+//! the one owner of per-pattern maintenance state.
 //!
 //! A serving system rarely answers a single query shape: N registered
-//! patterns watch the same evolving graph. Running N independent
-//! [`DynamicMatcher`](crate::DynamicMatcher)s works, but wastes the work
-//! they would share — each one mirrors the whole graph, applies every
-//! delta to its private copy, and replays every mutation through its own
-//! simulation even when the mutation provably cannot touch its pattern.
+//! patterns watch the same evolving graph. Maintaining each one over a
+//! private copy would waste the work they share — every copy mirrors the
+//! whole graph, applies every delta, and replays every mutation through
+//! its simulation even when the mutation provably cannot touch its
+//! pattern.
 //!
 //! The registry amortizes all three:
 //!
@@ -23,18 +24,121 @@
 //!   in registration order, on the calling thread — the paper's
 //!   algorithms are sequential and so is the registry.
 //!
-//! Answers are **bit-identical** to N independent matchers and to the
-//! static pipeline on a snapshot (property-tested by
-//! `tests/registry_differential.rs`).
+//! Answers are **bit-identical** to the static pipeline on a snapshot and
+//! to a registry whose shared index can skip nothing (property-tested by
+//! `tests/registry_differential.rs` and `tests/equivalence.rs`).
+
+use std::convert::Infallible;
 
 use gpm_core::result::{AnswerDiff, DivResult, TopKResult};
 use gpm_graph::dynamic::DynGraph;
-use gpm_graph::{DiGraph, GraphDelta, Label};
+use gpm_graph::{DiGraph, GraphDelta, GraphError, Label};
 use gpm_pattern::Pattern;
+use gpm_ranking::ReachConfig;
 use gpm_telemetry::{names, Counter, Gauge, Span, Telemetry};
 
-use crate::matcher::{ApplyStats, IncrementalConfig, IncrementalError};
 use crate::state::{Batch, PatternState};
+
+/// Configuration of one pattern registered in a [`PatternRegistry`].
+#[derive(Debug, Clone)]
+pub struct IncrementalConfig {
+    /// Number of matches to return.
+    pub k: usize,
+    /// Trade-off `λ` used by [`PatternRegistry::top_k_diversified`].
+    pub lambda: f64,
+    /// When the backward dirtiness sweep touches more than this fraction
+    /// of the candidate pairs, the relevant-set cache is rebuilt wholesale
+    /// instead of entry by entry.
+    pub max_dirty_fraction: f64,
+    /// When one batch's pair churn (alive flips + effective edge changes)
+    /// exceeds this fraction of the alive pairs, the maintained
+    /// condensation is dropped for the per-batch reach-engine pipeline
+    /// (and re-adopted on the first batch back under the same gate):
+    /// in-place SCC maintenance only pays off while the touched region is
+    /// small. An absolute floor keeps small graphs maintaining regardless.
+    pub max_cond_churn_fraction: f64,
+    /// Memory policy of the shared reach engine when deriving relevant
+    /// sets — the same [`ReachConfig`] the static pipeline honors; past
+    /// the byte budget, dirty-set materialization degrades to per-source
+    /// BFS instead of the condensation DP. The diversified answer's stored
+    /// `δd` table counts against the same budget, after the maintained
+    /// condensation. Only `reach.budget_bytes` is read.
+    pub reach: ReachConfig,
+    /// Whether refresh planning may skip materializing outputs whose
+    /// upper bound (the popcount stored beside each maintained `Full(c)`)
+    /// cannot displace the k-th answer. Off = every dirty output is
+    /// materialized — the reference side of the *bounded ≡ unbounded*
+    /// suites.
+    pub bounds: bool,
+}
+
+impl IncrementalConfig {
+    /// Defaults for a given `k` (`λ = 0.5`, re-derive every relevant set
+    /// past a 30% dirty sweep, drop the maintained condensation past 12.5%
+    /// pair churn, default reach-engine budget, bound pruning on).
+    pub fn new(k: usize) -> Self {
+        IncrementalConfig {
+            k,
+            lambda: 0.5,
+            max_dirty_fraction: 0.3,
+            max_cond_churn_fraction: 0.125,
+            reach: ReachConfig::default(),
+            bounds: true,
+        }
+    }
+
+    /// Same configuration with a different `λ`.
+    pub fn lambda(mut self, lambda: f64) -> Self {
+        self.lambda = lambda;
+        self
+    }
+}
+
+/// Counters describing how one pattern's state has been maintained —
+/// the observability the delta-scaling bench and ops dashboards read.
+#[derive(Debug, Clone, Default)]
+pub struct ApplyStats {
+    /// Batches applied.
+    pub applies: u64,
+    /// Batches handled fully incrementally.
+    pub incremental_applies: u64,
+    /// Always 0: a batch is always replayed, and nothing re-creates the
+    /// simulation after registration. It stays only because the frozen
+    /// `benchmark/` package reads it (`benchmark/src/workloads/stream.rs`)
+    /// for its `incremental.full_rebuilds` metric; the next `benchmark`
+    /// PR removes both.
+    pub full_rebuilds: u64,
+    /// Batches that kept the simulation incremental but rebuilt every
+    /// relevant set.
+    pub full_rank_refreshes: u64,
+    /// Relevant sets recomputed across all batches.
+    pub sets_recomputed: u64,
+    /// Batches whose condensation was maintained incrementally (bounded
+    /// region re-Tarjan / DAG probe, not a from-scratch condensation).
+    pub cond_incremental: u64,
+    /// Full re-condensations of the maintained reach state — policy
+    /// fallbacks (probe/region overflow), churn drops and re-adoptions.
+    /// Zero when the budget keeps maintained mode off.
+    pub cond_rebuilds: u64,
+    /// Output materializations skipped across all batches because the
+    /// maintained upper bound proved they cannot displace the k-th
+    /// answer.
+    pub pruned_outputs: u64,
+    /// From-scratch rebuilds of the maintained bounds: re-condensations
+    /// of a live maintained state (probe/region fallbacks) while pruning
+    /// was on — always `≤ cond_rebuilds`. Attr-only and tombstone-only
+    /// batches must never increment this.
+    pub bound_rebuilds: u64,
+    /// Candidate pairs visited by the last backward dirtiness sweep.
+    pub last_swept_pairs: usize,
+    /// Output matches invalidated by the last batch.
+    pub last_dirty_outputs: usize,
+    /// Outputs the last batch's refresh plan pruned via bounds.
+    pub last_pruned_outputs: usize,
+    /// Wall nanoseconds of the last served refresh, batch ingress to
+    /// answer — what `/patterns` reports as the last refresh latency.
+    pub last_refresh_ns: u64,
+}
 
 /// Stable handle of a registered pattern. Ids are never reused, so a
 /// handle kept across a deregistration simply stops resolving.
@@ -289,15 +393,15 @@ impl PatternRegistry {
     /// a pattern registered mid-stream answers exactly as if it had been
     /// built from [`Self::snapshot`]. Duplicate registrations are allowed
     /// and independent (two subscribers may serve the same shape with
-    /// different configs). Never fails: the `Result` is kept only because
-    /// the frozen `benchmark/` calls `.expect` on it
+    /// different configs). Never fails: the [`Infallible`] `Result` is
+    /// kept only because the frozen `benchmark/` calls `.expect` on it
     /// (`benchmark/src/workloads/stream.rs`); the next revision of
     /// `benchmark/` drops it.
     pub fn register(
         &mut self,
         q: Pattern,
         cfg: IncrementalConfig,
-    ) -> Result<PatternId, IncrementalError> {
+    ) -> Result<PatternId, Infallible> {
         let state = PatternState::new(&self.graph, q, cfg);
         let id = PatternId(self.next_id);
         self.next_id += 1;
@@ -333,7 +437,7 @@ impl PatternRegistry {
     ///
     /// On error (invalid delta) the graph and every pattern's state are
     /// unchanged. An empty registry still advances the graph.
-    pub fn apply(&mut self, delta: &GraphDelta) -> Result<Vec<AnswerChange>, IncrementalError> {
+    pub fn apply(&mut self, delta: &GraphDelta) -> Result<Vec<AnswerChange>, GraphError> {
         let root = self.telemetry.root_span("apply");
         let out = self.apply_traced(delta, &root);
         let seq = self.counters.batches.get();
@@ -351,11 +455,11 @@ impl PatternRegistry {
         &mut self,
         delta: &GraphDelta,
         parent: &Span,
-    ) -> Result<Vec<AnswerChange>, IncrementalError> {
+    ) -> Result<Vec<AnswerChange>, GraphError> {
         // Phase 1: mutate the shared graph ONCE, replaying each effective
         // mutation through the interested patterns in lockstep — the hook
-        // observes exactly the intermediate graph states a private
-        // DynamicMatcher replay would.
+        // observes exactly the intermediate graph states a replay over a
+        // private copy of the graph would.
         let mut replayed = 0u64;
         let mut skipped = 0u64;
         let mut touched = vec![false; self.slots.len()];
@@ -497,15 +601,5 @@ impl PatternRegistry {
     pub fn corrupt_maintained_for_test(&mut self, id: PatternId) -> bool {
         let Some(slot) = self.slots.iter_mut().find(|s| s.id == id) else { return false };
         slot.state.corrupt_maintained_for_test(&self.graph)
-    }
-
-    /// Differential-oracle hook for test harnesses: panics when any
-    /// pattern's maintained condensation state diverges from a
-    /// from-scratch build.
-    #[doc(hidden)]
-    pub fn check_maintained_all(&self) {
-        for s in &self.slots {
-            s.state.check_maintained(&self.graph);
-        }
     }
 }

@@ -1,6 +1,5 @@
-//! [`PatternState`]: the per-pattern maintenance state shared by
-//! [`DynamicMatcher`](crate::DynamicMatcher) (one pattern, own graph) and
-//! [`PatternRegistry`](crate::PatternRegistry) (many patterns, one graph).
+//! [`PatternState`]: the maintenance state of one pattern registered in a
+//! [`PatternRegistry`](crate::PatternRegistry).
 //!
 //! Everything here is **graph-agnostic**: methods take the [`DynGraph`]
 //! they maintain against as a parameter, so N states can follow one shared
@@ -13,12 +12,9 @@
 //! edges, and to attribute mutations on keys its predicates mention.
 //!
 //! [`PatternState::refresh`] is the **one place a batch becomes an
-//! answer**: both owners apply the batch to the graph once, replaying
-//! each effective mutation as it lands, and then make exactly one
-//! `refresh` call per pattern per batch. It runs on the calling
-//! thread; the registry's parallelism is across patterns, never inside
-//! one: a dirty output's relevant set is a copy of a retained `Full(c)`,
-//! so there is no per-output traversal worth fanning out.
+//! answer**: the registry applies the batch to the graph once, replaying
+//! each effective mutation as it lands, and then makes exactly one
+//! `refresh` call per pattern per batch, on the calling thread.
 
 use std::collections::BTreeSet;
 use std::time::Instant;
@@ -34,7 +30,7 @@ use gpm_ranking::{CondPolicy, CondensationState, MaintainError, ReachEngine, Rel
 use gpm_simulation::{DynMatchGraph, IncSimState};
 use gpm_telemetry::Span;
 
-use crate::matcher::{ApplyStats, IncrementalConfig};
+use crate::registry::{ApplyStats, IncrementalConfig};
 
 /// Below this absolute churn the maintained-condensation churn gate
 /// ([`PatternState::cond_churn_high`]) never fires.
@@ -211,14 +207,13 @@ impl PatternState {
     }
 
     /// Turns one applied batch into this pattern's fresh answer plus its
-    /// diff against the previously served one — the single sequence
-    /// `DynamicMatcher` and the registry both run, once per pattern per
-    /// batch, after replaying it: count the apply, then fold the batch
-    /// into the maintained reach state and plan | note the batch passed
-    /// by; materialize the planned relevant sets; rank and diff. `g` must
-    /// be in the post-batch state. Returns `None` for
-    /// [`Batch::Untouched`]: the answer provably did not move, so it is
-    /// neither re-ranked nor reported.
+    /// diff against the previously served one — the sequence the registry
+    /// runs once per pattern per batch, after replaying it: count the
+    /// apply, then fold the batch into the maintained reach state and
+    /// plan | note the batch passed by; materialize the planned relevant
+    /// sets; rank and diff. `g` must be in the post-batch state. Returns
+    /// `None` for [`Batch::Untouched`]: the answer provably did not move,
+    /// so it is neither re-ranked nor reported.
     ///
     /// `condense_incremental`, `plan`, `prepare` and `extract` children
     /// land on `span` (pass [`Span::disabled`] for an untraced refresh);
@@ -835,7 +830,7 @@ impl PatternState {
     /// partition, triviality and every retained `Full(c)`. Returns the
     /// first divergence as a message; the production auditor surfaces it
     /// through health instead of crashing the service.
-    pub(crate) fn verify_maintained(&self, g: &DynGraph) -> Result<(), String> {
+    fn verify_maintained(&self, g: &DynGraph) -> Result<(), String> {
         let Some(mr) = &self.maintained else { return Ok(()) };
         let fresh = DynMatchGraph::over_alive(g, &self.pattern, &self.sim);
         if mr.view.len() != fresh.len() {
@@ -870,14 +865,6 @@ impl PatternState {
         mr.cond
             .validate(&mr.view, |p| mr.view.is_alive(p))
             .map_err(|msg| format!("maintained condensation diverged: {msg}"))
-    }
-
-    /// Panicking wrapper over [`Self::verify_maintained`] — test
-    /// harnesses call this after every batch.
-    pub(crate) fn check_maintained(&self, g: &DynGraph) {
-        if let Err(msg) = self.verify_maintained(g) {
-            panic!("{msg}");
-        }
     }
 
     /// Full correctness audit of this pattern against `g`: the
@@ -958,7 +945,6 @@ impl PatternState {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::DynamicMatcher;
     use gpm_graph::builder::graph_from_parts;
     use gpm_graph::{DiGraph, GraphDelta};
     use gpm_pattern::builder::label_pattern;
@@ -970,10 +956,8 @@ mod tests {
     /// index (when the budget keeps them on) must equal from-scratch
     /// builds, and the served top-k must equal the rank over exact BFS
     /// relevances of **every** match — deferral must be answer-invisible.
-    fn assert_cache_matches_bfs(m: &DynamicMatcher) {
-        let st = m.state();
-        let g = m.graph();
-        st.check_maintained(g);
+    fn assert_cache_matches_bfs(st: &PatternState, g: &DynGraph) {
+        assert_eq!(st.audit(g), Ok(()));
         let uo = st.pattern().output();
         let expect = st.sim().structural_matches_of(uo);
         let mut have = st.cache().matches();
@@ -1015,20 +999,25 @@ mod tests {
         delta
     }
 
+    /// One pattern over its own graph, every effective mutation replayed
+    /// (no shared-index filter) and one refresh per batch.
     fn run_stream(
         g: &DiGraph,
         q: gpm_pattern::Pattern,
         cfg: IncrementalConfig,
         batches: &[Vec<(u8, u32, u32)>],
-    ) -> DynamicMatcher {
-        let mut m = DynamicMatcher::new(g, q, cfg);
-        assert_cache_matches_bfs(&m);
+    ) -> PatternState {
+        let mut g = DynGraph::from_digraph(g);
+        let mut st = PatternState::new(&g, q, cfg);
+        assert_cache_matches_bfs(&st, &g);
         for raw in batches {
-            let delta = decode(m.graph(), raw);
-            m.apply(&delta).expect("decoded deltas are valid");
-            assert_cache_matches_bfs(&m);
+            let delta = decode(&g, raw);
+            let applied =
+                g.apply_with(&delta, |g, eff| st.replay(g, eff)).expect("decoded deltas are valid");
+            st.refresh(&g, Batch::Replayed(&applied), &Span::disabled());
+            assert_cache_matches_bfs(&st, &g);
         }
-        m
+        st
     }
 
     proptest! {

@@ -1,26 +1,39 @@
-//! Equivalence: a `DynamicMatcher` maintained across random delta streams
-//! must answer exactly like the static pipeline on the final graph —
-//! matches, relevances, and diversified `F`-values alike — and exactly
-//! like a `PatternRegistry` of one pattern, batch by batch: the two own
-//! no refresh logic of their own, only the decision what to replay.
+//! Equivalence: one pattern maintained by a `PatternRegistry` across
+//! random delta streams must answer exactly like the static pipeline on
+//! the final graph — matches, relevances, and diversified `F`-values
+//! alike — and, batch by batch, exactly like its `undispatchable` twin:
+//! the same pattern in a registry whose shared index can skip nothing.
 
+mod common;
+
+use common::undispatchable;
 use gpm_core::config::{DivConfig, TopKConfig};
 use gpm_core::{top_k_by_match, top_k_cyclic, top_k_diversified};
 use gpm_graph::builder::graph_from_parts;
 use gpm_graph::{DiGraph, GraphDelta};
-use gpm_incremental::{ApplyStats, DynamicMatcher, IncrementalConfig, PatternRegistry, Telemetry};
+use gpm_incremental::{ApplyStats, IncrementalConfig, PatternId, PatternRegistry, Telemetry};
 use gpm_pattern::builder::label_pattern;
 use gpm_pattern::Pattern;
-use gpm_pattern::{PatternBuilder, Predicate};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
-fn assert_agrees(m: &mut DynamicMatcher, k: usize, lambda: f64, ctx: &str) {
-    let snap = m.snapshot();
-    let q = &m.pattern().clone();
+/// A registry serving the one pattern `q` over `g`.
+fn registry_of_one(
+    g: &DiGraph,
+    q: Pattern,
+    cfg: IncrementalConfig,
+) -> (PatternRegistry, PatternId) {
+    let mut reg = PatternRegistry::new(g);
+    let id = reg.register(q, cfg).unwrap();
+    (reg, id)
+}
+
+fn assert_agrees(reg: &mut PatternRegistry, id: PatternId, k: usize, lambda: f64, ctx: &str) {
+    let snap = reg.snapshot();
+    let q = &reg.pattern(id).expect("registered");
 
     let base = top_k_by_match(&snap, q, &TopKConfig::new(k));
-    let inc = m.top_k();
+    let inc = reg.top_k(id).expect("registered");
     assert_eq!(inc.nodes(), base.nodes(), "top-k nodes diverged: {ctx}");
     let base_rel: Vec<u64> = base.matches.iter().map(|r| r.relevance).collect();
     let inc_rel: Vec<u64> = inc.matches.iter().map(|r| r.relevance).collect();
@@ -32,7 +45,7 @@ fn assert_agrees(m: &mut DynamicMatcher, k: usize, lambda: f64, ctx: &str) {
 
     // Diversified: identical selection and F-value (same greedy, same ties).
     let div_base = top_k_diversified(&snap, q, &DivConfig::new(k, lambda));
-    let div_inc = m.diversified(lambda);
+    let div_inc = reg.diversified(id, lambda).expect("registered");
     assert_eq!(div_inc.nodes(), div_base.nodes(), "diversified set diverged: {ctx}");
     assert!(
         (div_inc.f_value - div_base.f_value).abs() < 1e-9,
@@ -117,12 +130,18 @@ fn run_stream(kind: StreamKind, seed: u64, trials: usize, steps: usize) {
         let q = random_pattern(&mut rng, 3);
         let k = rng.random_range(1..5usize);
         let lambda = rng.random_range(0.0..1.0f64);
-        let mut m = DynamicMatcher::new(&g, q.clone(), IncrementalConfig::new(k).lambda(lambda));
-        assert_agrees(&mut m, k, lambda, &format!("trial {trial} init"));
+        let (mut reg, id) = registry_of_one(&g, q, IncrementalConfig::new(k).lambda(lambda));
+        assert_agrees(&mut reg, id, k, lambda, &format!("trial {trial} init"));
         for step in 0..steps {
-            let delta = random_delta(&mut rng, m.graph(), kind);
-            m.apply(&delta).unwrap();
-            assert_agrees(&mut m, k, lambda, &format!("trial {trial} step {step}: {delta:?}"));
+            let delta = random_delta(&mut rng, reg.graph(), kind);
+            reg.apply(&delta).unwrap();
+            assert_agrees(
+                &mut reg,
+                id,
+                k,
+                lambda,
+                &format!("trial {trial} step {step}: {delta:?}"),
+            );
         }
     }
 }
@@ -142,23 +161,6 @@ fn mixed_streams_agree_with_from_scratch() {
     run_stream(StreamKind::Mixed, 0xC0FFEE, 40, 10);
 }
 
-/// `q` with every node predicate `Label(l)` rewritten as the one-disjunct
-/// `Or([Label(l)])`: the same candidates, matches and answers, but no
-/// node implies a label any more, so the registry's shared index cannot
-/// prove any structural op irrelevant and dispatches them all — as a
-/// matcher always does.
-fn undispatchable(q: &Pattern) -> Pattern {
-    let mut b = PatternBuilder::new();
-    for u in q.nodes() {
-        b.node(format!("u{u}"), Predicate::Or(vec![q.predicate(u).clone()]));
-    }
-    for (u, v) in q.edges() {
-        b.edge(u, v).unwrap();
-    }
-    b.output(q.output()).unwrap();
-    b.build().unwrap()
-}
-
 /// `ApplyStats` with the one wall-clock field zeroed, as a comparable
 /// string.
 fn counters(stats: &ApplyStats) -> String {
@@ -176,16 +178,23 @@ fn child_spans(t: &Telemetry) -> Vec<&'static str> {
     names
 }
 
-/// Matcher ≡ registry of one, after every batch of the streams above.
+/// Indexed registry ≡ its `undispatchable` twin ≡ static, after every
+/// batch of the streams above.
 ///
-/// With the shared index out of the picture (`undispatchable`) the two
-/// are the same computation: equal answers, equal diffs, equal
-/// `ApplyStats`, and a traced apply of each records the same multiset of
-/// spans under its root — the refresh sequence exists once. With the
-/// index active (the plain label pattern) the registry may skip a batch
-/// the matcher replayed; then the matcher must report an empty diff, and
-/// the answers must still agree.
-fn matcher_equals_registry_of_one(kind: StreamKind, seed: u64, trials: usize, steps: usize) {
+/// The twin replays every structural op, so the two differ only in what
+/// the shared index skipped. On a batch both replayed they run the same
+/// refresh: equal answers, equal diffs, and a traced apply of each
+/// records the same multiset of spans under its root. On a batch the
+/// index skipped, the twin must report an empty diff and the indexed
+/// side's trace holds only an empty `refresh`. `ApplyStats` agree
+/// throughout, except that the twin counts one more `cond_incremental`
+/// for each skipped batch it folded into its maintained condensation.
+fn indexed_registry_equals_its_undispatchable_twin(
+    kind: StreamKind,
+    seed: u64,
+    trials: usize,
+    steps: usize,
+) {
     let mut rng = StdRng::seed_from_u64(seed);
     for trial in 0..trials {
         let n = rng.random_range(4..18usize);
@@ -199,47 +208,54 @@ fn matcher_equals_registry_of_one(kind: StreamKind, seed: u64, trials: usize, st
         let k = rng.random_range(1..5usize);
         let cfg = IncrementalConfig::new(k);
 
-        let mut m = DynamicMatcher::new(&g, undispatchable(&q), cfg.clone());
-        m.set_telemetry(Telemetry::on());
-        let mut reg = PatternRegistry::new(&g);
-        reg.set_telemetry(Telemetry::on());
-        let id = reg.register(undispatchable(&q), cfg.clone()).unwrap();
-        let mut indexed = PatternRegistry::new(&g);
-        let indexed_id = indexed.register(q, cfg).unwrap();
+        let (mut twin, twin_id) = registry_of_one(&g, undispatchable(&q), cfg.clone());
+        twin.set_telemetry(Telemetry::on());
+        let (mut indexed, id) = registry_of_one(&g, q.clone(), cfg);
+        indexed.set_telemetry(Telemetry::on());
 
+        let mut skipped_maintained = 0u64;
         for step in 0..steps {
             let ctx = format!("trial {trial} step {step}");
-            let delta = random_delta(&mut rng, m.graph(), kind);
-            let (top, diff) = m.apply_diffed(&delta).unwrap();
+            let delta = random_delta(&mut rng, twin.graph(), kind);
+            let reference = twin.apply(&delta).unwrap();
+            let changes = indexed.apply(&delta).unwrap();
 
-            // A registry reports a pattern it replayed nothing into by
-            // omission; the matcher serves the standing answer, unmoved.
-            let agrees = |r: &mut PatternRegistry, rid, what: &str| {
-                match r.apply(&delta).unwrap().as_slice() {
-                    [] => assert!(diff.is_empty(), "{what} skipped a batch that moved: {ctx}"),
-                    [change] => {
-                        assert_eq!(change.top.matches, top.matches, "{what} answer: {ctx}");
-                        assert_eq!(change.diff, diff, "{what} diff: {ctx}");
-                    }
-                    more => panic!("one pattern, {} changes", more.len()),
+            if let ([skipped], []) = (reference.as_slice(), changes.as_slice()) {
+                assert!(skipped.diff.is_empty(), "the index skipped a batch that moved: {ctx}");
+                assert_eq!(child_spans(indexed.telemetry()), ["refresh", "replay"], "{ctx}");
+                let mode = twin.pattern_info(twin_id).unwrap().reach_mode;
+                skipped_maintained += u64::from(mode == "maintained");
+            } else {
+                assert_eq!(changes.len(), reference.len(), "touched by one side only: {ctx}");
+                for (change, want) in changes.iter().zip(&reference) {
+                    assert_eq!(change.top.matches, want.top.matches, "answer: {ctx}");
+                    assert_eq!(change.diff, want.diff, "diff: {ctx}");
                 }
-                assert_eq!(r.top_k(rid).unwrap().matches, top.matches, "{what} top-k: {ctx}");
-            };
-            agrees(&mut indexed, indexed_id, "indexed registry");
-            agrees(&mut reg, id, "registry");
-            assert_eq!(counters(&reg.stats_of(id).unwrap()), counters(m.stats()), "stats: {ctx}");
-            assert_eq!(child_spans(reg.telemetry()), child_spans(m.telemetry()), "spans: {ctx}");
-            m.check_maintained();
-            reg.check_maintained_all();
+                assert_eq!(
+                    child_spans(indexed.telemetry()),
+                    child_spans(twin.telemetry()),
+                    "spans: {ctx}"
+                );
+            }
+
+            let top = indexed.top_k(id).unwrap().matches;
+            assert_eq!(top, twin.top_k(twin_id).unwrap().matches, "top-k: {ctx}");
+            let base = top_k_by_match(&indexed.snapshot(), &q, &TopKConfig::new(k));
+            assert_eq!(top, base.matches, "static: {ctx}");
+            let mut stats = indexed.stats_of(id).unwrap();
+            stats.cond_incremental += skipped_maintained;
+            assert_eq!(counters(&stats), counters(&twin.stats_of(twin_id).unwrap()), "{ctx}");
+            assert_eq!(indexed.audit_pattern(id), Some(Ok(())), "{ctx}");
+            assert_eq!(twin.audit_pattern(twin_id), Some(Ok(())), "{ctx}");
         }
     }
 }
 
 #[test]
-fn matcher_equals_registry_of_one_on_every_stream_kind() {
-    matcher_equals_registry_of_one(StreamKind::InsertOnly, 0xA11CE, 30, 8);
-    matcher_equals_registry_of_one(StreamKind::DeleteOnly, 0xB0B, 30, 8);
-    matcher_equals_registry_of_one(StreamKind::Mixed, 0xC0FFEE, 40, 10);
+fn indexed_registry_equals_its_undispatchable_twin_on_every_stream_kind() {
+    indexed_registry_equals_its_undispatchable_twin(StreamKind::InsertOnly, 0xA11CE, 30, 8);
+    indexed_registry_equals_its_undispatchable_twin(StreamKind::DeleteOnly, 0xB0B, 30, 8);
+    indexed_registry_equals_its_undispatchable_twin(StreamKind::Mixed, 0xC0FFEE, 40, 10);
 }
 
 #[test]
@@ -252,14 +268,15 @@ fn forced_incremental_path_agrees() {
         let q = random_pattern(&mut rng, 3);
         let mut cfg = IncrementalConfig::new(3);
         cfg.max_dirty_fraction = f64::INFINITY;
-        let mut m = DynamicMatcher::new(&g, q, cfg);
+        let (mut reg, id) = registry_of_one(&g, q, cfg);
         for step in 0..10 {
-            let delta = random_delta(&mut rng, m.graph(), StreamKind::Mixed);
-            m.apply(&delta).unwrap();
-            assert_agrees(&mut m, 3, 0.5, &format!("forced trial {trial} step {step}"));
+            let delta = random_delta(&mut rng, reg.graph(), StreamKind::Mixed);
+            reg.apply(&delta).unwrap();
+            assert_agrees(&mut reg, id, 3, 0.5, &format!("forced trial {trial} step {step}"));
         }
-        assert_eq!(m.stats().full_rank_refreshes, 0);
-        assert_eq!(m.stats().incremental_applies, 10);
+        let stats = reg.stats_of(id).unwrap();
+        assert_eq!(stats.full_rank_refreshes, 0);
+        assert_eq!(stats.incremental_applies, 10);
     }
 }
 
@@ -275,15 +292,16 @@ fn tombstone_keeps_surviving_ancestors_fresh() {
     let q = label_pattern(&[0, 1], &[(0, 1)], 0).unwrap();
     let mut cfg = IncrementalConfig::new(2);
     cfg.max_dirty_fraction = f64::INFINITY;
-    let mut m = DynamicMatcher::new(&g, q, cfg);
-    assert_eq!(m.top_k().matches[0].relevance, 2);
+    let (mut reg, id) = registry_of_one(&g, q, cfg);
+    assert_eq!(reg.top_k(id).unwrap().matches[0].relevance, 2);
 
-    m.apply(&GraphDelta::new().remove_node(1)).unwrap();
-    assert_eq!(m.stats().full_rank_refreshes, 0, "must exercise the incremental path");
-    let top = m.top_k();
+    reg.apply(&GraphDelta::new().remove_node(1)).unwrap();
+    let stats = reg.stats_of(id).unwrap();
+    assert_eq!(stats.full_rank_refreshes, 0, "must exercise the incremental path");
+    let top = reg.top_k(id).unwrap();
     assert_eq!(top.nodes(), vec![0]);
     assert_eq!(top.matches[0].relevance, 1, "relevant set still counts the tombstoned node");
-    assert_agrees(&mut m, 2, 0.5, "after tombstoning a leaf with a surviving sibling");
+    assert_agrees(&mut reg, id, 2, 0.5, "after tombstoning a leaf with a surviving sibling");
 }
 
 #[test]
@@ -294,32 +312,39 @@ fn attribute_patterns_are_maintained() {
     b.node("V", Predicate::labeled(0, [Predicate::attr("views", CmpOp::Gt, 10i64)]));
     b.output(0).unwrap();
     let q = b.build().unwrap();
-    let mut m = DynamicMatcher::new(&g, q, IncrementalConfig::new(2));
-    assert!(m.top_k().nodes().is_empty(), "no node carries `views` yet");
-    assert_agrees(&mut m, 2, 0.5, "attr pattern before any attribute lands");
+    let (mut reg, id) = registry_of_one(&g, q, IncrementalConfig::new(2));
+    assert!(reg.top_k(id).unwrap().nodes().is_empty(), "no node carries `views` yet");
+    assert_agrees(&mut reg, id, 2, 0.5, "attr pattern before any attribute lands");
 
     // The attribute arriving creates the match; dropping it removes it.
-    let top = m.apply(&GraphDelta::new().set_attr(0, "views", 50i64)).unwrap();
-    assert_eq!(top.nodes(), vec![0]);
-    assert_agrees(&mut m, 2, 0.5, "after SetAttr creates the candidate");
-    let top = m.apply(&GraphDelta::new().set_attr(0, "views", 5i64)).unwrap();
-    assert!(top.nodes().is_empty(), "below the threshold candidacy is gone");
-    assert_agrees(&mut m, 2, 0.5, "after SetAttr leaves the candidate");
-    let top = m.apply(&GraphDelta::new().set_attr(0, "views", 11i64)).unwrap();
-    assert_eq!(top.nodes(), vec![0]);
-    let top = m.apply(&GraphDelta::new().unset_attr(0, "views")).unwrap();
-    assert!(top.nodes().is_empty());
-    assert_agrees(&mut m, 2, 0.5, "after UnsetAttr");
+    for (delta, want, ctx) in [
+        (
+            GraphDelta::new().set_attr(0, "views", 50i64),
+            vec![0],
+            "after SetAttr creates the candidate",
+        ),
+        (
+            GraphDelta::new().set_attr(0, "views", 5i64),
+            vec![],
+            "below the threshold candidacy is gone",
+        ),
+        (GraphDelta::new().set_attr(0, "views", 11i64), vec![0], "after SetAttr re-enters"),
+        (GraphDelta::new().unset_attr(0, "views"), vec![], "after UnsetAttr"),
+    ] {
+        reg.apply(&delta).unwrap();
+        assert_eq!(reg.top_k(id).unwrap().nodes(), want, "{ctx}");
+        assert_agrees(&mut reg, id, 2, 0.5, ctx);
+    }
 }
 
 #[test]
 fn invalid_delta_leaves_state_intact() {
     let g = graph_from_parts(&[0, 1], &[(0, 1)]).unwrap();
     let q = label_pattern(&[0, 1], &[(0, 1)], 0).unwrap();
-    let mut m = DynamicMatcher::new(&g, q, IncrementalConfig::new(2));
-    let before = m.top_k();
-    assert!(m.apply(&GraphDelta::new().add_edge(0, 99)).is_err());
-    assert_eq!(m.top_k().nodes(), before.nodes());
-    assert_eq!(m.graph().version(), 0);
-    assert_agrees(&mut m, 2, 0.5, "after rejected delta");
+    let (mut reg, id) = registry_of_one(&g, q, IncrementalConfig::new(2));
+    let before = reg.top_k(id).unwrap();
+    assert!(reg.apply(&GraphDelta::new().add_edge(0, 99)).is_err());
+    assert_eq!(reg.top_k(id).unwrap().nodes(), before.nodes());
+    assert_eq!(reg.graph().version(), 0);
+    assert_agrees(&mut reg, id, 2, 0.5, "after rejected delta");
 }

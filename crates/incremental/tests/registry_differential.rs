@@ -8,20 +8,24 @@
 //! registered pattern — label-only or carrying full attribute-predicate
 //! trees — the registry must agree bit-for-bit with
 //!
-//! 1. an independent [`DynamicMatcher`] serving the same pattern over its
-//!    own private graph, and
+//! 1. the pattern's `undispatchable` twin, alone in a registry over its
+//!    own private graph, where the shared index can skip nothing, and
 //! 2. the static pipeline (`top_k_by_match` / `top_k_cyclic` /
 //!    `top_k_diversified`) recomputing from scratch on `snapshot()`,
 //!
 //! including patterns registered mid-stream (which must answer as if built
 //! from the snapshot at registration time) and after deregistrations.
 
+mod common;
+
+use common::undispatchable;
 use gpm_core::config::{DivConfig, TopKConfig};
+use gpm_core::result::AnswerDiff;
 use gpm_core::{top_k_by_match, top_k_cyclic, top_k_diversified};
 use gpm_datagen::update_stream::{attr_key, update_stream, UpdateStreamConfig};
 use gpm_graph::builder::graph_from_parts;
-use gpm_graph::{AttrValue, Attributes, DiGraph, GraphBuilder};
-use gpm_incremental::{DynamicMatcher, IncrementalConfig, PatternId, PatternRegistry};
+use gpm_graph::{AttrValue, Attributes, DiGraph, GraphBuilder, GraphDelta};
+use gpm_incremental::{IncrementalConfig, PatternId, PatternRegistry};
 use gpm_pattern::builder::label_pattern;
 use gpm_pattern::{CmpOp, Pattern, PatternBuilder, Predicate};
 use rand::rngs::StdRng;
@@ -135,26 +139,48 @@ fn random_attr_pattern(rng: &mut StdRng) -> Pattern {
     b.build().unwrap()
 }
 
+/// A pattern's oracle twin: [`undispatchable`]`(q)` alone in a registry
+/// over its own copy of `g`, so every structural op is replayed into it.
+struct Twin {
+    reg: PatternRegistry,
+    id: PatternId,
+}
+
+impl Twin {
+    fn new(g: &DiGraph, q: &Pattern, cfg: IncrementalConfig) -> Self {
+        let mut reg = PatternRegistry::new(g);
+        let id = reg.register(undispatchable(q), cfg).unwrap();
+        Twin { reg, id }
+    }
+
+    /// Applies `delta` and returns the twin's diff — empty when its answer
+    /// did not move, including when the batch had no effect at all.
+    fn apply(&mut self, delta: &GraphDelta) -> AnswerDiff {
+        let changes = self.reg.apply(delta).unwrap();
+        changes.into_iter().next().map(|c| c.diff).unwrap_or_default()
+    }
+}
+
 /// The differential oracle: one pattern's registry answer vs its
-/// independent matcher vs static recompute on the registry snapshot.
+/// undispatchable twin vs static recompute on the registry snapshot.
 fn assert_pattern_agrees(
     reg: &mut PatternRegistry,
     id: PatternId,
-    matcher: &mut DynamicMatcher,
+    twin: &mut Twin,
     snap: &DiGraph,
     k: usize,
     lambda: f64,
     ctx: &str,
 ) {
-    let q = &matcher.pattern().clone();
+    let q = &reg.pattern(id).expect("registered");
 
-    // Registry vs independent matcher: identical nodes AND δr values.
+    // Registry vs twin: identical nodes AND δr values.
     let reg_top = reg.top_k(id).expect("registered");
-    let ind_top = matcher.top_k();
-    assert_eq!(reg_top.nodes(), ind_top.nodes(), "registry vs matcher nodes: {ctx}");
+    let ind_top = twin.reg.top_k(twin.id).expect("registered");
+    assert_eq!(reg_top.nodes(), ind_top.nodes(), "registry vs twin nodes: {ctx}");
     let reg_rel: Vec<u64> = reg_top.matches.iter().map(|r| r.relevance).collect();
     let ind_rel: Vec<u64> = ind_top.matches.iter().map(|r| r.relevance).collect();
-    assert_eq!(reg_rel, ind_rel, "registry vs matcher δr: {ctx}");
+    assert_eq!(reg_rel, ind_rel, "registry vs twin δr: {ctx}");
 
     // Registry vs static recompute on the shared snapshot.
     let base = top_k_by_match(snap, q, &TopKConfig::new(k));
@@ -169,9 +195,9 @@ fn assert_pattern_agrees(
     // Diversified: identical selection and F-value (same greedy, same
     // ties, same normalizer) across all three paths.
     let reg_div = reg.diversified(id, lambda).expect("registered");
-    let ind_div = matcher.diversified(lambda);
+    let ind_div = twin.reg.diversified(twin.id, lambda).expect("registered");
     let base_div = top_k_diversified(snap, q, &DivConfig::new(k, lambda));
-    assert_eq!(reg_div.nodes(), ind_div.nodes(), "diversified registry vs matcher: {ctx}");
+    assert_eq!(reg_div.nodes(), ind_div.nodes(), "diversified registry vs twin: {ctx}");
     assert_eq!(reg_div.nodes(), base_div.nodes(), "diversified registry vs static: {ctx}");
     assert!(
         (reg_div.f_value - base_div.f_value).abs() < 1e-9,
@@ -181,7 +207,7 @@ fn assert_pattern_agrees(
     );
     assert!(
         (reg_div.f_value - ind_div.f_value).abs() < 1e-9,
-        "F registry vs matcher: {} vs {} ({ctx})",
+        "F registry vs twin: {} vs {} ({ctx})",
         reg_div.f_value,
         ind_div.f_value
     );
@@ -209,7 +235,9 @@ const ATTR_ONLY: StreamSpec =
 
 /// One end-to-end differential trial: N patterns, one generated stream,
 /// full oracle after every batch. `forced` maxes the thresholds so the
-/// incremental path has no rebuild safety net to hide behind.
+/// incremental path has no rebuild safety net to hide behind. A pattern
+/// `apply` leaves out of its change list must be unmoved: its answer is
+/// the one served before the batch, and its twin reports an empty diff.
 fn run_differential(spec: &StreamSpec, seed: u64, trials: usize, forced: bool) {
     let attrs = spec.attr_churn > 0.0;
     let mut rng = StdRng::seed_from_u64(seed);
@@ -220,7 +248,7 @@ fn run_differential(spec: &StreamSpec, seed: u64, trials: usize, forced: bool) {
         let n_patterns = rng.random_range(2..6usize);
 
         let mut reg = PatternRegistry::new(&g);
-        let mut matchers: Vec<DynamicMatcher> = Vec::new();
+        let mut twins: Vec<Twin> = Vec::new();
         let mut handles: Vec<(PatternId, usize, f64)> = Vec::new();
         for _ in 0..n_patterns {
             let q = if attrs { random_attr_pattern(&mut rng) } else { random_pattern(&mut rng) };
@@ -231,7 +259,7 @@ fn run_differential(spec: &StreamSpec, seed: u64, trials: usize, forced: bool) {
                 cfg.max_dirty_fraction = f64::INFINITY;
             }
             let id = reg.register(q.clone(), cfg.clone()).unwrap();
-            matchers.push(DynamicMatcher::new(&g, q, cfg));
+            twins.push(Twin::new(&g, &q, cfg));
             handles.push((id, k, lambda));
         }
 
@@ -247,17 +275,22 @@ fn run_differential(spec: &StreamSpec, seed: u64, trials: usize, forced: bool) {
             seed: seed ^ (trial as u64) << 7,
         };
         for (step, delta) in update_stream(&g, &stream_cfg).iter().enumerate() {
-            reg.apply(delta).unwrap();
+            let before = reg.answers();
+            let changes = reg.apply(delta).unwrap();
             let snap = reg.snapshot();
-            for (i, m) in matchers.iter_mut().enumerate() {
-                m.apply(delta).unwrap();
+            for (i, twin) in twins.iter_mut().enumerate() {
+                let twin_diff = twin.apply(delta);
                 // The shared graph and the private mirrors stay in lockstep.
-                assert_eq!(reg.graph().edge_count(), m.graph().edge_count());
-                assert_eq!(reg.graph().node_count(), m.graph().node_count());
+                assert_eq!(reg.graph().edge_count(), twin.reg.graph().edge_count());
+                assert_eq!(reg.graph().node_count(), twin.reg.graph().node_count());
                 let (id, k, lambda) = handles[i];
                 let ctx =
                     format!("trial {trial} step {step} pattern {i} (forced={forced}): {delta:?}");
-                assert_pattern_agrees(&mut reg, id, m, &snap, k, lambda, &ctx);
+                if changes.iter().all(|c| c.id != id) {
+                    assert_eq!(reg.top_k(id).unwrap().matches, before[i].1.matches, "{ctx}");
+                    assert!(twin_diff.is_empty(), "omitted, but the twin moved: {ctx}");
+                }
+                assert_pattern_agrees(&mut reg, id, twin, &snap, k, lambda, &ctx);
             }
         }
         if forced {
@@ -270,17 +303,17 @@ fn run_differential(spec: &StreamSpec, seed: u64, trials: usize, forced: bool) {
 }
 
 #[test]
-fn insert_only_streams_registry_agrees_with_matchers_and_static() {
+fn insert_only_streams_registry_agrees_with_twins_and_static() {
     run_differential(&INSERT_ONLY, 0x5EED_0001, 10, false);
 }
 
 #[test]
-fn delete_only_streams_registry_agrees_with_matchers_and_static() {
+fn delete_only_streams_registry_agrees_with_twins_and_static() {
     run_differential(&DELETE_ONLY, 0x5EED_0002, 10, false);
 }
 
 #[test]
-fn mixed_streams_registry_agrees_with_matchers_and_static() {
+fn mixed_streams_registry_agrees_with_twins_and_static() {
     run_differential(&MIXED, 0x5EED_0003, 14, false);
 }
 
@@ -291,12 +324,12 @@ fn forced_incremental_registry_agrees() {
 }
 
 #[test]
-fn attr_mixed_streams_registry_agrees_with_matchers_and_static() {
+fn attr_mixed_streams_registry_agrees_with_twins_and_static() {
     run_differential(&ATTR_MIXED, 0x5EED_0A01, 14, false);
 }
 
 #[test]
-fn attr_only_streams_registry_agrees_with_matchers_and_static() {
+fn attr_only_streams_registry_agrees_with_twins_and_static() {
     run_differential(&ATTR_ONLY, 0x5EED_0A02, 10, false);
 }
 
@@ -442,12 +475,12 @@ fn attr_only_batches_stay_incremental() {
         let n = rng.random_range(10..28usize);
         let g = random_attr_graph(&mut rng, n, 3);
         let mut reg = PatternRegistry::new(&g);
-        let mut pairs: Vec<(PatternId, DynamicMatcher)> = Vec::new();
+        let mut pairs: Vec<(PatternId, Twin)> = Vec::new();
         for _ in 0..3 {
             let q = random_attr_pattern(&mut rng);
             let cfg = IncrementalConfig::new(3);
             let id = reg.register(q.clone(), cfg.clone()).unwrap();
-            pairs.push((id, DynamicMatcher::new(&g, q, cfg)));
+            pairs.push((id, Twin::new(&g, &q, cfg)));
         }
         let stream = update_stream(
             &g,
@@ -470,20 +503,20 @@ fn attr_only_batches_stay_incremental() {
             attr_effects += delta.len();
             reg.apply(delta).unwrap();
             let snap = reg.snapshot();
-            for (i, (id, m)) in pairs.iter_mut().enumerate() {
-                m.apply(delta).unwrap();
+            for (i, (id, twin)) in pairs.iter_mut().enumerate() {
+                twin.apply(delta);
                 let ctx = format!("attr-only trial {trial} step {step} pattern {i}");
-                assert_pattern_agrees(&mut reg, *id, m, &snap, 3, 0.5, &ctx);
+                assert_pattern_agrees(&mut reg, *id, twin, &snap, 3, 0.5, &ctx);
             }
         }
         assert!(attr_effects > 0, "stream mutated something");
-        for (id, m) in &pairs {
+        for (id, twin) in &pairs {
             let st = reg.stats_of(*id).unwrap();
             assert_eq!(st.applies, stream.len() as u64);
             // Attr flips never force a re-condensation on these streams,
             // so the bounds stored in it are never rebuilt from scratch.
             assert_eq!(st.bound_rebuilds, 0, "attr-only batch rebuilt the bounds");
-            assert_eq!(m.stats().bound_rebuilds, 0);
+            assert_eq!(twin.reg.stats_of(twin.id).unwrap().bound_rebuilds, 0);
         }
     }
 }
@@ -559,13 +592,13 @@ fn midstream_register_and_deregister_agree() {
         let mut reg = PatternRegistry::new(&g);
 
         // Start with two patterns.
-        let mut live: Vec<(PatternId, DynamicMatcher, usize, f64)> = Vec::new();
+        let mut live: Vec<(PatternId, Twin, usize, f64)> = Vec::new();
         for i in 0..2 {
             let q = if i == 0 { random_pattern(&mut rng) } else { random_attr_pattern(&mut rng) };
             let (k, lambda) = (rng.random_range(1..4usize), 0.5);
             let cfg = IncrementalConfig::new(k).lambda(lambda);
             let id = reg.register(q.clone(), cfg.clone()).unwrap();
-            live.push((id, DynamicMatcher::new(&g, q, cfg), k, lambda));
+            live.push((id, Twin::new(&g, &q, cfg), k, lambda));
         }
 
         let stream = update_stream(
@@ -584,8 +617,8 @@ fn midstream_register_and_deregister_agree() {
         );
         for (step, delta) in stream.iter().enumerate() {
             reg.apply(delta).unwrap();
-            for (_, m, _, _) in live.iter_mut() {
-                m.apply(delta).unwrap();
+            for (_, twin, _, _) in live.iter_mut() {
+                twin.apply(delta);
             }
 
             if step == 2 {
@@ -596,8 +629,7 @@ fn midstream_register_and_deregister_agree() {
                 let (k, lambda) = (rng.random_range(1..4usize), rng.random_range(0.0..1.0f64));
                 let cfg = IncrementalConfig::new(k).lambda(lambda);
                 let id = reg.register(q.clone(), cfg.clone()).unwrap();
-                let twin = DynamicMatcher::new(&reg.snapshot(), q, cfg);
-                live.push((id, twin, k, lambda));
+                live.push((id, Twin::new(&reg.snapshot(), &q, cfg), k, lambda));
             }
             if step == 5 {
                 // Mid-stream deregistration: survivors must be unaffected.
@@ -608,9 +640,9 @@ fn midstream_register_and_deregister_agree() {
             }
 
             let snap = reg.snapshot();
-            for (i, (id, m, k, lambda)) in live.iter_mut().enumerate() {
+            for (i, (id, twin, k, lambda)) in live.iter_mut().enumerate() {
                 let ctx = format!("midstream trial {trial} step {step} pattern {i}");
-                assert_pattern_agrees(&mut reg, *id, m, &snap, *k, *lambda, &ctx);
+                assert_pattern_agrees(&mut reg, *id, twin, &snap, *k, *lambda, &ctx);
             }
         }
         assert_eq!(reg.len(), live.len());
@@ -749,16 +781,16 @@ fn gpm_telemetry_phase(name: &str) -> String {
     format!("gpm_phase_seconds{{phase=\"{name}\"}}")
 }
 
-/// Maintained output bounds are a pure pruning accelerator: a matcher
-/// with bounds disabled must produce bit-identical answers (top-k nodes
-/// **and** δr values) on every batch of mixed / attr-mixed / delete-only
-/// streams, and both must agree with the early-terminating static
-/// pipeline on the same snapshot. The bounded side's maintained `h` is
-/// re-derived from scratch per component after every batch by
-/// `check_maintained` (`CondensationState::validate` compares every
-/// stored count with the fresh `Full`'s popcount).
+/// Maintained output bounds are a pure pruning accelerator: the pattern's
+/// twin with bounds disabled must produce bit-identical answers (top-k
+/// nodes **and** δr values) on every batch of mixed / attr-mixed /
+/// delete-only streams, and both must agree with the early-terminating
+/// static pipeline on the same snapshot. The bounded side's maintained
+/// `h` is re-derived from scratch per component after every batch by
+/// `audit_pattern` (`CondensationState::validate` compares every stored
+/// count with the fresh `Full`'s popcount).
 #[test]
-fn bounded_and_unbounded_matchers_agree() {
+fn bounded_and_unbounded_registries_agree() {
     for (spec, seed) in
         [(&MIXED, 0x0B0D_0001u64), (&ATTR_MIXED, 0x0B0D_0002), (&DELETE_ONLY, 0x0B0D_0003)]
     {
@@ -778,10 +810,12 @@ fn bounded_and_unbounded_matchers_agree() {
             assert!(bounded_cfg.bounds, "bounds are on by default");
             let mut plain_cfg = bounded_cfg.clone();
             plain_cfg.bounds = false;
-            let mut bounded = DynamicMatcher::new(&g, q.clone(), bounded_cfg);
-            let mut plain = DynamicMatcher::new(&g, q, plain_cfg);
-            assert_eq!(bounded.bound_mode(), "per-component");
-            assert_eq!(plain.bound_mode(), "off", "disabled bounds report off");
+            let mut bounded = PatternRegistry::new(&g);
+            let id = bounded.register(q.clone(), bounded_cfg).unwrap();
+            let mut plain = Twin::new(&g, &q, plain_cfg);
+            assert_eq!(bounded.pattern_info(id).unwrap().bound_mode, "per-component");
+            let plain_mode = plain.reg.pattern_info(plain.id).unwrap().bound_mode;
+            assert_eq!(plain_mode, "off", "disabled bounds report off");
 
             let stream = update_stream(
                 &g,
@@ -798,13 +832,15 @@ fn bounded_and_unbounded_matchers_agree() {
                 },
             );
             for (step, delta) in stream.iter().enumerate() {
-                let a = bounded.apply(delta).unwrap();
-                let b = plain.apply(delta).unwrap();
+                bounded.apply(delta).unwrap();
+                plain.apply(delta);
+                let a = bounded.top_k(id).unwrap();
+                let b = plain.reg.top_k(plain.id).unwrap();
                 let ctx = format!("bounded-vs-plain trial {trial} step {step}: {delta:?}");
                 assert_eq!(a.matches, b.matches, "bound pruning changed the answer: {ctx}");
 
                 let snap = bounded.snapshot();
-                let fast = top_k_cyclic(&snap, bounded.pattern(), &TopKConfig::new(k));
+                let fast = top_k_cyclic(&snap, &q, &TopKConfig::new(k));
                 assert_eq!(a.nodes(), fast.nodes(), "bounded vs static top_k_cyclic: {ctx}");
                 assert_eq!(
                     a.total_relevance(),
@@ -813,10 +849,11 @@ fn bounded_and_unbounded_matchers_agree() {
                 );
 
                 // Maintained h ≡ from-scratch per-component bounds.
-                bounded.check_maintained();
+                assert_eq!(bounded.audit_pattern(id), Some(Ok(())), "{ctx}");
             }
-            assert_eq!(plain.stats().pruned_outputs, 0, "disabled bounds never prune");
-            assert_eq!(plain.stats().bound_rebuilds, 0, "disabled bounds have nothing to rebuild");
+            let plain_stats = plain.reg.stats_of(plain.id).unwrap();
+            assert_eq!(plain_stats.pruned_outputs, 0, "disabled bounds never prune");
+            assert_eq!(plain_stats.bound_rebuilds, 0, "disabled bounds have nothing to rebuild");
         }
     }
     // (Pruning itself needs a stable high-relevance head the stream never
@@ -850,43 +887,45 @@ fn dominated_outputs_are_pruned_and_revived() {
     let q = label_pattern(&[0, 1], &[(0, 1)], 0).unwrap();
     let mut cfg = IncrementalConfig::new(2);
     cfg.max_dirty_fraction = f64::INFINITY;
-    let mut m = DynamicMatcher::new(&g, q, cfg);
-    assert_eq!(m.bound_mode(), "per-component");
-    assert_eq!(m.top_k().nodes(), vec![10, 11]);
+    let mut reg = PatternRegistry::new(&g);
+    let id = reg.register(q, cfg).unwrap();
+    assert_eq!(reg.pattern_info(id).unwrap().bound_mode, "per-component");
+    assert_eq!(reg.top_k(id).unwrap().nodes(), vec![10, 11]);
 
     // Tail 12 gains a second child: dirty = {12}, bound h ≤ 3 < 10 — the
     // batch must not re-derive 12's relevant set at all.
-    m.apply(&gpm_graph::GraphDelta::new().add_edge(12, 15)).unwrap();
-    let st = m.stats().clone();
+    reg.apply(&GraphDelta::new().add_edge(12, 15)).unwrap();
+    let st = reg.stats_of(id).unwrap();
     assert_eq!(st.last_pruned_outputs, 1, "the tail output must be bound-pruned");
     assert_eq!(st.pruned_outputs, 1);
     assert_eq!(st.bound_rebuilds, 0);
-    let top = m.top_k();
+    let top = reg.top_k(id).unwrap();
     assert_eq!(top.nodes(), vec![10, 11], "pruning must not change the answer");
     assert!(top.stats.early_terminated, "a deferred output means the scan was cut short");
-    m.check_maintained();
+    assert_eq!(reg.audit_pattern(id), Some(Ok(())));
 
     // The same tail gains enough reach to displace the k-th answer: the
     // deferred backlog must be re-checked and 12 materialized.
-    let mut delta = gpm_graph::GraphDelta::new();
+    let mut delta = GraphDelta::new();
     for b in 0..10u32 {
         delta = delta.add_edge(12, b);
     }
-    m.apply(&delta).unwrap();
-    let top = m.top_k();
+    reg.apply(&delta).unwrap();
+    let top = reg.top_k(id).unwrap();
     assert_eq!(top.nodes(), vec![12, 10], "revived tail must rank first");
     assert_eq!(
         top.matches.iter().map(|r| r.relevance).collect::<Vec<_>>(),
         vec![12, 10],
         "materialized relevance must be exact, not the bound"
     );
-    assert_eq!(m.stats().last_pruned_outputs, 0, "nothing dominated this batch");
-    m.check_maintained();
+    let st = reg.stats_of(id).unwrap();
+    assert_eq!(st.last_pruned_outputs, 0, "nothing dominated this batch");
+    assert_eq!(reg.audit_pattern(id), Some(Ok(())));
 
     // Diversified access materializes any remaining backlog first.
-    let div = m.diversified(0.5);
+    let div = reg.diversified(id, 0.5).unwrap();
     assert_eq!(div.matches.len(), 2);
-    m.check_maintained();
+    assert_eq!(reg.audit_pattern(id), Some(Ok(())));
 }
 
 /// The maintained bounds absorb attribute-only and tombstone-only
@@ -910,7 +949,8 @@ fn bound_index_never_rebuilds_on_attr_or_tombstone_batches() {
             let q = if attrs { random_attr_pattern(&mut rng) } else { random_pattern(&mut rng) };
             let mut cfg = IncrementalConfig::new(3);
             cfg.max_dirty_fraction = f64::INFINITY;
-            let mut m = DynamicMatcher::new(&g, q, cfg);
+            let mut reg = PatternRegistry::new(&g);
+            let id = reg.register(q, cfg).unwrap();
             let stream = update_stream(
                 &g,
                 &UpdateStreamConfig {
@@ -926,15 +966,15 @@ fn bound_index_never_rebuilds_on_attr_or_tombstone_batches() {
                 },
             );
             for delta in stream.iter() {
-                m.apply(delta).unwrap();
-                m.check_maintained();
+                reg.apply(delta).unwrap();
+                assert_eq!(reg.audit_pattern(id), Some(Ok(())));
             }
+            let st = reg.stats_of(id).unwrap();
             assert_eq!(
-                m.stats().bound_rebuilds,
-                0,
+                st.bound_rebuilds, 0,
                 "attr/tombstone-only stream rebuilt the bounds from scratch"
             );
-            maintained_total += m.stats().cond_incremental;
+            maintained_total += st.cond_incremental;
         }
     }
     assert!(maintained_total > 0, "streams never exercised incremental maintenance");

@@ -4,12 +4,15 @@
 //! `tombstone_keeps_surviving_ancestors_fresh` regression through the
 //! registry path.
 
+mod common;
+
+use common::undispatchable;
 use gpm_core::config::TopKConfig;
 use gpm_core::top_k_by_match;
 use gpm_datagen::update_stream::{update_stream, UpdateStreamConfig};
 use gpm_graph::builder::graph_from_parts;
 use gpm_graph::GraphDelta;
-use gpm_incremental::{DynamicMatcher, IncrementalConfig, PatternRegistry};
+use gpm_incremental::{IncrementalConfig, PatternRegistry};
 use gpm_pattern::builder::label_pattern;
 
 /// Forced-incremental config: thresholds maxed so no fallback safety net
@@ -19,6 +22,14 @@ fn forced(k: usize) -> IncrementalConfig {
     cfg.max_dirty_fraction = f64::INFINITY;
     cfg.max_cond_churn_fraction = f64::INFINITY;
     cfg
+}
+
+/// Every registered pattern passes the audit production's auditor runs:
+/// simulation invariants plus maintained ≡ from-scratch condensation.
+fn assert_audits_clean(reg: &PatternRegistry) {
+    for id in reg.pattern_ids() {
+        assert_eq!(reg.audit_pattern(id), Some(Ok(())), "{id}");
+    }
 }
 
 #[test]
@@ -49,17 +60,14 @@ fn k_zero_diversified_answers_are_empty() {
     let g = graph_from_parts(&[0, 0, 1, 1], &[(0, 2), (1, 3)]).unwrap();
     let q = label_pattern(&[0, 1], &[(0, 1)], 0).unwrap();
 
-    let mut m = DynamicMatcher::new(&g, q.clone(), IncrementalConfig::new(0));
-    assert!(m.top_k_diversified().matches.is_empty());
-    m.apply(&GraphDelta::new().add_edge(0, 3)).unwrap();
-    let div = m.diversified(1.0);
+    let mut reg = PatternRegistry::new(&g);
+    let id = reg.register(q, IncrementalConfig::new(0)).unwrap();
+    assert!(reg.top_k_diversified(id).unwrap().matches.is_empty());
+    reg.apply(&GraphDelta::new().add_edge(0, 3)).unwrap();
+    let div = reg.diversified(id, 1.0).unwrap();
     assert!(div.matches.is_empty(), "k = 0 answered {:?}", div.nodes());
     assert_eq!(div.f_value, 0.0);
     assert_eq!(div.stats.total_matches, Some(2), "the match set is still known");
-
-    let mut reg = PatternRegistry::new(&g);
-    let id = reg.register(q, IncrementalConfig::new(0)).unwrap();
-    reg.apply(&GraphDelta::new().add_edge(0, 3)).unwrap();
     assert!(reg.top_k_diversified(id).unwrap().matches.is_empty());
     assert!(reg.top_k(id).unwrap().matches.is_empty());
 }
@@ -165,8 +173,8 @@ fn tombstone_keeps_surviving_ancestors_fresh_through_registry() {
 #[test]
 fn tombstone_heavy_stream_agrees_everywhere() {
     // A delete-heavy, node-churn-heavy generated stream: the hardest diet
-    // for tombstone bookkeeping. Registry vs independent matcher vs static,
-    // forced-incremental, after every batch.
+    // for tombstone bookkeeping. Registry vs its undispatchable twin vs
+    // static, forced-incremental, after every batch.
     let base = graph_from_parts(
         &[0, 1, 1, 2, 0, 2, 1, 0],
         &[(0, 1), (0, 2), (1, 3), (2, 3), (4, 6), (6, 5), (4, 2), (7, 1), (7, 6)],
@@ -175,7 +183,8 @@ fn tombstone_heavy_stream_agrees_everywhere() {
     let q = label_pattern(&[0, 1, 2], &[(0, 1), (1, 2)], 0).unwrap();
     let mut reg = PatternRegistry::new(&base);
     let id = reg.register(q.clone(), forced(3)).unwrap();
-    let mut m = DynamicMatcher::new(&base, q.clone(), forced(3));
+    let mut twin = PatternRegistry::new(&base);
+    let twin_id = twin.register(undispatchable(&q), forced(3)).unwrap();
 
     let stream = update_stream(
         &base,
@@ -191,11 +200,11 @@ fn tombstone_heavy_stream_agrees_everywhere() {
         removed +=
             delta.ops.iter().filter(|op| matches!(op, gpm_graph::DeltaOp::RemoveNode(_))).count();
         reg.apply(delta).unwrap();
-        m.apply(delta).unwrap();
+        twin.apply(delta).unwrap();
         let snap = reg.snapshot();
         let base_top = top_k_by_match(&snap, &q, &TopKConfig::new(3));
         let reg_top = reg.top_k(id).unwrap();
-        assert_eq!(reg_top.nodes(), m.top_k().nodes(), "step {step}");
+        assert_eq!(reg_top.nodes(), twin.top_k(twin_id).unwrap().nodes(), "step {step}");
         assert_eq!(reg_top.nodes(), base_top.nodes(), "step {step}");
     }
     assert!(removed > 0, "the stream actually tombstones nodes");
@@ -311,7 +320,7 @@ fn deregister_mid_stream_keeps_the_registry_exact() {
     let g = graph_from_parts(&labels, &edges).unwrap();
     let q = label_pattern(&[0, 1], &[(0, 1), (1, 0)], 0).unwrap();
     let exact = |reg: &PatternRegistry, id| {
-        reg.check_maintained_all();
+        assert_audits_clean(reg);
         let base = top_k_by_match(&reg.snapshot(), &q, &TopKConfig::new(8));
         assert_eq!(reg.top_k(id).unwrap().matches, base.matches);
     };
@@ -376,7 +385,7 @@ fn overflow_rebuild_respects_the_reach_budget() {
     assert_eq!(reg.pattern_info(tight).unwrap().reach_mode, "maintained");
 
     reg.apply(&GraphDelta::new().remove_edge(2 * cycles - 1, 0)).unwrap();
-    reg.check_maintained_all();
+    assert_audits_clean(&reg);
     for id in [roomy, tight] {
         assert_eq!(reg.stats_of(id).unwrap().cond_rebuilds, 1, "region overflow re-condensed");
     }
@@ -434,7 +443,7 @@ fn sustained_churn_stays_dropped_until_a_calm_batch_readopts() {
     let id = reg.register(q.clone(), IncrementalConfig::new(5)).unwrap();
     assert_eq!(reg.pattern_info(id).unwrap().reach_mode, "maintained");
     let exact = |reg: &PatternRegistry| {
-        reg.check_maintained_all();
+        assert_audits_clean(reg);
         let base = top_k_by_match(&reg.snapshot(), &q, &TopKConfig::new(5));
         assert_eq!(reg.top_k(id).unwrap().matches, base.matches);
     };
@@ -495,7 +504,7 @@ fn node_growth_never_recondenses_any_pattern() {
         reg.register(q_cd.clone(), forced(3)).unwrap(),
     ];
     let exact = |reg: &PatternRegistry, ctx: &str| {
-        reg.check_maintained_all();
+        assert_audits_clean(reg);
         let snap = reg.snapshot();
         for (id, q) in ids.iter().zip([&q_ab, &q_cd]) {
             let base = top_k_by_match(&snap, q, &TopKConfig::new(3));
@@ -566,7 +575,7 @@ fn sweep_overflow_after_growth_keeps_the_maintained_condensation() {
     assert!(prepare.detail.contains("maintained=true"), "{}", prepare.detail);
 
     reg.apply(&GraphDelta::new().remove_edge(0, 3)).unwrap();
-    reg.check_maintained_all();
+    assert_audits_clean(&reg);
     let info = reg.pattern_info(id).unwrap();
     assert_eq!(info.reach_mode, "maintained");
     assert_eq!((info.stats.cond_rebuilds, info.stats.bound_rebuilds), (0, 0));

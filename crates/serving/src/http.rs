@@ -9,7 +9,7 @@
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// A parsed request line: method and percent-unaware path (query strings
 /// are split off and ignored — no admin endpoint takes parameters).
@@ -21,14 +21,18 @@ pub(crate) struct Request {
 
 /// Reads one request head off `stream` (up to the blank line; any body is
 /// ignored — GETs carry none). Returns `None` on malformed, oversized or
-/// timed-out input; the caller just drops the connection.
+/// timed-out input; the caller just drops the connection. The 5 s limit
+/// covers the whole head, not each read: a client trickling one byte at a
+/// time cannot hold the connection's thread past it.
 pub(crate) fn read_request(stream: &mut TcpStream) -> Option<Request> {
     /// Cap on the request head — an admin request line is tens of bytes.
     const MAX_HEAD: usize = 8 * 1024;
-    let _ = stream.set_read_timeout(Some(Duration::from_secs(5)));
+    let deadline = Instant::now() + Duration::from_secs(5);
     let mut head = Vec::new();
     let mut buf = [0u8; 1024];
     loop {
+        let left = deadline.checked_duration_since(Instant::now()).filter(|d| !d.is_zero())?;
+        stream.set_read_timeout(Some(left)).ok()?;
         let n = stream.read(&mut buf).ok()?;
         if n == 0 {
             return None;
@@ -119,5 +123,32 @@ mod tests {
         let (mut conn, _) = listener.accept().unwrap();
         assert!(read_request(&mut conn).is_none());
         client.join().unwrap();
+    }
+
+    /// One byte a second never ends the head, and every single read
+    /// returns well inside 5 s: the limit must hold for the head as a
+    /// whole, or the connection's thread is held until the client stops.
+    #[test]
+    fn a_trickling_client_times_out_on_the_whole_head() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let (stop, stopped) = std::sync::mpsc::channel::<()>();
+        let client = std::thread::spawn(move || {
+            let mut s = TcpStream::connect(addr).unwrap();
+            for _ in 0..12 {
+                if s.write_all(b"G").is_err()
+                    || stopped.recv_timeout(Duration::from_secs(1)).is_ok()
+                {
+                    break;
+                }
+            }
+        });
+        let (mut conn, _) = listener.accept().unwrap();
+        let t0 = Instant::now();
+        assert!(read_request(&mut conn).is_none());
+        let held = t0.elapsed();
+        let _ = stop.send(());
+        client.join().unwrap();
+        assert!(held < Duration::from_secs(6), "a trickling client held the reader for {held:?}");
     }
 }

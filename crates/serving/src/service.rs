@@ -15,9 +15,7 @@ use std::collections::{HashMap, VecDeque};
 
 use gpm_core::result::{AnswerDiff, RankedMatch};
 use gpm_graph::{DiGraph, GraphDelta, GraphError};
-use gpm_incremental::{
-    IncrementalConfig, IncrementalError, PatternId, PatternRegistry, RegistryStats,
-};
+use gpm_incremental::{IncrementalConfig, PatternId, PatternRegistry, RegistryStats};
 use gpm_pattern::Pattern;
 use gpm_telemetry::{names, Counter, Gauge, Span, Telemetry, TelemetryConfig};
 
@@ -30,8 +28,6 @@ use crate::subscription::{NotifyMode, SubShared, Subscription, SubscriptionId};
 /// Errors from the serving layer.
 #[derive(Debug)]
 pub enum ServingError {
-    /// The registry rejected the pattern or the delta.
-    Incremental(IncrementalError),
     /// The graph layer rejected a delta or a serialized record.
     Graph(GraphError),
     /// The requested offset was compacted away (or predates the pattern).
@@ -67,7 +63,6 @@ impl ServingError {
 impl std::fmt::Display for ServingError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            ServingError::Incremental(e) => write!(f, "{e}"),
             ServingError::Graph(e) => write!(f, "{e}"),
             ServingError::OffsetCompacted { seq, retained_from } => {
                 write!(f, "offset {seq} compacted away (retained from {retained_from})")
@@ -85,12 +80,6 @@ impl std::fmt::Display for ServingError {
 }
 
 impl std::error::Error for ServingError {}
-
-impl From<IncrementalError> for ServingError {
-    fn from(e: IncrementalError) -> Self {
-        ServingError::Incremental(e)
-    }
-}
 
 /// Tuning knobs of an [`AnswerService`].
 #[derive(Debug, Clone)]
@@ -362,7 +351,7 @@ impl AnswerService {
         cfg: IncrementalConfig,
         mode: NotifyMode,
     ) -> Result<Subscription, ServingError> {
-        let id = self.registry.register(q, cfg)?;
+        let Ok(id) = self.registry.register(q, cfg);
         let initial = self.registry.top_k(id).expect("just registered").matches;
         self.patterns.insert(
             id,
@@ -405,7 +394,7 @@ impl AnswerService {
         if baseline.seq > self.seq() {
             return Err(ServingError::OffsetInFuture { seq: baseline.seq, head: self.seq() });
         }
-        let id = self.registry.register(q, cfg)?;
+        let Ok(id) = self.registry.register(q, cfg);
         let fresh = self.registry.top_k(id).expect("just registered").matches;
         if fresh != baseline.matches {
             self.registry.deregister(id);

@@ -28,7 +28,7 @@ use gpm_graph::{AttrValue, Attributes, DiGraph, GraphBuilder, GraphDelta};
 use gpm_incremental::IncrementalConfig;
 use gpm_pattern::builder::label_pattern;
 use gpm_pattern::{CmpOp, Pattern, PatternBuilder, Predicate};
-use gpm_serving::{AnswerService, NotifyMode, ServiceConfig, Subscription};
+use gpm_serving::{AnswerService, NotifyMode, ServiceConfig, ServingError, Subscription};
 use gpm_telemetry::names;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
@@ -530,7 +530,8 @@ fn rejected_deltas_leave_the_service_unchanged() {
     assert_eq!(initial.topk_nodes(), vec![0]);
 
     let bad = gpm_graph::GraphDelta::new().add_edge(0, 99);
-    assert!(svc.ingest(&bad).is_err());
+    let err = svc.ingest(&bad).unwrap_err();
+    assert!(matches!(err, ServingError::Graph(_)), "rejected by the graph layer: {err}");
     assert_eq!(svc.seq(), 0, "rejected batches get no sequence number");
     assert!(svc.log().is_empty(), "rejected batches are not logged");
     assert!(sub.try_recv().is_none());

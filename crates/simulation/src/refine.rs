@@ -26,7 +26,8 @@ pub fn compute_simulation(g: &DiGraph, q: &Pattern) -> SimRelation {
 /// support counters, **maintained for dead pairs too** (a dead pair's
 /// counters keep tracking its alive children). The incremental engine
 /// ([`crate::incremental`]) resumes from this state instead of recomputing
-/// it, which is what makes `DynamicMatcher` construction cheap.
+/// it, which is what makes registering a pattern for incremental
+/// maintenance cheap.
 #[derive(Debug, Clone)]
 pub struct RefineState {
     /// Per-pair survival (no emptiness rule applied).

@@ -37,14 +37,14 @@
 //! | [`simulation`] | maximum simulation `M(Q,G)`, match graph |
 //! | [`ranking`] | relevant sets, `δr`/`δd`/`F`, bound index |
 //! | [`core`] | `Match`, `TopKDAG`, `TopK`, `TopKDiv`, `TopKDH` |
-//! | [`incremental`] | `DynamicMatcher`: top-k maintained under graph deltas |
+//! | [`incremental`] | `PatternRegistry`: top-k maintained under graph deltas, for one pattern or many |
 //! | [`serving`] | streaming answer service: subscriptions, delta log, versioned answers |
 //! | [`telemetry`] | metrics registry, phase tracing, batch flight recorder |
 //! | [`datagen`] | Fig. 1 fixture, synthetic generator, dataset emulators, update streams |
 //!
-//! See `DESIGN.md` for the system inventory and the experiment index
-//! mapping every figure of the paper's evaluation to a reproduction target,
-//! and `EXPERIMENTS.md` for measured-vs-paper results.
+//! `README.md` walks through every layer; its *Benchmarks* section names
+//! the harness that reproduces each figure of the paper's evaluation
+//! (`cargo run --release -p gpm-bench --bin experiments -- all`).
 
 #![forbid(unsafe_code)]
 
@@ -68,7 +68,7 @@ pub mod prelude {
     };
     pub use gpm_graph::{BitSet, DiGraph, GraphBuilder, GraphDelta, NodeId};
     pub use gpm_incremental::{
-        AnswerChange, DynamicMatcher, IncrementalConfig, PatternId, PatternRegistry, RegistryStats,
+        AnswerChange, IncrementalConfig, PatternId, PatternRegistry, RegistryStats,
     };
     pub use gpm_pattern::{CmpOp, Pattern, PatternBuilder, Predicate};
     pub use gpm_serving::{

@@ -1,5 +1,5 @@
-//! Property tests for the incremental subsystem: a `DynamicMatcher`
-//! maintained across random delta streams must agree with a from-scratch
+//! Property tests for the incremental subsystem: a pattern maintained by
+//! a `PatternRegistry` across random delta streams must agree with a from-scratch
 //! `top_k_cyclic` / `top_k_diversified` run on the final graph — for
 //! insert-only, delete-only, and mixed streams, and for streams mixing
 //! attribute mutations (`SetAttr`/`UnsetAttr`) into the structural churn
@@ -10,7 +10,7 @@
 //! split-then-remerge inside one batch, whole components tombstoned at
 //! once, and attribute-driven candidacy departures inside a shared SCC
 //! — each checked against a from-scratch condensation
-//! (`check_maintained`) *and* the static top-k baseline, per batch.
+//! (`audit_pattern`) *and* the static top-k baseline, per batch.
 
 use diversified_topk::prelude::*;
 use gpm_core::config::DivConfig;
@@ -213,7 +213,18 @@ fn check_stream(
     run_and_compare(&g, &q, batches, kind, k, lambda)
 }
 
-/// Replays the batches through a `DynamicMatcher` and compares every
+/// A registry maintaining the one pattern `q` over `g`.
+fn registry_of_one(
+    g: &DiGraph,
+    q: Pattern,
+    cfg: IncrementalConfig,
+) -> (PatternRegistry, PatternId) {
+    let mut reg = PatternRegistry::new(g);
+    let id = reg.register(q, cfg).unwrap();
+    (reg, id)
+}
+
+/// Replays the batches through a one-pattern registry and compares every
 /// answer surface against the static pipeline on the final snapshot.
 fn run_and_compare(
     g: &DiGraph,
@@ -223,17 +234,17 @@ fn run_and_compare(
     k: usize,
     lambda: f64,
 ) -> Result<(), String> {
-    let mut m = DynamicMatcher::new(g, q.clone(), IncrementalConfig::new(k).lambda(lambda));
+    let (mut reg, id) = registry_of_one(g, q.clone(), IncrementalConfig::new(k).lambda(lambda));
     for raw in batches {
-        let delta = decode(m.graph(), raw, kind);
-        m.apply(&delta).map_err(|e| e.to_string())?;
+        let delta = decode(reg.graph(), raw, kind);
+        reg.apply(&delta).map_err(|e| e.to_string())?;
     }
-    let snap = m.snapshot();
+    let snap = reg.snapshot();
 
     // Relevance ranking: exact agreement with the find-all baseline, and
     // total-relevance agreement with the early-terminating algorithm.
     let base = top_k_by_match(&snap, q, &TopKConfig::new(k));
-    let inc = m.top_k();
+    let inc = reg.top_k(id).expect("registered");
     if inc.nodes() != base.nodes() {
         return Err(format!("nodes {:?} != {:?}", inc.nodes(), base.nodes()));
     }
@@ -249,7 +260,7 @@ fn run_and_compare(
 
     // Diversified: identical set and F-value (shared greedy).
     let div_base = top_k_diversified(&snap, q, &DivConfig::new(k, lambda));
-    let div_inc = m.diversified(lambda);
+    let div_inc = reg.diversified(id, lambda).expect("registered");
     if div_inc.nodes() != div_base.nodes() {
         return Err(format!("div {:?} != {:?}", div_inc.nodes(), div_base.nodes()));
     }
@@ -331,24 +342,25 @@ proptest! {
         // agreeing with the static recompute.
         let g = build_attr_graph(&labels, &edges, &attrs).unwrap();
         let q = build_attr_pattern(&plabels, &pedges, &conds).unwrap();
-        let mut m = DynamicMatcher::new(&g, q.clone(), IncrementalConfig::new(k));
+        let (mut reg, id) = registry_of_one(&g, q.clone(), IncrementalConfig::new(k));
         for raw in &batches {
-            let delta = decode(m.graph(), raw, Stream::AttrMixed);
-            m.apply(&delta).unwrap();
+            let delta = decode(reg.graph(), raw, Stream::AttrMixed);
+            reg.apply(&delta).unwrap();
         }
         // The bounds never rebuild on their own authority: the only
         // permitted rebuilds are forced ones — a mass candidacy revival
         // overflowing the condensation maintenance region restarts the
         // condensation (and therefore the counts stored in it) from
         // scratch.
+        let st = reg.stats_of(id).unwrap();
         prop_assert!(
-            m.stats().bound_rebuilds <= m.stats().cond_rebuilds,
+            st.bound_rebuilds <= st.cond_rebuilds,
             "bounds rebuilt without a condensation rebuild underneath them: {} > {}",
-            m.stats().bound_rebuilds, m.stats().cond_rebuilds
+            st.bound_rebuilds, st.cond_rebuilds
         );
-        let snap = m.snapshot();
+        let snap = reg.snapshot();
         let base = top_k_by_match(&snap, &q, &TopKConfig::new(k));
-        prop_assert_eq!(m.top_k().nodes(), base.nodes());
+        prop_assert_eq!(reg.top_k(id).unwrap().nodes(), base.nodes());
     }
 
     #[test]
@@ -359,30 +371,30 @@ proptest! {
         k in 1usize..5,
     ) {
         // Maintained output bounds are a pure pruning accelerator: a
-        // bounds-disabled twin consuming the same mixed stream must
-        // produce bit-identical top-k answers after every batch, while
-        // the bounded side's maintained per-component `h` stays equal to
-        // a from-scratch count (`check_maintained` runs
-        // `CondensationState::validate`, which compares every stored
-        // count with the fresh `Full`'s popcount). Forced incremental, so
-        // no rebuild safety net hides a stale bound.
+        // bounds-disabled registration of the same pattern, consuming the
+        // same mixed stream, must produce bit-identical top-k answers
+        // after every batch, while the bounded side's maintained
+        // per-component `h` stays equal to a from-scratch count
+        // (`audit_pattern` runs `CondensationState::validate`, which
+        // compares every stored count with the fresh `Full`'s popcount).
+        // Forced incremental, so no rebuild safety net hides a stale bound.
         let g = graph_from_parts(&labels, &edges).unwrap();
         let q = label_pattern(&plabels, &pedges, 0).unwrap();
         let bounded_cfg = forced(k);
         prop_assert!(bounded_cfg.bounds, "bounds are on by default");
         let mut plain_cfg = bounded_cfg.clone();
         plain_cfg.bounds = false;
-        let mut bm = DynamicMatcher::new(&g, q.clone(), bounded_cfg);
-        let mut pm = DynamicMatcher::new(&g, q, plain_cfg);
+        let (mut reg, bounded) = registry_of_one(&g, q.clone(), bounded_cfg);
+        let plain = reg.register(q, plain_cfg).unwrap();
         for raw in &batches {
-            let delta = decode(bm.graph(), raw, Stream::Mixed);
-            bm.apply(&delta).unwrap();
-            pm.apply(&delta).unwrap();
-            prop_assert_eq!(bm.top_k().matches, pm.top_k().matches,
+            let delta = decode(reg.graph(), raw, Stream::Mixed);
+            reg.apply(&delta).unwrap();
+            prop_assert_eq!(reg.top_k(bounded).unwrap().matches, reg.top_k(plain).unwrap().matches,
                 "bound pruning changed the answer");
-            bm.check_maintained();
+            prop_assert_eq!(reg.audit_pattern(bounded), Some(Ok(())));
         }
-        prop_assert_eq!(pm.stats().pruned_outputs, 0, "disabled bounds never prune");
+        prop_assert_eq!(reg.stats_of(plain).unwrap().pruned_outputs, 0,
+            "disabled bounds never prune");
     }
 }
 
@@ -392,7 +404,7 @@ proptest! {
 // The streams below are engineered around the incremental Tarjan
 // maintenance: each scenario is the shape most likely to drift from a
 // from-scratch build, and every batch runs the full differential —
-// maintained condensation ≡ from-scratch (`check_maintained`) and
+// maintained condensation ≡ from-scratch (`audit_pattern`) and
 // incremental top-k ≡ the static baseline on a snapshot.
 // ---------------------------------------------------------------------
 
@@ -414,14 +426,22 @@ fn flip_flop() -> Pattern {
 
 /// The full differential after one batch: maintained state against a
 /// from-scratch build, incremental answer against the static baseline.
-fn assert_exact(m: &DynamicMatcher, k: usize, ctx: &str) {
-    m.check_maintained();
-    let base = top_k_by_match(&m.snapshot(), m.pattern(), &TopKConfig::new(k));
-    let inc = m.top_k();
+fn assert_exact(reg: &PatternRegistry, id: PatternId, k: usize, ctx: &str) {
+    assert_eq!(reg.audit_pattern(id), Some(Ok(())), "audit: {ctx}");
+    let q = reg.pattern(id).expect("registered");
+    let base = top_k_by_match(&reg.snapshot(), &q, &TopKConfig::new(k));
+    let inc = reg.top_k(id).expect("registered");
     assert_eq!(inc.nodes(), base.nodes(), "top-k nodes diverged: {ctx}");
     let base_rel: Vec<u64> = base.matches.iter().map(|r| r.relevance).collect();
     let inc_rel: Vec<u64> = inc.matches.iter().map(|r| r.relevance).collect();
     assert_eq!(inc_rel, base_rel, "relevances diverged: {ctx}");
+}
+
+/// Which condensation path the pattern's batches took so far:
+/// `(cond_incremental, cond_rebuilds)`.
+fn cond_counts(reg: &PatternRegistry, id: PatternId) -> (u64, u64) {
+    let st = reg.stats_of(id).unwrap();
+    (st.cond_incremental, st.cond_rebuilds)
 }
 
 /// Two 4-cycles bridged per `bridges` (nodes 0..8), plus an untouched
@@ -440,9 +460,9 @@ fn bridged_cycles(bridges: &[(u32, u32)]) -> DiGraph {
 fn scc_split_then_remerge_in_one_batch() {
     // One SCC: C1 (0..4) and C2 (4..8) joined by bridges 3→4 and 7→0.
     let g = bridged_cycles(&[(3, 4), (7, 0)]);
-    let mut m = DynamicMatcher::new(&g, flip_flop(), forced(8));
-    assert_exact(&m, 8, "before the toggle");
-    let (ci0, cr0) = (m.stats().cond_incremental, m.stats().cond_rebuilds);
+    let (mut reg, id) = registry_of_one(&g, flip_flop(), forced(8));
+    assert_exact(&reg, id, 8, "before the toggle");
+    let (ci0, cr0) = cond_counts(&reg, id);
 
     // One batch removes both bridges (the SCC splits into the two
     // 4-cycles) and adds two *different* bridges going the other way
@@ -452,17 +472,20 @@ fn scc_split_then_remerge_in_one_batch() {
     // reachability here.
     let toggle =
         GraphDelta::new().remove_edge(3, 4).remove_edge(7, 0).add_edge(4, 3).add_edge(0, 7);
-    m.apply(&toggle).unwrap();
-    assert_exact(&m, 8, "after split-then-remerge in one batch");
-    assert_eq!(m.stats().cond_rebuilds, cr0, "handled without a fallback re-condensation");
-    assert_eq!(m.stats().cond_incremental, ci0 + 1, "the incremental path ran");
+    reg.apply(&toggle).unwrap();
+    assert_exact(&reg, id, 8, "after split-then-remerge in one batch");
+    assert_eq!(
+        cond_counts(&reg, id),
+        (ci0 + 1, cr0),
+        "the incremental path ran, without a fallback"
+    );
 
     // And back again, for good measure.
     let untoggle =
         GraphDelta::new().remove_edge(4, 3).remove_edge(0, 7).add_edge(3, 4).add_edge(7, 0);
-    m.apply(&untoggle).unwrap();
-    assert_exact(&m, 8, "after toggling back");
-    assert_eq!(m.stats().cond_rebuilds, cr0);
+    reg.apply(&untoggle).unwrap();
+    assert_exact(&reg, id, 8, "after toggling back");
+    assert_eq!(cond_counts(&reg, id).1, cr0);
 }
 
 #[test]
@@ -472,24 +495,24 @@ fn tombstoned_component_updates_ancestor_sets() {
     let g = bridged_cycles(&[(3, 4)]);
     // k = 16 keeps the C1 outputs in view next to the higher-relevance
     // ballast nodes, so their relevance drop is observable.
-    let mut m = DynamicMatcher::new(&g, flip_flop(), forced(16));
-    assert_exact(&m, 16, "before the tombstones");
-    let c1_relevance = |m: &DynamicMatcher| {
-        m.top_k().matches.iter().filter(|r| r.node < 4).map(|r| r.relevance).max().unwrap()
+    let (mut reg, id) = registry_of_one(&g, flip_flop(), forced(16));
+    assert_exact(&reg, id, 16, "before the tombstones");
+    let c1_relevance = |reg: &PatternRegistry| {
+        let top = reg.top_k(id).unwrap();
+        top.matches.iter().filter(|r| r.node < 4).map(|r| r.relevance).max().unwrap()
     };
-    let reach_through = c1_relevance(&m);
-    let (ci0, cr0) = (m.stats().cond_incremental, m.stats().cond_rebuilds);
+    let reach_through = c1_relevance(&reg);
+    let (ci0, cr0) = cond_counts(&reg, id);
 
     // One batch tombstones every node of C2: its component must die
     // whole (not linger as an empty live component holding a bitset),
     // and C1's sets must shrink to C1 alone — exactly the ancestors the
     // dirty propagation has to reach.
     let delta = GraphDelta::new().remove_node(4).remove_node(5).remove_node(6).remove_node(7);
-    m.apply(&delta).unwrap();
-    assert_exact(&m, 16, "after tombstoning the downstream component");
-    assert_eq!(m.stats().cond_rebuilds, cr0, "bounded region, no fallback");
-    assert_eq!(m.stats().cond_incremental, ci0 + 1);
-    let shrunk = c1_relevance(&m);
+    reg.apply(&delta).unwrap();
+    assert_exact(&reg, id, 16, "after tombstoning the downstream component");
+    assert_eq!(cond_counts(&reg, id), (ci0 + 1, cr0), "bounded region, no fallback");
+    let shrunk = c1_relevance(&reg);
     assert!(
         shrunk < reach_through,
         "C1's relevance must drop once C2 is gone ({shrunk} vs {reach_through})"
@@ -517,8 +540,9 @@ fn attr_candidacy_departure_inside_shared_scc() {
 
     // k = 16 covers every possible A-output (11 even nodes), so the
     // departed pair's absence and re-entry are visible in the answer.
-    let mut m = DynamicMatcher::new(&g, q, forced(16));
-    assert!(m.top_k().nodes().is_empty(), "no node carries `views` yet");
+    let (mut reg, id) = registry_of_one(&g, q, forced(16));
+    let nodes = |reg: &PatternRegistry| reg.top_k(id).unwrap().nodes();
+    assert!(nodes(&reg).is_empty(), "no node carries `views` yet");
 
     // Mass revival: every even node becomes an A-candidate. The region
     // is everything, so this batch is allowed to re-condense.
@@ -526,28 +550,27 @@ fn attr_candidacy_departure_inside_shared_scc() {
     for v in (0..22).step_by(2) {
         init = init.set_attr(v, "views", 50i64);
     }
-    m.apply(&init).unwrap();
-    assert_exact(&m, 16, "after attributes land");
-    assert!(!m.top_k().nodes().is_empty(), "cycles are alive");
-    let (ci0, cr0) = (m.stats().cond_incremental, m.stats().cond_rebuilds);
+    reg.apply(&init).unwrap();
+    assert_exact(&reg, id, 16, "after attributes land");
+    assert!(!nodes(&reg).is_empty(), "cycles are alive");
+    let (ci0, cr0) = cond_counts(&reg, id);
 
     // Node 2 drops below the threshold: pair (A,2) leaves an SCC that
     // stays alive for everyone routed over the chord. The component
     // must shrink in place — membership, Full bitset and ancestor sets
     // all updated — while (B,3), stranded on the dead arc, cascades out
     // with it.
-    m.apply(&GraphDelta::new().set_attr(2, "views", 5i64)).unwrap();
-    assert_exact(&m, 16, "after the candidacy departure");
-    assert!(!m.top_k().nodes().is_empty(), "the chord keeps the SCC alive");
-    assert!(!m.top_k().nodes().contains(&2), "the departed output is gone");
-    assert_eq!(m.stats().cond_rebuilds, cr0, "departure handled in place");
-    assert_eq!(m.stats().cond_incremental, ci0 + 1);
+    reg.apply(&GraphDelta::new().set_attr(2, "views", 5i64)).unwrap();
+    assert_exact(&reg, id, 16, "after the candidacy departure");
+    assert!(!nodes(&reg).is_empty(), "the chord keeps the SCC alive");
+    assert!(!nodes(&reg).contains(&2), "the departed output is gone");
+    assert_eq!(cond_counts(&reg, id), (ci0 + 1, cr0), "departure handled in place");
 
     // Re-entry: the pair rejoins the component it left.
-    m.apply(&GraphDelta::new().set_attr(2, "views", 99i64)).unwrap();
-    assert_exact(&m, 16, "after the candidacy re-entry");
-    assert!(m.top_k().nodes().contains(&2), "re-entered output serves again");
-    assert_eq!(m.stats().cond_rebuilds, cr0);
+    reg.apply(&GraphDelta::new().set_attr(2, "views", 99i64)).unwrap();
+    assert_exact(&reg, id, 16, "after the candidacy re-entry");
+    assert!(nodes(&reg).contains(&2), "re-entered output serves again");
+    assert_eq!(cond_counts(&reg, id).1, cr0);
 }
 
 /// The generated counterpart: streams biased toward cycle-edge toggles
@@ -620,19 +643,19 @@ proptest! {
         b.output(0).unwrap();
         let q = b.build().unwrap();
 
-        let mut m = DynamicMatcher::new(&g, q, forced(6));
+        let (mut reg, id) = registry_of_one(&g, q, forced(6));
         // Attributes land on every even node: cycles come alive.
         let mut init = GraphDelta::new();
         for v in (0..total).step_by(2) {
             init = init.set_attr(v, "views", 50i64);
         }
-        m.apply(&init).unwrap();
-        assert_exact(&m, 6, "after init attributes");
+        reg.apply(&init).unwrap();
+        assert_exact(&reg, id, 6, "after init attributes");
 
         for (bi, raw) in batches.iter().enumerate() {
             let delta = decode_adversarial(n, total, raw);
-            m.apply(&delta).expect("decoded deltas are valid");
-            assert_exact(&m, 6, &format!("after adversarial batch {bi}"));
+            reg.apply(&delta).expect("decoded deltas are valid");
+            assert_exact(&reg, id, 6, &format!("after adversarial batch {bi}"));
         }
     }
 }
