@@ -5,12 +5,10 @@
 //! diversification functions need `|R₁ ∩ R₂|` / `|R₁ ∪ R₂|` for the Jaccard
 //! distance `δd`. A word-packed bitset over a per-query compact universe makes
 //! every one of those operations a linear scan over `len/64` machine words.
-//!
-//! **Zero-extension.** A set's capacity is fixed when it is built, but two
-//! sets need not agree on it: every pairwise operation (and `==`) reads the
-//! narrower operand as if padded with zeros. The in-place ones cannot grow
-//! `self`, so they require `self.capacity() ≥ other.capacity()`. The dynamic
-//! path's relevant sets are as wide as the graph was when each was built.
+//! Both operands of a pairwise operation (and of `==`) share one universe,
+//! so they have the same capacity. Sets that outlive a universe — the
+//! dynamic path's, over node ids of a growing graph — are
+//! [`NodeSet`](crate::NodeSet)s instead.
 
 /// A fixed-capacity bitset; the capacity is chosen at construction time.
 #[derive(Clone)]
@@ -105,7 +103,7 @@ impl BitSet {
     /// In-place union. Returns `true` if any new bit was added (used by the
     /// propagation engine to detect that a relevant set actually grew).
     pub fn union_with(&mut self, other: &BitSet) -> bool {
-        debug_assert!(self.len >= other.len, "union into a narrower set");
+        self.same_universe(other);
         let mut changed = false;
         for (a, b) in self.words.iter_mut().zip(&other.words) {
             let before = *a;
@@ -117,16 +115,15 @@ impl BitSet {
 
     /// In-place intersection.
     pub fn intersect_with(&mut self, other: &BitSet) {
-        debug_assert!(self.len >= other.len, "intersection into a narrower set");
+        self.same_universe(other);
         for (a, b) in self.words.iter_mut().zip(&other.words) {
             *a &= b;
         }
-        self.words.iter_mut().skip(other.words.len()).for_each(|w| *w = 0);
     }
 
     /// In-place difference (`self \ other`).
     pub fn difference_with(&mut self, other: &BitSet) {
-        debug_assert!(self.len >= other.len, "difference into a narrower set");
+        self.same_universe(other);
         for (a, b) in self.words.iter_mut().zip(&other.words) {
             *a &= !b;
         }
@@ -134,17 +131,14 @@ impl BitSet {
 
     /// `|self ∩ other|` without allocating.
     pub fn intersection_count(&self, other: &BitSet) -> usize {
+        self.same_universe(other);
         self.words.iter().zip(&other.words).map(|(a, b)| (a & b).count_ones() as usize).sum()
     }
 
     /// `|self ∪ other|` without allocating.
     pub fn union_count(&self, other: &BitSet) -> usize {
-        let (a, b) = (&self.words, &other.words);
-        let shared: usize = a.iter().zip(b).map(|(a, b)| (a | b).count_ones() as usize).sum();
-        // The longer operand's tail counts as is; at equal capacity both
-        // slices are empty — one length comparison per call, not per word.
-        let n = a.len().min(b.len());
-        shared + a[n..].iter().chain(&b[n..]).map(|w| w.count_ones() as usize).sum::<usize>()
+        self.same_universe(other);
+        self.words.iter().zip(&other.words).map(|(a, b)| (a | b).count_ones() as usize).sum()
     }
 
     /// Jaccard distance `1 - |A∩B| / |A∪B|`; two empty sets have distance 0.
@@ -162,13 +156,14 @@ impl BitSet {
 
     /// `true` if the sets share no bit.
     pub fn is_disjoint(&self, other: &BitSet) -> bool {
+        self.same_universe(other);
         self.words.iter().zip(&other.words).all(|(a, b)| a & b == 0)
     }
 
     /// `true` if every bit of `self` is set in `other`.
     pub fn is_subset(&self, other: &BitSet) -> bool {
+        self.same_universe(other);
         self.words.iter().zip(&other.words).all(|(a, b)| a & !b == 0)
-            && self.words.iter().skip(other.words.len()).all(|&w| w == 0)
     }
 
     /// Iterates over the indices of set bits in ascending order.
@@ -185,6 +180,12 @@ impl BitSet {
         self.words.len() * std::mem::size_of::<u64>()
     }
 
+    /// Pairwise operations take operands over one universe.
+    #[inline]
+    fn same_universe(&self, other: &BitSet) {
+        debug_assert_eq!(self.len, other.len, "operands over different universes");
+    }
+
     fn trim_tail(&mut self) {
         let extra = self.words.len() * WORD_BITS - self.len;
         if extra > 0 {
@@ -195,10 +196,11 @@ impl BitSet {
     }
 }
 
-/// Same members; capacity is not part of a set's identity.
+/// Same members of the same universe.
 impl PartialEq for BitSet {
     fn eq(&self, other: &BitSet) -> bool {
-        self.is_subset(other) && other.is_subset(self)
+        self.same_universe(other);
+        self.words == other.words
     }
 }
 
@@ -312,94 +314,6 @@ mod tests {
         let c = BitSet::from_iter(40, [1]);
         assert!(a.is_disjoint(&c));
         assert!(!a.is_disjoint(&b));
-    }
-
-    /// A 64-bit set and a 200-bit one sharing bit 5; the wide one also
-    /// holds bits past the narrow one's last word.
-    fn unequal_pair() -> (BitSet, BitSet) {
-        (BitSet::from_iter(64, [1, 5, 63]), BitSet::from_iter(200, [5, 70, 199]))
-    }
-
-    #[test]
-    fn unequal_union_with_zero_extends() {
-        let (narrow, wide) = unequal_pair();
-        let mut u = wide.clone();
-        assert!(u.union_with(&narrow));
-        assert_eq!(u.iter().collect::<Vec<_>>(), vec![1, 5, 63, 70, 199]);
-        assert!(!u.union_with(&narrow));
-    }
-
-    #[test]
-    fn unequal_intersect_with_clears_the_tail() {
-        let (narrow, wide) = unequal_pair();
-        let mut i = wide.clone();
-        i.intersect_with(&narrow);
-        assert_eq!(i.iter().collect::<Vec<_>>(), vec![5]);
-        assert_eq!(i.capacity(), 200);
-    }
-
-    #[test]
-    fn unequal_difference_with_keeps_the_tail() {
-        let (narrow, wide) = unequal_pair();
-        let mut d = wide.clone();
-        d.difference_with(&narrow);
-        assert_eq!(d.iter().collect::<Vec<_>>(), vec![70, 199]);
-    }
-
-    #[test]
-    #[cfg(debug_assertions)]
-    fn in_place_ops_refuse_a_wider_operand() {
-        let ops: [fn(&mut BitSet, &BitSet); 3] = [
-            |a, b| {
-                a.union_with(b);
-            },
-            |a, b| a.intersect_with(b),
-            |a, b| a.difference_with(b),
-        ];
-        for op in ops {
-            let (mut narrow, wide) = unequal_pair();
-            let caught = std::panic::catch_unwind(move || op(&mut narrow, &wide));
-            assert!(caught.is_err(), "a narrower destination would drop bits");
-        }
-    }
-
-    #[test]
-    fn unequal_counts_and_jaccard_are_symmetric() {
-        let (narrow, wide) = unequal_pair();
-        assert_eq!(narrow.union_count(&wide), 5);
-        assert_eq!(wide.union_count(&narrow), 5);
-        assert_eq!(narrow.intersection_count(&wide), 1);
-        assert_eq!(wide.intersection_count(&narrow), 1);
-        assert_eq!(narrow.jaccard_distance(&wide), 1.0 - 1.0 / 5.0);
-        assert_eq!(wide.jaccard_distance(&narrow), narrow.jaccard_distance(&wide));
-    }
-
-    #[test]
-    fn unequal_subset_sees_the_tail() {
-        let (narrow, wide) = unequal_pair();
-        assert!(!wide.is_subset(&narrow), "bits 70 and 199 are left over");
-        assert!(!narrow.is_subset(&wide));
-        let low = BitSet::from_iter(200, [1, 63]);
-        assert!(low.is_subset(&narrow) && !narrow.is_subset(&low));
-        assert!(BitSet::from_iter(64, [5]).is_subset(&wide));
-    }
-
-    #[test]
-    fn unequal_disjoint_ignores_the_tail() {
-        let (narrow, wide) = unequal_pair();
-        assert!(!narrow.is_disjoint(&wide) && !wide.is_disjoint(&narrow));
-        let high = BitSet::from_iter(200, [70, 199]);
-        assert!(narrow.is_disjoint(&high) && high.is_disjoint(&narrow));
-    }
-
-    #[test]
-    fn equality_is_membership() {
-        let (narrow, wide) = unequal_pair();
-        assert_ne!(narrow, wide);
-        let same = BitSet::from_iter(200, narrow.iter());
-        assert_eq!(narrow, same);
-        assert_eq!(same, narrow);
-        assert_ne!(BitSet::from_iter(200, [1, 5, 63, 64]), narrow);
     }
 
     #[test]

@@ -13,9 +13,12 @@
 //! * [`scc`] — iterative Tarjan strongly-connected components, the
 //!   condensation DAG `G_SCC` and the topological ranks `r(v)` used by the
 //!   paper's top-k algorithms (Section 4);
-//! * [`BitSet`] — a word-packed bitset used for relevant-set algebra
-//!   (`R(u,v)` unions, intersections and Jaccard distances; operands of
-//!   unequal capacity zero-extend);
+//! * [`BitSet`] — a word-packed bitset over a fixed universe, used for the
+//!   static pipeline's relevant-set algebra (`R(u,v)` unions,
+//!   intersections and Jaccard distances; both operands of a binary
+//!   operation have the same capacity);
+//! * [`NodeSet`] — a sorted set of node ids, the dynamic path's relevant
+//!   sets and condensation `Full(c)`s: it costs its members, not the graph;
 //! * [`reach`] — strict descendant sets and hop distances (used by the
 //!   distance-based diversity function of Section 3.4);
 //! * [`io`] — a line-oriented text format and a compact binary snapshot
@@ -39,6 +42,7 @@ pub mod dynamic;
 pub mod error;
 pub mod io;
 pub mod json;
+pub mod node_set;
 pub mod reach;
 pub mod scc;
 pub mod stats;
@@ -50,6 +54,7 @@ pub use delta::{apply_delta, AppliedDelta, DeltaOp, EffectiveOp, GraphDelta, TOM
 pub use digraph::{DiGraph, EdgeRef, Label, NodeId};
 pub use dynamic::DynGraph;
 pub use error::GraphError;
+pub use node_set::NodeSet;
 pub use scc::{Condensation, SccIndex};
 
 /// Convenience alias used across the workspace.

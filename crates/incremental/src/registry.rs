@@ -65,7 +65,7 @@ pub struct IncrementalConfig {
     /// condensation. Only `reach.budget_bytes` is read.
     pub reach: ReachConfig,
     /// Whether refresh planning may skip materializing outputs whose
-    /// upper bound (the popcount stored beside each maintained `Full(c)`)
+    /// upper bound (the size of its component's maintained `Full(c)`)
     /// cannot displace the k-th answer. Off = every dirty output is
     /// materialized — the reference side of the *bounded ≡ unbounded*
     /// suites.
@@ -284,7 +284,7 @@ pub struct PatternInfo {
     /// The active bound mode: `"per-component"` or `"off"`.
     pub bound_mode: &'static str,
     /// Heap bytes the pattern's maintained condensation retains in
-    /// `Full(c)` bitsets — the figure
+    /// `Full(c)` sets — the figure
     /// [`ReachConfig::budget_bytes`](gpm_ranking::ReachConfig) is
     /// enforced against; 0 while `reach_mode` is not `"maintained"`.
     pub maintained_bytes: usize,
@@ -293,6 +293,9 @@ pub struct PatternInfo {
     /// diversified answer is asked for, and while the table plus
     /// `maintained_bytes` would exceed the reach budget.
     pub distance_bytes: usize,
+    /// Heap bytes of the relevant sets in the pattern's cache (4 a
+    /// member) — reported, not charged to the reach budget.
+    pub cache_bytes: usize,
     /// Per-pattern maintenance counters (includes
     /// [`ApplyStats::last_refresh_ns`], the last refresh latency, and the
     /// bound-pruning tallies).
@@ -574,6 +577,7 @@ impl PatternRegistry {
             bound_mode: st.bound_mode(),
             maintained_bytes: st.maintained_bytes(),
             distance_bytes: st.distance_bytes(),
+            cache_bytes: st.cache_bytes(),
             stats: st.stats().clone(),
         })
     }

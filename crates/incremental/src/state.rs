@@ -23,7 +23,7 @@ use gpm_core::result::{rank_top_k, AnswerDiff, DivResult, RankedMatch, RunStats,
 use gpm_core::topk_div::greedy_diversified;
 use gpm_core::BoundedSelector;
 use gpm_graph::dynamic::DynGraph;
-use gpm_graph::{AppliedDelta, BitSet, EffectiveOp, Label, NodeId};
+use gpm_graph::{AppliedDelta, BitSet, EffectiveOp, Label, NodeId, NodeSet};
 use gpm_pattern::Pattern;
 use gpm_ranking::objective::{c_uo_with, Objective};
 use gpm_ranking::{CondPolicy, CondensationState, MaintainError, ReachEngine, RelevanceCache};
@@ -48,14 +48,13 @@ pub(crate) enum Batch<'a> {
 
 /// The stateful half of the reach engine: the alive-pair view kept
 /// across batches plus the incrementally maintained condensation
-/// over it (whose component slots also hold the upper bounds `h` that
+/// over it (whose `Full(c)` sizes are also the upper bounds `h` that
 /// [`PatternState::plan_refresh`] prunes against). Present only while
-/// the reach budget admits the retained `Full(c)` bitsets — dropped
-/// (never half-trusted) when it stops fitting, at which point
+/// the reach budget admits the retained `Full(c)` sets — dropped (never
+/// half-trusted) when their measured bytes stop fitting, at which point
 /// [`PatternState::materialize`] falls back to the per-batch
 /// [`ReachEngine`] prepare. Growth of the node-id space is not an event
-/// here: the view's universe follows the graph, a `Full(c)` takes the new
-/// width when it is next rebuilt, and older ones zero-extend.
+/// here: a `Full(c)` is a sorted set of node ids, with no width to grow.
 #[derive(Debug, Clone)]
 struct MaintainedReach {
     view: DynMatchGraph,
@@ -678,15 +677,11 @@ impl PatternState {
     }
 
     /// Rebuilds the maintained reach state from scratch over the current
-    /// graph — unless the reach budget can't hold it: if a single
-    /// universe-wide bitset doesn't fit, neither would any `Full(c)` (the
-    /// same early bail the per-batch engine takes).
+    /// graph; [`Self::install_maintained`] keeps it only if its measured
+    /// bytes fit the reach budget.
     fn rebuild_maintained(&mut self, g: &DynGraph, span: &Span) {
         self.maintained = None;
         self.maint_readopt = false;
-        if g.node_count().div_ceil(64) * 8 > self.cfg.reach.budget_bytes {
-            return;
-        }
         let view = DynMatchGraph::over_alive(g, &self.pattern, &self.sim);
         let cond = CondensationState::build(&view, |p| view.is_alive(p));
         self.install_maintained(MaintainedReach { view, cond }, span);
@@ -719,9 +714,9 @@ impl PatternState {
     /// `bitsets` sub-phases and budget-fallback events land under the
     /// `prepare` span). `extract` copies each output's strict-reach set
     /// out (or, past the reach budget, BFSes it) and stores it — the span
-    /// stays open across the cache inserts, which popcount every set.
-    /// Either way a set is as wide as the graph is now; the cache keeps it
-    /// beside narrower ones from before the graph grew.
+    /// stays open across the cache inserts. The engine's sets are bitsets
+    /// as wide as the graph; each distinct one becomes a [`NodeSet`] once,
+    /// and the sources sharing it clone the small result.
     fn materialize(&mut self, g: &DynGraph, outputs: &[NodeId], span: &Span) {
         if outputs.is_empty() {
             return;
@@ -741,7 +736,7 @@ impl PatternState {
             .map(|&v| self.sim.alive_slot(uo, v).expect("planned outputs are alive"))
             .collect();
         let _extract;
-        let sets: Vec<BitSet> = match &self.maintained {
+        let sets: Vec<NodeSet> = match &self.maintained {
             Some(mr) => {
                 if prep.is_enabled() {
                     prep.detail(format!("sources={} dp=true maintained=true", outputs.len()));
@@ -758,7 +753,7 @@ impl PatternState {
                 }
                 drop(prep);
                 _extract = extract_span();
-                engine.extract_all()
+                engine.extract_with(NodeSet::from_bits)
             }
         };
         for (&v, set) in outputs.iter().zip(sets) {
@@ -878,9 +873,9 @@ impl PatternState {
         self.verify_maintained(g)
     }
 
-    /// Heap bytes the maintained condensation retains in `Full(c)`
-    /// bitsets — the figure the reach budget is enforced against; 0 while
-    /// the per-batch engine serves the pattern.
+    /// Heap bytes the maintained condensation retains in `Full(c)` sets —
+    /// the figure the reach budget is enforced against; 0 while the
+    /// per-batch engine serves the pattern.
     pub(crate) fn maintained_bytes(&self) -> usize {
         self.maintained.as_ref().map_or(0, |mr| mr.cond.retained_bytes())
     }
@@ -890,6 +885,11 @@ impl PatternState {
     /// whenever the table did not fit the budget at the last call.
     pub(crate) fn distance_bytes(&self) -> usize {
         self.cache.distance_bytes()
+    }
+
+    /// Heap bytes of the relevant sets in the cache.
+    pub(crate) fn cache_bytes(&self) -> usize {
+        self.cache.cache_bytes()
     }
 
     /// How relevant-set preparation currently runs: `"maintained"` while
@@ -966,7 +966,8 @@ mod tests {
         assert_eq!(have, expect, "cache ∪ deferred != structural matches");
         for v in st.cache().matches() {
             let bfs = st.relevant_set_bfs(g, v);
-            let dp: Vec<usize> = st.cache().set_of(v).expect("cached").iter().collect();
+            let dp: Vec<usize> =
+                st.cache().set_of(v).expect("cached").iter().map(|x| x as usize).collect();
             assert_eq!(dp, bfs, "relevant set of output match {v}");
         }
         if st.sim().graph_matches(st.pattern()) {
@@ -1072,9 +1073,12 @@ mod tests {
 
     /// The budget fallback really flips the engine mode when driven
     /// through the dynamic view (not just through the static adapter):
-    /// a starved state never adopts a maintained condensation, its traced
-    /// refresh bails to per-source BFS before any Tarjan pass, and it
-    /// caches exactly the sets the maintained DP derives.
+    /// a starved state builds a maintained condensation, measures its
+    /// bytes over the budget and drops it, its traced refresh bails to
+    /// per-source BFS before any Tarjan pass, and it caches exactly the
+    /// sets the maintained DP derives. The maintained `Full(c)`s cost 4
+    /// bytes a member: the budget that admits them is that many bytes,
+    /// not a bit per graph node.
     #[test]
     fn zero_budget_forces_bfs_extraction_through_dynamic_view() {
         use gpm_telemetry::Telemetry;
@@ -1085,10 +1089,17 @@ mod tests {
         starved.reach.budget_bytes = 0;
         let mut dyn_g = DynGraph::from_digraph(&g);
         let mut dp = PatternState::new(&dyn_g, q.clone(), IncrementalConfig::new(3));
-        let mut bfs = PatternState::new(&dyn_g, q, starved);
+        let mut bfs = PatternState::new(&dyn_g, q.clone(), starved);
         assert_eq!(dp.reach_mode(), "maintained");
         assert_eq!(bfs.reach_mode(), "engine");
         assert_eq!(bfs.maintained_bytes(), 0);
+        // Fulls: {2}; {1,2}; {0,1,2}, {1,2,3}, {1,2,4} — 12 members.
+        assert_eq!(dp.maintained_bytes(), 4 * 12);
+        let mut snug = IncrementalConfig::new(3);
+        snug.reach.budget_bytes = 4 * 12;
+        assert_eq!(PatternState::new(&dyn_g, q.clone(), snug.clone()).reach_mode(), "maintained");
+        snug.reach.budget_bytes -= 1;
+        assert_eq!(PatternState::new(&dyn_g, q, snug).reach_mode(), "engine");
 
         // A second C under node 1 dirties all three roots: both states
         // re-derive every relevant set, each under its own trace.

@@ -788,7 +788,7 @@ fn gpm_telemetry_phase(name: &str) -> String {
 /// static pipeline on the same snapshot. The bounded side's maintained
 /// `h` is re-derived from scratch per component after every batch by
 /// `audit_pattern` (`CondensationState::validate` compares every stored
-/// count with the fresh `Full`'s popcount).
+/// `Full`, whose size is `h`, with a fresh build's).
 #[test]
 fn bounded_and_unbounded_registries_agree() {
     for (spec, seed) in
@@ -865,7 +865,7 @@ fn bounded_and_unbounded_registries_agree() {
 /// motivates it: two high-relevance "head" outputs the stream never
 /// touches hold the top-2, and a low-reach "tail" output absorbs the
 /// churn. A delta touching only the tail must be pruned — its maintained
-/// upper bound (component popcount, ≤ 3) cannot displace the k-th answer
+/// upper bound (component `Full` size, ≤ 3) cannot displace the k-th answer
 /// (relevance 10) — leaving the answer untouched without materializing
 /// the tail's relevant set. A later delta that pushes the tail's bound
 /// past the k-th must pull it back out of the deferred backlog and into

@@ -328,7 +328,7 @@ fn deregister_mid_stream_keeps_the_registry_exact() {
     let mut reg = PatternRegistry::new(&g);
     let id = reg.register(q.clone(), forced(8)).unwrap();
     let one_full = reg.pattern_info(id).unwrap().maintained_bytes;
-    assert!(one_full >= n as usize / 8, "the cycle is one component holding one Full");
+    assert_eq!(one_full, 4 * n as usize, "the cycle is one component whose Full holds every node");
     exact(&reg, id);
 
     // Breaking the cycle kills every alive pair.
@@ -336,7 +336,7 @@ fn deregister_mid_stream_keeps_the_registry_exact() {
     exact(&reg, id);
     let info = reg.pattern_info(id).unwrap();
     assert_eq!(info.reach_mode, "maintained");
-    assert_eq!(info.maintained_bytes, 0, "tombstoned components freed their bitsets eagerly");
+    assert_eq!(info.maintained_bytes, 0, "tombstoned components freed their sets eagerly");
 
     // Revival dirties every output at once.
     reg.apply(&GraphDelta::new().add_edge(0, 1)).unwrap();
@@ -357,12 +357,13 @@ fn deregister_mid_stream_keeps_the_registry_exact() {
 #[test]
 fn overflow_rebuild_respects_the_reach_budget() {
     // A ring of 200 two-cycles (a_i ⇄ b_i, b_i → a_{i+1}) is one SCC —
-    // one retained `Full`. Removing the closing edge splits it into 200
-    // components at once: the region covers every pair, so maintenance
-    // falls back to a from-scratch condensation, which now holds 200
-    // `Full`s. A budget that admits a handful of bitsets must drop the
-    // maintained state there exactly as it does after an in-place batch,
-    // not keep it on credit.
+    // one retained `Full` of 400 nodes. Removing the closing edge splits
+    // it into a chain of 200 components at once: the region covers every
+    // pair, so maintenance falls back to a from-scratch condensation,
+    // where the i-th component's `Full` holds the 2·(200 − i) nodes from
+    // its cycle on. A budget that admits a handful of ring-sized sets must
+    // drop the maintained state there exactly as it does after an
+    // in-place batch, not keep it on credit.
     let cycles = 200u32;
     let labels: Vec<u32> = (0..2 * cycles).map(|i| i % 2).collect();
     let mut edges = Vec::new();
@@ -377,7 +378,7 @@ fn overflow_rebuild_respects_the_reach_budget() {
     let roomy = reg.register(q.clone(), forced(4)).unwrap();
     // The ring is one component: the retained bytes are one `Full`.
     let full_bytes = reg.pattern_info(roomy).unwrap().maintained_bytes;
-    assert!(full_bytes > 0, "default budget maintains");
+    assert_eq!(full_bytes, 4 * 2 * cycles as usize, "4 bytes a member of the one Full");
 
     let mut tight_cfg = forced(4);
     tight_cfg.reach.budget_bytes = 8 * full_bytes + 4096;
@@ -393,10 +394,12 @@ fn overflow_rebuild_respects_the_reach_budget() {
     assert_eq!(
         reg.pattern_info(tight).unwrap().reach_mode,
         "engine",
-        "200 retained bitsets do not fit a budget of 8"
+        "100.5 ring-sized sets do not fit a budget of 8"
     );
     assert_eq!(reg.pattern_info(tight).unwrap().maintained_bytes, 0);
-    assert_eq!(reg.pattern_info(roomy).unwrap().maintained_bytes, 200 * full_bytes);
+    // Σ 2·(200 − i) over i = 0..200 = 200 · 201 members.
+    let chain = cycles as usize * (cycles as usize + 1);
+    assert_eq!(reg.pattern_info(roomy).unwrap().maintained_bytes, 4 * chain);
 
     // The per-batch engine takes over with exact answers, now and on the
     // next batch.

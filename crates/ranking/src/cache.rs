@@ -3,16 +3,16 @@
 //!
 //! The static pipeline rebuilds [`crate::relevant_set::RelevantSets`] from
 //! scratch per query. Under graph deltas most output matches keep their
-//! relevant set, so the dynamic path caches one bitset per output match —
-//! over **data-node ids** rather than a per-query compact universe, because
-//! node ids are stable across updates while universes are not — and the
-//! maintenance layer invalidates and recomputes only the dirty entries.
-//! Each set keeps the capacity it was built with: sets cached before and
-//! after the graph grew differ in width, and every comparison zero-extends
-//! the narrower one (see [`gpm_graph::BitSet`]).
+//! relevant set, so the dynamic path caches one set per output match —
+//! a sorted [`NodeSet`] of **data-node ids** rather than a bitset over a
+//! per-query compact universe, because node ids are stable across updates
+//! while universes are not. A set costs 4 bytes a member whatever the
+//! graph's size, its `δr` is its length, and the maintenance layer
+//! invalidates and recomputes only the dirty entries.
 //!
 //! Relevance and Jaccard distance values are identical to the
-//! universe-encoded ones (both encodings are bijective on the same sets),
+//! universe-encoded ones (both encodings are bijective on the same sets,
+//! and [`NodeSet::jaccard_distance`] evaluates the bitset's expression),
 //! so every ranking quantity derived from this cache matches the static
 //! pipeline bit for bit.
 //!
@@ -27,22 +27,25 @@
 
 use std::collections::BTreeMap;
 
-use gpm_graph::{BitSet, NodeId};
+use gpm_graph::{NodeId, NodeSet};
 
-/// One cached relevant set with its popcount `δr` stored beside the bits:
-/// relevance queries — `relevances()` in particular, which every `apply`
-/// re-ranks from — must not re-popcount `O(|V|/64)` words per match.
+/// One cached relevant set and its row in the distance table.
 #[derive(Debug, Clone)]
 struct CachedSet {
-    bits: BitSet,
-    /// `bits.count()`, computed once at [`RelevanceCache::upsert`].
-    delta_r: u64,
+    set: NodeSet,
     /// Row of this set in the distance table.
     slot: usize,
 }
 
-/// Cached relevant sets `R(uo, v)` keyed by output match, bitsets over
-/// data-node ids, plus the `δd` of each pair of them once asked for.
+impl CachedSet {
+    /// `δr(uo, v)`: the set's size.
+    fn delta_r(&self) -> u64 {
+        self.set.len() as u64
+    }
+}
+
+/// Cached relevant sets `R(uo, v)` keyed by output match, sorted node-id
+/// sets, plus the `δd` of each pair of them once asked for.
 #[derive(Debug, Clone, Default)]
 pub struct RelevanceCache {
     sets: BTreeMap<NodeId, CachedSet>,
@@ -69,11 +72,9 @@ fn pair_index(a: usize, b: usize) -> usize {
 }
 
 impl RelevanceCache {
-    /// Inserts or replaces the relevant set of `v`, recording its popcount
-    /// and dropping every stored `δd` that involves `v`. The reach DP
-    /// emits node-id bitsets, so they are stored as built.
-    pub fn upsert(&mut self, v: NodeId, bits: BitSet) {
-        let delta_r = bits.count() as u64;
+    /// Inserts or replaces the relevant set of `v`, dropping every stored
+    /// `δd` that involves `v`.
+    pub fn upsert(&mut self, v: NodeId, set: NodeSet) {
         let slot = match self.sets.get(&v) {
             Some(old) => old.slot,
             None => self.free_slots.pop().unwrap_or_else(|| {
@@ -82,7 +83,7 @@ impl RelevanceCache {
             }),
         };
         self.forget_distances(slot);
-        self.sets.insert(v, CachedSet { bits, delta_r, slot });
+        self.sets.insert(v, CachedSet { set, slot });
     }
 
     /// Drops the entry of `v` (the match disappeared). Its slot's stored
@@ -115,21 +116,25 @@ impl RelevanceCache {
         self.sets.keys().copied().collect()
     }
 
-    /// `δr(uo, v)` from the cache — the stored popcount, no bit scan.
+    /// `δr(uo, v)` from the cache.
     pub fn relevance_of(&self, v: NodeId) -> Option<u64> {
-        self.sets.get(&v).map(|s| s.delta_r)
+        self.sets.get(&v).map(CachedSet::delta_r)
     }
 
     /// The cached set of `v`.
-    pub fn set_of(&self, v: NodeId) -> Option<&BitSet> {
-        self.sets.get(&v).map(|s| &s.bits)
+    pub fn set_of(&self, v: NodeId) -> Option<&NodeSet> {
+        self.sets.get(&v).map(|s| &s.set)
     }
 
-    /// `(node, δr)` for every cached match, ascending by node id. Reads the
-    /// popcounts stored at `upsert`, so a query is `O(matches)` instead of
-    /// `O(matches · |V|/64)`.
+    /// `(node, δr)` for every cached match, ascending by node id, in
+    /// `O(matches)`.
     pub fn relevances(&self) -> impl Iterator<Item = (NodeId, u64)> + '_ {
-        self.sets.iter().map(|(&v, s)| (v, s.delta_r))
+        self.sets.iter().map(|(&v, s)| (v, s.delta_r()))
+    }
+
+    /// Heap bytes of the cached sets' members — 4 a member.
+    pub fn cache_bytes(&self) -> usize {
+        self.sets.values().map(|s| s.set.heap_bytes()).sum()
     }
 
     /// Heap bytes of the stored distance table; 0 until [`Self::pairwise`]
@@ -159,7 +164,7 @@ impl RelevanceCache {
                 for y in &entries[a + 1..] {
                     let d = &mut self.table[pair_index(x.slot, y.slot)];
                     if d.is_nan() {
-                        *d = x.bits.jaccard_distance(&y.bits);
+                        *d = x.set.jaccard_distance(&y.set);
                     }
                 }
             }
@@ -167,7 +172,7 @@ impl RelevanceCache {
         };
         Pairwise {
             nodes: self.sets.keys().copied().collect(),
-            relevances: entries.iter().map(|s| s.delta_r).collect(),
+            relevances: entries.iter().map(|s| s.delta_r()).collect(),
             entries,
             table,
         }
@@ -204,7 +209,7 @@ impl Pairwise<'_> {
         let (a, b) = (self.entries[i], self.entries[j]);
         match self.table {
             Some(t) => t[pair_index(a.slot, b.slot)],
-            None => a.bits.jaccard_distance(&b.bits),
+            None => a.set.jaccard_distance(&b.set),
         }
     }
 }
@@ -213,8 +218,8 @@ impl Pairwise<'_> {
 mod tests {
     use super::*;
 
-    fn set(bits: &[usize]) -> BitSet {
-        BitSet::from_iter(10, bits.iter().copied())
+    fn set(ids: &[NodeId]) -> NodeSet {
+        NodeSet::from_scratch(&mut ids.to_vec())
     }
 
     #[test]
@@ -235,14 +240,17 @@ mod tests {
 
     #[test]
     fn stored_popcount_tracks_set_lifecycle() {
-        // The stored δr must agree with a fresh popcount of the stored bits
-        // after every mutation: upsert, overwrite, remove.
+        // δr and the held bytes follow the stored sets after every
+        // mutation: upsert, overwrite, remove.
         let mut c = RelevanceCache::default();
         let check = |c: &RelevanceCache| {
+            let mut members = 0;
             for (v, r) in c.relevances() {
-                assert_eq!(Some(r), c.set_of(v).map(|s| s.count() as u64), "match {v}");
+                assert_eq!(Some(r), c.set_of(v).map(|s| s.len() as u64), "match {v}");
                 assert_eq!(c.relevance_of(v), Some(r));
+                members += r as usize;
             }
+            assert_eq!(c.cache_bytes(), 4 * members);
         };
         c.upsert(0, set(&[1, 2, 3]));
         c.upsert(5, set(&[0, 7]));
@@ -255,18 +263,6 @@ mod tests {
         check(&c);
     }
 
-    /// Sets cached before and after the graph grew keep their own widths;
-    /// distance zero-extends the narrower one.
-    #[test]
-    fn distance_across_widths() {
-        let mut c = RelevanceCache::default();
-        c.upsert(0, set(&[1, 3]));
-        c.upsert(1, BitSet::from_iter(300, [3, 299]));
-        let p = c.pairwise(usize::MAX);
-        assert_eq!(p.distance(0, 1), 1.0 - 1.0 / 3.0);
-        assert_eq!(p.distance(1, 0), p.distance(0, 1));
-    }
-
     /// Every stored δd equals a fresh Jaccard of the current sets after
     /// each upsert, overwrite, removal and slot reuse — and a zero budget
     /// keeps no table but answers the same.
@@ -274,7 +270,7 @@ mod tests {
     fn stored_distances_follow_every_set_change() {
         let mut c = RelevanceCache::default();
         let check = |c: &mut RelevanceCache| {
-            let fresh: Vec<BitSet> = c.sets.values().map(|s| s.bits.clone()).collect();
+            let fresh: Vec<NodeSet> = c.sets.values().map(|s| s.set.clone()).collect();
             for budget in [usize::MAX, 0] {
                 let p = c.pairwise(budget);
                 for i in 0..fresh.len() {

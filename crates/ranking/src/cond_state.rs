@@ -1,5 +1,5 @@
 //! [`CondensationState`]: incrementally maintained Tarjan condensation +
-//! component reach bitsets over a mutable pair graph.
+//! component reach sets over a mutable pair graph.
 //!
 //! PR 5's `dirty_region` sweep showed that at small dirty fractions the
 //! reach DP's cost is dominated by *prepare* — a from-scratch Tarjan
@@ -22,16 +22,18 @@
 //!   the components on the connecting paths join the re-Tarjan region.
 //!   Probes run sequentially over the batch so interacting multi-edge
 //!   cycles are caught by the latest edge's probe.
-//! * **Dirty `Full(c)` bitsets propagate only to ancestors.** Each live
-//!   component owns `Full(c)` (member data nodes ∪ successors' `Full`);
-//!   extraction ([`CondensationState::strict_reach`]) copies out an owned
-//!   set, so nothing outside the state ever aliases one. After
-//!   restructuring, only the changed components and their
-//!   condensation-DAG ancestors (walked over exact predecessor sets) are
-//!   recomputed, successors-first. A recomputed `Full(c)` spans the
-//!   view's universe at that moment; the state itself has no width, so a
-//!   universe that grows between batches leaves every clean `Full`
-//!   alone and unions zero-extend the older, narrower ones.
+//! * **Dirty `Full(c)` sets propagate only to ancestors.** Each live
+//!   component owns `Full(c)` (member data nodes ∪ successors' `Full`) as
+//!   a sorted [`NodeSet`] of data-node ids: it costs 4 bytes a member, not
+//!   a bit per graph node, and a rebuild costs the members and the
+//!   successors' sets it reads — they are appended to one scratch buffer
+//!   the state keeps, then sorted and deduplicated. Extraction
+//!   ([`CondensationState::strict_reach`]) copies out an owned set, so
+//!   nothing outside the state ever aliases one. After restructuring,
+//!   only the changed components and their condensation-DAG ancestors
+//!   (walked over exact predecessor sets) are recomputed,
+//!   successors-first. A set has no width, so a graph that grows between
+//!   batches leaves every clean `Full` alone.
 //!
 //! When a batch's affected region outgrows [`CondPolicy`]'s thresholds
 //! the state reports [`MaintainError`] and the caller falls back to a
@@ -40,19 +42,18 @@
 //! [`CondensationState::validate`] compares partition, triviality and
 //! every `Full(c)` against a from-scratch build.
 //!
-//! Beside each `Full(c)` the slot keeps its popcount — the paper's upper
-//! bound `v.h`, stored in the same per-node vector as the relevant set it
-//! bounds. A candidate pair's relevance is at most the popcount of its
-//! component's `Full` (exact for nontrivial components; a trivial
-//! component's `Full` additionally contains the member's own universe
-//! position, so the slack is ≤ 1). The count is written where `Full(c)`
-//! is built, so it can never be staler than the set, and
+//! The size of each `Full(c)` is the paper's upper bound `v.h`, kept in
+//! the same per-node vector as the relevant set it bounds. A candidate
+//! pair's relevance is at most the size of its component's `Full` (exact
+//! for nontrivial components; a trivial component's `Full` additionally
+//! contains the member's own data node, so the slack is ≤ 1). A set's
+//! size is its length, so it can never be staler than the set, and
 //! [`CondensationState::upper_bound`] reads it in O(1).
 
 use std::collections::{BTreeSet, HashMap};
 
 use gpm_graph::scc::TarjanScratch;
-use gpm_graph::BitSet;
+use gpm_graph::{NodeId, NodeSet};
 use gpm_simulation::{PairDelta, ReachView};
 
 /// Sentinel component id for dead / never-alive pair slots.
@@ -91,7 +92,7 @@ pub enum MaintainError {
 pub struct MaintainStats {
     /// Pairs inside the re-Tarjan region (0 when no component restructured).
     pub region_pairs: usize,
-    /// Components whose `Full` bitset was recomputed.
+    /// Components whose `Full` set was recomputed.
     pub recomputed_fulls: usize,
     /// Components retired + created by restructuring.
     pub restructured_comps: usize,
@@ -112,14 +113,12 @@ struct CompSlot {
     /// Size > 1, or a single member with a self-loop.
     nontrivial: bool,
     /// `Full(c)` = member data nodes ∪ successors' `Full`.
-    full: BitSet,
-    /// `popcount(Full(c))`, written wherever `full` is.
-    full_count: u64,
+    full: NodeSet,
 }
 
 /// Incrementally maintained condensation (components, DAG adjacency,
-/// per-component reach bitsets) over a [`ReachView`] whose pair slots
-/// are stable across batches. See the module docs for the algorithm.
+/// per-component reach sets) over a [`ReachView`] whose pair slots are
+/// stable across batches. See the module docs for the algorithm.
 #[derive(Debug, Clone)]
 pub struct CondensationState {
     /// Pair slot → live component id, or [`DEAD`].
@@ -129,6 +128,8 @@ pub struct CondensationState {
     live_pairs: usize,
     /// Tarjan scratch, kept so a region re-run costs O(region).
     tarjan: TarjanScratch,
+    /// Where a `Full(c)` is gathered before it is sorted and deduplicated.
+    scratch: Vec<NodeId>,
 }
 
 impl CondensationState {
@@ -142,6 +143,7 @@ impl CondensationState {
             free: Vec::new(),
             live_pairs: 0,
             tarjan: TarjanScratch::default(),
+            scratch: Vec::new(),
         };
         let region: Vec<u32> = (0..n as u32).filter(|&p| alive(p)).collect();
         st.live_pairs = region.len();
@@ -166,30 +168,33 @@ impl CondensationState {
         self.comps.iter().filter(|c| c.live).count()
     }
 
-    /// Heap bytes held by the live components' `Full` bitsets — what the
-    /// reach budget is enforced against and `PatternInfo::maintained_bytes`
-    /// reports.
+    /// Heap bytes held by the live components' `Full` sets — 4 a member;
+    /// what the reach budget is enforced against and
+    /// `PatternInfo::maintained_bytes` reports.
     pub fn retained_bytes(&self) -> usize {
         self.comps.iter().filter(|c| c.live).map(|c| c.full.heap_bytes()).sum()
     }
 
     /// The strict-reach set of alive pair `p` (data nodes of pairs
-    /// reachable via ≥ 1 edge), as an owned bitset: a nontrivial
-    /// component's own `Full(c)` (the cycle makes every member reachable
-    /// from every member), a trivial one's union of successor `Full`s — as
-    /// wide as its own `Full`, which is rebuilt whenever a successor's is.
-    pub fn strict_reach(&self, p: u32) -> BitSet {
+    /// reachable via ≥ 1 edge), as an owned set: a nontrivial component's
+    /// own `Full(c)` (the cycle makes every member reachable from every
+    /// member), a trivial one's union of successor `Full`s.
+    pub fn strict_reach(&self, p: u32) -> NodeSet {
         let c = self.comp_of[p as usize];
         debug_assert_ne!(c, DEAD, "extraction from a dead pair");
         let slot = &self.comps[c as usize];
-        if slot.nontrivial {
-            return slot.full.clone();
+        match slot.succs.as_slice() {
+            _ if slot.nontrivial => slot.full.clone(),
+            [] => NodeSet::new(),
+            &[s] => self.comps[s as usize].full.clone(),
+            succs => {
+                let mut ids: Vec<NodeId> = Vec::new();
+                for &s in succs {
+                    ids.extend_from_slice(self.comps[s as usize].full.as_slice());
+                }
+                NodeSet::from_scratch(&mut ids)
+            }
         }
-        let mut set = BitSet::new(slot.full.capacity());
-        for &s in &slot.succs {
-            set.union_with(&self.comps[s as usize].full);
-        }
-        set
     }
 
     /// Folds one batch's pair-level delta into the maintained
@@ -350,16 +355,15 @@ impl CondensationState {
         Ok(stats)
     }
 
-    /// Upper bound `h` on the relevance of alive pair `p` — the stored
-    /// popcount of its component's `Full` — or `None` when `p` is dead.
+    /// Upper bound `h` on the relevance of alive pair `p` — the size of
+    /// its component's `Full` — or `None` when `p` is dead.
     #[inline]
     pub fn upper_bound(&self, p: u32) -> Option<u64> {
-        self.comp_of(p).map(|c| self.comps[c as usize].full_count)
+        self.comp_of(p).map(|c| self.comps[c as usize].full.len() as u64)
     }
 
     /// Differential check against a from-scratch build: same partition of
-    /// the same alive pairs, same triviality, same `Full` per component,
-    /// and every stored count equal to the fresh `Full`'s popcount.
+    /// the same alive pairs, same triviality and same `Full` per component.
     pub fn validate<V: ReachView>(
         &self,
         view: &V,
@@ -387,11 +391,7 @@ impl CondensationState {
                 return Err(format!("pair {p}: nontrivial {} != {}", ms.nontrivial, fs.nontrivial));
             }
             if ms.full != fs.full {
-                return Err(format!("pair {p}: Full mismatch"));
-            }
-            let want = fs.full.count() as u64;
-            if ms.full_count != want {
-                return Err(format!("pair {p}: stored h {} != fresh {want}", ms.full_count));
+                return Err(format!("pair {p}: Full {:?} != fresh {:?}", ms.full, fs.full));
             }
             let msucc = self.succ_rep_set(mc);
             let fsucc = fresh.succ_rep_set(fc);
@@ -428,8 +428,7 @@ impl CondensationState {
             succs: Vec::new(),
             preds: BTreeSet::new(),
             nontrivial: false,
-            full: BitSet::new(0),
-            full_count: 0,
+            full: NodeSet::new(),
         };
         match self.free.pop() {
             Some(c) => {
@@ -468,8 +467,7 @@ impl CondensationState {
         let slot = &mut self.comps[c as usize];
         slot.live = false;
         slot.members = Vec::new();
-        slot.full = BitSet::new(0);
-        slot.full_count = 0;
+        slot.full = NodeSet::new();
         let succs = std::mem::take(&mut slot.succs);
         let preds = std::mem::take(&mut slot.preds);
         for s in succs {
@@ -511,8 +509,7 @@ impl CondensationState {
 
     /// Recomputes `Full(c)` for every component in `dirty`,
     /// successors-first (DFS postorder over the dirty sub-DAG); clean
-    /// successors contribute their stored `Full` untouched — never wider
-    /// than the rebuilt one, since the view's universe only grows.
+    /// successors contribute their stored `Full` untouched.
     fn recompute_fulls<V: ReachView>(&mut self, view: &V, dirty: &BTreeSet<u32>) {
         let mut order: Vec<u32> = Vec::with_capacity(dirty.len());
         let mut state: HashMap<u32, u8> = HashMap::new(); // 1 = open, 2 = done
@@ -538,19 +535,16 @@ impl CondensationState {
                 }
             }
         }
+        let mut ids = std::mem::take(&mut self.scratch);
         for &c in &order {
             let slot = &self.comps[c as usize];
-            let mut f = BitSet::new(view.universe_size());
             for &s in &slot.succs {
-                f.union_with(&self.comps[s as usize].full);
+                ids.extend_from_slice(self.comps[s as usize].full.as_slice());
             }
-            for &p in &slot.members {
-                f.insert(view.universe_pos(p));
-            }
-            let slot = &mut self.comps[c as usize];
-            slot.full_count = f.count() as u64;
-            slot.full = f;
+            ids.extend(slot.members.iter().map(|&p| view.universe_pos(p) as NodeId));
+            self.comps[c as usize].full = NodeSet::from_scratch(&mut ids);
         }
+        self.scratch = ids;
     }
 
     /// Bounded condensation-DAG reachability from `from` towards `to`
@@ -660,22 +654,22 @@ mod tests {
 
     /// Strict-reach oracle: BFS from the successors of `s` over alive
     /// nodes.
-    fn strict_reach_bfs(view: &VecView, alive: &[bool], s: u32) -> BitSet {
-        let mut set = BitSet::new(view.width);
+    fn strict_reach_bfs(view: &VecView, alive: &[bool], s: u32) -> NodeSet {
+        let mut set: Vec<NodeId> = Vec::new();
         let mut seen: BTreeSet<u32> = BTreeSet::new();
         let mut work: Vec<u32> = view.adj[s as usize].clone();
         for &w in &work {
             seen.insert(w);
         }
         while let Some(p) = work.pop() {
-            set.insert(p as usize);
+            set.push(p);
             for &w in &view.adj[p as usize] {
                 if alive[w as usize] && seen.insert(w) {
                     work.push(w);
                 }
             }
         }
-        set
+        NodeSet::from_scratch(&mut set)
     }
 
     fn assert_consistent(st: &CondensationState, view: &VecView, alive: &[bool]) {
@@ -817,7 +811,7 @@ mod tests {
     }
 
     /// Killing a component's last member tombstones it; ancestors'
-    /// bitsets shed the dead data node.
+    /// sets shed the dead data node.
     #[test]
     fn tombstoned_source_component() {
         let mut h = Harness::new(4, &[(0, 1), (1, 2), (2, 3)]);
@@ -848,8 +842,8 @@ mod tests {
     }
 
     /// `upper_bound` follows incremental maintenance: cutting off a
-    /// reachable cycle lowers every ancestor's stored count, and a stale
-    /// count is a `validate` failure.
+    /// reachable cycle lowers every ancestor's bound, and a stale `Full`
+    /// is a `validate` failure.
     #[test]
     fn upper_bound_tracks_incremental_apply() {
         // 0 → {1, 2} → 3, plus a 2-cycle {4, 5} hanging off 3.
@@ -872,9 +866,28 @@ mod tests {
         assert_eq!(h.st.upper_bound(2), None, "dead pairs have no bound");
 
         let c = h.st.comp_of(0).expect("alive");
-        h.st.comps[c as usize].full_count += 1;
-        let err = h.st.validate(&h.view, |p| h.alive[p as usize]).expect_err("stale h");
-        assert!(err.contains("stored h"), "{err}");
+        h.st.comps[c as usize].full = NodeSet::from_scratch(&mut vec![0, 1, 3, 4]);
+        assert_eq!(h.st.upper_bound(0), Some(4), "same size, different members");
+        let err = h.st.validate(&h.view, |p| h.alive[p as usize]).expect_err("stale Full");
+        assert!(err.contains("Full"), "{err}");
+    }
+
+    /// A `Full(c)` costs its members: on a graph a million nodes wide the
+    /// retained bytes are 4 per member of each live component's set, not a
+    /// bit per graph node.
+    #[test]
+    fn retained_bytes_are_four_per_full_member() {
+        let mut h = Harness::new(6, &[(0, 1), (0, 2), (1, 3), (2, 3), (3, 4), (4, 5), (5, 4)]);
+        h.view.width = 1 << 20;
+        h.st = CondensationState::build(&h.view, |_| true);
+        h.check();
+        // Fulls: {4,5}; {3,4,5}; {1,3,4,5}; {2,3,4,5}; {0,…,5}.
+        assert_eq!(h.st.component_count(), 5);
+        assert_eq!(h.st.retained_bytes(), 4 * (2 + 3 + 4 + 4 + 6));
+        h.batch(&[Op::RemoveEdge(3, 4)]).expect("maintained");
+        h.check();
+        // {4,5}; {3}; {1,3}; {2,3}; {0,1,2,3}.
+        assert_eq!(h.st.retained_bytes(), 4 * (2 + 1 + 2 + 2 + 4));
     }
 
     /// Probe and region limits trip the documented fallbacks.

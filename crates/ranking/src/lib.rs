@@ -21,9 +21,9 @@
 //!   drive Proposition 3 early termination — strict-reach counts over the
 //!   output cone.
 //! * **Maintained condensation** ([`cond_state`]): the incremental
-//!   counterpart of [`reach_sets`] and [`bounds`] — component reach
-//!   bitsets `Full(c)` kept alive across deltas, each with its popcount
-//!   `h` beside it.
+//!   counterpart of [`reach_sets`] and [`bounds`] — component reach sets
+//!   `Full(c)`, sorted node ids kept alive across deltas, whose sizes are
+//!   the bounds `h`.
 //! * **Set-reachability core** ([`reach_sets`]): a shared
 //!   condensation-and-bitset dynamic program used by both relevant sets and
 //!   the bound index, with a memory budget and a per-source BFS fallback.

@@ -272,14 +272,30 @@ impl<V: ReachView> ReachEngine<V> {
             Mode::Dp { sets, of_source } => {
                 of_source.iter().map(|&i| sets[i as usize].clone()).collect()
             }
-            Mode::Bfs => {
-                // The fallback runs exactly when memory is tight, so every
-                // source reuses one visited bitset and one queue.
-                let mut visited = BitSet::new(self.view.node_count());
-                let mut queue = VecDeque::new();
-                self.sources.iter().map(|&s| self.bfs_from(s, &mut visited, &mut queue)).collect()
-            }
+            Mode::Bfs => self.bfs_all(|set| set),
         }
+    }
+
+    /// Phase 2 into another representation: `convert` runs once per
+    /// distinct retained set in DP mode — sources sharing a component
+    /// clone its converted set — and once per source in BFS mode.
+    pub fn extract_with<T: Clone>(&self, mut convert: impl FnMut(&BitSet) -> T) -> Vec<T> {
+        match &self.mode {
+            Mode::Dp { sets, of_source } => {
+                let converted: Vec<T> = sets.iter().map(convert).collect();
+                of_source.iter().map(|&i| converted[i as usize].clone()).collect()
+            }
+            Mode::Bfs => self.bfs_all(|set| convert(&set)),
+        }
+    }
+
+    /// Every source's BFS set, handed to `f`. The fallback runs exactly
+    /// when memory is tight, so every source reuses one visited bitset and
+    /// one queue.
+    fn bfs_all<T>(&self, mut f: impl FnMut(BitSet) -> T) -> Vec<T> {
+        let mut visited = BitSet::new(self.view.node_count());
+        let mut queue = VecDeque::new();
+        self.sources.iter().map(|&s| f(self.bfs_from(s, &mut visited, &mut queue))).collect()
     }
 
     /// Strict reachability from `s` by plain BFS over the pair graph:
@@ -309,6 +325,7 @@ impl<V: ReachView> ReachEngine<V> {
 mod tests {
     use super::*;
     use gpm_graph::builder::graph_from_parts;
+    use gpm_graph::NodeSet;
     use gpm_pattern::builder::label_pattern;
     use gpm_simulation::{compute_simulation, MatchGraph};
 
@@ -358,6 +375,10 @@ mod tests {
         assert_eq!(dp.counts(), bfs.counts());
         // Repeated extraction is legal (read-only phase 2).
         assert_eq!(bfs.extract_all(), bfs.extract_all());
+        // Converting extraction yields the converted sets, in either mode.
+        let as_nodes: Vec<NodeSet> = dp.extract_all().iter().map(NodeSet::from_bits).collect();
+        assert_eq!(dp.extract_with(NodeSet::from_bits), as_nodes);
+        assert_eq!(bfs.extract_with(NodeSet::from_bits), as_nodes);
     }
 
     /// On a cycle, a pair reaches itself (strictness via nonempty path).

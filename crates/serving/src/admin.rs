@@ -206,7 +206,7 @@ fn pattern_json(info: &PatternInfo) -> String {
         concat!(
             "{{\"id\":\"{}\",\"nodes\":{},\"edges\":{},\"k\":{},\"lambda\":{},",
             "\"reach_mode\":\"{}\",\"bound_mode\":\"{}\",\"maintained_bytes\":{},",
-            "\"distance_bytes\":{},\"stats\":{{",
+            "\"distance_bytes\":{},\"cache_bytes\":{},\"stats\":{{",
             "\"applies\":{},\"incremental_applies\":{},",
             "\"full_rank_refreshes\":{},\"sets_recomputed\":{},\"cond_incremental\":{},",
             "\"cond_rebuilds\":{},\"pruned_outputs\":{},",
@@ -223,6 +223,7 @@ fn pattern_json(info: &PatternInfo) -> String {
         info.bound_mode,
         info.maintained_bytes,
         info.distance_bytes,
+        info.cache_bytes,
         s.applies,
         s.incremental_applies,
         s.full_rank_refreshes,

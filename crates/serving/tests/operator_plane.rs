@@ -141,6 +141,8 @@ fn live_service_scrapes_clean_over_tcp() {
     // A Relevance subscription never asks for a diversified answer, so it
     // keeps no distance table.
     assert!(body.contains("\"distance_bytes\":0,"), "{body}");
+    // The cached relevant sets hold their members, 4 bytes each.
+    assert!(body.contains("\"cache_bytes\":"), "{body}");
     assert!(body.contains("\"pruned_outputs\":"), "{body}");
     assert!(body.contains("\"bound_rebuilds\":"), "{body}");
     assert!(body.contains("\"last_refresh_ns\":"), "{body}");

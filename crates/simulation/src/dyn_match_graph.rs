@@ -26,11 +26,11 @@
 //!
 //! The universe projection is the **data-node id** itself (not a per-query
 //! compact universe): node ids are stable across updates while universes
-//! are not, and the relevance cache's bitsets are keyed by node id — so
-//! the DP's output bitsets can be stored in the cache directly, no
-//! re-encoding. The universe is the graph's node count as of the last
-//! batch folded in: a set built over the view is exactly as wide as the
-//! graph is then, and readers zero-extend older, narrower ones.
+//! are not, and the sets the dynamic path keeps across batches (the
+//! relevance cache's, the maintained condensation's `Full(c)`) are sorted
+//! node-id sets. The universe is the graph's node count as of the last
+//! batch folded in, which is how wide a bitset the per-batch engine
+//! builds over the view is.
 
 use gpm_graph::dynamic::DynGraph;
 use gpm_graph::scc::Successors;
