@@ -415,16 +415,6 @@ impl<'a> Engine<'a> {
         WaveOutcome { activated, exhausted: self.exhausted() }
     }
 
-    /// Activates every remaining leaf and propagates — used by the `Match`
-    /// comparison path and as the drivers' fallback.
-    pub fn exhaust(&mut self) {
-        for k in 0..self.rank0.len() {
-            self.activate(self.rank0[k]);
-        }
-        self.drain_buckets();
-        self.stats.waves += 1;
-    }
-
     /// Starts a traversal: afterwards no pair is [`Self::visit`]ed. (A run
     /// makes at most one traversal per wave, far fewer than `u32::MAX`.)
     pub(super) fn begin_traversal(&mut self) {

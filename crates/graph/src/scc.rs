@@ -315,12 +315,6 @@ impl Condensation {
         self.nontrivial[c as usize]
     }
 
-    /// Topological rank of component `c` (0 = leaf of the condensation).
-    #[inline]
-    pub fn comp_rank(&self, c: u32) -> u32 {
-        self.rank[c as usize]
-    }
-
     /// Topological rank `r(v)` of a node, per the paper's definition.
     #[inline]
     pub fn node_rank(&self, v: NodeId) -> u32 {

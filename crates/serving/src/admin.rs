@@ -26,9 +26,11 @@ use std::thread::JoinHandle;
 use std::time::Duration;
 
 use gpm_incremental::PatternInfo;
+use serde::{Serialize, Value};
 
+use crate::health::HealthReport;
 use crate::http::{read_request, write_response, Request};
-use crate::runtime::ServiceController;
+use crate::runtime::{LoopGone, ServiceController};
 
 const JSON: &str = "application/json";
 /// The content type Prometheus' text scraper expects.
@@ -122,119 +124,85 @@ fn handle(mut stream: TcpStream, controller: &ServiceController) {
 
 /// Dispatches one request, folding a dead service loop into `503`.
 fn route(path: &str, controller: &ServiceController) -> (u16, &'static str, String) {
-    const LOOP_GONE: &str = "{\"status\":\"unready\",\"error\":\"service loop gone\"}";
-    let gone = |_| (503u16, JSON, LOOP_GONE.to_string());
-    match path {
-        "/metrics" => controller
-            .with(|svc| {
-                svc.sample_gauges();
-                svc.telemetry().render()
-            })
-            .map(|body| (200, PROM, body))
-            .unwrap_or_else(gone),
-        "/healthz" => controller
-            .with(|svc| svc.health())
-            .map(|report| {
-                let status = if report.is_ready() { 200 } else { 503 };
-                (status, JSON, report.to_json())
-            })
-            .unwrap_or_else(gone),
-        "/readyz" => controller
-            .with(|svc| svc.health())
-            .map(|report| {
-                let status = if report.is_ready() { 200 } else { 503 };
-                (status, JSON, format!("{{\"status\":\"{}\"}}", report.status.as_str()))
-            })
-            .unwrap_or_else(gone),
-        "/traces/recent" => traces(controller, |svc| {
-            svc.telemetry().recorder().recent().iter().map(|t| t.to_json()).collect()
+    let ready = |report: &HealthReport| if report.is_ready() { 200 } else { 503 };
+    let array = |items: Vec<String>| format!("[{}]", items.join(","));
+    let reply = match path {
+        "/metrics" => controller.with(|svc| {
+            svc.sample_gauges();
+            (200, PROM, svc.telemetry().render())
         }),
-        "/traces/slow" => traces(controller, |svc| {
-            svc.telemetry().recorder().slow().iter().map(|t| t.to_json()).collect()
+        "/healthz" => controller.with(move |svc| {
+            let report = svc.health();
+            (ready(&report), JSON, report.to_json())
         }),
-        "/traces/slowest" => controller
-            .with(|svc| {
-                svc.telemetry().recorder().slowest().map_or("null".to_string(), |t| t.to_json())
-            })
-            .map(|body| (200, JSON, body))
-            .unwrap_or_else(gone),
-        "/patterns" => controller
-            .with(|svc| {
-                let items: Vec<String> =
-                    svc.registry().pattern_infos().iter().map(pattern_json).collect();
-                format!("[{}]", items.join(","))
-            })
-            .map(|body| (200, JSON, body))
-            .unwrap_or_else(gone),
+        "/readyz" => controller.with(move |svc| {
+            let report = svc.health();
+            (ready(&report), JSON, format!("{{\"status\":\"{}\"}}", report.status.as_str()))
+        }),
+        "/traces/recent" => controller.with(move |svc| {
+            let recorder = svc.telemetry().recorder();
+            (200, JSON, array(recorder.recent().iter().map(|t| t.to_json()).collect()))
+        }),
+        "/traces/slow" => controller.with(move |svc| {
+            let recorder = svc.telemetry().recorder();
+            (200, JSON, array(recorder.slow().iter().map(|t| t.to_json()).collect()))
+        }),
+        "/traces/slowest" => controller.with(|svc| {
+            let slowest = svc.telemetry().recorder().slowest();
+            (200, JSON, slowest.map_or("null".to_string(), |t| t.to_json()))
+        }),
+        "/patterns" => controller.with(|svc| {
+            let infos: Vec<Value> = svc.registry().pattern_infos().iter().map(pattern).collect();
+            (200, JSON, serde_json::to_string(&infos).expect("stub never fails"))
+        }),
         _ => match path.strip_prefix("/patterns/").map(str::to_string) {
-            Some(seg) => controller
-                .with(move |svc| {
-                    svc.registry()
-                        .pattern_infos()
-                        .iter()
-                        .find(|i| i.id.to_string() == format!("pattern#{seg}"))
-                        .map(pattern_json)
-                })
-                .map(|found| match found {
-                    Some(body) => (200, JSON, body),
+            Some(seg) => controller.with(move |svc| {
+                let infos = svc.registry().pattern_infos();
+                match infos.iter().find(|i| i.id.to_string() == format!("pattern#{seg}")) {
+                    Some(info) => (
+                        200,
+                        JSON,
+                        serde_json::to_string(&pattern(info)).expect("stub never fails"),
+                    ),
                     None => (404, JSON, "{\"error\":\"unknown pattern\"}".to_string()),
-                })
-                .unwrap_or_else(gone),
-            None => (404, JSON, "{\"error\":\"not found\"}".to_string()),
+                }
+            }),
+            None => Ok((404, JSON, "{\"error\":\"not found\"}".to_string())),
         },
-    }
+    };
+    reply.unwrap_or_else(|LoopGone| {
+        (503, JSON, "{\"status\":\"unready\",\"error\":\"service loop gone\"}".to_string())
+    })
 }
 
-/// Shared shape of the two trace-list endpoints.
-fn traces(
-    controller: &ServiceController,
-    f: impl FnOnce(&mut crate::AnswerService) -> Vec<String> + Send + 'static,
-) -> (u16, &'static str, String) {
-    controller
-        .with(|svc| f(svc))
-        .map(|items| (200, JSON, format!("[{}]", items.join(","))))
-        .unwrap_or_else(|_| {
-            (503, JSON, "{\"status\":\"unready\",\"error\":\"service loop gone\"}".to_string())
-        })
-}
-
-/// One pattern's introspection JSON (numbers and fixed vocabulary only —
-/// nothing here needs escaping).
-fn pattern_json(info: &PatternInfo) -> String {
+/// One pattern's introspection object.
+fn pattern(info: &PatternInfo) -> Value {
     let s = &info.stats;
-    format!(
-        concat!(
-            "{{\"id\":\"{}\",\"nodes\":{},\"edges\":{},\"k\":{},\"lambda\":{},",
-            "\"reach_mode\":\"{}\",\"bound_mode\":\"{}\",\"maintained_bytes\":{},",
-            "\"distance_bytes\":{},\"cache_bytes\":{},\"stats\":{{",
-            "\"applies\":{},\"incremental_applies\":{},",
-            "\"full_rank_refreshes\":{},\"sets_recomputed\":{},\"cond_incremental\":{},",
-            "\"cond_rebuilds\":{},\"pruned_outputs\":{},",
-            "\"bound_rebuilds\":{},\"last_pruned_outputs\":{},",
-            "\"last_swept_pairs\":{},\"last_dirty_outputs\":{},",
-            "\"last_refresh_ns\":{}}}}}"
-        ),
-        info.id,
-        info.nodes,
-        info.edges,
-        info.k,
-        info.lambda,
-        info.reach_mode,
-        info.bound_mode,
-        info.maintained_bytes,
-        info.distance_bytes,
-        info.cache_bytes,
-        s.applies,
-        s.incremental_applies,
-        s.full_rank_refreshes,
-        s.sets_recomputed,
-        s.cond_incremental,
-        s.cond_rebuilds,
-        s.pruned_outputs,
-        s.bound_rebuilds,
-        s.last_pruned_outputs,
-        s.last_swept_pairs,
-        s.last_dirty_outputs,
-        s.last_refresh_ns,
-    )
+    let stats = Value::Object(vec![
+        ("applies".into(), s.applies.to_value()),
+        ("incremental_applies".into(), s.incremental_applies.to_value()),
+        ("full_rank_refreshes".into(), s.full_rank_refreshes.to_value()),
+        ("sets_recomputed".into(), s.sets_recomputed.to_value()),
+        ("cond_incremental".into(), s.cond_incremental.to_value()),
+        ("cond_rebuilds".into(), s.cond_rebuilds.to_value()),
+        ("pruned_outputs".into(), s.pruned_outputs.to_value()),
+        ("bound_rebuilds".into(), s.bound_rebuilds.to_value()),
+        ("last_pruned_outputs".into(), s.last_pruned_outputs.to_value()),
+        ("last_swept_pairs".into(), s.last_swept_pairs.to_value()),
+        ("last_dirty_outputs".into(), s.last_dirty_outputs.to_value()),
+        ("last_refresh_ns".into(), s.last_refresh_ns.to_value()),
+    ]);
+    Value::Object(vec![
+        ("id".into(), info.id.to_string().to_value()),
+        ("nodes".into(), info.nodes.to_value()),
+        ("edges".into(), info.edges.to_value()),
+        ("k".into(), info.k.to_value()),
+        ("lambda".into(), info.lambda.to_value()),
+        ("reach_mode".into(), info.reach_mode.to_value()),
+        ("bound_mode".into(), info.bound_mode.to_value()),
+        ("maintained_bytes".into(), info.maintained_bytes.to_value()),
+        ("distance_bytes".into(), info.distance_bytes.to_value()),
+        ("cache_bytes".into(), info.cache_bytes.to_value()),
+        ("stats".into(), stats),
+    ])
 }

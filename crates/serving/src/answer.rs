@@ -44,15 +44,13 @@ impl Serialize for VersionedAnswer {
 /// subscriber saw last. Under queue overflow, intermediate updates are
 /// coalesced away — `version` then jumps by the number of skipped
 /// answers, and `diff` is rebased so it still reconciles the consumer's
-/// last-seen answer with `topk`. How often that happened is observable:
-/// per subscription via [`Subscription::dropped`] /
-/// [`Subscription::rebased`], and stack-wide as the
-/// `gpm_serving_updates_dropped_total` / `gpm_serving_diffs_rebased_total`
-/// telemetry counters (also in [`ServiceStats`]).
+/// last-seen answer with `topk`. How often that happened is one count:
+/// per subscription via [`Subscription::coalesced`], and stack-wide as
+/// the `gpm_serving_updates_coalesced_total` telemetry counter
+/// ([`ServiceStats::updates_coalesced`]).
 ///
-/// [`Subscription::dropped`]: crate::Subscription::dropped
-/// [`Subscription::rebased`]: crate::Subscription::rebased
-/// [`ServiceStats`]: crate::ServiceStats
+/// [`Subscription::coalesced`]: crate::Subscription::coalesced
+/// [`ServiceStats::updates_coalesced`]: crate::ServiceStats::updates_coalesced
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AnswerUpdate {
     /// The pattern this update concerns.

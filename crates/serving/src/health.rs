@@ -16,6 +16,8 @@
 
 use std::time::Duration;
 
+use serde::{Serialize, Value};
+
 /// Overall (and per-component) health level.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum HealthStatus {
@@ -93,42 +95,24 @@ impl HealthReport {
     /// The `/healthz` body:
     /// `{"status":"…","components":[{"name":"…","status":"…","detail":"…"},…]}`.
     pub fn to_json(&self) -> String {
-        let mut out = String::from("{\"status\":\"");
-        out.push_str(self.status.as_str());
-        out.push_str("\",\"components\":[");
-        for (i, c) in self.components.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str("{\"name\":\"");
-            out.push_str(c.name);
-            out.push_str("\",\"status\":\"");
-            out.push_str(c.status.as_str());
-            out.push_str("\",\"detail\":\"");
-            out.push_str(&escape_json(&c.detail));
-            out.push_str("\"}");
-        }
-        out.push_str("]}");
-        out
+        serde_json::to_string(self).expect("stub never fails")
     }
 }
 
-/// Minimal JSON string escaping for detail strings (quotes, backslashes,
-/// control characters).
-fn escape_json(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
+impl Serialize for HealthReport {
+    fn to_value(&self) -> Value {
+        let component = |c: &ComponentHealth| {
+            Value::Object(vec![
+                ("name".into(), c.name.to_value()),
+                ("status".into(), c.status.as_str().to_value()),
+                ("detail".into(), c.detail.to_value()),
+            ])
+        };
+        Value::Object(vec![
+            ("status".into(), self.status.as_str().to_value()),
+            ("components".into(), Value::Array(self.components.iter().map(component).collect())),
+        ])
     }
-    out
 }
 
 #[cfg(test)]
@@ -158,14 +142,17 @@ mod tests {
     }
 
     #[test]
-    fn json_escapes_details() {
+    fn details_round_trip_through_the_json_writer() {
+        let detail = "diverged: \"got\" \\ want\n\u{1}";
         let r = HealthReport::aggregate(vec![ComponentHealth {
             name: "audit",
             status: HealthStatus::Unready,
-            detail: "diverged: \"got\" != want\n".into(),
+            detail: detail.into(),
         }]);
         let json = r.to_json();
-        assert!(json.starts_with("{\"status\":\"unready\""));
-        assert!(json.contains("\\\"got\\\" != want\\n"));
+        assert!(json.starts_with("{\"status\":\"unready\""), "{json}");
+        let parsed = serde_json::from_str(&json).expect("the body is JSON");
+        let component = &parsed.get("components").and_then(Value::as_array).unwrap()[0];
+        assert_eq!(component.get("detail").and_then(Value::as_str), Some(detail));
     }
 }

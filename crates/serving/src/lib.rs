@@ -24,11 +24,20 @@
 //!   a slow consumer loses intermediate answers, never consistency — the
 //!   queued update always carries a complete answer plus a diff rebased
 //!   onto whatever the consumer last saw, and `version` gaps reveal how
-//!   much was skipped.
+//!   much was skipped. Each coalesce is counted once, per subscription
+//!   ([`Subscription::coalesced`]) and stack-wide
+//!   ([`ServiceStats::updates_coalesced`]).
 //! * **Versioned, monotonic answers** — every update carries the log
 //!   sequence it reflects; [`AnswerService::query_at`] serves the answer
 //!   that was current at any retained offset, so pollers and push
 //!   consumers can be reconciled against the same timeline.
+//!
+//! The service keeps one record per served pattern — its version, answer
+//! history, subscriptions and SLO tracker — created by the first
+//! subscription and dropped with the last. A [`ServiceHandle`] runs the
+//! service on its own loop and reaches it through the same
+//! [`ServiceController`] channel the [`AdminServer`] uses, whose JSON
+//! bodies come from the log's writer, the `serde_json` stub.
 //!
 //! The push path is differentially tested against the pull path: for
 //! generated streams, the sequence of subscription updates equals the

@@ -79,7 +79,7 @@ impl ServiceController {
 /// shuts the loop down (joining it); [`Self::shutdown`] does the same and
 /// hands the service back for inspection.
 pub struct ServiceHandle {
-    tx: mpsc::Sender<Cmd>,
+    controller: ServiceController,
     join: Option<JoinHandle<AnswerService>>,
 }
 
@@ -104,21 +104,21 @@ impl ServiceHandle {
                 service
             })
             .expect("spawn serving loop");
-        ServiceHandle { tx, join: Some(join) }
+        ServiceHandle { controller: ServiceController { tx }, join: Some(join) }
     }
 
     /// Fire-and-forget ingestion: enqueues the batch and returns
     /// immediately (the producer path of the latency bench). Invalid
     /// batches are counted in [`crate::ServiceStats::ingest_errors`].
     pub fn submit(&self, delta: GraphDelta) {
-        let _ = self.tx.send(Cmd::Ingest(delta));
+        let _ = self.controller.submit(delta);
     }
 
     /// A cloneable, fallible control-plane handle onto this loop — hand
     /// these to the admin server and the auditor; they outlive nothing
     /// (calls after shutdown return [`LoopGone`]).
     pub fn controller(&self) -> ServiceController {
-        ServiceController { tx: self.tx.clone() }
+        self.controller.clone()
     }
 
     /// Synchronous ingestion: blocks until the batch is applied and fanned
@@ -135,13 +135,7 @@ impl ServiceHandle {
         F: FnOnce(&mut AnswerService) -> T + Send + 'static,
         T: Send + 'static,
     {
-        let (rtx, rrx) = mpsc::sync_channel(1);
-        self.tx
-            .send(Cmd::With(Box::new(move |svc| {
-                let _ = rtx.send(f(svc));
-            })))
-            .expect("serving loop alive");
-        rrx.recv().expect("serving loop alive")
+        self.controller.with(f).expect("serving loop alive")
     }
 
     /// Current head sequence number.
@@ -157,16 +151,10 @@ impl ServiceHandle {
         self.with(|svc| svc.telemetry().dump_json())
     }
 
-    /// Prometheus-style text exposition of the live service's metrics,
-    /// taken at a consistency point like [`Self::telemetry_dump`].
-    pub fn telemetry_render(&self) -> String {
-        self.with(|svc| svc.telemetry().render())
-    }
-
     /// Stops the loop (after draining already-queued commands) and returns
     /// the service.
     pub fn shutdown(mut self) -> AnswerService {
-        let _ = self.tx.send(Cmd::Shutdown);
+        let _ = self.controller.tx.send(Cmd::Shutdown);
         self.join.take().expect("not yet joined").join().expect("serving loop panicked")
     }
 }
@@ -174,7 +162,7 @@ impl ServiceHandle {
 impl Drop for ServiceHandle {
     fn drop(&mut self) {
         if let Some(join) = self.join.take() {
-            let _ = self.tx.send(Cmd::Shutdown);
+            let _ = self.controller.tx.send(Cmd::Shutdown);
             let _ = join.join();
         }
     }

@@ -11,7 +11,7 @@
 //! [`AnswerService::query_at`] — the pull-side view of the same timeline
 //! the push side streams.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 
 use gpm_core::result::{AnswerDiff, RankedMatch};
 use gpm_graph::{DiGraph, GraphDelta, GraphError};
@@ -131,16 +131,11 @@ pub struct ServiceStats {
     pub batches: u64,
     /// Updates pushed into subscription queues.
     pub updates_pushed: u64,
-    /// Updates merged away by queue-overflow coalescing.
-    pub updates_coalesced: u64,
-    /// Queued updates evicted by coalescing, summed over every
+    /// Updates merged away by queue-overflow coalescing: each one evicted
+    /// a queued update and rebased the fresh one's diff, summed over every
     /// subscription (per-subscription counts via
-    /// [`Subscription::dropped`](crate::Subscription::dropped)).
-    pub updates_dropped: u64,
-    /// Diffs rebased onto an earlier baseline during coalescing, summed
-    /// over every subscription (per-subscription counts via
-    /// [`Subscription::rebased`](crate::Subscription::rebased)).
-    pub diffs_rebased: u64,
+    /// [`Subscription::coalesced`](crate::Subscription::coalesced)).
+    pub updates_coalesced: u64,
     /// Notifications withheld because a touched pattern's answer did not
     /// materially change for that subscription ("no spurious wakeups").
     pub suppressed: u64,
@@ -156,8 +151,6 @@ struct ServiceCounters {
     batches: Counter,
     updates_pushed: Counter,
     updates_coalesced: Counter,
-    updates_dropped: Counter,
-    diffs_rebased: Counter,
     suppressed: Counter,
     ingest_errors: Counter,
     subscriptions: Gauge,
@@ -171,8 +164,6 @@ impl ServiceCounters {
             batches: m.counter(names::SERVING_BATCHES),
             updates_pushed: m.counter(names::SERVING_UPDATES_PUSHED),
             updates_coalesced: m.counter(names::SERVING_UPDATES_COALESCED),
-            updates_dropped: m.counter(names::SERVING_UPDATES_DROPPED),
-            diffs_rebased: m.counter(names::SERVING_DIFFS_REBASED),
             suppressed: m.counter(names::SERVING_SUPPRESSED),
             ingest_errors: m.counter(names::SERVING_INGEST_ERRORS),
             subscriptions: m.gauge(names::SERVING_SUBSCRIPTIONS),
@@ -192,12 +183,19 @@ pub struct IngestReport {
     pub notified: usize,
 }
 
-struct PatternEntry {
+/// Everything the service keeps for one served pattern. It is created
+/// with the pattern's first subscription and dropped with its last.
+struct Served {
     /// Latest per-pattern answer version (1 at registration; +1 per
     /// material change of the relevance-ranked answer).
     version: u64,
     /// Retained change points, ascending by `seq`.
     history: VecDeque<VersionedAnswer>,
+    /// Subscriptions in attach order — fan-out work is proportional to
+    /// the subscribers of the patterns a batch touched, not to the total
+    /// subscriber population.
+    subs: Vec<SubEntry>,
+    slo: SloTracker,
 }
 
 struct SubEntry {
@@ -218,18 +216,12 @@ struct SubEntry {
 pub struct AnswerService {
     registry: PatternRegistry,
     log: DeltaLog,
-    /// Versioned answer history, by pattern.
-    patterns: HashMap<PatternId, PatternEntry>,
-    /// Subscriptions grouped by pattern, in attach order — fan-out work is
-    /// proportional to the subscribers of the patterns a batch touched,
-    /// not to the total subscriber population.
-    subs: HashMap<PatternId, Vec<SubEntry>>,
+    /// One record per served pattern, in id order.
+    served: BTreeMap<PatternId, Served>,
     next_sub: u64,
     cfg: ServiceConfig,
     telemetry: Telemetry,
     counters: ServiceCounters,
-    /// Per-pattern SLO trackers, keyed like [`Self::patterns`].
-    slos: HashMap<PatternId, SloTracker>,
     /// Round-robin cursor of the sampled production auditor.
     audit_cursor: usize,
     /// The last unresolved audit violation — set by [`Self::audit_sample`]
@@ -276,13 +268,11 @@ impl AnswerService {
         AnswerService {
             registry,
             log,
-            patterns: HashMap::new(),
-            subs: HashMap::new(),
+            served: BTreeMap::new(),
             next_sub: 0,
             cfg,
             telemetry,
             counters,
-            slos: HashMap::new(),
             audit_cursor: 0,
             audit_latch: None,
             audit_runs,
@@ -324,8 +314,6 @@ impl AnswerService {
             batches: c.batches.get(),
             updates_pushed: c.updates_pushed.get(),
             updates_coalesced: c.updates_coalesced.get(),
-            updates_dropped: c.updates_dropped.get(),
-            diffs_rebased: c.diffs_rebased.get(),
             suppressed: c.suppressed.get(),
             ingest_errors: c.ingest_errors.get(),
         }
@@ -338,7 +326,7 @@ impl AnswerService {
 
     /// Number of live subscriptions.
     pub fn subscriptions(&self) -> usize {
-        self.subs.values().map(Vec::len).sum()
+        self.served.values().map(|s| s.subs.len()).sum()
     }
 
     /// Registers `q` and attaches a subscription to it. The subscription's
@@ -352,19 +340,8 @@ impl AnswerService {
         mode: NotifyMode,
     ) -> Result<Subscription, ServingError> {
         let Ok(id) = self.registry.register(q, cfg);
-        let initial = self.registry.top_k(id).expect("just registered").matches;
-        self.patterns.insert(
-            id,
-            PatternEntry {
-                version: 1,
-                history: VecDeque::from([VersionedAnswer {
-                    seq: self.seq(),
-                    version: 1,
-                    matches: initial,
-                }]),
-            },
-        );
-        self.track_slo(id);
+        let matches = self.registry.top_k(id).expect("just registered").matches;
+        self.serve(id, VersionedAnswer { seq: self.seq(), version: 1, matches });
         self.attach(id, mode)
     }
 
@@ -400,18 +377,17 @@ impl AnswerService {
             self.registry.deregister(id);
             return Err(ServingError::BaselineMismatch(id));
         }
-        self.patterns.insert(
-            id,
-            PatternEntry { version: baseline.version, history: VecDeque::from([baseline]) },
-        );
-        self.track_slo(id);
+        self.serve(id, baseline);
         self.attach(id, mode)
     }
 
-    /// Starts SLO tracking for a freshly registered pattern.
-    fn track_slo(&mut self, id: PatternId) {
-        let tracker = SloTracker::new(&self.telemetry, &id.to_string(), self.cfg.slo.clone());
-        self.slos.insert(id, tracker);
+    /// Starts serving a freshly registered pattern from its first change
+    /// point.
+    fn serve(&mut self, id: PatternId, first: VersionedAnswer) {
+        let slo = SloTracker::new(&self.telemetry, &id.to_string(), self.cfg.slo.clone());
+        let version = first.version;
+        let served = Served { version, history: VecDeque::from([first]), subs: Vec::new(), slo };
+        self.served.insert(id, served);
     }
 
     /// Attaches one more subscription to an already-registered pattern
@@ -421,13 +397,15 @@ impl AnswerService {
         pattern: PatternId,
         mode: NotifyMode,
     ) -> Result<Subscription, ServingError> {
-        let entry = self.patterns.get(&pattern).ok_or(ServingError::UnknownPattern(pattern))?;
+        let seq = self.seq();
+        let served = self.served.get_mut(&pattern).ok_or(ServingError::UnknownPattern(pattern))?;
         let (version, initial): (u64, Vec<RankedMatch>) = match mode {
             // The newest history entry *is* the current relevance answer —
             // no need to re-rank what the registry already served.
-            NotifyMode::Relevance => {
-                (entry.version, entry.history.back().expect("history never empty").matches.clone())
-            }
+            NotifyMode::Relevance => (
+                served.version,
+                served.history.back().expect("history never empty").matches.clone(),
+            ),
             NotifyMode::Diversified => (
                 1,
                 self.registry
@@ -442,18 +420,12 @@ impl AnswerService {
         shared.push(AnswerUpdate {
             pattern,
             version,
-            seq: self.seq(),
+            seq,
             topk: initial.clone(),
             diff: AnswerDiff::between(&[], &initial),
         });
         self.counters.updates_pushed.inc();
-        self.subs.entry(pattern).or_default().push(SubEntry {
-            id,
-            mode,
-            version,
-            last: initial,
-            shared: shared.clone(),
-        });
+        served.subs.push(SubEntry { id, mode, version, last: initial, shared: shared.clone() });
         self.counters.subscriptions.set(self.subscriptions() as i64);
         Ok(Subscription { id, pattern, mode, shared })
     }
@@ -464,18 +436,15 @@ impl AnswerService {
     /// `false` for unknown (already-dropped) subscriptions.
     pub fn unsubscribe(&mut self, sub: &Subscription) -> bool {
         let pattern = sub.pattern();
-        let Some(list) = self.subs.get_mut(&pattern) else {
+        let Some(served) = self.served.get_mut(&pattern) else {
             return false;
         };
-        let Some(i) = list.iter().position(|s| s.id == sub.id()) else {
+        let Some(i) = served.subs.iter().position(|s| s.id == sub.id()) else {
             return false;
         };
-        let entry = list.remove(i);
-        entry.shared.close();
-        if list.is_empty() {
-            self.subs.remove(&pattern);
-            self.patterns.remove(&pattern);
-            self.slos.remove(&pattern);
+        served.subs.remove(i).shared.close();
+        if served.subs.is_empty() {
+            self.served.remove(&pattern);
             self.registry.deregister(pattern);
             // A latched audit violation of a now-gone pattern is resolved:
             // the corrupt state was dropped with the slot.
@@ -527,19 +496,20 @@ impl AnswerService {
         let notify = root.child("notify");
         let mut max_depth = 0usize;
         for change in &changes {
+            let Some(served) = self.served.get_mut(&change.id) else {
+                continue;
+            };
             // Per-pattern versioned history: advance only on material
             // change of the relevance answer (the registry's diff).
             if change.changed() {
-                if let Some(entry) = self.patterns.get_mut(&change.id) {
-                    entry.version += 1;
-                    entry.history.push_back(VersionedAnswer {
-                        seq,
-                        version: entry.version,
-                        matches: change.top.matches.clone(),
-                    });
-                    while entry.history.len() > self.cfg.retain_answers.max(1) {
-                        entry.history.pop_front();
-                    }
+                served.version += 1;
+                served.history.push_back(VersionedAnswer {
+                    seq,
+                    version: served.version,
+                    matches: change.top.matches.clone(),
+                });
+                while served.history.len() > self.cfg.retain_answers.max(1) {
+                    served.history.pop_front();
                 }
             }
 
@@ -548,13 +518,10 @@ impl AnswerService {
             // a touched pattern's diversified selection can move even when
             // its relevance top-k survived (off-list relevances feed the
             // greedy objective), so it is re-derived whenever touched.
-            let wants_div = self
-                .subs
-                .get(&change.id)
-                .is_some_and(|l| l.iter().any(|s| s.mode == NotifyMode::Diversified));
+            let wants_div = served.subs.iter().any(|s| s.mode == NotifyMode::Diversified);
             let div: Option<Vec<RankedMatch>> = wants_div
                 .then(|| self.registry.top_k_diversified(change.id).expect("registered").matches);
-            for sub in self.subs.get_mut(&change.id).map(Vec::as_mut_slice).unwrap_or_default() {
+            for sub in &mut served.subs {
                 // Relevance subscriptions share the served baseline the
                 // registry already diffed against (attach seeds `last`
                 // from the same answer and both advance on the same
@@ -591,8 +558,6 @@ impl AnswerService {
                 self.counters.updates_pushed.inc();
                 if outcome.coalesced {
                     self.counters.updates_coalesced.inc();
-                    self.counters.updates_dropped.inc();
-                    self.counters.diffs_rebased.inc();
                 }
                 report.notified += 1;
             }
@@ -605,8 +570,8 @@ impl AnswerService {
         // provably did not need telling) within this latency.
         let latency = t0.elapsed();
         for change in &changes {
-            if let Some(slo) = self.slos.get_mut(&change.id) {
-                slo.record(latency);
+            if let Some(served) = self.served.get_mut(&change.id) {
+                served.slo.record(latency);
             }
         }
         Ok(report)
@@ -633,7 +598,7 @@ impl AnswerService {
     /// stream: between two updates, `query_at` returns the earlier one's
     /// answer for every offset in the gap.
     pub fn query_at(&self, pattern: PatternId, seq: u64) -> Result<VersionedAnswer, ServingError> {
-        let entry = self.patterns.get(&pattern).ok_or(ServingError::UnknownPattern(pattern))?;
+        let entry = self.served.get(&pattern).ok_or(ServingError::UnknownPattern(pattern))?;
         if seq > self.seq() {
             return Err(ServingError::OffsetInFuture { seq, head: self.seq() });
         }
@@ -688,7 +653,7 @@ impl AnswerService {
     fn queue_saturation(&self) -> (usize, usize) {
         let mut saturated = 0usize;
         let mut total = 0usize;
-        for sub in self.subs.values().flatten() {
+        for sub in self.served.values().flat_map(|s| &s.subs) {
             let (depth, capacity) = sub.shared.saturation();
             total += 1;
             if depth >= capacity {
@@ -754,16 +719,16 @@ impl AnswerService {
         });
 
         let burning: Vec<String> = self
-            .slos
+            .served
             .iter()
-            .filter(|(_, s)| s.burning())
-            .map(|(id, s)| format!("{id} at {}‰", s.burn_permille()))
+            .filter(|(_, s)| s.slo.burning())
+            .map(|(id, s)| format!("{id} at {}‰", s.slo.burn_permille()))
             .collect();
         components.push(ComponentHealth {
             name: "slo",
             status: if burning.is_empty() { HealthStatus::Ready } else { HealthStatus::Degraded },
             detail: if burning.is_empty() {
-                format!("{} patterns within budget", self.slos.len())
+                format!("{} patterns within budget", self.served.len())
             } else {
                 format!("burning error budget: {}", burning.join(", "))
             },
@@ -860,7 +825,7 @@ impl Drop for AnswerService {
     /// Closes every subscription queue so blocked consumers observe the
     /// end of the stream (pending updates stay readable).
     fn drop(&mut self) {
-        for sub in self.subs.values().flatten() {
+        for sub in self.served.values().flat_map(|s| &s.subs) {
             sub.shared.close();
         }
     }

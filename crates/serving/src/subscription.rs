@@ -47,14 +47,9 @@ pub(crate) struct SubQueue {
     /// the rebase target when the whole queue coalesces down to one
     /// pending update.
     delivered: Vec<RankedMatch>,
-    /// Updates merged away by overflow coalescing.
+    /// Overflow coalesces: each evicted the newest queued update (an
+    /// answer the consumer never saw) and rebased the fresh one's diff.
     coalesced: u64,
-    /// Queued updates evicted by overflow coalescing (the pop side of a
-    /// coalesce — what the consumer never saw).
-    dropped: u64,
-    /// Diffs rewritten onto an earlier baseline so the reconciliation
-    /// chain stays gapless across the eviction (the push side).
-    rebased: u64,
     closed: bool,
 }
 
@@ -81,8 +76,6 @@ impl SubShared {
                 capacity: capacity.max(1),
                 delivered: Vec::new(),
                 coalesced: 0,
-                dropped: 0,
-                rebased: 0,
                 closed: false,
             }),
             ready: Condvar::new(),
@@ -105,8 +98,6 @@ impl SubShared {
             let base: &[RankedMatch] = q.updates.back().map_or(&q.delivered, |u| &u.topk);
             update.diff = AnswerDiff::between(base, &update.topk);
             q.coalesced += 1;
-            q.dropped += 1;
-            q.rebased += 1;
             coalesced = true;
         }
         q.updates.push_back(update);
@@ -206,23 +197,13 @@ impl Subscription {
         self.shared.lock().updates.len()
     }
 
-    /// Updates merged away by overflow coalescing so far.
+    /// Updates merged away by overflow coalescing so far. Each coalesce
+    /// evicted one queued update — an intermediate answer the consumer
+    /// never received — and rebased the fresh update's diff so the
+    /// reconciliation chain stayed gapless (also counted stack-wide as
+    /// `gpm_serving_updates_coalesced_total`).
     pub fn coalesced(&self) -> u64 {
         self.shared.lock().coalesced
-    }
-
-    /// Queued updates this subscription lost to newest-wins coalescing —
-    /// intermediate answers the consumer never received (also counted
-    /// stack-wide as `gpm_serving_updates_dropped_total`).
-    pub fn dropped(&self) -> u64 {
-        self.shared.lock().dropped
-    }
-
-    /// Diffs rebased onto an earlier baseline during coalescing so the
-    /// consumer's reconciliation chain stayed gapless (also counted
-    /// stack-wide as `gpm_serving_diffs_rebased_total`).
-    pub fn rebased(&self) -> u64 {
-        self.shared.lock().rebased
     }
 
     /// `true` once the service dropped this subscription (pending updates

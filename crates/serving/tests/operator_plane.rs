@@ -21,6 +21,7 @@ use gpm_serving::{
 };
 use gpm_telemetry::exposition::{self, family};
 use gpm_telemetry::names;
+use serde_json::Value;
 
 /// One raw HTTP/1.1 request over a fresh connection: returns
 /// `(status, headers, body)`.
@@ -37,6 +38,14 @@ fn request(addr: SocketAddr, method: &str, path: &str) -> (u16, String, String) 
         .unwrap_or_else(|| panic!("malformed status line in {raw:?}"));
     let (head, body) = raw.split_once("\r\n\r\n").unwrap_or((raw.as_str(), ""));
     (status, head.to_string(), body.to_string())
+}
+
+/// An object's field names, in wire order.
+fn keys(v: &Value) -> Vec<&str> {
+    match v {
+        Value::Object(fields) => fields.iter().map(|(k, _)| k.as_str()).collect(),
+        other => panic!("not an object: {other:?}"),
+    }
 }
 
 fn scrape(addr: SocketAddr, path: &str) -> (u16, String) {
@@ -112,8 +121,14 @@ fn live_service_scrapes_clean_over_tcp() {
     // /healthz and /readyz agree the service is healthy.
     let (status, body) = scrape(addr, "/healthz");
     assert_eq!((status, wire_status(&body)), (200, "ready"), "{body}");
-    for component in ["loop", "delta_log", "subscriptions", "slo", "audit", "reach"] {
-        assert!(body.contains(&format!("\"name\":\"{component}\"")), "{component} probed");
+    let health = serde_json::from_str(&body).expect("/healthz is JSON");
+    assert_eq!(keys(&health), ["status", "components"]);
+    let components = health.get("components").and_then(Value::as_array).unwrap();
+    let probed: Vec<&str> =
+        components.iter().map(|c| c.get("name").and_then(Value::as_str).unwrap()).collect();
+    assert_eq!(probed, ["loop", "delta_log", "subscriptions", "slo", "audit", "reach"]);
+    for component in components {
+        assert_eq!(keys(component), ["name", "status", "detail"]);
     }
     let (status, body) = scrape(addr, "/readyz");
     assert_eq!((status, body.as_str()), (200, "{\"status\":\"ready\"}"));
@@ -146,10 +161,45 @@ fn live_service_scrapes_clean_over_tcp() {
     assert!(body.contains("\"pruned_outputs\":"), "{body}");
     assert!(body.contains("\"bound_rebuilds\":"), "{body}");
     assert!(body.contains("\"last_refresh_ns\":"), "{body}");
+    let patterns = serde_json::from_str(&body).expect("/patterns is JSON");
+    let patterns = patterns.as_array().unwrap();
+    assert_eq!(patterns.len(), 1);
+    assert_eq!(
+        keys(&patterns[0]),
+        [
+            "id",
+            "nodes",
+            "edges",
+            "k",
+            "lambda",
+            "reach_mode",
+            "bound_mode",
+            "maintained_bytes",
+            "distance_bytes",
+            "cache_bytes",
+            "stats"
+        ]
+    );
+    assert_eq!(
+        keys(patterns[0].get("stats").unwrap()),
+        [
+            "applies",
+            "incremental_applies",
+            "full_rank_refreshes",
+            "sets_recomputed",
+            "cond_incremental",
+            "cond_rebuilds",
+            "pruned_outputs",
+            "bound_rebuilds",
+            "last_pruned_outputs",
+            "last_swept_pairs",
+            "last_dirty_outputs",
+            "last_refresh_ns"
+        ]
+    );
     let (status, one) = scrape(addr, "/patterns/0");
     assert_eq!(status, 200);
-    assert!(one.contains("\"id\":\"pattern#0\""));
-    assert!(one.contains("\"bound_mode\":"), "{one}");
+    assert_eq!(serde_json::from_str(&one).expect("/patterns/0 is JSON"), patterns[0]);
     assert_eq!(scrape(addr, "/patterns/99").0, 404);
     assert_eq!(scrape(addr, "/nope").0, 404);
     assert_eq!(request(addr, "POST", "/metrics").0, 405);

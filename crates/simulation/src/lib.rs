@@ -30,7 +30,6 @@ pub mod match_graph;
 pub mod naive;
 pub mod refine;
 pub mod relation;
-pub mod result_graph;
 
 pub use candidates::CandidateSpace;
 pub use dyn_match_graph::{DynMatchGraph, PairDelta};

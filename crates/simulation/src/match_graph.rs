@@ -40,7 +40,7 @@ use crate::relation::SimRelation;
 /// [`IncSimState`](crate::IncSimState), dead ones without edges, with
 /// stable data-node ids as the universe (the encoding the relevance cache
 /// persists across batches). One DP, two worlds.
-pub trait ReachView: Successors + Sync {
+pub trait ReachView: Successors {
     /// Width of the universe the projections index into.
     fn universe_size(&self) -> usize;
     /// Universe position of compact pair `c`'s data node. Only asked for

@@ -96,12 +96,6 @@ pub mod names {
     pub const SERVING_BATCHES: &str = "gpm_serving_batches_total";
     pub const SERVING_UPDATES_PUSHED: &str = "gpm_serving_updates_pushed_total";
     pub const SERVING_UPDATES_COALESCED: &str = "gpm_serving_updates_coalesced_total";
-    /// Updates evicted by newest-wins coalescing across all
-    /// subscriptions (satellite: per-subscription counts live on
-    /// `Subscription`).
-    pub const SERVING_UPDATES_DROPPED: &str = "gpm_serving_updates_dropped_total";
-    /// Diffs rebased onto a surviving queued update during coalescing.
-    pub const SERVING_DIFFS_REBASED: &str = "gpm_serving_diffs_rebased_total";
     pub const SERVING_SUPPRESSED: &str = "gpm_serving_suppressed_total";
     pub const SERVING_INGEST_ERRORS: &str = "gpm_serving_ingest_errors_total";
     pub const SERVING_SUBSCRIPTIONS: &str = "gpm_serving_subscriptions";
@@ -155,8 +149,6 @@ pub mod names {
             SERVING_BATCHES => "Batches ingested by the answer service.",
             SERVING_UPDATES_PUSHED => "Answer updates pushed to subscriptions.",
             SERVING_UPDATES_COALESCED => "Updates coalesced by bounded queues.",
-            SERVING_UPDATES_DROPPED => "Updates evicted by newest-wins coalescing.",
-            SERVING_DIFFS_REBASED => "Diffs rebased onto a surviving queued update.",
             SERVING_SUPPRESSED => "Unchanged answers suppressed (no push).",
             SERVING_INGEST_ERRORS => "Rejected delta batches.",
             SERVING_SUBSCRIPTIONS => "Live subscriptions.",

@@ -108,11 +108,6 @@ impl Gauge {
         self.inner.fetch_add(d, Ordering::Relaxed);
     }
 
-    /// Raises the value to `v` if it is higher (high-watermarks).
-    pub fn set_max(&self, v: i64) {
-        self.inner.fetch_max(v, Ordering::Relaxed);
-    }
-
     /// The current value.
     pub fn get(&self) -> i64 {
         self.inner.load(Ordering::Relaxed)

@@ -13,6 +13,7 @@
 //! cargo run --release --example streaming_service
 //! ```
 
+use std::sync::mpsc;
 use std::time::Duration;
 
 use diversified_topk::datagen::synthetic::{synthetic_graph, SyntheticConfig};
@@ -73,19 +74,23 @@ fn main() {
     describe(&bootstrap, "managers ");
     describe(&qa.try_recv().unwrap(), "qa panel ");
 
-    // The service loop takes over; a consumer thread watches both queues.
+    // The service loop takes over; a consumer thread watches both queues
+    // and acknowledges each update it printed with the update's seq.
     let handle = ServiceHandle::spawn(svc);
+    let (ack, acks) = mpsc::channel::<u64>();
     let consumer = std::thread::spawn(move || {
         let mut seen = 0usize;
         loop {
             let mut any = false;
             if let Some(u) = managers.recv_timeout(Duration::from_millis(50)) {
                 describe(&u, "managers ");
+                let _ = ack.send(u.seq);
                 seen += 1;
                 any = true;
             }
             if let Some(u) = qa.recv_timeout(Duration::from_millis(50)) {
                 describe(&u, "qa panel ");
+                let _ = ack.send(u.seq);
                 seen += 1;
                 any = true;
             }
@@ -108,11 +113,17 @@ fn main() {
     if let Some(star) = star {
         println!("\n── v{star} (the top manager) departs — one push, no polling");
         let report = handle.ingest(GraphDelta::new().remove_node(star)).unwrap();
+        // Print the report only after the consumer printed every update
+        // this batch pushed.
+        let mut unacked = report.notified;
+        while unacked > 0 {
+            let seq = acks.recv_timeout(Duration::from_secs(10)).expect("consumer acks");
+            unacked -= usize::from(seq == report.seq);
+        }
         println!(
             "   seq {}: {} pattern(s) touched, {} subscription(s) notified",
             report.seq, report.touched, report.notified
         );
-        std::thread::sleep(Duration::from_millis(120)); // let the consumer print
     }
 
     // A late joiner recovers purely from the serialized log.
