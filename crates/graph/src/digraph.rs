@@ -6,6 +6,40 @@ use crate::csr::Csr;
 /// Node identifier: a dense index in `0..node_count`.
 pub type NodeId = u32;
 
+/// A multiplicative [`Hasher`](std::hash::Hasher) for maps keyed by
+/// [`NodeId`]: a rotate, xor and multiply a word and one fold, where std's
+/// default SipHash runs rounds meant to resist keys an adversary picks. Node ids
+/// are assigned by the graph, not chosen by a client, so that resistance
+/// buys nothing on them. Use it as `BuildHasherDefault<IdHasher>`.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct IdHasher(u64);
+
+impl std::hash::Hasher for IdHasher {
+    #[inline]
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    #[inline]
+    fn write_u32(&mut self, x: u32) {
+        self.write_u64(u64::from(x));
+    }
+
+    #[inline]
+    fn write_u64(&mut self, x: u64) {
+        self.0 = (self.0.rotate_left(5) ^ x).wrapping_mul(0xf135_7aea_2e62_a9c5);
+    }
+
+    /// The product's high bits are its well-mixed ones; the fold brings
+    /// them down to where the table picks its bucket.
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.0 ^ (self.0 >> 32)
+    }
+}
+
 /// Node label from the alphabet `Σ`, interned as a dense integer.
 pub type Label = u32;
 
@@ -192,5 +226,19 @@ mod tests {
         assert_eq!(g.display(a), "PM1");
         assert_eq!(g.node_by_name("PM1"), Some(a));
         assert_eq!(g.node_by_name("nope"), None);
+    }
+
+    /// Strided ids must still differ in the low bits a table indexes by:
+    /// a product of `i · 1024` has its low 10 bits zero, so without the
+    /// fold every one of them would land in bucket 0. A random function
+    /// fills about 162 of 256 buckets; ask for more than a quarter.
+    #[test]
+    fn id_hasher_spreads_strided_ids_over_low_bits() {
+        use super::IdHasher;
+        use std::hash::{BuildHasher, BuildHasherDefault};
+        let build = BuildHasherDefault::<IdHasher>::default();
+        let buckets: std::collections::BTreeSet<u64> =
+            (0..256u32).map(|i| build.hash_one(i * 1024) & 255).collect();
+        assert!(buckets.len() > 64, "{} of 256 buckets", buckets.len());
     }
 }

@@ -51,7 +51,7 @@ pub use attrs::{AttrValue, Attributes};
 pub use bitset::BitSet;
 pub use builder::GraphBuilder;
 pub use delta::{apply_delta, AppliedDelta, DeltaOp, EffectiveOp, GraphDelta, TOMBSTONE_LABEL};
-pub use digraph::{DiGraph, EdgeRef, Label, NodeId};
+pub use digraph::{DiGraph, EdgeRef, IdHasher, Label, NodeId};
 pub use dynamic::DynGraph;
 pub use error::GraphError;
 pub use node_set::NodeSet;

@@ -302,6 +302,22 @@ pub struct PatternInfo {
     pub stats: ApplyStats,
 }
 
+fn info_of(id: PatternId, st: &PatternState) -> PatternInfo {
+    PatternInfo {
+        id,
+        nodes: st.pattern().node_count(),
+        edges: st.pattern().edge_count(),
+        k: st.cfg().k,
+        lambda: st.cfg().lambda,
+        reach_mode: st.reach_mode(),
+        bound_mode: st.bound_mode(),
+        maintained_bytes: st.maintained_bytes(),
+        distance_bytes: st.distance_bytes(),
+        cache_bytes: st.cache_bytes(),
+        stats: st.stats().clone(),
+    }
+}
+
 /// Many patterns served over one dynamic graph. See the module docs.
 pub struct PatternRegistry {
     graph: DynGraph,
@@ -567,24 +583,13 @@ impl PatternRegistry {
 
     /// Introspection snapshot of one pattern (`None` for unknown ids).
     pub fn pattern_info(&self, id: PatternId) -> Option<PatternInfo> {
-        self.with_slot(id, |st| PatternInfo {
-            id,
-            nodes: st.pattern().node_count(),
-            edges: st.pattern().edge_count(),
-            k: st.cfg().k,
-            lambda: st.cfg().lambda,
-            reach_mode: st.reach_mode(),
-            bound_mode: st.bound_mode(),
-            maintained_bytes: st.maintained_bytes(),
-            distance_bytes: st.distance_bytes(),
-            cache_bytes: st.cache_bytes(),
-            stats: st.stats().clone(),
-        })
+        self.with_slot(id, |st| info_of(id, st))
     }
 
-    /// Introspection snapshots of every pattern, in registration order.
+    /// Introspection snapshots of every pattern, in registration order, in
+    /// O(patterns): every byte figure reads a running count.
     pub fn pattern_infos(&self) -> Vec<PatternInfo> {
-        self.slots.iter().map(|s| self.pattern_info(s.id).expect("slot exists")).collect()
+        self.slots.iter().map(|s| info_of(s.id, &s.state)).collect()
     }
 
     /// Full correctness audit of one pattern against the shared graph:

@@ -875,7 +875,8 @@ impl PatternState {
 
     /// Heap bytes the maintained condensation retains in `Full(c)` sets —
     /// the figure the reach budget is enforced against; 0 while the
-    /// per-batch engine serves the pattern.
+    /// per-batch engine serves the pattern. O(1): the condensation keeps a
+    /// running count.
     pub(crate) fn maintained_bytes(&self) -> usize {
         self.maintained.as_ref().map_or(0, |mr| mr.cond.retained_bytes())
     }
@@ -887,7 +888,7 @@ impl PatternState {
         self.cache.distance_bytes()
     }
 
-    /// Heap bytes of the relevant sets in the cache.
+    /// Heap bytes of the relevant sets in the cache, in O(1).
     pub(crate) fn cache_bytes(&self) -> usize {
         self.cache.cache_bytes()
     }

@@ -49,6 +49,9 @@ impl CachedSet {
 #[derive(Debug, Clone, Default)]
 pub struct RelevanceCache {
     sets: BTreeMap<NodeId, CachedSet>,
+    /// Heap bytes of the cached sets, kept as a running count by `upsert`
+    /// and `remove`.
+    cache_bytes: usize,
     /// Slots of removed sets, reused before a new one is opened.
     free_slots: Vec<usize>,
     /// Slots ever opened; every live slot is below this.
@@ -83,7 +86,10 @@ impl RelevanceCache {
             }),
         };
         self.forget_distances(slot);
-        self.sets.insert(v, CachedSet { set, slot });
+        self.cache_bytes += set.heap_bytes();
+        if let Some(old) = self.sets.insert(v, CachedSet { set, slot }) {
+            self.cache_bytes -= old.set.heap_bytes();
+        }
     }
 
     /// Drops the entry of `v` (the match disappeared). Its slot's stored
@@ -91,6 +97,7 @@ impl RelevanceCache {
     /// clears them.
     pub fn remove(&mut self, v: NodeId) -> bool {
         let Some(old) = self.sets.remove(&v) else { return false };
+        self.cache_bytes -= old.set.heap_bytes();
         self.free_slots.push(old.slot);
         true
     }
@@ -132,9 +139,10 @@ impl RelevanceCache {
         self.sets.iter().map(|(&v, s)| (v, s.delta_r()))
     }
 
-    /// Heap bytes of the cached sets' members — 4 a member.
+    /// Heap bytes of the cached sets' members — 4 a member. Reads a
+    /// running count, in O(1).
     pub fn cache_bytes(&self) -> usize {
-        self.sets.values().map(|s| s.set.heap_bytes()).sum()
+        self.cache_bytes
     }
 
     /// Heap bytes of the stored distance table; 0 until [`Self::pairwise`]
@@ -240,8 +248,8 @@ mod tests {
 
     #[test]
     fn stored_popcount_tracks_set_lifecycle() {
-        // δr and the held bytes follow the stored sets after every
-        // mutation: upsert, overwrite, remove.
+        // δr and the running byte count follow the stored sets after every
+        // mutation: upsert, overwrite (smaller and larger), remove, reuse.
         let mut c = RelevanceCache::default();
         let check = |c: &RelevanceCache| {
             let mut members = 0;
@@ -258,9 +266,15 @@ mod tests {
         c.upsert(0, set(&[4])); // overwrite shrinks δr 3 → 1
         assert_eq!(c.relevance_of(0), Some(1));
         check(&c);
+        c.upsert(5, set(&[0, 6, 7, 8])); // overwrite grows δr 2 → 4
+        check(&c);
         assert!(c.remove(5));
+        assert!(!c.remove(5));
         assert_eq!(c.relevance_of(5), None);
         check(&c);
+        c.upsert(9, set(&[2])); // reuses 5's slot
+        check(&c);
+        assert_eq!(c.cache_bytes(), 4 * 2);
     }
 
     /// Every stored δd equals a fresh Jaccard of the current sets after

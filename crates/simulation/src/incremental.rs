@@ -43,13 +43,24 @@
 //! over it and the refresh planner all name a pair by it, so the one
 //! `(u, v) → slot` map lives here.
 //!
+//! That map is one hash map per pattern node, keyed by data node and
+//! hashed with [`IdHasher`] — a multiply and a fold — not std's
+//! SipHash. The refresh planner's seed loop and backward sweep and the
+//! alive-pair view's delta are chains of these lookups. SipHash resists
+//! keys chosen to flood one bucket, which buys nothing here: every key is
+//! an id [`DynGraph`] assigned (`DeltaOp::AddNode` carries only a label),
+//! so no client chooses one. Nor can the map's iteration order leak into
+//! an answer: [`IncSimState::structural_matches_of`] sorts what it
+//! collects, and [`IncSimState::check_invariants`] only counts.
+//!
 //! Every alive-flip is recorded in a per-batch **dirty set** of slots the
 //! ranking layer consumes to invalidate relevant sets.
 
 use std::collections::HashMap;
+use std::hash::BuildHasherDefault;
 
 use gpm_graph::dynamic::DynGraph;
-use gpm_graph::NodeId;
+use gpm_graph::{IdHasher, NodeId};
 use gpm_pattern::{PNodeId, Pattern};
 
 use crate::candidates::CandidateSpace;
@@ -63,7 +74,7 @@ pub type DynPair = (PNodeId, NodeId);
 pub struct IncSimState {
     /// `slots[u]`: data node → slot of the pair `(u, v)`, for every `v`
     /// that has ever been a candidate of `u`.
-    slots: Vec<HashMap<NodeId, u32>>,
+    slots: Vec<HashMap<NodeId, u32, BuildHasherDefault<IdHasher>>>,
     /// `pair[s]`: the pair slot `s` stands for.
     pair: Vec<DynPair>,
     /// `valid[s]`: the data node is live and satisfies the predicate.
@@ -101,7 +112,7 @@ impl IncSimState {
         let np = q.node_count();
         let n = space.pair_count();
         let mut state = IncSimState {
-            slots: vec![HashMap::new(); np],
+            slots: vec![HashMap::default(); np],
             pair: Vec::with_capacity(n),
             valid: vec![true; n],
             cbase: Vec::with_capacity(n),
