@@ -9,7 +9,10 @@
 //! from-scratch baseline or fallback recompute needs one.
 //! [`DynGraph::shared_snapshot`] hands out one such copy per version: it
 //! is built on first request, retained until the next `apply` starts
-//! mutating, and shared by every caller in between.
+//! mutating, and shared by every caller in between. At version 0 the copy
+//! is the graph the mirror was built from: a `DiGraph` is canonical
+//! (adjacency sorted and deduplicated by its builder), so cloning it costs
+//! a copy of its arrays where a rebuild would re-sort every edge.
 //!
 //! The label index (`nodes_with_label`) is maintained incrementally too:
 //! candidate enumeration after node additions must not rescan the graph.
@@ -37,8 +40,9 @@ pub struct DynGraph {
     attrs: Vec<Attributes>,
     edge_count: usize,
     version: u64,
-    /// [`Self::shared_snapshot`] of the current state, once asked for;
-    /// emptied by every mutation.
+    /// [`Self::shared_snapshot`] of the current state: the source graph
+    /// at version 0, otherwise built once asked for; emptied by every
+    /// mutation.
     shared: OnceLock<Arc<DiGraph>>,
 }
 
@@ -67,7 +71,7 @@ impl DynGraph {
             attrs,
             edge_count: g.edge_count(),
             version: 0,
-            shared: OnceLock::new(),
+            shared: OnceLock::from(Arc::new(g.clone())),
         }
     }
 
@@ -567,6 +571,16 @@ mod tests {
         assert!(second.successors(0).contains(&2));
         assert!(Arc::ptr_eq(&first, &twin.shared_snapshot()));
         assert_same_graph(&second, &dg.snapshot());
+
+        // At version 0 the copy is the source graph, attributes included,
+        // and equals a rebuild.
+        let mut b = GraphBuilder::new();
+        b.add_node_with_attrs(0, Attributes::from_pairs([("k", 2i64)]));
+        b.add_node(1);
+        b.add_edge(1, 0).unwrap();
+        b.add_edge(0, 1).unwrap();
+        let attributed = DynGraph::from_digraph(&b.build());
+        assert_same_graph(&attributed.shared_snapshot(), &attributed.snapshot());
     }
 
     /// A hook that asks for the shared snapshot mid-batch sees the graph

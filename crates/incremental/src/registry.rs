@@ -111,7 +111,8 @@ pub struct ApplyStats {
     /// Batches that kept the simulation incremental but rebuilt every
     /// relevant set.
     pub full_rank_refreshes: u64,
-    /// Relevant sets recomputed across all batches.
+    /// Output relevances recomputed across all batches, one per planned
+    /// output (a count, or the set whose length it is).
     pub sets_recomputed: u64,
     /// Batches whose condensation was maintained incrementally (bounded
     /// region re-Tarjan / DAG probe, not a from-scratch condensation).
@@ -293,8 +294,9 @@ pub struct PatternInfo {
     /// diversified answer is asked for, and while the table plus
     /// `maintained_bytes` would exceed the reach budget.
     pub distance_bytes: usize,
-    /// Heap bytes of the relevant sets in the pattern's cache (4 a
-    /// member) — reported, not charged to the reach budget.
+    /// Bytes the pattern's relevance cache holds: a fixed entry per
+    /// output match, plus 4 a member of each relevant set built —
+    /// reported, not charged to the reach budget.
     pub cache_bytes: usize,
     /// Per-pattern maintenance counters (includes
     /// [`ApplyStats::last_refresh_ns`], the last refresh latency, and the

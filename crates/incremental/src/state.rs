@@ -15,6 +15,23 @@
 //! answer**: the registry applies the batch to the graph once, replaying
 //! each effective mutation as it lands, and then makes exactly one
 //! `refresh` call per pattern per batch, on the calling thread.
+//!
+//! A refresh pays for what touched its pattern, not for the batch:
+//! * [`PatternState::replay`] records the data edges it is handed, so the
+//!   pair-view update and the dirtiness seeds read this pattern's edges
+//!   only. That is exact: a pair slot `(u, v)` exists only when `v` carries
+//!   `u`'s primary label, and an edge the shared index filtered out joins
+//!   no two labels a pattern edge joins. Labels are intact at replay time,
+//!   even for a node the batch tombstones later.
+//! * While the maintained condensation is live, a planned output's `δr` is
+//!   read off it as a count; relevant sets are built only when a
+//!   diversified answer asks for them.
+//! * `serve` ranks only the served answer and the outputs just planned
+//!   while that is exact. Suppose the served answer was the top-k of the
+//!   whole cache and every served match is still cached with a `δr` no
+//!   lower than it was served with. Every other cached match is unchanged
+//!   since then and ranked below all of them, so it still ranks below k
+//!   matches and cannot enter. Otherwise the whole cache is ranked.
 
 use std::collections::BTreeSet;
 use std::time::Instant;
@@ -40,6 +57,8 @@ const COND_MAINT_CHURN_FLOOR: usize = 512;
 pub(crate) enum Batch<'a> {
     /// The batch's effective mutations were replayed through the
     /// simulation; the graph is in the post-batch state they describe.
+    /// The whole batch is passed for its churn: the data edges this
+    /// pattern saw are the ones [`PatternState::replay`] recorded.
     Replayed(&'a AppliedDelta),
     /// The shared index proved the whole batch irrelevant to the pattern:
     /// nothing was replayed and its answer cannot have moved.
@@ -59,6 +78,14 @@ pub(crate) enum Batch<'a> {
 struct MaintainedReach {
     view: DynMatchGraph,
     cond: CondensationState,
+}
+
+/// The data edges one batch inserted and removed that the pattern
+/// replayed, each list in application order.
+#[derive(Debug, Clone, Default)]
+struct ReplayedEdges {
+    added: Vec<(NodeId, NodeId)>,
+    removed: Vec<(NodeId, NodeId)>,
 }
 
 /// Materialized simulation + ranking state of one pattern, maintained
@@ -87,6 +114,11 @@ pub(crate) struct PatternState {
     /// `(label(u), label(u'))` for every pattern edge `(u, u')`; `None`
     /// when some pattern edge has an endpoint without a primary label.
     edge_label_pairs: Option<BTreeSet<(Label, Label)>>,
+    /// Primary label of each pattern node, by node id: a node carrying
+    /// another label holds no valid pair of it.
+    primary_labels: Vec<Option<Label>>,
+    /// Data edges of the batch being replayed, drained by the refresh.
+    edges: ReplayedEdges,
     /// Attribute keys mentioned by any of the pattern's predicates — the
     /// registry's *attribute-key interest*: a `SetAttr`/`UnsetAttr` on any
     /// other key cannot change any candidacy, hence is a provable no-op
@@ -97,6 +129,14 @@ pub(crate) struct PatternState {
     /// registry's change sets, the serving layer's subscriptions) learn
     /// *what moved*, not just the fresh list.
     served: Vec<RankedMatch>,
+    /// `true` while `served` is the top-k of the whole cache: set by every
+    /// ranking, cleared when the graph stops matching (nothing is served)
+    /// and when outputs enter the cache unranked. What lets `serve` rank
+    /// only `served` and the planned outputs.
+    served_is_top: bool,
+    /// Whether the last `serve` took that shortcut.
+    #[cfg(test)]
+    last_rank_seeded: bool,
     /// Alive output matches whose relevant-set materialization was
     /// skipped because their maintained upper bound cannot displace the
     /// k-th answer. Invariant: `cache ∪ deferred` = the alive structural
@@ -111,8 +151,9 @@ impl PatternState {
     /// Materializes the state for `q` over the current contents of `g`.
     pub(crate) fn new(g: &DynGraph, pattern: Pattern, cfg: IncrementalConfig) -> Self {
         let sim = IncSimState::new(g, &pattern);
-        let node_labels: Option<BTreeSet<Label>> =
+        let primary_labels: Vec<Option<Label>> =
             pattern.nodes().map(|u| pattern.predicate(u).primary_label()).collect();
+        let node_labels: Option<BTreeSet<Label>> = primary_labels.iter().copied().collect();
         let edge_label_pairs: Option<BTreeSet<(Label, Label)>> = pattern
             .edges()
             .map(|(u, uc)| {
@@ -134,17 +175,24 @@ impl PatternState {
             stats: ApplyStats::default(),
             node_labels,
             edge_label_pairs,
+            primary_labels,
+            edges: ReplayedEdges::default(),
             attr_keys,
             served: Vec::new(),
+            served_is_top: false,
+            #[cfg(test)]
+            last_rank_seeded: false,
             maintained: None,
             maint_readopt: false,
             deferred: BTreeSet::new(),
         };
         state.rebuild_maintained(g, &Span::disabled());
         let outputs = state.full_plan();
-        state.materialize(g, &outputs, &Span::disabled());
+        state.stats.sets_recomputed += outputs.len() as u64;
+        state.materialize(g, &outputs, false, &Span::disabled());
         state.sim.take_dirty();
         state.served = state.top_k().matches;
+        state.served_is_top = state.sim.graph_matches(&state.pattern);
         state
     }
 
@@ -192,13 +240,20 @@ impl PatternState {
     }
 
     /// Replays one effective mutation through the simulation state, with
-    /// `g` in exactly the intermediate state the mutation produced.
+    /// `g` in exactly the intermediate state the mutation produced, and
+    /// records a data edge for the batch's refresh.
     pub(crate) fn replay(&mut self, g: &DynGraph, eff: &EffectiveOp) {
         let q = &self.pattern;
         match *eff {
             EffectiveOp::NodeAdded(v, _) => self.sim.on_node_added(g, q, v),
-            EffectiveOp::EdgeAdded(s, t) => self.sim.on_edge_inserted(g, q, s, t),
-            EffectiveOp::EdgeRemoved(s, t) => self.sim.on_edge_removed(g, q, s, t),
+            EffectiveOp::EdgeAdded(s, t) => {
+                self.edges.added.push((s, t));
+                self.sim.on_edge_inserted(g, q, s, t)
+            }
+            EffectiveOp::EdgeRemoved(s, t) => {
+                self.edges.removed.push((s, t));
+                self.sim.on_edge_removed(g, q, s, t)
+            }
             EffectiveOp::NodeRemoved(v, _) => self.sim.on_node_removed(q, v),
             EffectiveOp::AttrSet { node, ref key, .. }
             | EffectiveOp::AttrUnset { node, ref key } => self.sim.on_attr_changed(g, q, node, key),
@@ -209,8 +264,8 @@ impl PatternState {
     /// diff against the previously served one — the sequence the registry
     /// runs once per pattern per batch, after replaying it: count the
     /// apply, then fold the batch into the maintained reach state and
-    /// plan | note the batch passed by; materialize the planned relevant
-    /// sets; rank and diff. `g` must be in the post-batch state. Returns
+    /// plan | note the batch passed by; materialize the planned outputs'
+    /// relevances; rank and diff. `g` must be in the post-batch state. Returns
     /// `None` for [`Batch::Untouched`]: the answer provably did not move,
     /// so it is neither re-ranked nor reported.
     ///
@@ -230,9 +285,10 @@ impl PatternState {
             self.refresh_untouched();
             return None;
         };
-        let flips = self.maintain_reach(g, applied, span);
+        let mut edges = std::mem::take(&mut self.edges);
+        let flips = self.maintain_reach(g, applied, &edges, span);
         let plan_span = span.child("plan");
-        let outputs = self.plan_refresh(g, applied, flips);
+        let outputs = self.plan_refresh(g, &edges, flips);
         if plan_span.is_enabled() {
             plan_span.detail(format!(
                 "outputs={} pruned={}",
@@ -241,8 +297,12 @@ impl PatternState {
             ));
         }
         drop(plan_span);
-        self.materialize(g, &outputs, span);
-        Some(self.serve(t0))
+        edges.added.clear();
+        edges.removed.clear();
+        self.edges = edges;
+        self.stats.sets_recomputed += outputs.len() as u64;
+        let planned = self.materialize(g, &outputs, false, span);
+        Some(self.serve(t0, &planned))
     }
 
     /// Post-batch bookkeeping for a pattern the shared index proved the
@@ -256,6 +316,7 @@ impl PatternState {
     fn refresh_untouched(&mut self) {
         let seeds = self.sim.take_dirty();
         debug_assert!(seeds.is_empty(), "untouched pattern has no flips");
+        debug_assert!(self.edges.added.is_empty() && self.edges.removed.is_empty());
         self.stats.incremental_applies += 1;
         self.stats.last_swept_pairs = 0;
         self.stats.last_dirty_outputs = 0;
@@ -272,10 +333,17 @@ impl PatternState {
     /// Batch churn past [`Self::cond_churn_high`] drops the maintained
     /// state for the per-batch engine instead — incremental maintenance
     /// only pays off while the touched region is small — and the first
-    /// batch back under the same gate re-adopts it.
-    fn maintain_reach(&mut self, g: &DynGraph, applied: &AppliedDelta, span: &Span) -> Vec<u32> {
+    /// batch back under the same gate re-adopts it. The churn counts every
+    /// edge of the batch; the pair view reads only the pattern's `edges`.
+    fn maintain_reach(
+        &mut self,
+        g: &DynGraph,
+        applied: &AppliedDelta,
+        edges: &ReplayedEdges,
+        span: &Span,
+    ) -> Vec<u32> {
         let flips = self.sim.take_dirty();
-        let churn = flips.len() + applied.added_edges.len() + applied.removed_edges.len();
+        let churn = flips.len() + applied.edge_churn();
         let Some(mut mr) = self.maintained.take() else {
             // Re-adoption after a churn drop: once the stream is calm
             // again one from-scratch build restores the maintained state,
@@ -307,8 +375,8 @@ impl PatternState {
             &self.pattern,
             &self.sim,
             &flips,
-            &applied.added_edges,
-            &applied.removed_edges,
+            &edges.added,
+            &edges.removed,
         );
         if delta.is_empty() {
             self.stats.cond_incremental += 1;
@@ -372,14 +440,15 @@ impl PatternState {
     fn plan_refresh(
         &mut self,
         g: &DynGraph,
-        applied: &AppliedDelta,
+        edges: &ReplayedEdges,
         flips: Vec<u32>,
     ) -> Vec<NodeId> {
         self.stats.last_pruned_outputs = 0;
         // Seeds of the dirtiness sweep: every alive-flip (drained by
         // [`Self::maintain_reach`], which must run first), plus the source
-        // pairs of every changed data edge (an edge between two alive pairs
-        // changes match-graph reachability without flipping anybody).
+        // pairs of every data edge the pattern replayed (an edge between
+        // two alive pairs changes match-graph reachability without
+        // flipping anybody).
         // Target candidacy is tested by slot existence, not the valid
         // flag: for edges dropped by a node tombstone the target's valid
         // flag is already cleared by the time this runs, but the surviving
@@ -387,7 +456,7 @@ impl PatternState {
         // tombstoned in the same batch need no seed of their own — their
         // incoming edges were removed too, seeding every live ancestor.
         let mut seeds: Vec<u32> = flips;
-        for &(v, w) in applied.added_edges.iter().chain(&applied.removed_edges) {
+        for &(v, w) in edges.added.iter().chain(&edges.removed) {
             for u in self.pattern.nodes() {
                 let Some(s) = self.sim.valid_slot(u, v) else { continue };
                 let touches =
@@ -427,7 +496,11 @@ impl PatternState {
             let (u, x) = self.sim.pair(queue[cursor]);
             cursor += 1;
             for &t in self.pattern.predecessors(u) {
+                let label = self.primary_labels[t as usize];
                 for y in g.predecessors(x) {
+                    if label.is_some_and(|l| l != g.label(y)) {
+                        continue;
+                    }
                     if let Some(s) = self.sim.valid_slot(t, y) {
                         if visited.insert(s as usize) {
                             queue.push(s);
@@ -546,15 +619,20 @@ impl PatternState {
 
     /// The current top-k by relevance.
     pub(crate) fn top_k(&self) -> TopKResult {
-        self.top_k_timed(Instant::now())
+        let ranked = self.sim.graph_matches(&self.pattern).then(|| self.rank_whole_cache());
+        self.answer(Instant::now(), ranked)
     }
 
     /// Serves the current answer together with its diff against the
     /// previously served one, advancing the served baseline. The diff is
     /// empty exactly when the answer did not materially change (same
     /// `(node, δr)` sequence) — the signal push consumers key on.
-    fn serve(&mut self, t0: Instant) -> (TopKResult, AnswerDiff) {
-        let top = self.top_k_timed(t0);
+    /// `planned` are the outputs this refresh materialized with their
+    /// `δr`, ascending by node.
+    fn serve(&mut self, t0: Instant, planned: &[(NodeId, u64)]) -> (TopKResult, AnswerDiff) {
+        let ranked = self.sim.graph_matches(&self.pattern).then(|| self.rank_refreshed(planned));
+        self.served_is_top = ranked.is_some();
+        let top = self.answer(t0, ranked);
         self.stats.last_refresh_ns = top.stats.elapsed.as_nanos().min(u64::MAX as u128) as u64;
         let diff = AnswerDiff::between(&self.served, &top.matches);
         if !diff.is_empty() {
@@ -563,24 +641,55 @@ impl PatternState {
         (top, diff)
     }
 
-    /// As [`Self::top_k`] with timing measured from `t0` (so a refresh's
-    /// latency includes the maintenance work).
-    fn top_k_timed(&self, t0: Instant) -> TopKResult {
+    /// The top-k of the whole cache.
+    fn rank_whole_cache(&self) -> Vec<RankedMatch> {
+        rank_top_k(self.cache.relevances(), self.cfg.k)
+    }
+
+    /// The top-k of the whole cache after a refresh that upserted
+    /// `planned` (ascending by node): ranked over `served ∪ planned` alone while
+    /// `served` was the whole cache's top-k and every served match is
+    /// still cached with a `δr` no lower than it was served with (see the
+    /// module docs for why nothing else can enter); over the whole cache
+    /// otherwise.
+    fn rank_refreshed(&mut self, planned: &[(NodeId, u64)]) -> Vec<RankedMatch> {
+        let cache = &self.cache;
+        let seeded = self.served_is_top
+            && self
+                .served
+                .iter()
+                .all(|m| cache.relevance_of(m.node).is_some_and(|r| r >= m.relevance));
+        #[cfg(test)]
+        {
+            self.last_rank_seeded = seeded;
+        }
+        if !seeded {
+            return self.rank_whole_cache();
+        }
+        let unplanned_served = self
+            .served
+            .iter()
+            .filter(|m| planned.binary_search_by_key(&m.node, |&(v, _)| v).is_err())
+            .map(|m| (m.node, cache.relevance_of(m.node).expect("served outputs are cached")));
+        let ranked = rank_top_k(planned.iter().copied().chain(unplanned_served), self.cfg.k);
+        debug_assert_eq!(ranked, self.rank_whole_cache(), "served ∪ planned misses the top-k");
+        ranked
+    }
+
+    /// The answer: `ranked` (`None` when the graph does not match) with
+    /// its stats, timed from `t0` (so a refresh's latency includes the
+    /// maintenance work).
+    fn answer(&self, t0: Instant, ranked: Option<Vec<RankedMatch>>) -> TopKResult {
         let q = &self.pattern;
         // Under the paper's emptiness rule Mu(Q,G,uo) = ∅ even though the
         // cache stays structurally maintained — report stats the way the
         // static pipeline would (total known to be 0). Deferred outputs
-        // are alive matches whose sets were never inspected — they count
-        // toward the total but not the inspected tally, and their
+        // are alive matches whose relevances were never inspected — they
+        // count toward the total but not the inspected tally, and their
         // existence is exactly what "early terminated" means here.
-        let (matches, inspected, total) = if self.sim.graph_matches(q) {
-            (
-                rank_top_k(self.cache.relevances(), self.cfg.k),
-                self.cache.len(),
-                self.cache.len() + self.deferred.len(),
-            )
-        } else {
-            (Vec::new(), 0, 0)
+        let (matches, inspected, total) = match ranked {
+            Some(matches) => (matches, self.cache.len(), self.cache.len() + self.deferred.len()),
+            None => (Vec::new(), 0, 0),
         };
         TopKResult {
             matches,
@@ -603,15 +712,25 @@ impl PatternState {
         c_uo_with(&self.pattern, |u| self.sim.candidate_count(u))
     }
 
-    /// Materializes every deferred output's relevant set, emptying the
-    /// deferred set — the eager escape hatch for consumers that need the
-    /// **full** cache (the diversified objective scores pairwise
-    /// distances over all matches, so bounds on relevance alone cannot
-    /// prune for it honestly). The sets go through the cache's `upsert`,
-    /// so each one starts with no stored `δd`.
+    /// Builds the relevant set of every deferred output and of every
+    /// cached match that holds only its `δr`, emptying the deferred set —
+    /// the eager escape hatch for consumers that need the **full** cache
+    /// of sets (the diversified objective scores pairwise distances over
+    /// all matches, so bounds on relevance alone cannot prune for it
+    /// honestly). The sets go through the cache's `upsert`, so each one
+    /// starts with no stored `δd`. A deferred output is planned here, and
+    /// counted in [`ApplyStats::sets_recomputed`]; a count turning into
+    /// its set was counted when it was planned.
     fn ensure_complete(&mut self, g: &DynGraph) {
-        let outputs: Vec<NodeId> = std::mem::take(&mut self.deferred).into_iter().collect();
-        self.materialize(g, &outputs, &Span::disabled());
+        let deferred = std::mem::take(&mut self.deferred);
+        if !deferred.is_empty() {
+            // They enter the cache unranked.
+            self.served_is_top = false;
+            self.stats.sets_recomputed += deferred.len() as u64;
+        }
+        let mut outputs: Vec<NodeId> = self.cache.count_only().chain(deferred).collect();
+        outputs.sort_unstable();
+        self.materialize(g, &outputs, true, &Span::disabled());
     }
 
     /// The current diversified top-k with an explicit `λ`. Takes the
@@ -703,7 +822,7 @@ impl PatternState {
         }
     }
 
-    /// Derives and caches the relevant set of every output in `outputs`
+    /// Derives and caches the relevance of every output in `outputs`
     /// (alive output matches, ascending) — the one materialization path,
     /// on the calling thread. `prepare` is phase 1 of the reach
     /// computation: with a live maintained condensation it happened
@@ -712,14 +831,22 @@ impl PatternState {
     /// O(view); otherwise the per-batch [`ReachEngine`]
     /// builds the alive-pair view and condenses it (its `tarjan` /
     /// `bitsets` sub-phases and budget-fallback events land under the
-    /// `prepare` span). `extract` copies each output's strict-reach set
-    /// out (or, past the reach budget, BFSes it) and stores it — the span
-    /// stays open across the cache inserts. The engine's sets are bitsets
-    /// as wide as the graph; each distinct one becomes a [`NodeSet`] once,
-    /// and the sources sharing it clone the small result.
-    fn materialize(&mut self, g: &DynGraph, outputs: &[NodeId], span: &Span) {
+    /// `prepare` span). `extract` stores each output's `δr` — read off
+    /// the maintained condensation as a count, unless `sets` asks for the
+    /// strict-reach set itself — or, from the engine, its set (past the
+    /// reach budget, BFSed); the span stays open across the cache inserts.
+    /// The engine's sets are bitsets as wide as the graph; each distinct
+    /// one becomes a [`NodeSet`] once, and the sources sharing it clone
+    /// the small result. Returns each output with the `δr` stored.
+    fn materialize(
+        &mut self,
+        g: &DynGraph,
+        outputs: &[NodeId],
+        sets: bool,
+        span: &Span,
+    ) -> Vec<(NodeId, u64)> {
         if outputs.is_empty() {
-            return;
+            return Vec::new();
         }
         let q = &self.pattern;
         let uo = q.output();
@@ -736,14 +863,27 @@ impl PatternState {
             .map(|&v| self.sim.alive_slot(uo, v).expect("planned outputs are alive"))
             .collect();
         let _extract;
-        let sets: Vec<NodeSet> = match &self.maintained {
+        let mut stored = Vec::with_capacity(outputs.len());
+        match &self.maintained {
             Some(mr) => {
                 if prep.is_enabled() {
                     prep.detail(format!("sources={} dp=true maintained=true", outputs.len()));
                 }
                 drop(prep);
                 _extract = extract_span();
-                sources.iter().map(|&c| mr.cond.strict_reach(c)).collect()
+                for (&v, &p) in outputs.iter().zip(&sources) {
+                    let r = if sets {
+                        let set = mr.cond.strict_reach(p);
+                        let r = set.len() as u64;
+                        self.cache.upsert(v, set);
+                        r
+                    } else {
+                        let r = mr.cond.strict_len(&mr.view, p);
+                        self.cache.upsert_count(v, r);
+                        r
+                    };
+                    stored.push((v, r));
+                }
             }
             None => {
                 let view = DynMatchGraph::over_alive(g, q, &self.sim);
@@ -753,13 +893,13 @@ impl PatternState {
                 }
                 drop(prep);
                 _extract = extract_span();
-                engine.extract_with(NodeSet::from_bits)
+                for (&v, set) in outputs.iter().zip(engine.extract_with(NodeSet::from_bits)) {
+                    stored.push((v, set.len() as u64));
+                    self.cache.upsert(v, set);
+                }
             }
-        };
-        for (&v, set) in outputs.iter().zip(sets) {
-            self.cache.upsert(v, set);
-            self.stats.sets_recomputed += 1;
         }
+        stored
     }
 
     /// Relevant set of output match `v` by forward BFS over the alive
@@ -888,7 +1028,8 @@ impl PatternState {
         self.cache.distance_bytes()
     }
 
-    /// Heap bytes of the relevant sets in the cache, in O(1).
+    /// Bytes the relevance cache holds (entries and the sets built), in
+    /// O(1).
     pub(crate) fn cache_bytes(&self) -> usize {
         self.cache.cache_bytes()
     }
@@ -951,8 +1092,9 @@ mod tests {
     use gpm_pattern::builder::label_pattern;
     use proptest::prelude::*;
 
-    /// The oracle: every cached relevant set must equal the pre-DP
-    /// per-source BFS derivation, cache ∪ deferred must hold exactly the
+    /// The oracle: every cached `δr` must equal the length of the pre-DP
+    /// per-source BFS derivation, and every relevant set the cache holds
+    /// must equal that derivation; cache ∪ deferred must hold exactly the
     /// structural output matches, the maintained condensation and bound
     /// index (when the budget keeps them on) must equal from-scratch
     /// builds, and the served top-k must equal the rank over exact BFS
@@ -967,9 +1109,11 @@ mod tests {
         assert_eq!(have, expect, "cache ∪ deferred != structural matches");
         for v in st.cache().matches() {
             let bfs = st.relevant_set_bfs(g, v);
-            let dp: Vec<usize> =
-                st.cache().set_of(v).expect("cached").iter().map(|x| x as usize).collect();
-            assert_eq!(dp, bfs, "relevant set of output match {v}");
+            assert_eq!(st.cache().relevance_of(v), Some(bfs.len() as u64), "δr of match {v}");
+            if let Some(set) = st.cache().set_of(v) {
+                let dp: Vec<usize> = set.iter().map(|x| x as usize).collect();
+                assert_eq!(dp, bfs, "relevant set of output match {v}");
+            }
         }
         if st.sim().graph_matches(st.pattern()) {
             let truth = expect.iter().map(|&v| (v, st.relevant_set_bfs(g, v).len() as u64));
@@ -1124,13 +1268,91 @@ mod tests {
         assert!(prepare(1).events.iter().any(|(_, e)| e == "budget-bail-early"));
         assert_eq!(traces[1].spans_named("tarjan").count(), 0, "early bail skips Tarjan");
 
-        // And the two states converged on identical cached sets.
+        // And the two states converged on identical relevances: counts on
+        // the maintained side, sets on the engine's.
         assert_eq!(dp.stats().sets_recomputed, bfs.stats().sets_recomputed);
         assert_eq!(dp.cache().matches(), bfs.cache().matches());
         for v in dp.cache().matches() {
-            assert_eq!(dp.cache().set_of(v), bfs.cache().set_of(v));
+            assert_eq!(dp.cache().set_of(v), None, "the maintained refresh stores counts");
             assert_eq!(dp.cache().relevance_of(v), Some(3));
+            assert_eq!(bfs.cache().relevance_of(v), Some(3));
         }
         assert_eq!(dp.top_k().matches, bfs.top_k().matches);
+        // A diversified answer builds the maintained side's sets, without
+        // counting them again, and they equal the engine's.
+        let (a, b) = (dp.diversified(&dyn_g, 0.5), bfs.diversified(&dyn_g, 0.5));
+        assert_eq!((a.matches, a.f_value), (b.matches, b.f_value));
+        assert_eq!(dp.stats().sets_recomputed, bfs.stats().sets_recomputed);
+        for v in dp.cache().matches() {
+            let set = dp.cache().set_of(v).expect("diversified() built every set");
+            assert_eq!(Some(set), bfs.cache().set_of(v));
+        }
+    }
+
+    /// Replays `delta` into `st` over `g`, refreshes, checks the state
+    /// against the BFS oracle and the served answer against the whole
+    /// cache's rank, and returns the answer with whether `serve` ranked
+    /// only `served ∪ planned`.
+    fn refresh_seeded(
+        st: &mut PatternState,
+        g: &mut DynGraph,
+        delta: GraphDelta,
+    ) -> (Vec<(NodeId, u64)>, bool) {
+        let applied = g.apply_with(&delta, |g, eff| st.replay(g, eff)).expect("valid delta");
+        let (top, _) =
+            st.refresh(g, Batch::Replayed(&applied), &Span::disabled()).expect("touched");
+        assert_cache_matches_bfs(st, g);
+        assert_eq!(top.matches, st.top_k().matches, "served answer != whole-cache rank");
+        (top.matches.iter().map(|m| (m.node, m.relevance)).collect(), st.last_rank_seeded)
+    }
+
+    /// `serve` ranks `served ∪ planned` only while the served answer is
+    /// the whole cache's top-k and holds up, and falls back to the whole
+    /// cache on each way that can fail: a served match dies, a served `δr`
+    /// drops, a diversified answer inserts deferred outputs, and the
+    /// graph stops matching, then matches again.
+    #[test]
+    fn serve_ranks_served_and_planned_only_while_that_is_exact() {
+        // Labels A = 0, B = 1, D = 2; pattern A → B ← D, output A, k = 2.
+        // δr: A 0 → 3, A 1 → 2, A 2 → 1, A 3 → 1.
+        let g = graph_from_parts(
+            &[0, 0, 0, 0, 1, 1, 1, 2],
+            &[(0, 4), (0, 5), (0, 6), (1, 4), (1, 5), (2, 4), (3, 5), (7, 4)],
+        )
+        .unwrap();
+        let q = label_pattern(&[0, 1, 2], &[(0, 1), (2, 1)], 0).unwrap();
+        let mut cfg = IncrementalConfig::new(2);
+        cfg.max_dirty_fraction = 1.0;
+        let mut g = DynGraph::from_digraph(&g);
+        let mut st = PatternState::new(&g, q, cfg);
+        assert_eq!(st.reach_mode(), "maintained");
+        let mut step = |delta| refresh_seeded(&mut st, &mut g, delta);
+
+        // A planned output rises; the served answer holds.
+        assert_eq!(step(GraphDelta::new().add_edge(2, 5)), (vec![(0, 3), (1, 2)], true));
+        // A served δr drops.
+        assert_eq!(step(GraphDelta::new().remove_edge(0, 6)), (vec![(0, 2), (1, 2)], false));
+        // A served match dies.
+        let dies = GraphDelta::new().remove_edge(1, 4).remove_edge(1, 5);
+        assert_eq!(step(dies), (vec![(0, 2), (2, 2)], false));
+        assert_eq!(step(GraphDelta::new().add_edge(3, 6)), (vec![(0, 2), (2, 2)], true));
+        // A new A 8 with δr 1 is bound-pruned (h = 2, and 8 > 2): deferred.
+        let pruned = GraphDelta::new().add_node(0).add_edge(8, 4);
+        assert_eq!(step(pruned), (vec![(0, 2), (2, 2)], true));
+        assert!(st.deferred_outputs().contains(&8));
+        // A diversified answer inserts it into the cache unranked.
+        st.diversified(&g, 0.5);
+        assert!(st.deferred_outputs().is_empty());
+        let mut step = |delta| refresh_seeded(&mut st, &mut g, delta);
+        assert_eq!(step(GraphDelta::new().add_edge(3, 4)), (vec![(3, 3), (0, 2)], false));
+        assert_eq!(step(GraphDelta::new().add_edge(8, 5)), (vec![(3, 3), (0, 2)], true));
+        // D 7 loses its only B: the graph stops matching, nothing is served.
+        assert_eq!(step(GraphDelta::new().remove_edge(7, 4)).0, vec![]);
+        assert!(!st.served_is_top);
+        let mut step = |delta| refresh_seeded(&mut st, &mut g, delta);
+        // It matches again: the first answer ranks the whole cache.
+        let back = step(GraphDelta::new().add_edge(7, 6));
+        assert_eq!(back, (vec![(3, 3), (0, 2)], false));
+        assert_eq!(step(GraphDelta::new().add_edge(2, 6)), (vec![(2, 3), (3, 3)], true));
     }
 }

@@ -348,3 +348,55 @@ fn invalid_delta_leaves_state_intact() {
     assert_eq!(reg.graph().version(), 0);
     assert_agrees(&mut reg, id, 2, 0.5, "after rejected delta");
 }
+
+/// Batches whose `RemoveNode` tombstones the target of a matching edge.
+/// The registry hands each pattern only the edges its index passes, and
+/// the refresh seeds from those alone: a stripped `B → C` edge must still
+/// reach it (its labels are read before the tombstone), while a stripped
+/// `C → B` edge, which no pattern edge joins, is filtered out. Indexed ≡
+/// `undispatchable` twin ≡ static after every batch.
+#[test]
+fn tombstoning_the_target_of_a_matching_edge_keeps_index_twin_and_static_equal() {
+    // Labels A = 0, B = 1, C = 2; pattern A → B → C, output A.
+    let g = graph_from_parts(
+        &[0, 1, 1, 0, 2, 2, 0],
+        &[(0, 1), (0, 2), (3, 2), (6, 1), (1, 4), (2, 4), (2, 5), (5, 2), (1, 5)],
+    )
+    .unwrap();
+    let q = label_pattern(&[0, 1, 2], &[(0, 1), (1, 2)], 0).unwrap();
+    let cfg = IncrementalConfig::new(2);
+    let (mut twin, twin_id) = registry_of_one(&g, undispatchable(&q), cfg.clone());
+    let (mut indexed, id) = registry_of_one(&g, q.clone(), cfg);
+    let batches = [
+        // C 4 is the target of the matching edges 1 → 4 and 2 → 4; both
+        // Bs keep C 5, and every A loses 4 from its relevant set.
+        GraphDelta::new().remove_node(4).add_edge(5, 4).add_edge(3, 1),
+        // A new C 7 below B 1, then C 5 goes: its stripped edge 5 → 2
+        // joins no pattern edge, and B 2 loses its last C.
+        GraphDelta::new().add_node(2).add_edge(1, 7).remove_node(5),
+        // B 1 loses its last C: no B matches, so neither does the graph.
+        GraphDelta::new().remove_node(7).add_edge(6, 2),
+    ];
+    let answers = [vec![(0, 3), (3, 3)], vec![(0, 2), (3, 2)], vec![]];
+    for (step, (delta, answer)) in batches.iter().zip(answers).enumerate() {
+        let ctx = format!("batch {step}");
+        let reference = twin.apply(delta).unwrap();
+        let changes = indexed.apply(delta).unwrap();
+        assert_eq!(changes.len(), reference.len(), "touched by one side only: {ctx}");
+        for (change, want) in changes.iter().zip(&reference) {
+            assert_eq!(change.top.matches, want.top.matches, "answer: {ctx}");
+            assert_eq!(change.diff, want.diff, "diff: {ctx}");
+        }
+        let top = indexed.top_k(id).unwrap().matches;
+        assert_eq!(top, twin.top_k(twin_id).unwrap().matches, "top-k: {ctx}");
+        let base = top_k_by_match(&indexed.snapshot(), &q, &TopKConfig::new(2));
+        assert_eq!(top, base.matches, "static: {ctx}");
+        let got: Vec<(u32, u64)> = top.iter().map(|m| (m.node, m.relevance)).collect();
+        assert_eq!(got, answer, "{ctx}");
+        let stats = indexed.stats_of(id).unwrap();
+        assert_eq!(counters(&stats), counters(&twin.stats_of(twin_id).unwrap()), "{ctx}");
+        assert_eq!(indexed.audit_pattern(id), Some(Ok(())), "{ctx}");
+        assert_eq!(twin.audit_pattern(twin_id), Some(Ok(())), "{ctx}");
+        assert_agrees(&mut indexed, id, 2, 0.5, &ctx);
+    }
+}

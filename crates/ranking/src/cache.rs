@@ -1,14 +1,20 @@
-//! Relevant-set cache with partial invalidation, and the `δd` kept beside
-//! it.
+//! Relevance cache with partial invalidation: `δr` for every output
+//! match, the relevant set where one was built, and the `δd` kept beside
+//! the sets.
 //!
 //! The static pipeline rebuilds [`crate::relevant_set::RelevantSets`] from
 //! scratch per query. Under graph deltas most output matches keep their
-//! relevant set, so the dynamic path caches one set per output match —
-//! a sorted [`NodeSet`] of **data-node ids** rather than a bitset over a
-//! per-query compact universe, because node ids are stable across updates
-//! while universes are not. A set costs 4 bytes a member whatever the
-//! graph's size, its `δr` is its length, and the maintenance layer
-//! invalidates and recomputes only the dirty entries.
+//! relevance, so the dynamic path caches one entry per output match, and
+//! the maintenance layer invalidates and recomputes only the dirty ones.
+//! Every entry stores `δr`. A top-k by relevance needs nothing else, and
+//! the maintained condensation reads `δr` off its component sets without
+//! building the relevant set ([`RelevanceCache::upsert_count`]). The set
+//! itself is built lazily, for a diversified answer, whose `δd` needs it
+//! ([`RelevanceCache::upsert`]); its `δr` is its length. A set is a sorted
+//! [`NodeSet`] of **data-node ids** rather than a bitset over a per-query
+//! compact universe, because node ids are stable across updates while
+//! universes are not, and it costs 4 bytes a member whatever the graph's
+//! size.
 //!
 //! Relevance and Jaccard distance values are identical to the
 //! universe-encoded ones (both encodings are bijective on the same sets,
@@ -20,37 +26,46 @@
 //! it stays valid until either of them is upserted or removed. The cache
 //! gives each set a **slot** (reused after a removal) and, once a
 //! diversified answer asks for it ([`RelevanceCache::pairwise`]), keeps a
-//! dense lower-triangular table of `δd` by slot pair. Sets and distances
-//! live in this one store, so every path that replaces a set also drops
-//! its distances; no second invalidation rule exists. A relevance-only
-//! consumer never asks, and never allocates the table.
+//! dense lower-triangular table of `δd` by slot pair. Entries and
+//! distances live in this one store, so every path that replaces an entry
+//! also drops its distances; no second invalidation rule exists. A
+//! relevance-only consumer never asks, and never allocates the table.
 
 use std::collections::BTreeMap;
 
 use gpm_graph::{NodeId, NodeSet};
 
-/// One cached relevant set and its row in the distance table.
+/// One cached match: its `δr`, its relevant set once built, and its row in
+/// the distance table.
 #[derive(Debug, Clone)]
-struct CachedSet {
-    set: NodeSet,
-    /// Row of this set in the distance table.
+struct Cached {
+    /// `δr(uo, v)`; the set's length whenever the set is present.
+    delta_r: u64,
+    /// `R(uo, v)`, when it has been built since `δr` was last written.
+    set: Option<NodeSet>,
+    /// Row of this entry in the distance table.
     slot: usize,
 }
 
-impl CachedSet {
-    /// `δr(uo, v)`: the set's size.
-    fn delta_r(&self) -> u64 {
-        self.set.len() as u64
+/// Fixed bytes of one cached entry, key included, whether or not it holds
+/// a set.
+const ENTRY_BYTES: usize = std::mem::size_of::<NodeId>() + std::mem::size_of::<Cached>();
+
+impl Cached {
+    /// Bytes this entry holds: its fixed part plus its set's members.
+    fn bytes(&self) -> usize {
+        ENTRY_BYTES + self.set.as_ref().map_or(0, NodeSet::heap_bytes)
     }
 }
 
-/// Cached relevant sets `R(uo, v)` keyed by output match, sorted node-id
-/// sets, plus the `δd` of each pair of them once asked for.
+/// Cached `δr(uo, v)` keyed by output match, with the relevant set
+/// `R(uo, v)` (a sorted node-id set) where one was built, plus the `δd` of
+/// each pair of sets once asked for.
 #[derive(Debug, Clone, Default)]
 pub struct RelevanceCache {
-    sets: BTreeMap<NodeId, CachedSet>,
-    /// Heap bytes of the cached sets, kept as a running count by `upsert`
-    /// and `remove`.
+    entries: BTreeMap<NodeId, Cached>,
+    /// Bytes of the cached entries and their sets, kept as a running count
+    /// by every insert and `remove`.
     cache_bytes: usize,
     /// Slots of removed sets, reused before a new one is opened.
     free_slots: Vec<usize>,
@@ -75,10 +90,20 @@ fn pair_index(a: usize, b: usize) -> usize {
 }
 
 impl RelevanceCache {
-    /// Inserts or replaces the relevant set of `v`, dropping every stored
-    /// `δd` that involves `v`.
+    /// Inserts or replaces the relevant set of `v` (and with it `δr`, its
+    /// length), dropping every stored `δd` that involves `v`.
     pub fn upsert(&mut self, v: NodeId, set: NodeSet) {
-        let slot = match self.sets.get(&v) {
+        self.insert(v, set.len() as u64, Some(set));
+    }
+
+    /// Inserts or replaces `δr` of `v` alone: a set cached for `v` is
+    /// dropped with its stored `δd`s, since it may no longer be `v`'s.
+    pub fn upsert_count(&mut self, v: NodeId, delta_r: u64) {
+        self.insert(v, delta_r, None);
+    }
+
+    fn insert(&mut self, v: NodeId, delta_r: u64, set: Option<NodeSet>) {
+        let slot = match self.entries.get(&v) {
             Some(old) => old.slot,
             None => self.free_slots.pop().unwrap_or_else(|| {
                 self.slots += 1;
@@ -86,61 +111,68 @@ impl RelevanceCache {
             }),
         };
         self.forget_distances(slot);
-        self.cache_bytes += set.heap_bytes();
-        if let Some(old) = self.sets.insert(v, CachedSet { set, slot }) {
-            self.cache_bytes -= old.set.heap_bytes();
+        let entry = Cached { delta_r, set, slot };
+        self.cache_bytes += entry.bytes();
+        if let Some(old) = self.entries.insert(v, entry) {
+            self.cache_bytes -= old.bytes();
         }
     }
 
     /// Drops the entry of `v` (the match disappeared). Its slot's stored
-    /// distances are never read again; the next set to take the slot
+    /// distances are never read again; the next entry to take the slot
     /// clears them.
     pub fn remove(&mut self, v: NodeId) -> bool {
-        let Some(old) = self.sets.remove(&v) else { return false };
-        self.cache_bytes -= old.set.heap_bytes();
+        let Some(old) = self.entries.remove(&v) else { return false };
+        self.cache_bytes -= old.bytes();
         self.free_slots.push(old.slot);
         true
     }
 
     /// `true` iff `v` has a cached set.
     pub fn contains(&self, v: NodeId) -> bool {
-        self.sets.contains_key(&v)
+        self.entries.contains_key(&v)
     }
 
     /// Number of cached matches.
     pub fn len(&self) -> usize {
-        self.sets.len()
+        self.entries.len()
     }
 
     /// `true` when nothing is cached.
     pub fn is_empty(&self) -> bool {
-        self.sets.is_empty()
+        self.entries.is_empty()
     }
 
     /// Cached matches, ascending by node id (the order
     /// [`crate::relevant_set::RelevantSets::matches`] uses).
     pub fn matches(&self) -> Vec<NodeId> {
-        self.sets.keys().copied().collect()
+        self.entries.keys().copied().collect()
     }
 
     /// `δr(uo, v)` from the cache.
     pub fn relevance_of(&self, v: NodeId) -> Option<u64> {
-        self.sets.get(&v).map(CachedSet::delta_r)
+        self.entries.get(&v).map(|s| s.delta_r)
     }
 
-    /// The cached set of `v`.
+    /// The cached set of `v`; `None` when `v` is not cached or holds only
+    /// its `δr`.
     pub fn set_of(&self, v: NodeId) -> Option<&NodeSet> {
-        self.sets.get(&v).map(|s| &s.set)
+        self.entries.get(&v).and_then(|s| s.set.as_ref())
+    }
+
+    /// Cached matches that hold `δr` but no set, ascending by node id.
+    pub fn count_only(&self) -> impl Iterator<Item = NodeId> + '_ {
+        self.entries.iter().filter(|(_, s)| s.set.is_none()).map(|(&v, _)| v)
     }
 
     /// `(node, δr)` for every cached match, ascending by node id, in
     /// `O(matches)`.
     pub fn relevances(&self) -> impl Iterator<Item = (NodeId, u64)> + '_ {
-        self.sets.iter().map(|(&v, s)| (v, s.delta_r()))
+        self.entries.iter().map(|(&v, s)| (v, s.delta_r))
     }
 
-    /// Heap bytes of the cached sets' members — 4 a member. Reads a
-    /// running count, in O(1).
+    /// Bytes the cache holds: each entry's fixed bytes plus its set's
+    /// members, 4 a member. Reads a running count, in O(1).
     pub fn cache_bytes(&self) -> usize {
         self.cache_bytes
     }
@@ -152,14 +184,19 @@ impl RelevanceCache {
     }
 
     /// Every cached match with its `δr` and a `δd` oracle over them, for
-    /// the diversified greedy. When a table over every slot fits
+    /// the diversified greedy; every entry must hold its set. When a table
+    /// over every slot fits
     /// `budget_bytes`, it is kept (grown if slots were opened), every pair
     /// of cached sets missing a distance gets one — the only Jaccards
     /// computed — and the oracle reads it. Past the budget the table is
     /// freed and the oracle computes each `δd` on call; the values are
     /// the same either way.
     pub fn pairwise(&mut self, budget_bytes: usize) -> Pairwise<'_> {
-        let entries: Vec<&CachedSet> = self.sets.values().collect();
+        let sets: Vec<(&NodeSet, usize)> = self
+            .entries
+            .values()
+            .map(|s| (s.set.as_ref().expect("every cached match holds its set"), s.slot))
+            .collect();
         let table = if tri(self.slots) * std::mem::size_of::<f64>() > budget_bytes {
             self.table = Vec::new();
             self.table_slots = 0;
@@ -168,20 +205,20 @@ impl RelevanceCache {
             self.table.reserve_exact(tri(self.slots) - self.table.len());
             self.table.resize(tri(self.slots), f64::NAN);
             self.table_slots = self.slots;
-            for (a, x) in entries.iter().enumerate() {
-                for y in &entries[a + 1..] {
-                    let d = &mut self.table[pair_index(x.slot, y.slot)];
+            for (a, &(x, xs)) in sets.iter().enumerate() {
+                for &(y, ys) in &sets[a + 1..] {
+                    let d = &mut self.table[pair_index(xs, ys)];
                     if d.is_nan() {
-                        *d = x.set.jaccard_distance(&y.set);
+                        *d = x.jaccard_distance(y);
                     }
                 }
             }
             Some(self.table.as_slice())
         };
         Pairwise {
-            nodes: self.sets.keys().copied().collect(),
-            relevances: entries.iter().map(|s| s.delta_r()).collect(),
-            entries,
+            nodes: self.entries.keys().copied().collect(),
+            relevances: self.entries.values().map(|s| s.delta_r).collect(),
+            sets,
             table,
         }
     }
@@ -206,7 +243,8 @@ pub struct Pairwise<'a> {
     pub nodes: Vec<NodeId>,
     /// `δr` of each match.
     pub relevances: Vec<u64>,
-    entries: Vec<&'a CachedSet>,
+    /// Each match's set and distance-table slot.
+    sets: Vec<(&'a NodeSet, usize)>,
     table: Option<&'a [f64]>,
 }
 
@@ -214,10 +252,10 @@ impl Pairwise<'_> {
     /// `δd` between the `i`-th and `j`-th match (`i ≠ j`): read from the
     /// stored table, or computed when the budget left none.
     pub fn distance(&self, i: usize, j: usize) -> f64 {
-        let (a, b) = (self.entries[i], self.entries[j]);
+        let ((a, sa), (b, sb)) = (self.sets[i], self.sets[j]);
         match self.table {
-            Some(t) => t[pair_index(a.slot, b.slot)],
-            None => a.set.jaccard_distance(&b.set),
+            Some(t) => t[pair_index(sa, sb)],
+            None => a.jaccard_distance(b),
         }
     }
 }
@@ -248,17 +286,21 @@ mod tests {
 
     #[test]
     fn stored_popcount_tracks_set_lifecycle() {
-        // δr and the running byte count follow the stored sets after every
-        // mutation: upsert, overwrite (smaller and larger), remove, reuse.
+        // δr and the running byte count follow the entries after every
+        // mutation: upsert, overwrite (smaller and larger), remove, reuse,
+        // a count-only entry, and a count turning into a set and back.
         let mut c = RelevanceCache::default();
         let check = |c: &RelevanceCache| {
-            let mut members = 0;
+            let mut bytes = 0;
             for (v, r) in c.relevances() {
-                assert_eq!(Some(r), c.set_of(v).map(|s| s.len() as u64), "match {v}");
+                if let Some(s) = c.set_of(v) {
+                    assert_eq!(s.len() as u64, r, "match {v}");
+                    bytes += 4 * s.len();
+                }
                 assert_eq!(c.relevance_of(v), Some(r));
-                members += r as usize;
+                bytes += ENTRY_BYTES;
             }
-            assert_eq!(c.cache_bytes(), 4 * members);
+            assert_eq!(c.cache_bytes(), bytes);
         };
         c.upsert(0, set(&[1, 2, 3]));
         c.upsert(5, set(&[0, 7]));
@@ -274,7 +316,22 @@ mod tests {
         check(&c);
         c.upsert(9, set(&[2])); // reuses 5's slot
         check(&c);
-        assert_eq!(c.cache_bytes(), 4 * 2);
+        assert_eq!(c.cache_bytes(), 2 * ENTRY_BYTES + 4 * 2);
+
+        c.upsert_count(3, 6); // a count-only entry holds δr and no set
+        assert_eq!((c.relevance_of(3), c.set_of(3)), (Some(6), None));
+        assert_eq!(c.count_only().collect::<Vec<_>>(), vec![3]);
+        check(&c);
+        c.upsert(3, set(&[1, 2, 4, 5, 6, 9])); // the count turns into its set
+        assert_eq!(c.relevance_of(3), Some(6));
+        assert_eq!(c.count_only().count(), 0);
+        check(&c);
+        c.upsert_count(9, 2); // a new count drops the set it may contradict
+        assert_eq!((c.relevance_of(9), c.set_of(9)), (Some(2), None));
+        check(&c);
+        assert_eq!(c.cache_bytes(), 3 * ENTRY_BYTES + 4 * (1 + 6));
+        assert!(c.remove(9));
+        check(&c);
     }
 
     /// Every stored δd equals a fresh Jaccard of the current sets after
@@ -284,7 +341,7 @@ mod tests {
     fn stored_distances_follow_every_set_change() {
         let mut c = RelevanceCache::default();
         let check = |c: &mut RelevanceCache| {
-            let fresh: Vec<NodeSet> = c.sets.values().map(|s| s.set.clone()).collect();
+            let fresh: Vec<NodeSet> = c.entries.values().filter_map(|s| s.set.clone()).collect();
             for budget in [usize::MAX, 0] {
                 let p = c.pairwise(budget);
                 for i in 0..fresh.len() {

@@ -56,6 +56,16 @@
 //! contains the member's own data node, so the slack is ≤ 1). A set's
 //! size is its length, so it can never be staler than the set, and
 //! [`CondensationState::upper_bound`] reads it in O(1).
+//!
+//! The exact relevance `δr` is just as cheap. A nontrivial component's
+//! `Full(c)` is the strict reach of every member, and a trivial component
+//! `{p}` over data node `v` reaches `v` again only through a successor:
+//!
+//! `δr(p) = |Full(c)| − [c is trivial ∧ v ∉ Full(s) for every successor s]`
+//!
+//! [`CondensationState::strict_len`] evaluates it with one binary search
+//! per successor, stopping at the first hit, so a relevance consumer
+//! reads a count without building the set it counts.
 
 use std::collections::{BTreeSet, HashMap};
 
@@ -216,6 +226,22 @@ impl CondensationState {
                 NodeSet::from_scratch(&mut ids)
             }
         }
+    }
+
+    /// `|strict_reach(p)|` of alive pair `p`, without building the set:
+    /// a nontrivial component's `|Full(c)|`; a trivial one's, less its own
+    /// data node unless some successor's `Full` holds it too.
+    pub fn strict_len<V: ReachView>(&self, view: &V, p: u32) -> u64 {
+        let c = self.comp_of[p as usize];
+        debug_assert_ne!(c, DEAD, "count of a dead pair");
+        let slot = &self.comps[c as usize];
+        let full = slot.full.len() as u64;
+        if slot.nontrivial {
+            return full;
+        }
+        let v = view.universe_pos(p) as NodeId;
+        let reached = slot.succs.iter().any(|&s| self.comps[s as usize].full.contains(v));
+        full - u64::from(!reached)
     }
 
     /// Folds one batch's pair-level delta into the maintained
@@ -654,11 +680,13 @@ mod tests {
     use super::*;
     use gpm_graph::scc::Successors;
 
-    /// Toy mutable pair graph implementing [`ReachView`] with identity
-    /// universe projection.
+    /// Toy mutable pair graph implementing [`ReachView`]; pair `p` stands
+    /// for data node `node_of[p]` (the identity unless a test makes two
+    /// pairs share a data node, as two pattern nodes matching one node do).
     #[derive(Clone)]
     struct VecView {
         adj: Vec<Vec<u32>>,
+        node_of: Vec<usize>,
         width: usize,
     }
 
@@ -676,7 +704,7 @@ mod tests {
             self.width
         }
         fn universe_pos(&self, c: u32) -> usize {
-            c as usize
+            self.node_of[c as usize]
         }
     }
 
@@ -690,7 +718,7 @@ mod tests {
             seen.insert(w);
         }
         while let Some(p) = work.pop() {
-            set.push(p);
+            set.push(view.universe_pos(p) as NodeId);
             for &w in &view.adj[p as usize] {
                 if alive[w as usize] && seen.insert(w) {
                     work.push(w);
@@ -707,6 +735,7 @@ mod tests {
                 let got = st.strict_reach(p);
                 let want = strict_reach_bfs(view, alive, p);
                 assert_eq!(got, want, "strict reach of pair {p}");
+                assert_eq!(st.strict_len(view, p), got.len() as u64, "strict length of pair {p}");
             }
         }
     }
@@ -728,7 +757,7 @@ mod tests {
             for l in &mut adj {
                 l.sort_unstable();
             }
-            let view = VecView { adj, width: n };
+            let view = VecView { adj, node_of: (0..n).collect(), width: n };
             let alive = vec![true; n];
             let st = CondensationState::build(&view, |_| true);
             Harness { view, alive, st }
@@ -933,6 +962,24 @@ mod tests {
         assert!(err.contains("retained bytes"), "{err}");
     }
 
+    /// A trivial pair whose data node another pair shares: its `Full`
+    /// holds the node once, as its own and as reached, so `strict_len`
+    /// keeps it; a trivial pair that reaches its node only as its own
+    /// drops it.
+    #[test]
+    fn strict_len_sees_a_shared_data_node() {
+        // Pairs 0 → 1 → 2; pairs 0 and 1 both stand for data node 7.
+        let mut h = Harness::new(3, &[(0, 1), (1, 2)]);
+        h.view.node_of = vec![7, 7, 2];
+        h.view.width = 8;
+        h.st = CondensationState::build(&h.view, |_| true);
+        h.check();
+        assert_eq!(h.st.upper_bound(0), Some(2), "Full(0) = {{2, 7}}");
+        assert_eq!(h.st.strict_len(&h.view, 0), 2, "0 reaches 7 through pair 1");
+        assert_eq!(h.st.strict_len(&h.view, 1), 1, "1 reaches only 2");
+        assert_eq!(h.st.strict_len(&h.view, 2), 0);
+    }
+
     /// Probe and region limits trip the documented fallbacks.
     #[test]
     fn policy_overflows_report_fallback() {
@@ -976,6 +1023,10 @@ mod tests {
             edges.push((a, b));
         }
         let mut h = Harness::new(n as usize, &edges);
+        // 18 pairs over 12 data nodes: a trivial pair can reach its own
+        // data node through another pair, which `strict_len` must see.
+        h.view.node_of = (0..n as usize).map(|p| p % 12).collect();
+        h.st = CondensationState::build(&h.view, |_| true);
         h.check();
         for _ in 0..60 {
             let mut ops = Vec::new();

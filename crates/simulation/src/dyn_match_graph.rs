@@ -219,8 +219,12 @@ impl DynMatchGraph {
         delta.born = born;
 
         // Data-edge insertions between surviving pairs (already-present
-        // edges — e.g. wired by a birth above — are skipped).
+        // edges — e.g. wired by a birth above — are skipped, and so is an
+        // edge the batch removed again after inserting it).
         for &(v, w) in added_edges {
+            if !g.has_edge(v, w) {
+                continue;
+            }
             self.for_pair_edges(g, q, sim, v, w, |view, c, cw| {
                 if view.link(c, cw) {
                     delta.added.push((c, cw));
@@ -549,6 +553,25 @@ mod tests {
         assert_eq!(delta.born, vec![b1]);
         assert!(delta.added.contains(&(a0, b1)), "{delta:?}");
         assert_view_matches_scratch(&view, &dg, &q, &sim);
+    }
+
+    /// An edge inserted and removed again in one batch leaves no pair
+    /// edge behind, and one removed and inserted again is still there.
+    #[test]
+    fn an_edge_inserted_and_removed_in_one_batch_leaves_no_pair_edge() {
+        let g0 = graph_from_parts(&[0, 1, 1, 0], &[(0, 1), (3, 1), (3, 2)]).unwrap();
+        let q = label_pattern(&[0, 1], &[(0, 1)], 0).unwrap();
+        let mut dg = DynGraph::from_digraph(&g0);
+        let mut sim = IncSimState::new(&dg, &q);
+        let mut view = DynMatchGraph::over_alive(&dg, &q, &sim);
+        let there_and_back = GraphDelta::new().add_edge(0, 2).remove_edge(0, 2);
+        let delta = step(&mut dg, &mut sim, &mut view, &q, &there_and_back);
+        assert!(delta.is_empty(), "{delta:?}");
+        assert_view_matches_scratch(&view, &dg, &q, &sim);
+        let back_and_there = GraphDelta::new().remove_edge(3, 2).add_edge(3, 2);
+        step(&mut dg, &mut sim, &mut view, &q, &back_and_there);
+        assert_view_matches_scratch(&view, &dg, &q, &sim);
+        assert_eq!(view.edge_count(), 3);
     }
 
     /// `label`, plus the `k ≥ 2` threshold when `attr` is set.

@@ -11,6 +11,12 @@
 //! calibration error shifts reported latencies slightly and affects
 //! nothing else. Other architectures keep `Instant` (ticks *are*
 //! nanoseconds there and conversion is the identity).
+//!
+//! Calibration reads the TSC and `Instant` at each end of its window. Two
+//! back-to-back reads can still be split by a preemption, which would
+//! charge the whole pause to one clock and mis-scale every span the
+//! process records. So each `Instant` read is bracketed by two TSC reads,
+//! and a bracket wider than a preemption-free pair is read again.
 
 #[cfg(target_arch = "x86_64")]
 mod imp {
@@ -24,18 +30,41 @@ mod imp {
     fn scale() -> u64 {
         static SCALE: OnceLock<u64> = OnceLock::new();
         *SCALE.get_or_init(|| {
-            let t0 = Instant::now();
-            let c0 = now_ticks();
-            let ns = loop {
-                let ns = t0.elapsed().as_nanos().min(u64::MAX as u128) as u64;
-                if ns >= 200_000 {
-                    break ns;
-                }
+            let (c0, t0) = paired_read();
+            while t0.elapsed().as_nanos() < 200_000 {
                 std::hint::spin_loop();
-            };
-            let dc = now_ticks().saturating_sub(c0).max(1);
+            }
+            let (c1, t1) = paired_read();
+            let ns = t1.duration_since(t0).as_nanos().min(u64::MAX as u128) as u64;
+            let dc = c1.saturating_sub(c0).max(1);
             (((ns as u128) << 32) / dc as u128).max(1) as u64
         })
+    }
+
+    /// A bracket at most this many ticks wide holds no preemption: one
+    /// `Instant` read costs well under a microsecond, a scheduler pause
+    /// tens of them.
+    const MAX_BRACKET_TICKS: u64 = 4_096;
+
+    /// `(tick, instant)` read at one moment: `Instant::now` between two
+    /// TSC reads, with the tick at the bracket's midpoint. A bracket wider
+    /// than [`MAX_BRACKET_TICKS`] is read again, up to 64 times, keeping
+    /// the narrowest.
+    pub fn paired_read() -> (u64, Instant) {
+        let mut best: Option<(u64, u64, Instant)> = None;
+        for _ in 0..64 {
+            let a = now_ticks();
+            let t = Instant::now();
+            let width = now_ticks().saturating_sub(a);
+            if best.is_none_or(|(w, _, _)| width < w) {
+                best = Some((width, a + width / 2, t));
+            }
+            if width <= MAX_BRACKET_TICKS {
+                break;
+            }
+        }
+        let (_, tick, t) = best.expect("at least one read");
+        (tick, t)
     }
 
     // The crate's one `unsafe`: everything else is safe code.
@@ -73,6 +102,13 @@ mod imp {
         dt
     }
 
+    /// `(tick, instant)` read at one moment; here both are `Instant`.
+    #[cfg(test)]
+    pub fn paired_read() -> (u64, Instant) {
+        let t = Instant::now();
+        (t.duration_since(epoch()).as_nanos().min(u64::MAX as u128) as u64, t)
+    }
+
     pub fn init() {
         let _ = epoch();
     }
@@ -86,16 +122,18 @@ pub(crate) fn warm_up() {
     imp::init();
 }
 
-/// Smoke check that the calibrated clock tracks wall time: used by unit
-/// tests, and cheap enough to assert the scale is sane anywhere.
+/// Smoke check that the calibrated clock tracks wall time: spins for at
+/// least `d` and returns `(clock ns, wall ns)` over one window whose ends
+/// are bracketed reads, so a pause anywhere in it lengthens both.
 #[cfg(test)]
-pub(crate) fn measure(d: std::time::Duration) -> u64 {
-    let c0 = now_ticks();
-    let t0 = std::time::Instant::now();
+pub(crate) fn measure(d: std::time::Duration) -> (u64, u64) {
+    let (c0, t0) = imp::paired_read();
     while t0.elapsed() < d {
         std::hint::spin_loop();
     }
-    ticks_to_ns(now_ticks().saturating_sub(c0))
+    let (c1, t1) = imp::paired_read();
+    let wall = t1.duration_since(t0).as_nanos().min(u64::MAX as u128) as u64;
+    (ticks_to_ns(c1.saturating_sub(c0)), wall)
 }
 
 #[cfg(test)]
@@ -106,7 +144,12 @@ mod tests {
     #[test]
     fn calibrated_clock_tracks_wall_time_within_ten_percent() {
         warm_up();
-        let ns = measure(Duration::from_millis(5));
-        assert!((4_500_000..=5_600_000).contains(&ns), "5ms measured as {ns}ns — calibration off");
+        let (ns, wall) = measure(Duration::from_millis(5));
+        assert!(wall >= 5_000_000, "the spin ran {wall}ns");
+        let (lo, hi) = (wall / 10 * 9, wall / 10 * 11);
+        assert!(
+            (lo..=hi).contains(&ns),
+            "{wall}ns of wall time measured as {ns}ns — calibration off"
+        );
     }
 }
